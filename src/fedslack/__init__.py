@@ -9,14 +9,13 @@ from .attacks import AttackSpec, fgsm, pgd
 from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .local import (ClientUpdate, LocalConfig, Trainer, apply_fedprox,
-                    apply_scaffold, train_at, train_client, train_standard,
-                    train_trades, update_scaffold_client)
+                    apply_scaffold, train_client, update_scaffold_client)
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, trace_topk, xi_count)
 from .nn import (Model, ParamVector, SgdState, forward, load_checkpoint,
                  loss_and_grads, save_checkpoint, sgd_step)
 from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunArtifact,
-                     emit_metrics, load_config, load_metrics, run,
+                     build_shards, load_config, load_metrics, run,
                      sample_participants)
 
 __version__ = "0.1.0"

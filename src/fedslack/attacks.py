@@ -1,8 +1,9 @@
 """Inner maximization: FGSM and multi-step PGD inside the L-infinity ball.
 
 Both attacks accept a single feature vector or a batch.  PGD projects every
-iterate onto the epsilon-ball around the clean input first and onto [0,1]
-second; sign(0) is 0, so zero-gradient coordinates stay untouched.
+iterate onto the epsilon-ball around the clean input intersected with [0,1]
+(one clip against precomputed bounds); sign(0) is 0, so zero-gradient
+coordinates stay untouched.
 """
 
 from __future__ import annotations
@@ -55,26 +56,26 @@ def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
 
 def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
              spec: AttackSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """PGD ascent on an arbitrary per-sample loss given its input-gradient fn."""
+    """PGD ascent on an arbitrary per-sample loss given its input-gradient fn.
+
+    `x0` must lie in [clip_min, clip_max]; every iterate is then projected
+    onto the box lo..hi, the epsilon-ball intersected with the valid range.
+    """
+    if not np.all((x0 >= spec.clip_min) & (x0 <= spec.clip_max)):
+        raise ValueError(f"attack inputs must lie in [{spec.clip_min}, {spec.clip_max}]")
     lo = np.maximum(x0 - spec.epsilon, spec.clip_min)
     hi = np.minimum(x0 + spec.epsilon, spec.clip_max)
     if spec.random_start:
         if rng is None:
             raise ValueError("random_start requires an RNG stream")
-        x = x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape)
-        x = np.clip(np.clip(x, x0 - spec.epsilon, x0 + spec.epsilon),
-                    spec.clip_min, spec.clip_max)
+        x = np.clip(x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape), lo, hi)
     else:
         x = x0.copy()
     for _ in range(spec.steps):
         g = grad_fn(x)
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient during attack")
-        x = x + spec.step_size * np.sign(g)
-        x = np.clip(np.clip(x, x0 - spec.epsilon, x0 + spec.epsilon),
-                    spec.clip_min, spec.clip_max)
-    # lo/hi only used to document the feasible box; projection above is equivalent
-    assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
+        x = np.clip(x + spec.step_size * np.sign(g), lo, hi)
     return x
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import nn, runner
 from .attacks import AttackSpec
-from .data import class_counts, partition, partition_unequal
+from .data import class_counts, load_csv
 from .errors import ConfigError, DivergenceError, FedslackError, FormatError
 from .metrics import EvalAttack, evaluate
 from .runner import ExperimentConfig, load_config, load_metrics
@@ -81,10 +81,7 @@ def _cmd_run(args) -> int:
 def _cmd_partition_inspect(args) -> int:
     config = load_config(args.config)
     train_set, _ = runner.build_datasets(config)
-    if config.partition.sample_counts is not None:
-        shards = partition_unequal(train_set, config.partition)
-    else:
-        shards = partition(train_set, config.partition)
+    shards = runner.build_shards(config, train_set)
     table = class_counts(train_set, shards)
     header = "client  " + "  ".join(f"c{c:<5d}" for c in range(train_set.num_classes))
     print(header)
@@ -95,7 +92,6 @@ def _cmd_partition_inspect(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = nn.load_checkpoint(args.checkpoint)
-    from .data import load_csv
     test_set = load_csv(args.test)
     spec = AttackSpec(args.epsilon, args.step_size,
                       steps=20 if args.attack == "pgd20" else 1)

@@ -20,7 +20,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Feature vectors in [0,1] with integer class labels."""
+    """Finite feature vectors in [0,1] with integer class labels in [0, C)."""
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int
@@ -31,8 +31,11 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.intp)
         if len(self.features) != len(self.labels):
             raise FormatError("features and labels length mismatch")
-        if len(self.labels) and self.labels.max() >= self.num_classes:
-            raise FormatError("label exceeds declared class count")
+        if self.features.size and not (self.features.min() >= 0.0
+                                       and self.features.max() <= 1.0):
+            raise FormatError("features must be finite and lie in [0, 1]")
+        if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
+            raise FormatError(f"labels must lie in [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -40,9 +43,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 class PartitionMode(Enum):
@@ -120,12 +120,11 @@ def make_synthetic(n_per_class: int, num_classes: int, dim: int,
     else:
         raise ValueError(f"unknown placement {placement!r}")
     means = 0.5 + 0.5 * separation * dirs
-    feats, labels = [], []
-    for c in range(num_classes):
-        pts = means[c] + spread * rng.normal(size=(n_per_class, dim))
-        feats.append(np.clip(pts, 0.0, 1.0))
-        labels.append(np.full(n_per_class, c))
-    return Dataset(np.concatenate(feats), np.concatenate(labels), num_classes)
+    # one (C, n, dim) draw takes the same values from the stream as one
+    # (n, dim) draw per class in class order
+    pts = means[:, None, :] + spread * rng.normal(size=(num_classes, n_per_class, dim))
+    return Dataset(np.clip(pts, 0.0, 1.0).reshape(-1, dim),
+                   np.repeat(np.arange(num_classes), n_per_class), num_classes)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -101,15 +101,14 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def _train_round(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-                 config: LocalConfig, master_seed: int, round_idx: int,
+def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
+                 config: LocalConfig, master_seed: int, round_idx: int = 0,
                  c_global: nn.ParamVector | None = None,
                  c_local: nn.ParamVector | None = None) -> ClientUpdate:
+    """One client's local round: E epochs of SGD under `config.trainer`."""
     if shard.n_samples == 0:
         raise ValueError(f"client {shard.client_id} has an empty shard")
-    dims = _dims_from_layout(theta_global.layout)
-    model = nn.Model.init(dims, stream(0, "scratch"))
-    model.load_vector(theta_global)
+    model = nn.Model.from_vector(theta_global)
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
 
     X = dataset.features[shard.indices]
@@ -128,8 +127,7 @@ def _train_round(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
                 raise DivergenceError(
                     f"client {shard.client_id} diverged at round {round_idx}")
             if config.fedprox_mu > 0.0:
-                grads = apply_fedprox(grads, model.to_vector(), theta_global,
-                                      config.fedprox_mu)
+                grads = apply_fedprox(grads, model.params, theta_global, config.fedprox_mu)
             if config.scaffold and c_global is not None and c_local is not None:
                 grads = apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
@@ -139,7 +137,7 @@ def _train_round(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
 
     total = sum(n for _, n in final_losses)
     mean_loss = sum(l * n for l, n in final_losses) / total
-    theta_local = model.to_vector()
+    theta_local = model.params
     if not np.all(np.isfinite(theta_local.values)):
         raise DivergenceError(f"client {shard.client_id} produced non-finite parameters")
 
@@ -190,54 +188,3 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
     g_adv, _ = nn.backprop(model, acts_adv, dl_adv)
     return loss, g_nat + g_adv
 
-
-def _dims_from_layout(layout: nn.Layout) -> list[int]:
-    dims = [layout[0][1][0]]
-    for name, shape in layout:
-        if name.endswith(".W"):
-            dims.append(shape[1])
-    return dims
-
-
-def train_at(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-             config: LocalConfig, master_seed: int, round_idx: int = 0,
-             c_global: nn.ParamVector | None = None,
-             c_local: nn.ParamVector | None = None) -> ClientUpdate:
-    """Adversarial training round (PGD examples against the evolving local model)."""
-    cfg = config if config.trainer is Trainer.AT else _with_trainer(config, Trainer.AT)
-    return _train_round(shard, dataset, theta_global, cfg, master_seed, round_idx,
-                        c_global, c_local)
-
-
-def train_trades(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-                 config: LocalConfig, master_seed: int, round_idx: int = 0,
-                 c_global: nn.ParamVector | None = None,
-                 c_local: nn.ParamVector | None = None) -> ClientUpdate:
-    """TRADES round: clean CE plus weighted KL to the adversarial distribution."""
-    cfg = config if config.trainer is Trainer.TRADES else _with_trainer(config, Trainer.TRADES)
-    return _train_round(shard, dataset, theta_global, cfg, master_seed, round_idx,
-                        c_global, c_local)
-
-
-def train_standard(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-                   config: LocalConfig, master_seed: int, round_idx: int = 0,
-                   c_global: nn.ParamVector | None = None,
-                   c_local: nn.ParamVector | None = None) -> ClientUpdate:
-    """Natural-data round; identical trajectory to train_at with epsilon 0."""
-    cfg = config if config.trainer is Trainer.STANDARD else _with_trainer(config, Trainer.STANDARD)
-    return _train_round(shard, dataset, theta_global, cfg, master_seed, round_idx,
-                        c_global, c_local)
-
-
-def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-                 config: LocalConfig, master_seed: int, round_idx: int = 0,
-                 c_global: nn.ParamVector | None = None,
-                 c_local: nn.ParamVector | None = None) -> ClientUpdate:
-    """Dispatch on the configured trainer mode."""
-    return _train_round(shard, dataset, theta_global, config, master_seed, round_idx,
-                        c_global, c_local)
-
-
-def _with_trainer(config: LocalConfig, trainer: Trainer) -> LocalConfig:
-    from dataclasses import replace
-    return replace(config, trainer=trainer)

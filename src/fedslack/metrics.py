@@ -83,7 +83,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
     """Fraction of correct argmax predictions on (possibly attacked) inputs."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    X, y = test_set.features, test_set.labels
+    X, y = test_set.features, nn._check_labels(test_set.labels, model.num_classes)
     if attack is EvalAttack.FGSM:
         if spec is None:
             raise ValueError("FGSM evaluation needs an attack spec")

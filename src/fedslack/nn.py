@@ -1,12 +1,19 @@
 """Minimal dense-network engine: MLP forward/backward, softmax cross-entropy,
 SGD with momentum, flat parameter vectors, and a binary checkpoint format.
 
-Everything is float64 and pure given explicit inputs; models and parameter
-vectors are plain values that can be copied between threads freely.
+A model keeps all of its parameters in one contiguous float64 ParamVector,
+`model.params`, laid out as dense0.W, dense0.b, dense1.W, ...; every
+`weights[i]` and `biases[i]` is a reshaped view into that buffer.  The
+optimizer updates the buffer in place, `to_vector` copies it and
+`load_vector` overwrites it, so there is one copy of the parameters and no
+conversion between per-layer arrays and the flat vector.
+
+Everything is float64 and pure given explicit inputs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -52,19 +59,36 @@ class ParamVector:
         self._check(other)
         return ParamVector(self.values - other.values, self.layout)
 
-    def scale(self, a: float) -> "ParamVector":
-        return ParamVector(self.values * a, self.layout)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+def _split(vec: ParamVector) -> list[np.ndarray]:
+    """One reshaped view into `vec.values` per layout entry."""
+    views, off = [], 0
+    for _, shape in vec.layout:
+        n = math.prod(shape)
+        views.append(vec.values[off:off + n].reshape(shape))
+        off += n
+    return views
 
 
-@dataclass
 class Model:
-    """MLP with ReLU hidden activations and linear output logits."""
+    """MLP with ReLU hidden activations and linear output logits.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
+    `params.values`; the constructor copies the given arrays into it.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
+        if (not weights or len(weights) != len(biases)
+                or any(len(ws) != 2 or bs != ws[1:] for ws, bs in shapes)
+                or any(ws[1] != nxt[0] for (ws, _), (nxt, _) in zip(shapes, shapes[1:]))):
+            raise ShapeError("weights and biases do not form an MLP")
+        layout = tuple(entry for i, (ws, bs) in enumerate(shapes)
+                       for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
+        self.params = ParamVector(
+            np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]), layout)
+        views = _split(self.params)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def init(cls, dims: list[int], rng: np.random.Generator) -> "Model":
@@ -78,6 +102,15 @@ class Model:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
+    @classmethod
+    def from_vector(cls, vec: ParamVector) -> "Model":
+        """A model owning a copy of `vec`; its layout must be dense0.W, dense0.b, ..."""
+        parts = _split(vec)
+        model = cls(parts[0::2], parts[1::2])
+        if model.layout != vec.layout:
+            raise ShapeError("param vector layout is not a dense<i>.W/.b MLP")
+        return model
+
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
@@ -87,38 +120,16 @@ class Model:
         return self.weights[-1].shape[1]
 
     @property
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
     def layout(self) -> Layout:
-        entries = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            entries.append((f"dense{i}.W", w.shape))
-            entries.append((f"dense{i}.b", b.shape))
-        return tuple(entries)
+        return self.params.layout
 
     def to_vector(self) -> ParamVector:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return ParamVector(np.concatenate(parts), self.layout)
+        return self.params.copy()
 
     def load_vector(self, vec: ParamVector) -> None:
         if vec.layout != self.layout:
             raise ShapeError("param vector layout does not match model")
-        off = 0
-        for i in range(len(self.weights)):
-            n = self.weights[i].size
-            self.weights[i] = vec.values[off:off + n].reshape(self.weights[i].shape).copy()
-            off += n
-            n = self.biases[i].size
-            self.biases[i] = vec.values[off:off + n].copy()
-            off += n
-
-    def copy(self) -> "Model":
-        return Model([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        self.params.values[:] = vec.values
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -258,13 +269,10 @@ class SgdState:
         if self.weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
 
-    def fresh(self) -> "SgdState":
-        return SgdState(self.lr, self.momentum, self.weight_decay)
-
 
 def sgd_step(model: Model, grads: ParamVector, state: SgdState) -> Model:
-    """v <- m*v + g + wd*theta; theta <- theta - lr*v.  Updates model in place."""
-    theta = model.to_vector()
+    """v <- m*v + g + wd*theta; theta <- theta - lr*v.  Updates model.params in place."""
+    theta = model.params
     if grads.layout != theta.layout:
         raise ShapeError("gradient layout does not match model")
     if state.velocity is None:
@@ -274,14 +282,13 @@ def sgd_step(model: Model, grads: ParamVector, state: SgdState) -> Model:
     v = state.momentum * state.velocity.values + grads.values \
         + state.weight_decay * theta.values
     state.velocity = ParamVector(v, theta.layout)
-    model.load_vector(ParamVector(theta.values - state.lr * v, theta.layout))
+    theta.values -= state.lr * v
     return model
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Binary checkpoint: magic, version, layer entries, row-major float64 LE."""
     layout = model.layout
-    vec = model.to_vector()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -293,7 +300,7 @@ def save_checkpoint(model: Model, path) -> None:
             f.write(struct.pack("<I", len(shape)))
             for d in shape:
                 f.write(struct.pack("<I", d))
-        f.write(vec.values.astype("<f8").tobytes())
+        f.write(model.params.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -317,20 +324,7 @@ def load_checkpoint(path) -> Model:
         if len(raw) != total * 8:
             raise FormatError("checkpoint truncated")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    # rebuild the MLP from the dense<i>.W shapes
-    dims = None
-    weights, biases = [], []
-    off = 0
-    for name, shape in layout:
-        n = int(np.prod(shape))
-        arr = values[off:off + n].reshape(shape)
-        off += n
-        if name.endswith(".W"):
-            weights.append(arr.copy())
-        elif name.endswith(".b"):
-            biases.append(arr.copy())
-        else:
-            raise FormatError(f"unknown layer entry {name!r}")
-    if len(weights) != len(biases) or not weights:
-        raise FormatError("checkpoint layer entries inconsistent")
-    return Model(weights, biases)
+    try:
+        return Model.from_vector(ParamVector(values, tuple(layout)))
+    except ShapeError as exc:
+        raise FormatError(f"checkpoint layer entries inconsistent: {exc}") from exc

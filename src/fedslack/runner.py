@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .aggregation import (AggregationPolicy,
                           scaffold_server_update, slack_weights, slack_aggregate,
                           sort_by_weighted_loss)
 from .attacks import AttackSpec
-from .data import (Dataset, PartitionSpec, load_csv,
+from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError
 from .local import LocalConfig, train_client
@@ -80,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation must lie in (0, 1]")
-        if max(1, round(self.participation * self.partition.num_clients)) < 1:
-            raise ConfigError("participation leaves no clients per round")
 
 
 @dataclass
@@ -101,19 +99,23 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build a config from parsed JSON; `raw` is left unchanged."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(map(str, set(raw) - {f.name for f in fields(ExperimentConfig)}))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        ds = DatasetSpec(**raw.get("dataset", {}))
-        part = PartitionSpec(**raw.get("partition", {"num_clients": 5}))
-        attack = AttackSpec(**raw["local"].pop("attack")) if "attack" in raw.get("local", {}) \
-            else AttackSpec(8 / 255, 2 / 255, 10, random_start=True)
-        local = LocalConfig(attack=attack, **raw.get("local", {}))
-        policy = AggregationPolicy(**raw.get("policy", {}))
-        top = {k: v for k, v in raw.items()
-               if k in ("optimizer", "rounds", "participation", "eval_every", "seed",
-                        "out_dir", "k_hat_absolute")}
-        return ExperimentConfig(dataset=ds, partition=part,
-                                hidden_dims=list(raw.get("hidden_dims", [16])),
-                                local=local, policy=policy, **top)
+        local = dict(raw.get("local", {}))
+        if "attack" in local:
+            local["attack"] = AttackSpec(**local["attack"])
+        return ExperimentConfig(**{
+            **raw,
+            "dataset": DatasetSpec(**raw.get("dataset", {})),
+            "partition": PartitionSpec(**raw.get("partition", {"num_clients": 5})),
+            "hidden_dims": list(raw.get("hidden_dims", [16])),
+            "local": LocalConfig(**local),
+            "policy": AggregationPolicy(**raw.get("policy", {}))})
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -150,6 +152,13 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return (load_idx(ds.train_path, ds.train_labels_path),
                 load_idx(ds.test_path, ds.test_labels_path))
     raise ConfigError(f"unknown dataset kind {ds.kind!r}")
+
+
+def build_shards(config: ExperimentConfig, train_set: Dataset) -> list[ClientShard]:
+    """Exact-count shards when `sample_counts` is set, equal splits otherwise."""
+    if config.partition.sample_counts is not None:
+        return partition_unequal(train_set, config.partition)
+    return partition(train_set, config.partition)
 
 
 def sample_participants(num_clients: int, ratio: float, round_idx: int,
@@ -207,10 +216,7 @@ def report_rows(rep: RoundReport) -> list[list[str]]:
 def run(config: ExperimentConfig) -> RunArtifact:
     """Execute the full communication loop and return the artifact."""
     train_set, test_set = build_datasets(config)
-    if config.partition.sample_counts is not None:
-        shards = partition_unequal(train_set, config.partition)
-    else:
-        shards = partition(train_set, config.partition)
+    shards = build_shards(config, train_set)
     shard_by_id = {s.client_id: s for s in shards}
 
     dims = [train_set.dim] + list(config.hidden_dims) + [train_set.num_classes]
@@ -311,24 +317,6 @@ def run(config: ExperimentConfig) -> RunArtifact:
     if out_dir:
         nn.save_checkpoint(model, out_dir / "checkpoint.bin")
     return RunArtifact(config, reports, model)
-
-
-def emit_metrics(artifact: RunArtifact, out_dir) -> None:
-    """Write metrics.csv, a config snapshot, and the final checkpoint."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(METRICS_COLUMNS)
-            for rep in artifact.reports:
-                for row in report_rows(rep):
-                    w.writerow(row)
-        (out / "config.json").write_text(
-            json.dumps(config_to_dict(artifact.config), indent=2) + "\n")
-        nn.save_checkpoint(artifact.final_model, out / "checkpoint.bin")
-    except OSError as exc:
-        raise OSError(f"cannot write artifact to {out}: {exc}") from exc
 
 
 def load_metrics(path) -> list[dict]:

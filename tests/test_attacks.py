@@ -121,3 +121,11 @@ def test_spec_validation():
         AttackSpec(0.1, 0.0)
     with pytest.raises(ValueError):
         AttackSpec(0.1, 0.01, steps=0)
+
+
+def test_pgd_rejects_inputs_outside_clip_range():
+    m = make_model()
+    spec = AttackSpec(0.1, 0.02, steps=2)
+    for bad in ([0.5, 1.5, 0.5], [-0.1, 0.5, 0.5], [0.5, np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            pgd(m, np.array(bad), 0, spec)

@@ -7,6 +7,7 @@ import pytest
 
 from fedslack import data
 from fedslack.errors import FormatError, PartitionError
+from fedslack.streams import stream
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -188,3 +189,22 @@ def test_partition_unequal_preserves_bias():
     for k in range(4):
         # owned class dominates the shard
         assert table[k, k] > table[k].sum() * 0.5
+
+
+@pytest.mark.parametrize("feature, label", [(1.5, 0), (-0.01, 0), (np.nan, 0),
+                                            (np.inf, 0), (0.5, -1), (0.5, 2)])
+def test_dataset_rejects_out_of_range_features_and_labels(feature, label):
+    with pytest.raises(FormatError):
+        data.Dataset([[0.2, 0.3], [feature, 0.4]], [1, label], 2)
+
+
+def test_synthetic_points_equal_per_class_reference_draws():
+    # reference: one noise draw per class, in class order, clipped per class
+    ds = data.make_synthetic(7, 3, 4, 0.6, seed=5, noise_seed=9)
+    rng_means, rng = stream(5, "synthetic-means"), stream(9, "synthetic-points")
+    dirs = rng_means.normal(size=(3, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    means = 0.5 + 0.5 * 0.6 * dirs
+    ref = [np.clip(means[c] + 0.08 * rng.normal(size=(7, 4)), 0.0, 1.0) for c in range(3)]
+    assert np.array_equal(ds.features, np.concatenate(ref))
+    assert np.array_equal(ds.labels, np.repeat(np.arange(3), 7))

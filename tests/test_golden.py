@@ -1,0 +1,101 @@
+"""Golden trajectories: bit-exact replay of six tiny runs.
+
+Each golden is the SHA-256 of a run's `metrics.csv` followed by its
+`checkpoint.bin` (the same digest `bench/run_bench.py` prints).  Together
+the configs cover every trainer (at, trades, standard), every optimizer
+(fedavg, fedprox, scaffold) and every policy (fat, sfat, re_sfat), plus
+partial participation, the `linear_anneal` alpha schedule and exact
+`sample_counts` shards.
+
+The digests were recorded with float64 numpy 2.4.6 on OpenBLAS 0.3.31
+(x86-64, one BLAS thread per matmul this small); another BLAS build or CPU
+may round differently.  Regenerate them only for a deliberate change of the
+trajectory, and name the reason in CHANGES.md.  A refactor or speed-up must
+leave every digest as it is.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+
+import pytest
+
+from fedslack.runner import config_from_dict, run
+
+
+def base(**top):
+    cfg = {
+        "dataset": {"kind": "synthetic", "n_per_class": 40, "num_classes": 4, "dim": 3,
+                    "separation": 0.8},
+        "partition": {"num_clients": 4, "mode": "noniid", "skew": 5.0, "seed": 0},
+        "hidden_dims": [6],
+        "local": {"epochs": 1, "batch_size": 16, "trainer": "at",
+                  "attack": {"epsilon": 0.05, "step_size": 0.0125, "steps": 3,
+                             "random_start": True},
+                  "lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4},
+        "policy": {"mode": "fat"},
+        "optimizer": "fedavg",
+        "rounds": 3,
+        "eval_every": 3,
+        "seed": 0,
+    }
+    for key, value in top.items():
+        if isinstance(value, dict):
+            cfg[key] = {**cfg[key], **value}
+        else:
+            cfg[key] = value
+    return cfg
+
+
+GOLDEN = {
+    "at_fedavg_fat": (
+        base(),
+        "fb2154fbb0656026e898799ed44e9b07a966f862ffc1dd4671a26b52bc96f53a"),
+    "at_fedprox_sfat_anneal": (
+        base(optimizer="fedprox", rounds=4, eval_every=2,
+             policy={"mode": "sfat", "alpha": 0.2, "k_hat": 1,
+                     "schedule": "linear_anneal", "alpha_end": 0.05,
+                     "anneal_rounds": 3}),
+        "2805c5be58762a03d7b0116674e023614a2feb3a810cb7852c946973646a12f2"),
+    "trades_fedavg_re_sfat_partial": (
+        base(partition={"num_clients": 5}, participation=0.6, rounds=4, eval_every=4,
+             local={"trainer": "trades", "trades_beta": 3.0},
+             policy={"mode": "re_sfat", "alpha": 1 / 6, "k_hat": 1}, seed=3),
+        "e0deb30c109b960d2b24fce69932e94be31e1eb6bcde5d9f3e16136f700324d8"),
+    "standard_scaffold_sfat_counts": (
+        base(optimizer="scaffold",
+             partition={"sample_counts": [8, 16, 24, 32]},
+             local={"trainer": "standard", "batch_size": 8},
+             policy={"mode": "sfat", "alpha": 0.25, "k_hat": 2}, seed=1),
+        "59160710cfcd4df7205508b33aef0cdbe21c728898ba9a6525dce528a872fab4"),
+    "at_scaffold_sfat_partial": (
+        base(optimizer="scaffold", partition={"num_clients": 6, "skew": 4.0},
+             participation=0.5, rounds=4, eval_every=2,
+             local={"epochs": 2, "batch_size": 12},
+             policy={"mode": "sfat", "alpha": 1 / 6, "k_hat": 1}, seed=2),
+        "f223a3e70105b788db78eff60030e15e2e234a7ad2a6db77191e044a56c766da"),
+    "trades_fedprox_sfat_counts": (
+        base(optimizer="fedprox",
+             partition={"mode": "iid", "sample_counts": [20, 12, 30, 10]},
+             local={"trainer": "trades", "trades_beta": 6.0, "fedprox_mu": 0.05,
+                    "momentum": 0.0},
+             policy={"mode": "sfat", "alpha": 0.3, "k_hat": 2}, seed=4),
+        "ebc8d48ea3f4e75b9b6396d6541fa07ecc1bfb5c1f7532e7d30dc7bc94520c65"),
+}
+
+
+def run_digest(raw: dict, out_dir) -> str:
+    config = config_from_dict({**copy.deepcopy(raw), "out_dir": str(out_dir)})
+    run(config)
+    h = hashlib.sha256()
+    for name in ("metrics.csv", "checkpoint.bin"):
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trajectory(name, tmp_path):
+    raw, expected = GOLDEN[name]
+    got = run_digest(raw, tmp_path)
+    assert got == expected, f"{name}: digest {got}, golden {expected}"

@@ -8,8 +8,7 @@ from fedslack import nn
 from fedslack.attacks import AttackSpec, pgd
 from fedslack.data import ClientShard, Dataset
 from fedslack.local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold,
-                            train_at, train_client, train_standard, train_trades,
-                            update_scaffold_client)
+                            train_client, update_scaffold_client)
 from fedslack.streams import stream
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
@@ -98,8 +97,9 @@ def test_at_epsilon_zero_equals_standard_bitwise():
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
     cfg_at = toy_config(attack=AttackSpec(0.0, 0.01, steps=3))
-    up_at = train_at(shard, ds, theta, cfg_at, master_seed=2, round_idx=1)
-    up_std = train_standard(shard, ds, theta, toy_config(), master_seed=2, round_idx=1)
+    up_at = train_client(shard, ds, theta, cfg_at, master_seed=2, round_idx=1)
+    up_std = train_client(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
+                          master_seed=2, round_idx=1)
     assert np.array_equal(up_at.params.values, up_std.params.values)
     assert up_at.loss == up_std.loss
 
@@ -111,10 +111,9 @@ def test_at_single_step_replay_oracle():
     shard = ClientShard(0, np.arange(8))
     theta = global_theta()
     cfg = toy_config(epochs=1, batch_size=8, momentum=0.0)
-    up = train_at(shard, ds, theta, cfg, master_seed=3, round_idx=2)
+    up = train_client(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
-    model = nn.Model.init([3, 4, 2], stream(0, "whatever"))
-    model.load_vector(theta)
+    model = nn.Model.from_vector(theta)
     order = stream(3, "batch-order", 2, 0, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     rng = stream(3, "attack", 2, 0, 0)
@@ -128,7 +127,7 @@ def test_at_single_step_replay_oracle():
 def test_weighted_loss_contract():
     ds = toy_dataset()
     shard = ClientShard(0, np.arange(10))
-    up = train_at(shard, ds, global_theta(), toy_config(), master_seed=4)
+    up = train_client(shard, ds, global_theta(), toy_config(), master_seed=4)
     assert up.weighted_loss == pytest.approx(10 / 40 * up.loss, abs=1e-12)
     assert up.loss >= 0.0
 
@@ -139,12 +138,12 @@ def test_isolation_from_other_clients_data():
     shard = ClientShard(0, np.arange(10))
     theta = global_theta()
     cfg = toy_config()
-    up1 = train_at(shard, ds, theta, cfg, master_seed=5, round_idx=3)
+    up1 = train_client(shard, ds, theta, cfg, master_seed=5, round_idx=3)
     perm = np.arange(len(ds))
     perm[10:] = perm[10:][::-1]
     ds2 = Dataset(ds.features[perm], ds.labels[perm], 2)
     # shard indices still address the same rows because only rows >= 10 moved
-    up2 = train_at(shard, ds2, theta, cfg, master_seed=5, round_idx=3)
+    up2 = train_client(shard, ds2, theta, cfg, master_seed=5, round_idx=3)
     assert np.array_equal(up1.params.values, up2.params.values)
     assert up1.loss == up2.loss
 
@@ -152,17 +151,19 @@ def test_isolation_from_other_clients_data():
 def test_empty_shard_errors():
     ds = toy_dataset()
     with pytest.raises(ValueError):
-        train_at(ClientShard(0, np.array([], dtype=int)), ds, global_theta(),
-                 toy_config(), master_seed=0)
+        train_client(ClientShard(0, np.array([], dtype=int)), ds, global_theta(),
+                     toy_config(), master_seed=0)
 
 
 def test_trades_beta_zero_equals_standard():
     ds = toy_dataset()
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
-    up_tr = train_trades(shard, ds, theta, toy_config(trades_beta=0.0),
+    up_tr = train_client(shard, ds, theta,
+                         toy_config(trainer=Trainer.TRADES, trades_beta=0.0),
                          master_seed=6, round_idx=1)
-    up_std = train_standard(shard, ds, theta, toy_config(), master_seed=6, round_idx=1)
+    up_std = train_client(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
+                          master_seed=6, round_idx=1)
     assert np.array_equal(up_tr.params.values, up_std.params.values)
 
 
@@ -174,7 +175,7 @@ def test_trades_loss_grows_with_beta():
     for beta in (1.0, 6.0, 30.0):
         cfg = toy_config(trainer=Trainer.TRADES, trades_beta=beta, epochs=1,
                          batch_size=16, lr=1e-9)  # tiny lr: loss reflects the start
-        up = train_trades(shard, ds, theta, cfg, master_seed=7, round_idx=1)
+        up = train_client(shard, ds, theta, cfg, master_seed=7, round_idx=1)
         losses.append(up.loss)
     assert losses[0] < losses[1] < losses[2]
 
@@ -187,10 +188,9 @@ def test_trades_recorded_loss_matches_direct_evaluation():
     theta = global_theta()
     cfg = toy_config(trainer=Trainer.TRADES, trades_beta=2.0, epochs=1,
                      batch_size=8, lr=1e-12, momentum=0.0)
-    up = train_trades(shard, ds, theta, cfg, master_seed=8, round_idx=1)
+    up = train_client(shard, ds, theta, cfg, master_seed=8, round_idx=1)
 
-    model = nn.Model.init([3, 4, 2], stream(0, "x"))
-    model.load_vector(theta)
+    model = nn.Model.from_vector(theta)
     order = stream(8, "batch-order", 1, 0, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     from fedslack.attacks import pgd_kl
@@ -207,8 +207,7 @@ def test_trades_recorded_loss_matches_direct_evaluation():
 def test_trades_param_grads_match_finite_differences():
     ds = toy_dataset(n=6)
     theta = global_theta(seed=9)
-    model = nn.Model.init([3, 4, 2], stream(0, "x"))
-    model.load_vector(theta)
+    model = nn.Model.from_vector(theta)
     cfg = toy_config(trainer=Trainer.TRADES, trades_beta=3.0,
                      attack=AttackSpec(0.0, 0.01))  # eps 0: x_adv == x, loss smooth
     from fedslack.local import _trades_objective

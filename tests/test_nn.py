@@ -201,3 +201,30 @@ def test_forward_deterministic_across_runs():
         m = nn.Model.init([3, 4, 2], stream(7, "init"))
         results.append(nn.forward(m, np.array([0.2, 0.5, 0.9])))
     assert np.array_equal(results[0], results[1])
+
+
+def test_weights_and_biases_are_views_of_params():
+    m = nn.Model.init([3, 4, 2], stream(2, "init"))
+    assert all(np.shares_memory(a, m.params.values) for a in m.weights + m.biases)
+    g = m.to_vector().zeros_like()
+    g.values[:] = 1.0
+    w0 = m.weights[1].copy()
+    nn.sgd_step(m, g, nn.SgdState(lr=0.5))
+    np.testing.assert_array_equal(m.weights[1], w0 - 0.5)
+    assert np.array_equal(m.to_vector().values,
+                          np.concatenate([a.ravel() for wb in zip(m.weights, m.biases)
+                                          for a in wb]))
+
+
+def test_from_vector_copies_and_checks_the_mlp_layout():
+    vec = nn.Model.init([3, 5, 2], stream(4, "init")).to_vector()
+    m = nn.Model.from_vector(vec)
+    assert m.layout == vec.layout and (m.input_dim, m.num_classes) == (3, 2)
+    m.params.values[:] = 0.0
+    assert np.any(vec.values != 0.0)
+    renamed = nn.ParamVector(vec.values, (("fc.W", (3, 5)),) + vec.layout[1:])
+    unchained = nn.ParamVector(vec.values, (("dense0.W", (3, 5)), ("dense0.b", (5,)),
+                                            ("dense1.W", (3, 3)), ("dense1.b", (3,))))
+    for bad in (renamed, unchained, nn.ParamVector(vec.values[:15], vec.layout[:1])):
+        with pytest.raises(ShapeError):
+            nn.Model.from_vector(bad)

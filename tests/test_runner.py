@@ -6,15 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedslack import cli, runner
+from fedslack import cli, nn, runner
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
 from fedslack.errors import ConfigError
 from fedslack.local import LocalConfig
 from fedslack.runner import (DatasetSpec, ExperimentConfig, config_from_dict,
-                             config_to_dict, emit_metrics, load_config, load_metrics,
+                             config_to_dict, load_config, load_metrics,
                              run, sample_participants)
+from fedslack.streams import stream
 
 
 def tiny_config(**kw):
@@ -90,8 +91,7 @@ def test_sample_participants_frequency():
 def test_metrics_roundtrip(tmp_path):
     cfg = tiny_config(policy=AggregationPolicy(AggregationMode.SFAT,
                                                alpha=1 / 6, k_hat=1))
-    art = run(cfg)
-    emit_metrics(art, tmp_path)
+    art = run(replace(cfg, out_dir=str(tmp_path)))
     rows = load_metrics(tmp_path / "metrics.csv")
     agg_rows = [r for r in rows if r["client_id"] == -1]
     assert [r["round"] for r in agg_rows] == [1, 2, 3]
@@ -241,3 +241,47 @@ def test_crash_leaves_valid_prefix(tmp_path, monkeypatch):
     rounds = {r["round"] for r in rows}
     assert rounds == {1, 2}
     assert all(len([r for r in rows if r["round"] == t]) == 6 for t in rounds)
+
+
+def test_config_from_dict_leaves_its_input_unchanged():
+    raw = {"local": {"attack": {"epsilon": 0.1, "step_size": 0.02, "steps": 3}},
+           "rounds": 2}
+    snapshot = json.loads(json.dumps(raw))
+    first = config_from_dict(raw)
+    second = config_from_dict(raw)
+    assert raw == snapshot
+    assert first == second
+    assert second.local.attack.epsilon == 0.1
+
+
+def test_cli_run_rejects_unknown_top_level_key(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"round": 3}))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "round" in capsys.readouterr().err
+
+
+def eval_on_csv(tmp_path, rows, attack):
+    """Exit code of `fedslack eval` of a 2-class checkpoint on a 3-feature CSV."""
+    ckpt = tmp_path / "model.bin"
+    nn.save_checkpoint(nn.Model.init([3, 4, 2], stream(0, "init")), ckpt)
+    csv_path = tmp_path / "test.csv"
+    lines = ["label,f0,f1,f2"] + [f"{y}," + ",".join(map(repr, x)) for y, x in rows]
+    csv_path.write_text("\n".join(lines) + "\n")
+    return cli.main(["eval", "--checkpoint", str(ckpt), "--test", str(csv_path),
+                     "--attack", attack])
+
+
+def test_cli_eval_rejects_feature_outside_unit_interval(tmp_path):
+    rows = [(0, (0.2, 1.5, 0.3)), (1, (0.1, 0.4, 0.9))]
+    assert eval_on_csv(tmp_path, rows, "pgd20") == cli.EXIT_CONFIG
+
+
+def test_cli_eval_rejects_negative_label(tmp_path):
+    rows = [(-1, (0.2, 0.5, 0.3)), (1, (0.1, 0.4, 0.9))]
+    assert eval_on_csv(tmp_path, rows, "none") == cli.EXIT_CONFIG
+
+
+def test_cli_eval_rejects_label_beyond_checkpoint_classes(tmp_path):
+    rows = [(4, (0.2, 0.5, 0.3)), (1, (0.1, 0.4, 0.9))]
+    assert eval_on_csv(tmp_path, rows, "none") == cli.EXIT_CONFIG
