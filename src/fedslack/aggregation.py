@@ -164,14 +164,9 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
     return float((1.0 + alpha) * s[:k_hat].sum() + (1.0 - alpha) * s[k_hat:].sum())
 
 
-def scaffold_server_update(c_global: ParamVector, deltas: list[ParamVector],
-                           participants: int, total_clients: int) -> ParamVector:
+def scaffold_server_update(c_global: np.ndarray, deltas: list[np.ndarray],
+                           participants: int, total_clients: int) -> np.ndarray:
     """c_global + (M/K) * mean of the participating clients' variate changes."""
     if not deltas:
         return c_global
-    for d in deltas:
-        if d.layout != c_global.layout:
-            raise ShapeError("variate layout differs from server variate")
-    mean = np.mean([d.values for d in deltas], axis=0)
-    scale = participants / total_clients
-    return ParamVector(c_global.values + scale * mean, c_global.layout)
+    return c_global + participants / total_clients * np.mean(deltas, axis=0)

@@ -5,6 +5,11 @@ adversarial examples (or TRADES / standard batches), and reports its updated
 parameters together with the mean loss over the final local epoch.  Optional
 proximal and control-variate corrections hook into the gradient before the
 SGD step.
+
+Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
+arrays in the order of `model.params.values`; they are all derived from one
+model inside `train_client`, so only the downloaded and uploaded parameters
+carry a layout.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from . import nn
 from .attacks import AttackSpec, pgd, pgd_kl
 from .data import ClientShard, Dataset
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError
 from .streams import stream
 
 
@@ -36,7 +41,6 @@ class LocalConfig:
     trainer: Trainer = Trainer.AT
     trades_beta: float = 6.0
     fedprox_mu: float = 0.0
-    scaffold: bool = False
     attack: AttackSpec = field(default_factory=lambda: AttackSpec(8 / 255, 2 / 255, 10,
                                                                  random_start=True))
     lr: float = 0.01
@@ -46,6 +50,8 @@ class LocalConfig:
     def __post_init__(self):
         if isinstance(self.trainer, str):
             self.trainer = Trainer(self.trainer.lower())
+        if not isinstance(self.attack, AttackSpec):
+            self.attack = AttackSpec(**self.attack)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
 
@@ -59,40 +65,30 @@ class ClientUpdate:
     loss: float
     n_samples: int
     total_samples: int
-    scaffold_delta: nn.ParamVector | None = None
+    scaffold_delta: np.ndarray | None = None
 
     @property
     def weighted_loss(self) -> float:
         return self.n_samples / self.total_samples * self.loss
 
 
-def apply_fedprox(grads: nn.ParamVector, theta_local: nn.ParamVector,
-                  theta_global: nn.ParamVector, mu: float) -> nn.ParamVector:
+def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray,
+                  theta_global: np.ndarray, mu: float) -> np.ndarray:
     """Add the proximal pull mu*(theta_local - theta_global) to the gradient."""
-    if grads.layout != theta_local.layout or grads.layout != theta_global.layout:
-        raise ShapeError("fedprox layouts differ")
-    if mu == 0.0:
-        return grads
-    return nn.ParamVector(grads.values + mu * (theta_local.values - theta_global.values),
-                          grads.layout)
+    return grads + mu * (theta_local - theta_global)
 
 
-def apply_scaffold(grads: nn.ParamVector, c_global: nn.ParamVector,
-                   c_local: nn.ParamVector) -> nn.ParamVector:
+def apply_scaffold(grads: np.ndarray, c_global: np.ndarray,
+                   c_local: np.ndarray) -> np.ndarray:
     """Control-variate corrected gradient: g - c_local + c_global."""
-    if grads.layout != c_global.layout or grads.layout != c_local.layout:
-        raise ShapeError("scaffold layouts differ")
-    return nn.ParamVector(grads.values - c_local.values + c_global.values, grads.layout)
+    return grads - c_local + c_global
 
 
-def update_scaffold_client(theta_global: nn.ParamVector, theta_local: nn.ParamVector,
-                           n_steps: int, lr: float, c_local: nn.ParamVector,
-                           c_global: nn.ParamVector) -> nn.ParamVector:
+def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
+                           n_steps: int, lr: float, c_local: np.ndarray,
+                           c_global: np.ndarray) -> np.ndarray:
     """New local variate: c_local - c_global + (theta_global - theta_local)/(steps*lr)."""
-    if theta_global.layout != theta_local.layout:
-        raise ShapeError("scaffold layouts differ")
-    drift = (theta_global.values - theta_local.values) / (n_steps * lr)
-    return nn.ParamVector(c_local.values - c_global.values + drift, theta_global.layout)
+    return c_local - c_global + (theta_global - theta_local) / (n_steps * lr)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -103,11 +99,14 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
                  config: LocalConfig, master_seed: int, round_idx: int = 0,
-                 c_global: nn.ParamVector | None = None,
-                 c_local: nn.ParamVector | None = None) -> ClientUpdate:
-    """One client's local round: E epochs of SGD under `config.trainer`."""
+                 c_global: np.ndarray | None = None,
+                 c_local: np.ndarray | None = None) -> ClientUpdate:
+    """One client's E local epochs of SGD; SCAFFOLD iff both variates are given."""
     if shard.n_samples == 0:
         raise ValueError(f"client {shard.client_id} has an empty shard")
+    scaffold = c_global is not None
+    if scaffold != (c_local is not None):
+        raise ValueError("SCAFFOLD needs both c_global and c_local")
     model = nn.Model.from_vector(theta_global)
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
 
@@ -127,8 +126,9 @@ def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
                 raise DivergenceError(
                     f"client {shard.client_id} diverged at round {round_idx}")
             if config.fedprox_mu > 0.0:
-                grads = apply_fedprox(grads, model.params, theta_global, config.fedprox_mu)
-            if config.scaffold and c_global is not None and c_local is not None:
+                grads = apply_fedprox(grads, model.params.values, theta_global.values,
+                                      config.fedprox_mu)
+            if scaffold:
                 grads = apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
             n_steps += 1
@@ -142,30 +142,26 @@ def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
         raise DivergenceError(f"client {shard.client_id} produced non-finite parameters")
 
     delta = None
-    if config.scaffold and c_global is not None and c_local is not None:
-        c_new = update_scaffold_client(theta_global, theta_local, n_steps, config.lr,
-                                       c_local, c_global)
-        delta = nn.ParamVector(c_new.values - c_local.values, c_new.layout)
+    if scaffold:
+        delta = update_scaffold_client(theta_global.values, theta_local.values, n_steps,
+                                       config.lr, c_local, c_global) - c_local
     return ClientUpdate(shard.client_id, theta_local, float(mean_loss),
                         shard.n_samples, len(dataset), scaffold_delta=delta)
 
 
 def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
                      config: LocalConfig,
-                     rng: np.random.Generator) -> tuple[float, nn.ParamVector]:
-    if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
-        x_adv = pgd(model, xb, yb, config.attack, rng)
-        loss, grads, _ = nn.batch_loss_and_grads(model, x_adv, yb)
-        return loss, grads
+                     rng: np.random.Generator) -> tuple[float, np.ndarray]:
     if config.trainer is Trainer.TRADES and config.trades_beta > 0.0:
         return _trades_objective(model, xb, yb, config, rng)
-    loss, grads, _ = nn.batch_loss_and_grads(model, xb, yb)
-    return loss, grads
+    if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
+        xb = pgd(model, xb, yb, config.attack, rng)
+    return nn.batch_loss_and_grads(model, xb, yb)[:2]
 
 
 def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
                       config: LocalConfig,
-                      rng: np.random.Generator) -> tuple[float, nn.ParamVector]:
+                      rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x))."""
     beta = config.trades_beta
     x_adv = pgd_kl(model, xb, config.attack, rng) if config.attack.epsilon > 0 else xb

@@ -8,6 +8,9 @@ optimizer updates the buffer in place, `to_vector` copies it and
 `load_vector` overwrites it, so there is one copy of the parameters and no
 conversion between per-layer arrays and the flat vector.
 
+Gradients and the SGD velocity are plain float64 arrays in the order of
+`model.params.values`; only the model's parameters carry a layout.
+
 Everything is float64 and pure given explicit inputs.
 """
 
@@ -43,21 +46,6 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
-
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros_like(self.values), self.layout)
-
-    def _check(self, other: "ParamVector") -> None:
-        if self.layout != other.layout:
-            raise ShapeError("param vector layouts differ")
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        self._check(other)
-        return ParamVector(self.values + other.values, self.layout)
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        self._check(other)
-        return ParamVector(self.values - other.values, self.layout)
 
 
 def _split(vec: ParamVector) -> list[np.ndarray]:
@@ -168,11 +156,11 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
 
 
 def backprop(model: Model, acts: list[np.ndarray],
-             dlogits: np.ndarray) -> tuple[ParamVector, np.ndarray]:
+             dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate d(loss)/d(logits) through the cached forward pass.
 
-    Returns parameter gradients (summed over the batch) and per-sample
-    input gradients of shape (n, input_dim).
+    Returns the flat parameter gradient (summed over the batch, in
+    `model.params` order) and per-sample input gradients (n, input_dim).
     """
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
@@ -187,7 +175,7 @@ def backprop(model: Model, acts: list[np.ndarray],
     for gw, gb in zip(grads_w, grads_b):
         parts.append(gw.ravel())
         parts.append(gb.ravel())
-    return ParamVector(np.concatenate(parts), model.layout), delta
+    return np.concatenate(parts), delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,7 +201,7 @@ def _check_labels(y: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def loss_and_grads(model: Model, x: np.ndarray,
-                   y: int) -> tuple[float, ParamVector, np.ndarray]:
+                   y: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy loss, parameter gradients, and input gradient for one sample."""
     loss, pgrads, xgrads = batch_loss_and_grads(model, np.asarray(x, dtype=np.float64)[None, :],
                                                 np.array([y]))
@@ -221,7 +209,7 @@ def loss_and_grads(model: Model, x: np.ndarray,
 
 
 def batch_loss_and_grads(model: Model, X: np.ndarray,
-                         y: np.ndarray) -> tuple[float, ParamVector, np.ndarray]:
+                         y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy over a batch, mean parameter grads, per-sample input grads."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
@@ -259,7 +247,7 @@ class SgdState:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    velocity: ParamVector | None = None
+    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -270,19 +258,15 @@ class SgdState:
             raise ValueError("weight decay must be non-negative")
 
 
-def sgd_step(model: Model, grads: ParamVector, state: SgdState) -> Model:
+def sgd_step(model: Model, grads: np.ndarray, state: SgdState) -> Model:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v.  Updates model.params in place."""
-    theta = model.params
-    if grads.layout != theta.layout:
-        raise ShapeError("gradient layout does not match model")
+    theta = model.params.values
+    if np.shape(grads) != theta.shape:
+        raise ShapeError(f"gradient has shape {np.shape(grads)}, model needs {theta.shape}")
     if state.velocity is None:
-        state.velocity = theta.zeros_like()
-    elif state.velocity.layout != theta.layout:
-        raise ShapeError("velocity layout does not match model")
-    v = state.momentum * state.velocity.values + grads.values \
-        + state.weight_decay * theta.values
-    state.velocity = ParamVector(v, theta.layout)
-    theta.values -= state.lr * v
+        state.velocity = np.zeros_like(theta)
+    state.velocity = state.momentum * state.velocity + grads + state.weight_decay * theta
+    theta -= state.lr * state.velocity
     return model
 
 
@@ -303,27 +287,33 @@ def save_checkpoint(model: Model, path) -> None:
         f.write(model.params.values.astype("<f8").tobytes())
 
 
+def _read(f, n: int) -> bytes:
+    """Exactly `n` bytes of the checkpoint, or FormatError if the file ends first."""
+    raw = f.read(n)
+    if len(raw) != n:
+        raise FormatError(f"checkpoint truncated: wanted {n} bytes, got {len(raw)}")
+    return raw
+
+
+def _read_u32(f) -> int:
+    return struct.unpack("<I", _read(f, 4))[0]
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = _read_u32(f)
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (n_layers,) = struct.unpack("<I", f.read(4))
         layout = []
-        for _ in range(n_layers):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+        for _ in range(_read_u32(f)):
+            name = _read(f, _read_u32(f)).decode("utf-8")
+            shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             layout.append((name, shape))
-        total = sum(int(np.prod(s)) for _, s in layout)
-        raw = f.read(total * 8)
-        if len(raw) != total * 8:
-            raise FormatError("checkpoint truncated")
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        total = sum(math.prod(s) for _, s in layout)
+        values = np.frombuffer(_read(f, total * 8), dtype="<f8").astype(np.float64)
     try:
         return Model.from_vector(ParamVector(values, tuple(layout)))
     except ShapeError as exc:

@@ -21,7 +21,6 @@ from . import nn
 from .aggregation import (AggregationPolicy,
                           scaffold_server_update, slack_weights, slack_aggregate,
                           sort_by_weighted_loss)
-from .attacks import AttackSpec
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError
@@ -76,10 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.optimizer, str):
             self.optimizer = FedOptimizer(self.optimizer.lower())
+        self.hidden_dims = list(self.hidden_dims)
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation must lie in (0, 1]")
+        if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
+            raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
 
 
 @dataclass
@@ -98,24 +100,20 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+_SECTIONS = {"dataset": DatasetSpec, "partition": PartitionSpec, "local": LocalConfig,
+             "policy": AggregationPolicy}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; `raw` is left unchanged."""
+    """Config from parsed JSON (`raw` is unchanged); omitted keys keep the defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(map(str, set(raw) - {f.name for f in fields(ExperimentConfig)}))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        local = dict(raw.get("local", {}))
-        if "attack" in local:
-            local["attack"] = AttackSpec(**local["attack"])
-        return ExperimentConfig(**{
-            **raw,
-            "dataset": DatasetSpec(**raw.get("dataset", {})),
-            "partition": PartitionSpec(**raw.get("partition", {"num_clients": 5})),
-            "hidden_dims": list(raw.get("hidden_dims", [16])),
-            "local": LocalConfig(**local),
-            "policy": AggregationPolicy(**raw.get("policy", {}))})
+        sections = {key: make(**raw[key]) for key, make in _SECTIONS.items() if key in raw}
+        return ExperimentConfig(**{**raw, **sections})
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -228,9 +226,8 @@ def run(config: ExperimentConfig) -> RunArtifact:
         local_cfg = replace(local_cfg, fedprox_mu=0.01)
     use_scaffold = config.optimizer is FedOptimizer.SCAFFOLD
     if use_scaffold:
-        local_cfg = replace(local_cfg, scaffold=True)
-        c_global = theta.zeros_like()
-        c_locals = {s.client_id: theta.zeros_like() for s in shards}
+        c_global = np.zeros_like(theta.values)
+        c_locals = {s.client_id: np.zeros_like(theta.values) for s in shards}
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     writer = None
@@ -274,13 +271,10 @@ def run(config: ExperimentConfig) -> RunArtifact:
                 raise DivergenceError(f"round {t}: non-finite aggregate")
 
             if use_scaffold:
-                deltas = [u.scaffold_delta for u in updates if u.scaffold_delta is not None]
                 for u in updates:
-                    if u.scaffold_delta is not None:
-                        c_locals[u.client_id] = nn.ParamVector(
-                            c_locals[u.client_id].values + u.scaffold_delta.values,
-                            theta.layout)
-                c_global = scaffold_server_update(c_global, deltas, m, K)
+                    c_locals[u.client_id] = c_locals[u.client_id] + u.scaffold_delta
+                c_global = scaffold_server_update(
+                    c_global, [u.scaffold_delta for u in updates], m, K)
 
             drifts, mean_drift = client_drift([u.params for u in updates], theta_new)
             gvar = gradient_variance([u.params for u in updates], theta) if m >= 2 else 0.0

@@ -157,7 +157,7 @@ def test_criterion_5_gradient_checks():
             model.load_vector(nn.ParamVector(vm, vec.layout))
             lm, _, _ = nn.loss_and_grads(model, x, y)
             fd = (lp - lm) / (2 * h)
-            ok &= abs(pgrads.values[i] - fd) <= 1e-4 * max(1e-4, abs(fd))
+            ok &= abs(pgrads[i] - fd) <= 1e-4 * max(1e-4, abs(fd))
         model.load_vector(vec)
         for i in range(len(x)):
             xp, xm = x.copy(), x.copy()

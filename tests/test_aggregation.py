@@ -243,15 +243,15 @@ def test_permutation_equivariance():
 
 
 def test_scaffold_server_update():
-    c = nn.ParamVector(np.array([1.0, 2.0]), LAYOUT)
-    zero = nn.ParamVector(np.zeros(2), LAYOUT)
+    c = np.array([1.0, 2.0])
+    zero = np.zeros(2)
     out = scaffold_server_update(c, [zero, zero], 2, 4)
-    assert np.array_equal(out.values, c.values)
+    assert np.array_equal(out, c)
 
-    d = nn.ParamVector(np.array([4.0, -2.0]), LAYOUT)
+    d = np.array([4.0, -2.0])
     out = scaffold_server_update(c, [d], 1, 1)
-    np.testing.assert_allclose(out.values, [5.0, 0.0])
+    np.testing.assert_allclose(out, [5.0, 0.0])
 
-    neg = nn.ParamVector(-d.values, LAYOUT)
+    neg = -d
     out = scaffold_server_update(c, [d, neg], 2, 4)
-    np.testing.assert_allclose(out.values, c.values)
+    np.testing.assert_allclose(out, c)

@@ -11,13 +11,6 @@ from fedslack.local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold,
                             train_client, update_scaffold_client)
 from fedslack.streams import stream
 
-LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
-
-
-def pv(values):
-    return nn.ParamVector(np.asarray(values, dtype=float), LAYOUT)
-
-
 def toy_dataset(n=40, seed=0):
     rng = stream(seed, "toy-data")
     X = rng.uniform(size=(n, 3))
@@ -38,41 +31,42 @@ def global_theta(seed=0, dims=(3, 4, 2)):
 
 
 def test_fedprox_mu_zero_noop():
-    g = pv([1.0, 2.0])
-    out = apply_fedprox(g, pv([3.0, 4.0]), pv([0.0, 0.0]), 0.0)
-    assert np.array_equal(out.values, g.values)
+    g = np.array([1.0, 2.0])
+    out = apply_fedprox(g, np.array([3.0, 4.0]), np.array([0.0, 0.0]), 0.0)
+    assert np.array_equal(out, g)
 
 
 def test_fedprox_zero_drift_noop():
-    g = pv([1.0, 2.0])
-    th = pv([3.0, 4.0])
+    g = np.array([1.0, 2.0])
+    th = np.array([3.0, 4.0])
     out = apply_fedprox(g, th, th, 5.0)
-    assert np.array_equal(out.values, g.values)
+    assert np.array_equal(out, g)
 
 
 def test_fedprox_default_mu_arithmetic():
-    g = pv([0.0, 0.0])
-    out = apply_fedprox(g, pv([1.0, -2.0]), pv([0.0, 0.0]), 0.01)
-    np.testing.assert_allclose(out.values, [0.01, -0.02], rtol=1e-15)
+    g = np.array([0.0, 0.0])
+    out = apply_fedprox(g, np.array([1.0, -2.0]), np.array([0.0, 0.0]), 0.01)
+    np.testing.assert_allclose(out, [0.01, -0.02], rtol=1e-15)
 
 
 def test_scaffold_zero_variates_noop():
-    g = pv([1.0, 2.0])
-    zero = pv([0.0, 0.0])
-    assert np.array_equal(apply_scaffold(g, zero, zero).values, g.values)
+    g = np.array([1.0, 2.0])
+    zero = np.array([0.0, 0.0])
+    assert np.array_equal(apply_scaffold(g, zero, zero), g)
 
 
 def test_scaffold_equal_variates_noop():
-    g = pv([1.0, 2.0])
-    c = pv([0.3, -0.7])
-    assert np.array_equal(apply_scaffold(g, c, c).values, g.values)
+    g = np.array([1.0, 2.0])
+    c = np.array([0.3, -0.7])
+    assert np.array_equal(apply_scaffold(g, c, c), g)
 
 
 def test_scaffold_client_variate_update():
-    c_new = update_scaffold_client(pv([1.0, 1.0]), pv([0.0, 0.0]), n_steps=5, lr=0.1,
-                                   c_local=pv([0.2, 0.2]), c_global=pv([0.1, 0.1]))
+    c_new = update_scaffold_client(np.array([1.0, 1.0]), np.array([0.0, 0.0]), n_steps=5,
+                                   lr=0.1, c_local=np.array([0.2, 0.2]),
+                                   c_global=np.array([0.1, 0.1]))
     # c_local - c_global + (1 - 0)/(5*0.1) = 0.1 + 2.0
-    np.testing.assert_allclose(c_new.values, [2.1, 2.1], rtol=1e-12)
+    np.testing.assert_allclose(c_new, [2.1, 2.1], rtol=1e-12)
 
 
 def test_scaffold_mean_identity_two_client_toy():
@@ -81,15 +75,46 @@ def test_scaffold_mean_identity_two_client_toy():
     ds = toy_dataset()
     shards = [ClientShard(0, np.arange(20)), ClientShard(1, np.arange(20, 40))]
     theta = global_theta()
-    cfg = toy_config(scaffold=True)
-    c_g = theta.zeros_like()
-    c_ls = [theta.zeros_like(), theta.zeros_like()]
+    cfg = toy_config()
+    c_g = np.zeros_like(theta.values)
+    c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
     ups = [train_client(s, ds, theta, cfg, master_seed=1, round_idx=1,
                         c_global=c_g, c_local=c) for s, c in zip(shards, c_ls)]
-    mean_delta = np.mean([u.scaffold_delta.values for u in ups], axis=0)
+    mean_delta = np.mean([u.scaffold_delta for u in ups], axis=0)
     from fedslack.aggregation import scaffold_server_update
     c_g2 = scaffold_server_update(c_g, [u.scaffold_delta for u in ups], 2, 2)
-    np.testing.assert_allclose(c_g2.values, c_g.values + mean_delta, atol=1e-15)
+    np.testing.assert_allclose(c_g2, c_g + mean_delta, atol=1e-15)
+
+
+def test_scaffold_needs_both_variates():
+    ds = toy_dataset()
+    shard = ClientShard(0, np.arange(10))
+    theta = global_theta()
+    c = np.zeros_like(theta.values)
+    for kwargs in ({"c_global": c}, {"c_local": c}):
+        with pytest.raises(ValueError):
+            train_client(shard, ds, theta, toy_config(), master_seed=0, **kwargs)
+
+
+def test_train_client_builds_one_param_vector(monkeypatch):
+    # gradients, momentum and corrections are plain arrays: the only layout
+    # built in a round is the local model's, by Model.from_vector
+    ds = toy_dataset()
+    shard = ClientShard(0, np.arange(len(ds)))
+    theta = global_theta()
+    original = nn.ParamVector.__post_init__
+    for batch_size, steps in ((8, 3), (5, 7)):
+        made = []
+
+        def counted(self):
+            made.append(self)
+            original(self)
+
+        monkeypatch.setattr(nn.ParamVector, "__post_init__", counted)
+        cfg = toy_config(epochs=2, batch_size=batch_size,
+                         attack=AttackSpec(0.05, 0.01, steps=steps, random_start=True))
+        up = train_client(shard, ds, theta, cfg, master_seed=1, round_idx=1)
+        assert len(made) == 1 and made[0] is up.params
 
 
 def test_at_epsilon_zero_equals_standard_bitwise():
@@ -228,4 +253,4 @@ def test_trades_param_grads_match_finite_differences():
                 lm = l
         model.load_vector(vec)
         fd = (lp - lm) / (2 * h)
-        assert grads.values[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert grads[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)

@@ -111,7 +111,7 @@ def test_gradients_match_finite_differences(seed):
     _, pgrads, xgrad = nn.loss_and_grads(m, x, y)
     fd_p = finite_diff_param_grads(m, x, y)
     fd_x = finite_diff_input_grads(m, x, y)
-    np.testing.assert_allclose(pgrads.values, fd_p, rtol=1e-4, atol=1e-8)
+    np.testing.assert_allclose(pgrads, fd_p, rtol=1e-4, atol=1e-8)
     np.testing.assert_allclose(xgrad, fd_x, rtol=1e-4, atol=1e-8)
 
 
@@ -123,8 +123,8 @@ def test_batch_loss_is_mean_of_singles():
     loss, pgrads, xgrads = nn.batch_loss_and_grads(m, X, y)
     singles = [nn.loss_and_grads(m, X[i], int(y[i])) for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
-    np.testing.assert_allclose(pgrads.values,
-                               np.mean([s[1].values for s in singles], axis=0),
+    np.testing.assert_allclose(pgrads,
+                               np.mean([s[1] for s in singles], axis=0),
                                rtol=1e-10, atol=1e-14)
     for i in range(6):
         np.testing.assert_allclose(xgrads[i], singles[i][2], rtol=1e-10, atol=1e-14)
@@ -132,8 +132,7 @@ def test_batch_loss_is_mean_of_singles():
 
 def test_sgd_plain_step():
     m = nn.Model([np.ones((2, 2))], [np.zeros(2)])
-    g = m.to_vector().zeros_like()
-    g.values[:] = 0.5
+    g = np.full_like(m.params.values, 0.5)
     state = nn.SgdState(lr=1.0)
     nn.sgd_step(m, g, state)
     np.testing.assert_allclose(m.to_vector().values, np.array([0.5] * 4 + [-0.5] * 2))
@@ -143,7 +142,7 @@ def test_sgd_zero_grads_fixed_point():
     m = nn.Model.init([2, 2], stream(1, "init"))
     before = m.to_vector().values.copy()
     state = nn.SgdState(lr=0.1, momentum=0.9)
-    nn.sgd_step(m, m.to_vector().zeros_like(), state)
+    nn.sgd_step(m, np.zeros_like(m.params.values), state)
     np.testing.assert_array_equal(m.to_vector().values, before)
 
 
@@ -151,7 +150,7 @@ def test_sgd_two_step_momentum_recurrence():
     # independent recurrence: v1 = g, v2 = 0.9 g + g = 1.9 g
     # so total decrease is 0.1*g + 0.1*1.9*g
     m = nn.Model([np.zeros((1, 1))], [np.zeros(1)])
-    g = nn.ParamVector(np.array([1.0, 1.0]), m.layout)
+    g = np.array([1.0, 1.0])
     state = nn.SgdState(lr=0.1, momentum=0.9)
     nn.sgd_step(m, g, state)
     nn.sgd_step(m, g, state)
@@ -163,7 +162,7 @@ def test_sgd_layout_mismatch():
     m = nn.Model.init([2, 2], stream(1, "init"))
     other = nn.Model.init([3, 2], stream(1, "init"))
     with pytest.raises(ShapeError):
-        nn.sgd_step(m, other.to_vector(), nn.SgdState(lr=0.1))
+        nn.sgd_step(m, other.params.values, nn.SgdState(lr=0.1))
 
 
 def test_param_vector_roundtrip_bit_exact():
@@ -195,6 +194,17 @@ def test_checkpoint_bad_magic(tmp_path):
         nn.load_checkpoint(path)
 
 
+def test_checkpoint_cut_anywhere_is_format_error(tmp_path):
+    m = nn.Model.init([2, 3, 2], stream(5, "init"))
+    path = tmp_path / "model.bin"
+    nn.save_checkpoint(m, path)
+    raw = path.read_bytes()
+    for cut in range(4, len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError):
+            nn.load_checkpoint(path)
+
+
 def test_forward_deterministic_across_runs():
     results = []
     for _ in range(2):
@@ -206,8 +216,7 @@ def test_forward_deterministic_across_runs():
 def test_weights_and_biases_are_views_of_params():
     m = nn.Model.init([3, 4, 2], stream(2, "init"))
     assert all(np.shares_memory(a, m.params.values) for a in m.weights + m.biases)
-    g = m.to_vector().zeros_like()
-    g.values[:] = 1.0
+    g = np.ones_like(m.params.values)
     w0 = m.weights[1].copy()
     nn.sgd_step(m, g, nn.SgdState(lr=0.5))
     np.testing.assert_array_equal(m.weights[1], w0 - 0.5)

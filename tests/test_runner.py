@@ -261,6 +261,38 @@ def test_cli_run_rejects_unknown_top_level_key(tmp_path, capsys):
     assert "round" in capsys.readouterr().err
 
 
+def test_omitted_config_sections_take_experiment_defaults():
+    assert config_from_dict({}) == ExperimentConfig()
+    assert config_from_dict({}).partition.skew == 5.0
+
+
+def test_cli_run_rejects_fedprox_mu_without_fedprox(tmp_path, capsys):
+    raw = config_to_dict(tiny_config())
+    raw["local"]["fedprox_mu"] = 0.05
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "fedprox_mu" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_local_scaffold_flag(tmp_path, capsys):
+    raw = config_to_dict(tiny_config())
+    raw["local"]["scaffold"] = True
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "scaffold" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_truncated_checkpoint_header(tmp_path):
+    ckpt = tmp_path / "cut.bin"
+    ckpt.write_bytes(b"FSLK\x01\x00")
+    csv_path = tmp_path / "test.csv"
+    csv_path.write_text("label,f0,f1,f2\n0,0.1,0.2,0.3\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt),
+                     "--test", str(csv_path)]) == cli.EXIT_CONFIG
+
+
 def eval_on_csv(tmp_path, rows, attack):
     """Exit code of `fedslack eval` of a 2-class checkpoint on a 3-feature CSV."""
     ckpt = tmp_path / "model.bin"
