@@ -4,6 +4,10 @@ Both attacks accept a single feature vector or a batch.  PGD projects every
 iterate onto the epsilon-ball around the clean input intersected with [0,1]
 (one clip against precomputed bounds); sign(0) is 0, so zero-gradient
 coordinates stay untouched.
+
+Labels are checked once per attack call, not at every step, and every
+step computes only the input gradient (`nn.input_backprop`): no attack
+step builds a parameter gradient.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
         x = x0.copy()
     for _ in range(spec.steps):
         g = grad_fn(x)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient during attack")
         x = np.clip(x + spec.step_size * np.sign(g), lo, hi)
     return x
@@ -82,8 +86,8 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
 def fgsm(model: nn.Model, x: np.ndarray, y, spec: AttackSpec) -> np.ndarray:
     """Single sign step of size epsilon, clipped to the valid range."""
     xb, yb, single = _as_batch(x, y)
-    g = nn.input_grads_ce(model, xb, yb)
-    if not np.all(np.isfinite(g)):
+    g = nn.input_grads_ce(model, xb, nn._check_labels(yb, model.num_classes))
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient during attack")
     adv = np.clip(xb + spec.epsilon * np.sign(g), spec.clip_min, spec.clip_max)
     return adv[0] if single else adv
@@ -93,19 +97,26 @@ def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
         rng: np.random.Generator | None = None) -> np.ndarray:
     """Multi-step PGD maximizing cross-entropy inside the epsilon-ball."""
     xb, yb, single = _as_batch(x, y)
+    yb = nn._check_labels(yb, model.num_classes)
     adv = pgd_core(xb, lambda z: nn.input_grads_ce(model, z, yb), spec, rng)
     return adv[0] if single else adv
 
 
 def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec,
-           rng: np.random.Generator | None = None) -> np.ndarray:
-    """PGD maximizing KL(softmax f(x_adv) || softmax f(x)) with f(x) fixed."""
+           rng: np.random.Generator | None = None,
+           log_ref: np.ndarray | None = None) -> np.ndarray:
+    """PGD maximizing KL(softmax f(x_adv) || softmax f(x)) with f(x) fixed.
+
+    `log_ref`, if given, is the caller's log(clip(softmax f(x), 1e-300)) for
+    the batch `x` on this model, so the clean forward is not run again.
+    """
     xb = np.asarray(x, dtype=np.float64)
     single = xb.ndim == 1
     if single:
         xb = xb[None, :]
-    p_ref = nn.softmax(nn.forward_batch(model, xb))
-    log_ref = np.log(np.clip(p_ref, 1e-300, None))
+    if log_ref is None:
+        p_ref = nn.softmax(nn.forward_batch(model, xb))
+        log_ref = np.log(np.clip(p_ref, 1e-300, None))
 
     def grad_fn(z: np.ndarray) -> np.ndarray:
         logits, acts = nn._forward_cache(model, z)
@@ -113,8 +124,7 @@ def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec,
         s = np.log(np.clip(q, 1e-300, None)) - log_ref
         kl = (q * s).sum(axis=1, keepdims=True)
         dlogits = q * (s - kl)
-        _, xg = nn.backprop(model, acts, dlogits)
-        return xg
+        return nn.input_backprop(model, acts, dlogits)
 
     adv = pgd_core(xb, grad_fn, spec, rng)
     return adv[0] if single else adv

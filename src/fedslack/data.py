@@ -166,8 +166,16 @@ def load_csv(path) -> Dataset:
         for row in reader:
             if not row:
                 continue
-            labels.append(int(row[0]))
-            feats.append([float(v) for v in row[1:]])
+            line = reader.line_num
+            if len(row) != len(header):
+                raise FormatError(f"{path}: line {line} has {len(row)} fields, "
+                                  f"the header has {len(header)}")
+            try:
+                labels.append(int(row[0]))
+                feats.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}: line {line} has a field that is not a number ({exc})") from exc
     if not labels:
         raise FormatError("csv contains no samples")
     labels = np.asarray(labels)

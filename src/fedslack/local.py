@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .attacks import AttackSpec, pgd, pgd_kl
 from .data import ClientShard, Dataset
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .streams import stream
 
 
@@ -54,6 +54,16 @@ class LocalConfig:
             self.attack = AttackSpec(**self.attack)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
+        # `not x > 0` rather than `x <= 0`, so that NaN is rejected too.
+        if not self.lr > 0:
+            raise ConfigError(f"local.lr must be positive, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"local.momentum must lie in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(
+                f"local.weight_decay must be non-negative, got {self.weight_decay}")
+        if not self.fedprox_mu >= 0:
+            raise ConfigError(f"local.fedprox_mu must be non-negative, got {self.fedprox_mu}")
 
 
 @dataclass
@@ -74,14 +84,19 @@ class ClientUpdate:
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray,
                   theta_global: np.ndarray, mu: float) -> np.ndarray:
-    """Add the proximal pull mu*(theta_local - theta_global) to the gradient."""
-    return grads + mu * (theta_local - theta_global)
+    """Add the proximal pull mu*(theta_local - theta_global) to `grads` in place."""
+    pull = theta_local - theta_global
+    pull *= mu
+    grads += pull
+    return grads
 
 
 def apply_scaffold(grads: np.ndarray, c_global: np.ndarray,
                    c_local: np.ndarray) -> np.ndarray:
-    """Control-variate corrected gradient: g - c_local + c_global."""
-    return grads - c_local + c_global
+    """Control-variate correction g - c_local + c_global, applied to `grads` in place."""
+    grads -= c_local
+    grads += c_global
+    return grads
 
 
 def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
@@ -126,10 +141,10 @@ def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
                 raise DivergenceError(
                     f"client {shard.client_id} diverged at round {round_idx}")
             if config.fedprox_mu > 0.0:
-                grads = apply_fedprox(grads, model.params.values, theta_global.values,
-                                      config.fedprox_mu)
+                apply_fedprox(grads, model.params.values, theta_global.values,
+                              config.fedprox_mu)
             if scaffold:
-                grads = apply_scaffold(grads, c_global, c_local)
+                apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
             n_steps += 1
             losses.append((loss, len(idx)))
@@ -156,7 +171,7 @@ def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
         return _trades_objective(model, xb, yb, config, rng)
     if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
         xb = pgd(model, xb, yb, config.attack, rng)
-    return nn.batch_loss_and_grads(model, xb, yb)[:2]
+    return nn.batch_loss_and_grads(model, xb, yb, input_grads=False)[:2]
 
 
 def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
@@ -164,13 +179,14 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
                       rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x))."""
     beta = config.trades_beta
-    x_adv = pgd_kl(model, xb, config.attack, rng) if config.attack.epsilon > 0 else xb
     n = len(yb)
     logits_nat, acts_nat = nn._forward_cache(model, xb)
-    logits_adv, acts_adv = nn._forward_cache(model, x_adv)
     p = nn.softmax(logits_nat)
+    log_p = np.log(np.clip(p, 1e-300, None))
+    x_adv = pgd_kl(model, xb, config.attack, rng, log_p) if config.attack.epsilon > 0 else xb
+    logits_adv, acts_adv = nn._forward_cache(model, x_adv)
     q = nn.softmax(logits_adv)
-    s = np.log(np.clip(q, 1e-300, None)) - np.log(np.clip(p, 1e-300, None))
+    s = np.log(np.clip(q, 1e-300, None)) - log_p
     kl = (q * s).sum(axis=1)
     ce = nn.cross_entropy(logits_nat, yb)
     loss = float(ce.mean() + beta * kl.mean())
@@ -180,7 +196,6 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
     dl_adv = beta * q * (s - kl[:, None]) / n
-    g_nat, _ = nn.backprop(model, acts_nat, dl_nat)
-    g_adv, _ = nn.backprop(model, acts_adv, dl_adv)
-    return loss, g_nat + g_adv
-
+    grads, _ = nn.backprop(model, acts_nat, dl_nat, input_grads=False)
+    grads += nn.backprop(model, acts_adv, dl_adv, input_grads=False)[0]
+    return loss, grads

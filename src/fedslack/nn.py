@@ -11,6 +11,12 @@ conversion between per-layer arrays and the flat vector.
 Gradients and the SGD velocity are plain float64 arrays in the order of
 `model.params.values`; only the model's parameters carry a layout.
 
+Each backward pass computes only the gradients its caller reads:
+`backprop` returns the flat parameter gradient and, unless told not to, the
+per-sample input gradient; `input_backprop` returns the input gradient alone
+(the attacks' path, with no weight-gradient matmul).  `sgd_step` updates the
+velocity it owns and the parameter buffer in place.
+
 Everything is float64 and pure given explicit inputs.
 """
 
@@ -48,12 +54,12 @@ class ParamVector:
         return ParamVector(self.values.copy(), self.layout)
 
 
-def _split(vec: ParamVector) -> list[np.ndarray]:
-    """One reshaped view into `vec.values` per layout entry."""
+def _split(values: np.ndarray, layout: Layout) -> list[np.ndarray]:
+    """One reshaped view into the flat array `values` per layout entry."""
     views, off = [], 0
-    for _, shape in vec.layout:
+    for _, shape in layout:
         n = math.prod(shape)
-        views.append(vec.values[off:off + n].reshape(shape))
+        views.append(values[off:off + n].reshape(shape))
         off += n
     return views
 
@@ -75,7 +81,7 @@ class Model:
                        for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
         self.params = ParamVector(
             np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]), layout)
-        views = _split(self.params)
+        views = _split(self.params.values, layout)
         self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
@@ -93,7 +99,7 @@ class Model:
     @classmethod
     def from_vector(cls, vec: ParamVector) -> "Model":
         """A model owning a copy of `vec`; its layout must be dense0.W, dense0.b, ..."""
-        parts = _split(vec)
+        parts = _split(vec.values, vec.layout)
         model = cls(parts[0::2], parts[1::2])
         if model.layout != vec.layout:
             raise ShapeError("param vector layout is not a dense<i>.W/.b MLP")
@@ -155,27 +161,39 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
     return h, acts
 
 
-def backprop(model: Model, acts: list[np.ndarray],
-             dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray,
+             input_grads: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Backpropagate d(loss)/d(logits) through the cached forward pass.
 
     Returns the flat parameter gradient (summed over the batch, in
     `model.params` order) and per-sample input gradients (n, input_dim).
+    With `input_grads` false the input gradients are None and the layer-0
+    `delta @ W.T` is skipped.
     """
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grads = np.empty_like(model.params.values)
+    views = _split(grads, model.layout)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=views[2 * i])
+        delta.sum(axis=0, out=views[2 * i + 1])
+        if i == 0 and not input_grads:
+            return grads, None
         delta = delta @ model.weights[i].T
         if i > 0:
-            delta = delta * (acts[i] > 0.0)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts), delta
+            delta *= acts[i] > 0.0
+    return grads, delta
+
+
+def input_backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
+    """Per-sample input gradients (n, input_dim) alone: `backprop`'s
+    `delta @ W.T` / ReLU-mask chain, in the same order, with no parameter
+    gradients."""
+    delta = dlogits
+    for i in range(len(model.weights) - 1, -1, -1):
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta *= acts[i] > 0.0
+    return delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -208,9 +226,11 @@ def loss_and_grads(model: Model, x: np.ndarray,
     return loss, pgrads, xgrads[0]
 
 
-def batch_loss_and_grads(model: Model, X: np.ndarray,
-                         y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch, mean parameter grads, per-sample input grads."""
+def batch_loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray,
+                         input_grads: bool = True
+                         ) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Mean cross-entropy over a batch, mean parameter grads, per-sample input
+    grads (None, and not computed, when `input_grads` is false)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
@@ -222,22 +242,23 @@ def batch_loss_and_grads(model: Model, X: np.ndarray,
     dlogits = p.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-    pgrads, xgrads = backprop(model, acts, dlogits)
+    pgrads, xgrads = backprop(model, acts, dlogits, input_grads)
     # backprop sums over the batch; dlogits already carries the 1/n factor,
     # but per-sample input grads must not, so rescale them back.
-    return loss, pgrads, xgrads * n
+    return loss, pgrads, None if xgrads is None else xgrads * n
 
 
 def input_grads_ce(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample input gradients of the cross-entropy loss (used by attacks)."""
+    """Per-sample input gradients of the cross-entropy loss (used by attacks).
+
+    `y` must already be checked by `_check_labels`; the attacks check their
+    labels once per call, not once per step.
+    """
     X = np.asarray(X, dtype=np.float64)
-    y = _check_labels(y, model.num_classes)
     logits, acts = _forward_cache(model, X)
-    p = softmax(logits)
-    dlogits = p
+    dlogits = softmax(logits)
     dlogits[np.arange(X.shape[0]), y] -= 1.0
-    _, xgrads = backprop(model, acts, dlogits)
-    return xgrads
+    return input_backprop(model, acts, dlogits)
 
 
 @dataclass
@@ -259,14 +280,21 @@ class SgdState:
 
 
 def sgd_step(model: Model, grads: np.ndarray, state: SgdState) -> Model:
-    """v <- m*v + g + wd*theta; theta <- theta - lr*v.  Updates model.params in place."""
+    """v <- m*v + g + wd*theta; theta <- theta - lr*v.
+
+    Updates `state.velocity` and `model.params` in place, in that order of
+    association, so the rounding equals the out-of-place formula.
+    """
     theta = model.params.values
     if np.shape(grads) != theta.shape:
         raise ShapeError(f"gradient has shape {np.shape(grads)}, model needs {theta.shape}")
     if state.velocity is None:
         state.velocity = np.zeros_like(theta)
-    state.velocity = state.momentum * state.velocity + grads + state.weight_decay * theta
-    theta -= state.lr * state.velocity
+    v = state.velocity
+    v *= state.momentum
+    v += grads
+    v += state.weight_decay * theta
+    theta -= state.lr * v
     return model
 
 

@@ -76,6 +76,8 @@ class ExperimentConfig:
         if isinstance(self.optimizer, str):
             self.optimizer = FedOptimizer(self.optimizer.lower())
         self.hidden_dims = list(self.hidden_dims)
+        if not all(isinstance(d, int) and d >= 1 for d in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 < self.participation <= 1.0:

@@ -5,6 +5,7 @@ import pytest
 
 from fedslack import nn
 from fedslack.attacks import AttackSpec, fgsm, pgd, pgd_core, pgd_kl
+from fedslack.errors import LabelError
 from fedslack.streams import stream
 
 
@@ -129,3 +130,48 @@ def test_pgd_rejects_inputs_outside_clip_range():
     for bad in ([0.5, 1.5, 0.5], [-0.1, 0.5, 0.5], [0.5, np.nan, 0.5]):
         with pytest.raises(ValueError):
             pgd(m, np.array(bad), 0, spec)
+
+
+def test_attacks_check_labels_once_per_call(monkeypatch):
+    m = make_model()
+    X = stream(3, "x").uniform(size=(5, 3))
+    y = np.array([0, 1, 1, 0, 1])
+    for attack in (lambda yb: pgd(m, X, yb, AttackSpec(0.1, 0.02, steps=6)),
+                   lambda yb: fgsm(m, X, yb, AttackSpec(0.1, 0.02))):
+        with pytest.raises(LabelError):
+            attack(np.array([0, 1, 2, 0, 1]))
+        checked = []
+        original = nn._check_labels
+        monkeypatch.setattr(nn, "_check_labels",
+                            lambda *a: checked.append(1) or original(*a))
+        attack(y)
+        monkeypatch.undo()
+        assert len(checked) == 1
+
+
+def test_pgd_kl_given_the_clean_log_softmax_is_bit_identical():
+    # the TRADES objective hands pgd_kl the log-reference of its own clean
+    # forward; the attack must not change by it
+    m = make_model(seed=4, dims=(3, 6, 5, 3))
+    X = stream(4, "x").uniform(size=(9, 3))
+    spec = AttackSpec(0.08, 0.02, steps=5, random_start=True)
+    logits, _ = nn._forward_cache(m, X)
+    log_ref = np.log(np.clip(nn.softmax(logits), 1e-300, None))
+    alone = pgd_kl(m, X, spec, stream(4, "attack"))
+    given = pgd_kl(m, X, spec, stream(4, "attack"), log_ref)
+    assert np.array_equal(alone, given)
+
+
+def test_pgd_evaluation_runs_no_parameter_backprop(monkeypatch):
+    from fedslack.data import Dataset
+    from fedslack.metrics import EvalAttack, evaluate
+    m = make_model(seed=5)
+    rng = stream(5, "x")
+    test_set = Dataset(rng.uniform(size=(20, 3)), rng.integers(2, size=20), 2)
+    calls = []
+    original = nn.backprop
+    monkeypatch.setattr(nn, "backprop", lambda *a, **k: calls.append(1) or original(*a, **k))
+    evaluate(m, test_set, EvalAttack.PGD, AttackSpec(0.1, 0.02, steps=20),
+             stream(5, "attack"))
+    evaluate(m, test_set, EvalAttack.FGSM, AttackSpec(0.1, 0.02))
+    assert calls == []

@@ -31,16 +31,20 @@ def global_theta(seed=0, dims=(3, 4, 2)):
 
 
 def test_fedprox_mu_zero_noop():
+    """apply_fedprox updates `grads` in place, so compare with a copy taken before."""
     g = np.array([1.0, 2.0])
+    g0 = g.copy()
     out = apply_fedprox(g, np.array([3.0, 4.0]), np.array([0.0, 0.0]), 0.0)
-    assert np.array_equal(out, g)
+    assert np.array_equal(out, g0)
 
 
 def test_fedprox_zero_drift_noop():
+    """apply_fedprox updates `grads` in place, so compare with a copy taken before."""
     g = np.array([1.0, 2.0])
+    g0 = g.copy()
     th = np.array([3.0, 4.0])
     out = apply_fedprox(g, th, th, 5.0)
-    assert np.array_equal(out, g)
+    assert np.array_equal(out, g0)
 
 
 def test_fedprox_default_mu_arithmetic():
@@ -50,15 +54,19 @@ def test_fedprox_default_mu_arithmetic():
 
 
 def test_scaffold_zero_variates_noop():
+    """apply_scaffold updates `grads` in place, so compare with a copy taken before."""
     g = np.array([1.0, 2.0])
+    g0 = g.copy()
     zero = np.array([0.0, 0.0])
-    assert np.array_equal(apply_scaffold(g, zero, zero), g)
+    assert np.array_equal(apply_scaffold(g, zero, zero), g0)
 
 
 def test_scaffold_equal_variates_noop():
+    """apply_scaffold updates `grads` in place, so compare with a copy taken before."""
     g = np.array([1.0, 2.0])
+    g0 = g.copy()
     c = np.array([0.3, -0.7])
-    assert np.array_equal(apply_scaffold(g, c, c), g)
+    assert np.array_equal(apply_scaffold(g, c, c), g0)
 
 
 def test_scaffold_client_variate_update():
@@ -254,3 +262,42 @@ def test_trades_param_grads_match_finite_differences():
         model.load_vector(vec)
         fd = (lp - lm) / (2 * h)
         assert grads[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.parametrize("trainer, per_batch", [(Trainer.AT, 1), (Trainer.TRADES, 2)])
+def test_backprop_runs_only_for_the_training_gradient(monkeypatch, trainer, per_batch):
+    # attack steps take the input-only backward: backprop runs once per batch
+    # for AT (the CE gradient) and twice for TRADES (clean and adversarial)
+    ds = toy_dataset()
+    shard = ClientShard(0, np.arange(len(ds)))
+    calls = []
+    original = nn.backprop
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "backprop", counted)
+    cfg = toy_config(trainer=trainer, epochs=2, batch_size=16)
+    train_client(shard, ds, global_theta(), cfg, master_seed=1, round_idx=1)
+    batches = [16, 16, 8] * 2  # 40 samples in batches of 16, two epochs
+    assert calls == [n for n in batches for _ in range(per_batch)]
+
+
+@pytest.mark.parametrize("trainer", [Trainer.AT, Trainer.TRADES])
+def test_train_client_leaves_its_inputs_unchanged(trainer):
+    # gradients and corrections are updated in place; none of that may reach
+    # the downloaded parameters, the control variates or the dataset
+    ds = toy_dataset()
+    shard = ClientShard(0, np.arange(len(ds)))
+    theta = global_theta()
+    rng = stream(2, "variates")
+    c_global = rng.normal(scale=0.01, size=theta.values.shape)
+    c_local = rng.normal(scale=0.01, size=theta.values.shape)
+    before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
+    cfg = toy_config(trainer=trainer, epochs=2, fedprox_mu=0.1)
+    up = train_client(shard, ds, theta, cfg, master_seed=1, round_idx=1,
+                      c_global=c_global, c_local=c_local)
+    after = (theta.values, c_global, c_local, ds.features, ds.labels)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert not np.array_equal(up.params.values, theta.values)

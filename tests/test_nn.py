@@ -130,6 +130,39 @@ def test_batch_loss_is_mean_of_singles():
         np.testing.assert_allclose(xgrads[i], singles[i][2], rtol=1e-10, atol=1e-14)
 
 
+def reference_backprop(model, acts, dlogits):
+    # the plain per-layer form: weight grad, bias sum, then delta @ W.T and the
+    # ReLU mask, concatenated in params order
+    gw, gb = [None] * len(model.weights), [None] * len(model.weights)
+    delta = dlogits
+    for i in range(len(model.weights) - 1, -1, -1):
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return np.concatenate([a.ravel() for wb in zip(gw, gb) for a in wb]), delta
+
+
+@pytest.mark.parametrize("hidden", [[5], [6, 4], [7, 5, 3]])
+def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
+    rng = stream(len(hidden), "backward-test")
+    m = nn.Model.init([4, *hidden, 3], rng)
+    X = rng.uniform(size=(9, 4))
+    _, acts = nn._forward_cache(m, X)
+    dlogits = rng.normal(size=(9, 3))
+    pgrads, xgrads = nn.backprop(m, acts, dlogits)
+    ref_p, ref_x = reference_backprop(m, acts, dlogits)
+    assert np.array_equal(pgrads, ref_p) and np.array_equal(xgrads, ref_x)
+    assert np.array_equal(nn.input_backprop(m, acts, dlogits), xgrads)
+    only, none = nn.backprop(m, acts, dlogits, input_grads=False)
+    assert none is None and np.array_equal(only, pgrads)
+    y = rng.integers(3, size=9)
+    loss, full, _ = nn.batch_loss_and_grads(m, X, y)
+    loss_only, only, none = nn.batch_loss_and_grads(m, X, y, input_grads=False)
+    assert loss_only == loss and np.array_equal(only, full) and none is None
+
+
 def test_sgd_plain_step():
     m = nn.Model([np.ones((2, 2))], [np.zeros(2)])
     g = np.full_like(m.params.values, 0.5)
@@ -156,6 +189,22 @@ def test_sgd_two_step_momentum_recurrence():
     nn.sgd_step(m, g, state)
     expected = -(0.1 * 1.0 + 0.1 * 1.9)
     np.testing.assert_allclose(m.to_vector().values, [expected, expected], rtol=1e-15)
+
+
+def test_sgd_step_in_place_equals_the_formula_bitwise():
+    m = nn.Model.init([4, 5, 3], stream(2, "init"))
+    theta = m.params.values.copy()
+    v = np.zeros_like(theta)
+    state = nn.SgdState(lr=0.07, momentum=0.9, weight_decay=3e-4)
+    rng = stream(2, "grads")
+    for _ in range(4):
+        g = rng.normal(size=theta.shape)
+        g0 = g.copy()
+        nn.sgd_step(m, g, state)
+        v = 0.9 * v + g + 3e-4 * theta
+        theta = theta - 0.07 * v
+        assert np.array_equal(g, g0)
+    assert np.array_equal(m.params.values, theta) and np.array_equal(state.velocity, v)
 
 
 def test_sgd_layout_mismatch():

@@ -317,3 +317,28 @@ def test_cli_eval_rejects_negative_label(tmp_path):
 def test_cli_eval_rejects_label_beyond_checkpoint_classes(tmp_path):
     rows = [(4, (0.2, 0.5, 0.3)), (1, (0.1, 0.4, 0.9))]
     assert eval_on_csv(tmp_path, rows, "none") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("hidden_dims", [0]), ("lr", -1), ("momentum", 1.0),
+                                        ("weight_decay", -1e-4), ("fedprox_mu", -0.1)])
+def test_cli_run_rejects_bad_values_before_writing(tmp_path, capsys, key, value):
+    # rejected when the config is parsed: no config.json, no header-only metrics.csv
+    raw = config_to_dict(tiny_config(optimizer="fedprox"))
+    (raw if key == "hidden_dims" else raw["local"])[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row", ["1,0.1,0.4", "1,0.1,0.4,0.9,0.5", "1,0.1,x,0.9"])
+def test_cli_eval_names_the_line_of_a_malformed_csv_row(tmp_path, capsys, bad_row):
+    ckpt = tmp_path / "model.bin"
+    nn.save_checkpoint(nn.Model.init([3, 4, 2], stream(0, "init")), ckpt)
+    csv_path = tmp_path / "test.csv"
+    csv_path.write_text(f"label,f0,f1,f2\n0,0.2,0.5,0.3\n{bad_row}\n")
+    assert cli.main(["eval", "--checkpoint", str(ckpt),
+                     "--test", str(csv_path)]) == cli.EXIT_CONFIG
+    assert "line 3" in capsys.readouterr().err
