@@ -2,9 +2,9 @@
 aggregation, drift diagnostics, and a minimal dense-network engine."""
 
 from .aggregation import (AggregationMode, AggregationPolicy, AlphaSchedule,
-                          SlackWeights, alpha_slack_loss, fedavg_aggregate,
-                          scaffold_server_update, slack_aggregate, slack_weights,
-                          sort_by_weighted_loss)
+                          SlackWeights, alpha_slack_loss, scaffold_server_update,
+                          slack_aggregate, slack_weights, sort_by_weighted_loss,
+                          update_client_variates)
 from .attacks import AttackSpec, fgsm, pgd
 from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
@@ -15,7 +15,7 @@ from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
 from .nn import (Model, ParamVector, SgdState, forward, load_checkpoint,
                  loss_and_grads, save_checkpoint, sgd_step)
 from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunArtifact,
-                     build_shards, load_config, load_metrics, run,
-                     sample_participants)
+                     build_shards, load_config, load_metrics, participants_per_round,
+                     run, sample_participants)
 
 __version__ = "0.1.0"

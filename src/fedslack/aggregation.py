@@ -1,6 +1,6 @@
-"""Server-side aggregation: sample-weighted averaging, ascending sort by
-weighted client loss, slack re-weighting of the smallest-loss clients, the
-relaxed loss value, and the control-variate server update.
+"""Server-side aggregation: ascending sort by weighted client loss, slack
+re-weighting of the smallest-loss clients, the weighted mean of the round's
+upload matrix, the relaxed loss value, and the control-variate updates.
 
 The slack mechanism multiplies the unnormalized per-sample weight of the
 top clients by r = (1+alpha)/(1-alpha) and renormalizes over samples, so
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AggregationError, ShapeError
 from .local import ClientUpdate
-from .nn import ParamVector
+from .nn import Layout, ParamVector
 
 
 class AggregationMode(Enum):
@@ -49,8 +49,13 @@ class AggregationPolicy:
             self.schedule = AlphaSchedule(self.schedule.lower())
         if not 0.0 <= self.alpha < 1.0:
             raise AggregationError(f"alpha must lie in [0, 1), got {self.alpha}")
+        if not 0.0 <= self.alpha_end < 1.0:
+            raise AggregationError(f"policy.alpha_end must lie in [0, 1), got {self.alpha_end}")
         if self.k_hat < 0:
             raise AggregationError("k_hat must be non-negative")
+        if self.anneal_rounds < 0:
+            raise AggregationError(
+                f"policy.anneal_rounds must be non-negative, got {self.anneal_rounds}")
 
     def alpha_at(self, round_idx: int) -> float:
         """Alpha in effect at a (1-based) round under the schedule."""
@@ -82,15 +87,6 @@ def _check_updates(updates: list[ClientUpdate]) -> None:
     for u in updates[1:]:
         if u.params.layout != layout:
             raise ShapeError(f"client {u.client_id} layout differs")
-
-
-def fedavg_aggregate(updates: list[ClientUpdate]) -> ParamVector:
-    """Sample-weighted mean of the uploaded parameters."""
-    _check_updates(updates)
-    n = np.array([u.n_samples for u in updates], dtype=np.float64)
-    w = n / n.sum()
-    stacked = np.stack([u.params.values for u in updates])
-    return ParamVector(w @ stacked, updates[0].params.layout)
 
 
 def sort_by_weighted_loss(updates: list[ClientUpdate]) -> list[int]:
@@ -137,12 +133,16 @@ def slack_weights(updates: list[ClientUpdate], policy: AggregationPolicy,
     return SlackWeights(w / w.sum(), [updates[i].client_id for i in top], ratio)
 
 
-def slack_aggregate(updates: list[ClientUpdate], policy: AggregationPolicy,
-                    alpha: float | None = None) -> ParamVector:
-    """Convex combination of uploads under the slack weights."""
-    sw = slack_weights(updates, policy, alpha)
-    stacked = np.stack([u.params.values for u in updates])
-    return ParamVector(sw.weights @ stacked, updates[0].params.layout)
+def slack_aggregate(uploads: np.ndarray, sw: SlackWeights, layout: Layout) -> ParamVector:
+    """Convex combination `sw.weights @ uploads` of the (m, P) upload matrix.
+
+    Row i of `uploads` is the parameters of the update that `sw.weights[i]`
+    weighs; under FAT (or alpha 0) this is the sample-weighted mean.
+    """
+    if np.ndim(uploads) != 2 or len(uploads) != len(sw.weights):
+        raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
+                         f"{len(sw.weights)} weights")
+    return ParamVector(sw.weights @ uploads, layout)
 
 
 def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
@@ -164,9 +164,16 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
     return float((1.0 + alpha) * s[:k_hat].sum() + (1.0 - alpha) * s[k_hat:].sum())
 
 
-def scaffold_server_update(c_global: np.ndarray, deltas: list[np.ndarray],
+def scaffold_server_update(c_global: np.ndarray, deltas: np.ndarray,
                            participants: int, total_clients: int) -> np.ndarray:
-    """c_global + (M/K) * mean of the participating clients' variate changes."""
-    if not deltas:
+    """c_global + (M/K) * mean of the rows of the (M, P) delta matrix."""
+    if not len(deltas):
         return c_global
     return c_global + participants / total_clients * np.mean(deltas, axis=0)
+
+
+def update_client_variates(c_locals: np.ndarray, client_ids: list[int],
+                           deltas: np.ndarray) -> None:
+    """c_locals[client_ids[i]] += deltas[i] in place, row by row."""
+    for cid, delta in zip(client_ids, deltas):
+        c_locals[cid] += delta

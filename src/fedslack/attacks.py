@@ -12,6 +12,7 @@ step builds a parameter gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,10 +34,13 @@ class AttackSpec:
     clip_max: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        # `not (finite and x >= 0)` rather than `x < 0`, so NaN and inf are rejected too.
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"attack.epsilon must be finite and non-negative, "
+                             f"got {self.epsilon}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"attack.step_size must be finite and positive, "
+                             f"got {self.step_size}")
         if self.steps < 1:
             raise ValueError("need at least one step")
 

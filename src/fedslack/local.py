@@ -10,6 +10,12 @@ Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
 arrays in the order of `model.params.values`; they are all derived from one
 model inside `train_client`, so only the downloaded and uploaded parameters
 carry a layout.
+
+The runner hands each participant one row of the round's upload matrix (and,
+under SCAFFOLD, one row of its delta matrix): the client trains in that row
+and writes its variate change into the other, so an uploaded `ClientUpdate`
+holds views of those rows, valid until the next round overwrites them.
+Called without rows, `train_client` allocates fresh ones.
 """
 
 from __future__ import annotations
@@ -68,7 +74,11 @@ class LocalConfig:
 
 @dataclass
 class ClientUpdate:
-    """What a client uploads: parameters, sample count, and its recorded loss."""
+    """What a client uploads: parameters, sample count, and its recorded loss.
+
+    `params.values` and `scaffold_delta` are the rows the client trained and
+    wrote in (see the module docstring).
+    """
 
     client_id: int
     params: nn.ParamVector
@@ -101,9 +111,16 @@ def apply_scaffold(grads: np.ndarray, c_global: np.ndarray,
 
 def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
                            n_steps: int, lr: float, c_local: np.ndarray,
-                           c_global: np.ndarray) -> np.ndarray:
-    """New local variate: c_local - c_global + (theta_global - theta_local)/(steps*lr)."""
-    return c_local - c_global + (theta_global - theta_local) / (n_steps * lr)
+                           c_global: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """New local variate: c_local - c_global + (theta_global - theta_local)/(steps*lr).
+
+    Written into `out` when given, in that order of association.
+    """
+    out = np.subtract(c_local, c_global, out=out)
+    step = theta_global - theta_local
+    step /= n_steps * lr
+    out += step
+    return out
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -115,14 +132,20 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
                  config: LocalConfig, master_seed: int, round_idx: int = 0,
                  c_global: np.ndarray | None = None,
-                 c_local: np.ndarray | None = None) -> ClientUpdate:
-    """One client's E local epochs of SGD; SCAFFOLD iff both variates are given."""
+                 c_local: np.ndarray | None = None, out: np.ndarray | None = None,
+                 delta_out: np.ndarray | None = None) -> ClientUpdate:
+    """One client's E local epochs of SGD; SCAFFOLD iff both variates are given.
+
+    The client trains in `out` and, under SCAFFOLD, writes its variate change
+    c_new - c_local into `delta_out`: rows of the round's matrices, or fresh
+    arrays when None.  Neither the inputs nor the variates are modified.
+    """
     if shard.n_samples == 0:
         raise ValueError(f"client {shard.client_id} has an empty shard")
     scaffold = c_global is not None
     if scaffold != (c_local is not None):
         raise ValueError("SCAFFOLD needs both c_global and c_local")
-    model = nn.Model.from_vector(theta_global)
+    model = nn.Model.from_vector(theta_global, out=out)
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
 
     X = dataset.features[shard.indices]
@@ -159,7 +182,8 @@ def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
     delta = None
     if scaffold:
         delta = update_scaffold_client(theta_global.values, theta_local.values, n_steps,
-                                       config.lr, c_local, c_global) - c_local
+                                       config.lr, c_local, c_global, out=delta_out)
+        delta -= c_local
     return ClientUpdate(shard.client_id, theta_local, float(mean_loss),
                         shard.n_samples, len(dataset), scaffold_delta=delta)
 

@@ -1,6 +1,10 @@
 """Diagnostics and evaluation: client drift, pseudo-gradient variance, the
 signed top-vs-rest sample-count difference, accuracy under attack, and
 top-set selection tracing across rounds.
+
+Drift and variance read the round's (m, P) upload matrix, one row per
+participant, in place: drift measures it row by row through one (P,)
+scratch, and the variance centres one (m, P) copy of the pseudo-gradients.
 """
 
 from __future__ import annotations
@@ -50,25 +54,33 @@ class RoundReport:
     wall_clock: float = 0.0
 
 
-def client_drift(thetas: list[nn.ParamVector],
-                 theta_global: nn.ParamVector) -> tuple[list[float], float]:
-    """L2 distance of each client's parameters from the aggregate, plus the mean."""
+def _check_rows(uploads: np.ndarray, theta: np.ndarray) -> None:
+    if np.ndim(uploads) != 2 or np.shape(uploads)[1:] != np.shape(theta):
+        raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
+                         f"parameters of shape {np.shape(theta)}")
+
+
+def client_drift(uploads: np.ndarray,
+                 theta_global: np.ndarray) -> tuple[list[float], float]:
+    """L2 distance of each upload row from the aggregate, plus the mean."""
+    _check_rows(uploads, theta_global)
+    diff = np.empty_like(theta_global)
     drifts = []
-    for th in thetas:
-        if th.layout != theta_global.layout:
-            raise ShapeError("drift layouts differ")
-        drifts.append(float(np.linalg.norm(th.values - theta_global.values)))
+    for row in uploads:
+        np.subtract(row, theta_global, out=diff)
+        drifts.append(float(np.linalg.norm(diff)))
     return drifts, float(np.mean(drifts))
 
 
-def gradient_variance(thetas: list[nn.ParamVector],
-                      theta_prev_global: nn.ParamVector) -> float:
-    """Variance of the per-client pseudo-gradients theta_k - theta_prev."""
-    if len(thetas) < 2:
+def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> float:
+    """Variance of the per-client pseudo-gradients: upload rows minus theta_prev."""
+    if len(uploads) < 2:
         raise ValueError("gradient variance needs at least 2 clients")
-    g = np.stack([th.values - theta_prev_global.values for th in thetas])
-    centered = g - g.mean(axis=0)
-    return float(np.mean(np.sum(centered ** 2, axis=1)))
+    _check_rows(uploads, theta_prev_global)
+    g = uploads - theta_prev_global
+    g -= g.mean(axis=0)
+    g **= 2
+    return float(np.mean(np.sum(g, axis=1)))
 
 
 def xi_count(sorted_updates: list[ClientUpdate], k_hat: int) -> int:

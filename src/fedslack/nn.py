@@ -68,10 +68,13 @@ class Model:
     """MLP with ReLU hidden activations and linear output logits.
 
     `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
-    `params.values`; the constructor copies the given arrays into it.
+    `params.values`; the constructor copies the given arrays into it.  That
+    buffer is `out` when given (a contiguous 1-D float64 array of the right
+    size, such as one row of an upload matrix), else a fresh array.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+                 out: np.ndarray | None = None):
         shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
         if (not weights or len(weights) != len(biases)
                 or any(len(ws) != 2 or bs != ws[1:] for ws, bs in shapes)
@@ -79,8 +82,13 @@ class Model:
             raise ShapeError("weights and biases do not form an MLP")
         layout = tuple(entry for i, (ws, bs) in enumerate(shapes)
                        for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
+        size = sum(math.prod(shape) for _, shape in layout)
+        if out is not None and (out.dtype != np.float64 or out.shape != (size,)
+                                or not out.flags.c_contiguous):
+            raise ShapeError(f"out must be a contiguous float64 array of shape ({size},)")
         self.params = ParamVector(
-            np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb]), layout)
+            np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
+                           out=out), layout)
         views = _split(self.params.values, layout)
         self.weights, self.biases = views[0::2], views[1::2]
 
@@ -97,10 +105,11 @@ class Model:
         return cls(weights, biases)
 
     @classmethod
-    def from_vector(cls, vec: ParamVector) -> "Model":
-        """A model owning a copy of `vec`; its layout must be dense0.W, dense0.b, ..."""
+    def from_vector(cls, vec: ParamVector, out: np.ndarray | None = None) -> "Model":
+        """A model holding a copy of `vec` in `out` (see the class docstring);
+        the layout must be dense0.W, dense0.b, ..."""
         parts = _split(vec.values, vec.layout)
-        model = cls(parts[0::2], parts[1::2])
+        model = cls(parts[0::2], parts[1::2], out=out)
         if model.layout != vec.layout:
             raise ShapeError("param vector layout is not a dense<i>.W/.b MLP")
         return model

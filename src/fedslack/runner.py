@@ -4,6 +4,15 @@ sampling, per-round training and aggregation, diagnostics, and persistence.
 Everything is deterministic given (config, master seed): client streams are
 keyed by (seed, purpose, round, client), and aggregation always consumes
 updates ordered by client id.
+
+`run` allocates the round matrices once per run.  Every round has the same
+number m of participants, and participant i (in client-id order) trains in
+row i of the (m, P) float64 upload matrix; under SCAFFOLD it writes its
+variate change into row i of an (m, P) delta matrix, and the control
+variates are one (K, P) matrix indexed by client id.  Aggregation, the
+variate updates, drift and gradient variance read these matrices in place,
+so nothing is stacked; a round's uploads are row views, valid only until the
+next round's training overwrites them.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .aggregation import (AggregationPolicy,
-                          scaffold_server_update, slack_weights, slack_aggregate,
-                          sort_by_weighted_loss)
+from .aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
+                          slack_aggregate, slack_weights, sort_by_weighted_loss,
+                          update_client_variates)
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError
@@ -84,6 +93,11 @@ class ExperimentConfig:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
             raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
+        m = participants_per_round(self.partition.num_clients, self.participation)
+        if (self.k_hat_absolute and self.policy.mode is not AggregationMode.FAT
+                and self.policy.k_hat > m // 2):
+            raise ConfigError(f"policy.k_hat {self.policy.k_hat} exceeds half of the {m} "
+                              f"clients per round, and k_hat_absolute forbids capping it")
 
 
 @dataclass
@@ -161,10 +175,15 @@ def build_shards(config: ExperimentConfig, train_set: Dataset) -> list[ClientSha
     return partition(train_set, config.partition)
 
 
+def participants_per_round(num_clients: int, ratio: float) -> int:
+    """max(1, round(ratio*K)): how many clients every round samples."""
+    return max(1, round(ratio * num_clients))
+
+
 def sample_participants(num_clients: int, ratio: float, round_idx: int,
                         seed: int) -> list[int]:
     """Uniform without-replacement draw of max(1, round(ratio*K)) client ids."""
-    size = max(1, round(ratio * num_clients))
+    size = participants_per_round(num_clients, ratio)
     if size >= num_clients:
         return list(range(num_clients))
     rng = stream(seed, "participation", round_idx)
@@ -226,10 +245,14 @@ def run(config: ExperimentConfig) -> RunArtifact:
     local_cfg = config.local
     if config.optimizer is FedOptimizer.FEDPROX and local_cfg.fedprox_mu == 0.0:
         local_cfg = replace(local_cfg, fedprox_mu=0.01)
+    K = config.partition.num_clients
+    m = participants_per_round(K, config.participation)
+    uploads = np.empty((m, theta.values.size))
     use_scaffold = config.optimizer is FedOptimizer.SCAFFOLD
     if use_scaffold:
+        deltas = np.empty_like(uploads)
         c_global = np.zeros_like(theta.values)
-        c_locals = {s.client_id: np.zeros_like(theta.values) for s in shards}
+        c_locals = np.zeros((K, theta.values.size))
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     writer = None
@@ -239,7 +262,6 @@ def run(config: ExperimentConfig) -> RunArtifact:
             json.dumps(config_to_dict(config), indent=2) + "\n")
         writer = _MetricsWriter(out_dir / "metrics.csv")
 
-    K = config.partition.num_clients
     reports: list[RoundReport] = []
     try:
         for t in range(1, config.rounds + 1):
@@ -247,17 +269,17 @@ def run(config: ExperimentConfig) -> RunArtifact:
             alpha = config.policy.alpha_at(t)
             participants = sample_participants(K, config.participation, t, config.seed)
             updates = []
-            for cid in participants:
-                kwargs = {}
+            for i, cid in enumerate(participants):
+                kwargs = {"out": uploads[i]}
                 if use_scaffold:
-                    kwargs = {"c_global": c_global, "c_local": c_locals[cid]}
+                    kwargs.update(c_global=c_global, c_local=c_locals[cid],
+                                  delta_out=deltas[i])
                 try:
                     updates.append(train_client(shard_by_id[cid], train_set, theta,
                                                 local_cfg, config.seed, t, **kwargs))
                 except DivergenceError as exc:
                     raise DivergenceError(f"round {t}: {exc}") from exc
 
-            m = len(updates)
             if config.k_hat_absolute:
                 k_hat_eff = config.policy.k_hat
             else:
@@ -268,18 +290,16 @@ def run(config: ExperimentConfig) -> RunArtifact:
             sorted_updates = [updates[i] for i in order]
             xi = xi_count(sorted_updates, k_hat_eff) if k_hat_eff else 0
             sw = slack_weights(updates, policy_eff, alpha)
-            theta_new = slack_aggregate(updates, policy_eff, alpha)
+            theta_new = slack_aggregate(uploads, sw, theta.layout)
             if not np.all(np.isfinite(theta_new.values)):
                 raise DivergenceError(f"round {t}: non-finite aggregate")
 
             if use_scaffold:
-                for u in updates:
-                    c_locals[u.client_id] = c_locals[u.client_id] + u.scaffold_delta
-                c_global = scaffold_server_update(
-                    c_global, [u.scaffold_delta for u in updates], m, K)
+                update_client_variates(c_locals, participants, deltas)
+                c_global = scaffold_server_update(c_global, deltas, m, K)
 
-            drifts, mean_drift = client_drift([u.params for u in updates], theta_new)
-            gvar = gradient_variance([u.params for u in updates], theta) if m >= 2 else 0.0
+            drifts, mean_drift = client_drift(uploads, theta_new.values)
+            gvar = gradient_variance(uploads, theta.values) if m >= 2 else 0.0
             theta = theta_new
             model.load_vector(theta)
 

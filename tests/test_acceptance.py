@@ -20,8 +20,7 @@ import pytest
 
 from fedslack import nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy,
-                                  alpha_slack_loss, fedavg_aggregate,
-                                  slack_aggregate, slack_weights)
+                                  alpha_slack_loss, slack_aggregate, slack_weights)
 from fedslack.attacks import AttackSpec, fgsm, pgd
 from fedslack.data import (Dataset, PartitionSpec, class_counts, class_groups,
                            partition)
@@ -29,6 +28,7 @@ from fedslack.local import ClientUpdate, LocalConfig
 from fedslack.metrics import trace_topk
 from fedslack.runner import DatasetSpec, ExperimentConfig, run
 from fedslack.streams import stream
+from oracles import fedavg_aggregate, upload_matrix
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 
@@ -133,7 +133,9 @@ def test_criterion_4_reductions():
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.4, 0)]:
-            ok &= np.array_equal(slack_aggregate(ups, policy).values, base)
+            agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
+                                  ups[0].params.layout)
+            ok &= np.array_equal(agg.values, base)
     _report(4, ok, "SFAT(alpha=0) = SFAT(k_hat=0) = FAT = FedAvg, bit-identical")
 
 
@@ -230,7 +232,8 @@ def test_criterion_8_oracle_equivalence():
     policy = AggregationPolicy(AggregationMode.SFAT, 1 / 3, 1)
     # client 1 has smallest weighted loss: p = (1, 2, 1), w = p*n / sum
     pn = np.array([2.0, 6.0, 5.0])
-    sa = slack_aggregate(ups, policy).values
+    sa = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
+                         ups[0].params.layout).values
     ok &= np.max(np.abs(sa - oracle([u.params.values for u in ups],
                                     list(pn / pn.sum())))) <= 1e-12
     # vector toy
@@ -241,7 +244,8 @@ def test_criterion_8_oracle_equivalence():
            for i, (v, l, n) in enumerate(zip(vals, [0.5, 0.2, 0.9], [4, 5, 1]))]
     fa = fedavg_aggregate(ups).values
     ok &= np.max(np.abs(fa - oracle(vals, [0.4, 0.5, 0.1]))) <= 1e-12
-    sa = slack_aggregate(ups, policy).values
+    sa = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
+                         ups[0].params.layout).values
     # client 2 has the smallest weighted loss (0.1*0.9): p = (1, 1, 2)
     pn = np.array([4.0, 5.0, 2.0])
     ok &= np.max(np.abs(sa - oracle(vals, list(pn / pn.sum())))) <= 1e-12

@@ -5,11 +5,11 @@ import pytest
 
 from fedslack import nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, alpha_slack_loss,
-                                  fedavg_aggregate, scaffold_server_update,
-                                  slack_aggregate, slack_weights,
+                                  scaffold_server_update, slack_aggregate, slack_weights,
                                   sort_by_weighted_loss)
 from fedslack.errors import AggregationError
 from fedslack.local import ClientUpdate
+from oracles import fedavg_aggregate, upload_matrix
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 
@@ -131,7 +131,7 @@ def test_slack_aggregate_hand_case():
     # two clients equal N, theta (0, 10), alpha=1/3 -> r=2, client 0 smaller loss
     ups = scalar_updates([0.0, 10.0], [0.1, 0.9], [1, 1])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=1 / 3, k_hat=1)
-    agg = slack_aggregate(ups, policy)
+    agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
     assert agg.values[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
     oracle = brute_force_weighted_mean([[0.0, 0.0], [10.0, 0.0]], [2 / 3, 1 / 3])
     np.testing.assert_allclose(agg.values, oracle, atol=1e-12)
@@ -148,14 +148,15 @@ def test_slack_aggregate_alpha_zero_equals_fedavg_bitwise():
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.3, 0)]:
-            agg = slack_aggregate(ups, policy)
+            agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
             assert np.array_equal(agg.values, base.values)
 
 
 def test_slack_aggregate_idempotent():
     ups = scalar_updates([2.0, 2.0, 2.0, 2.0], [0.4, 0.3, 0.2, 0.1], [1, 2, 3, 4])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.5, k_hat=2)
-    assert slack_aggregate(ups, policy).values[0] == pytest.approx(2.0, rel=1e-15)
+    agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
+    assert agg.values[0] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_alpha_slack_loss_hand_values():
@@ -245,13 +246,13 @@ def test_permutation_equivariance():
 def test_scaffold_server_update():
     c = np.array([1.0, 2.0])
     zero = np.zeros(2)
-    out = scaffold_server_update(c, [zero, zero], 2, 4)
+    out = scaffold_server_update(c, np.stack([zero, zero]), 2, 4)
     assert np.array_equal(out, c)
 
     d = np.array([4.0, -2.0])
-    out = scaffold_server_update(c, [d], 1, 1)
+    out = scaffold_server_update(c, np.stack([d]), 1, 1)
     np.testing.assert_allclose(out, [5.0, 0.0])
 
     neg = -d
-    out = scaffold_server_update(c, [d, neg], 2, 4)
+    out = scaffold_server_update(c, np.stack([d, neg]), 2, 4)
     np.testing.assert_allclose(out, c)

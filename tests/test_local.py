@@ -90,7 +90,7 @@ def test_scaffold_mean_identity_two_client_toy():
                         c_global=c_g, c_local=c) for s, c in zip(shards, c_ls)]
     mean_delta = np.mean([u.scaffold_delta for u in ups], axis=0)
     from fedslack.aggregation import scaffold_server_update
-    c_g2 = scaffold_server_update(c_g, [u.scaffold_delta for u in ups], 2, 2)
+    c_g2 = scaffold_server_update(c_g, np.stack([u.scaffold_delta for u in ups]), 2, 2)
     np.testing.assert_allclose(c_g2, c_g + mean_delta, atol=1e-15)
 
 

@@ -18,14 +18,19 @@ def pv(values):
     return nn.ParamVector(np.asarray(values, dtype=float), LAYOUT)
 
 
+def rows(*pvs):
+    """The upload matrix of the given parameter vectors, one row each."""
+    return np.stack([p.values for p in pvs])
+
+
 def test_drift_zero_for_identical_params():
     th = pv([1.0, 2.0])
-    drifts, mean = client_drift([th, th.copy()], th)
+    drifts, mean = client_drift(rows(th, th.copy()), th.values)
     assert drifts == [0.0, 0.0] and mean == 0.0
 
 
 def test_drift_three_four_five():
-    drifts, _ = client_drift([pv([3.0, 4.0])], pv([0.0, 0.0]))
+    drifts, _ = client_drift(rows(pv([3.0, 4.0])), pv([0.0, 0.0]).values)
     assert drifts[0] == pytest.approx(5.0, rel=1e-15)
 
 
@@ -33,7 +38,7 @@ def test_mean_drift_matches_independent_norm_oracle():
     rng = np.random.default_rng(0)
     thetas = [pv(rng.normal(size=2)) for _ in range(6)]
     center = pv(rng.normal(size=2))
-    _, mean = client_drift(thetas, center)
+    _, mean = client_drift(rows(*thetas), center.values)
     # oracle: explicit sqrt-of-sum-of-squares accumulation
     acc = 0.0
     for th in thetas:
@@ -46,19 +51,19 @@ def test_mean_drift_matches_independent_norm_oracle():
 
 def test_gradient_variance_identical_updates():
     start = pv([0.5, 0.5])
-    assert gradient_variance([pv([1.0, 1.0]), pv([1.0, 1.0])], start) == 0.0
+    assert gradient_variance(rows(pv([1.0, 1.0]), pv([1.0, 1.0])), start.values) == 0.0
 
 
 def test_gradient_variance_hand_case():
     start = pv([0.0, 0.0])
     # pseudo-gradients (+1, 0) and (-1, 0): mean 0, mean squared norm 1
-    assert gradient_variance([pv([1.0, 0.0]), pv([-1.0, 0.0])], start) == \
+    assert gradient_variance(rows(pv([1.0, 0.0]), pv([-1.0, 0.0])), start.values) == \
         pytest.approx(1.0, rel=1e-15)
 
 
 def test_gradient_variance_needs_two_clients():
     with pytest.raises(ValueError):
-        gradient_variance([pv([1.0, 0.0])], pv([0.0, 0.0]))
+        gradient_variance(rows(pv([1.0, 0.0])), pv([0.0, 0.0]).values)
 
 
 def update(cid, n, loss=0.1, total=100):

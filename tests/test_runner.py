@@ -342,3 +342,48 @@ def test_cli_eval_names_the_line_of_a_malformed_csv_row(tmp_path, capsys, bad_ro
     assert cli.main(["eval", "--checkpoint", str(ckpt),
                      "--test", str(csv_path)]) == cli.EXIT_CONFIG
     assert "line 3" in capsys.readouterr().err
+
+
+def run_cli_on(tmp_path, raw):
+    """Exit code of `fedslack run` on `raw`, and whether it left a metrics.csv."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    return code, (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("epsilon", float("nan")), ("epsilon", float("inf")),
+                                        ("epsilon", float("-inf")),
+                                        ("step_size", float("nan")),
+                                        ("step_size", float("inf"))])
+def test_cli_run_rejects_non_finite_attack_values(tmp_path, capsys, key, value):
+    # NaN epsilon used to train STANDARD silently, inf epsilon to end in an
+    # OverflowError traceback, and NaN step size to be reported as a divergence
+    raw = config_to_dict(tiny_config())
+    raw["local"]["attack"][key] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert f"attack.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("alpha_end", 1.5), ("alpha_end", float("nan")),
+                                        ("alpha_end", -0.1), ("anneal_rounds", -1)])
+def test_cli_run_rejects_bad_alpha_schedule_before_writing(tmp_path, capsys, key, value):
+    raw = config_to_dict(tiny_config(
+        policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 1, schedule="linear_anneal",
+                                 alpha_end=0.1, anneal_rounds=3)))
+    raw["policy"][key] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert f"policy.{key}" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_absolute_k_hat_above_half_the_participants(tmp_path, capsys):
+    # 5 clients at participation 0.6 sample 3 per round, so k_hat 2 > 3 // 2
+    raw = config_to_dict(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 1),
+                                     participation=0.6, k_hat_absolute=True))
+    assert config_from_dict(raw).policy.k_hat == 1
+    raw["policy"]["k_hat"] = 2
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "k_hat" in capsys.readouterr().err
+    raw["policy"]["mode"] = "fat"
+    assert config_from_dict(raw).k_hat_absolute
