@@ -6,6 +6,10 @@ The slack mechanism multiplies the unnormalized per-sample weight of the
 top clients by r = (1+alpha)/(1-alpha) and renormalizes over samples, so
 the final weights are a convex combination and the top-vs-rest per-sample
 ratio is exactly r.
+
+The server step reads a round's arrays, row i being participant i: the (m, P)
+uploads and the (m,) sample counts and weighted losses, whose one sort per
+round `slack_weights` takes as given.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import AggregationError, ShapeError
-from .local import ClientUpdate
 from .nn import Layout, ParamVector
 
 
@@ -73,64 +76,46 @@ class AggregationPolicy:
 
 @dataclass
 class SlackWeights:
-    """Final simplex weights plus the selected top set and the slack ratio."""
+    """Final simplex weights, one per upload row, plus the selected top set."""
 
     weights: np.ndarray
     top_ids: list[int]
-    ratio: float
 
 
-def _check_updates(updates: list[ClientUpdate]) -> None:
-    if not updates:
-        raise AggregationError("no client updates to aggregate")
-    layout = updates[0].params.layout
-    for u in updates[1:]:
-        if u.params.layout != layout:
-            raise ShapeError(f"client {u.client_id} layout differs")
+def sort_by_weighted_loss(weighted_losses: np.ndarray, client_ids: list[int]) -> list[int]:
+    """Row indices ascending by weighted loss (N_k/N)*L_k; ties by client id."""
+    bad = ~np.isfinite(weighted_losses)
+    if bad.any():
+        raise AggregationError(
+            f"client {client_ids[int(np.argmax(bad))]} reported a non-finite loss")
+    return np.lexsort((client_ids, weighted_losses)).tolist()
 
 
-def sort_by_weighted_loss(updates: list[ClientUpdate]) -> list[int]:
-    """Indices into `updates` ascending by (N_k/N)*L_k; ties by client id."""
-    for u in updates:
-        if not np.isfinite(u.weighted_loss):
-            raise AggregationError(f"client {u.client_id} reported a non-finite loss")
-    return sorted(range(len(updates)),
-                  key=lambda i: (updates[i].weighted_loss, updates[i].client_id))
+def slack_weights(n_k: np.ndarray, order: list[int], client_ids: list[int],
+                  policy: AggregationPolicy, alpha: float) -> SlackWeights:
+    """Per-row aggregation weights for the given policy.
 
-
-def slack_weights(updates: list[ClientUpdate], policy: AggregationPolicy,
-                  alpha: float | None = None) -> SlackWeights:
-    """Per-client aggregation weights for the given policy.
-
-    Top clients (smallest weighted loss for SFAT, largest for RE_SFAT) get
-    unnormalized per-sample weight r = (1+alpha)/(1-alpha), everyone else 1;
-    final weights are p*N_k normalized over clients.
+    `order` is `sort_by_weighted_loss`'s row order.  Top rows (its first
+    k_hat for SFAT, its last k_hat for RE_SFAT) get unnormalized per-sample
+    weight r = (1+alpha)/(1-alpha), every other row 1; the final weights are
+    p*N_k normalized over rows.
     """
-    _check_updates(updates)
-    if alpha is None:
-        alpha = policy.alpha
     if not 0.0 <= alpha < 1.0:
         raise AggregationError(f"alpha must lie in [0, 1), got {alpha}")
-    m = len(updates)
+    m = len(n_k)
     if policy.mode is not AggregationMode.FAT and policy.k_hat > m // 2:
         raise AggregationError(
             f"k_hat {policy.k_hat} exceeds half of {m} participating clients")
 
-    n = np.array([u.n_samples for u in updates], dtype=np.float64)
-    k_hat = policy.k_hat if policy.mode is not AggregationMode.FAT else 0
+    n = np.asarray(n_k, dtype=np.float64)
+    k_hat = policy.k_hat
     if policy.mode is AggregationMode.FAT or alpha == 0.0 or k_hat == 0:
-        return SlackWeights(n / n.sum(), [], 1.0)
-
-    order = sort_by_weighted_loss(updates)
-    if policy.mode is AggregationMode.RE_SFAT:
-        top = order[-k_hat:]
-    else:
-        top = order[:k_hat]
-    ratio = (1.0 + alpha) / (1.0 - alpha)
+        return SlackWeights(n / n.sum(), [])
+    top = order[-k_hat:] if policy.mode is AggregationMode.RE_SFAT else order[:k_hat]
     p = np.ones(m)
-    p[top] = ratio
+    p[top] = (1.0 + alpha) / (1.0 - alpha)
     w = p * n
-    return SlackWeights(w / w.sum(), [updates[i].client_id for i in top], ratio)
+    return SlackWeights(w / w.sum(), [client_ids[i] for i in top])
 
 
 def slack_aggregate(uploads: np.ndarray, sw: SlackWeights, layout: Layout) -> ParamVector:
@@ -167,8 +152,6 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
 def scaffold_server_update(c_global: np.ndarray, deltas: np.ndarray,
                            participants: int, total_clients: int) -> np.ndarray:
     """c_global + (M/K) * mean of the rows of the (M, P) delta matrix."""
-    if not len(deltas):
-        return c_global
     return c_global + participants / total_clients * np.mean(deltas, axis=0)
 
 

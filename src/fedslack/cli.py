@@ -17,7 +17,7 @@ from . import nn, runner
 from .attacks import AttackSpec
 from .data import class_counts, load_csv
 from .errors import ConfigError, DivergenceError, FedslackError, FormatError
-from .metrics import EvalAttack, evaluate
+from .metrics import EvalAttack, evaluate, trace_topk
 from .runner import ExperimentConfig, load_config, load_metrics
 from .streams import stream
 
@@ -144,20 +144,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace_topk(args) -> int:
-    path = Path(args.run) / "metrics.csv"
-    rows = load_metrics(path)
-    counts: dict[int, int] = {}
-    rounds = set()
-    for row in rows:
-        if row["client_id"] >= 0:
-            counts.setdefault(row["client_id"], 0)
-            rounds.add(row["round"])
-            if row["is_top"]:
-                counts[row["client_id"]] += 1
-    total_rounds = len(rounds)
+    counts, total_rounds = trace_topk(load_metrics(Path(args.run) / "metrics.csv"))
     print(f"top-set selections over {total_rounds} rounds:")
-    for cid in sorted(counts):
-        n = counts[cid]
+    for cid, n in counts.items():
         frac = n / total_rounds if total_rounds else 0.0
         bar = "#" * round(40 * frac)
         print(f"client {cid}: {n:4d} ({100 * frac:5.1f}%) {bar}")

@@ -11,15 +11,14 @@ arrays in the order of `model.params.values`; they are all derived from one
 model inside `train_client`, so only the downloaded and uploaded parameters
 carry a layout.
 
-The runner hands each participant one row of the round's upload matrix (and,
-under SCAFFOLD, one row of its delta matrix): the client trains in that row
-and writes its variate change into the other, so an uploaded `ClientUpdate`
-holds views of those rows, valid until the next round overwrites them.
-Called without rows, `train_client` allocates fresh ones.
+The caller hands each participant its row of the round's upload matrix (and,
+under SCAFFOLD, of its delta matrix) to train and write in; `train_client`
+returns only the mean loss.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,26 +69,9 @@ class LocalConfig:
                 f"local.weight_decay must be non-negative, got {self.weight_decay}")
         if not self.fedprox_mu >= 0:
             raise ConfigError(f"local.fedprox_mu must be non-negative, got {self.fedprox_mu}")
-
-
-@dataclass
-class ClientUpdate:
-    """What a client uploads: parameters, sample count, and its recorded loss.
-
-    `params.values` and `scaffold_delta` are the rows the client trained and
-    wrote in (see the module docstring).
-    """
-
-    client_id: int
-    params: nn.ParamVector
-    loss: float
-    n_samples: int
-    total_samples: int
-    scaffold_delta: np.ndarray | None = None
-
-    @property
-    def weighted_loss(self) -> float:
-        return self.n_samples / self.total_samples * self.loss
+        if not (math.isfinite(self.trades_beta) and self.trades_beta >= 0):
+            raise ConfigError(
+                f"local.trades_beta must be finite and non-negative, got {self.trades_beta}")
 
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray,
@@ -130,21 +112,21 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
-                 config: LocalConfig, master_seed: int, round_idx: int = 0,
-                 c_global: np.ndarray | None = None,
-                 c_local: np.ndarray | None = None, out: np.ndarray | None = None,
-                 delta_out: np.ndarray | None = None) -> ClientUpdate:
-    """One client's E local epochs of SGD; SCAFFOLD iff both variates are given.
+                 config: LocalConfig, master_seed: int, round_idx: int = 0, *,
+                 out: np.ndarray, c_global: np.ndarray | None = None,
+                 c_local: np.ndarray | None = None,
+                 delta_out: np.ndarray | None = None) -> float:
+    """One client's E local epochs of SGD in `out`; returns the last epoch's mean loss.
 
-    The client trains in `out` and, under SCAFFOLD, writes its variate change
-    c_new - c_local into `delta_out`: rows of the round's matrices, or fresh
-    arrays when None.  Neither the inputs nor the variates are modified.
+    SCAFFOLD runs iff the variates are given, and writes the variate change
+    c_new - c_local into `delta_out`.  Neither the inputs nor the variates
+    are modified.
     """
     if shard.n_samples == 0:
         raise ValueError(f"client {shard.client_id} has an empty shard")
     scaffold = c_global is not None
-    if scaffold != (c_local is not None):
-        raise ValueError("SCAFFOLD needs both c_global and c_local")
+    if scaffold != (c_local is not None) or scaffold != (delta_out is not None):
+        raise ValueError("SCAFFOLD needs c_global, c_local and delta_out")
     model = nn.Model.from_vector(theta_global, out=out)
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
 
@@ -175,17 +157,14 @@ def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVec
 
     total = sum(n for _, n in final_losses)
     mean_loss = sum(l * n for l, n in final_losses) / total
-    theta_local = model.params
-    if not np.all(np.isfinite(theta_local.values)):
+    if not np.all(np.isfinite(out)):
         raise DivergenceError(f"client {shard.client_id} produced non-finite parameters")
 
-    delta = None
     if scaffold:
-        delta = update_scaffold_client(theta_global.values, theta_local.values, n_steps,
-                                       config.lr, c_local, c_global, out=delta_out)
-        delta -= c_local
-    return ClientUpdate(shard.client_id, theta_local, float(mean_loss),
-                        shard.n_samples, len(dataset), scaffold_delta=delta)
+        update_scaffold_client(theta_global.values, out, n_steps, config.lr, c_local,
+                               c_global, out=delta_out)
+        delta_out -= c_local
+    return float(mean_loss)
 
 
 def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
@@ -195,7 +174,7 @@ def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
         return _trades_objective(model, xb, yb, config, rng)
     if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
         xb = pgd(model, xb, yb, config.attack, rng)
-    return nn.batch_loss_and_grads(model, xb, yb, input_grads=False)[:2]
+    return nn.batch_loss_and_grads(model, xb, yb)
 
 
 def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
@@ -220,6 +199,6 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
     dl_adv = beta * q * (s - kl[:, None]) / n
-    grads, _ = nn.backprop(model, acts_nat, dl_nat, input_grads=False)
-    grads += nn.backprop(model, acts_adv, dl_adv, input_grads=False)[0]
+    grads = nn.backprop(model, acts_nat, dl_nat)
+    grads += nn.backprop(model, acts_adv, dl_adv)
     return loss, grads

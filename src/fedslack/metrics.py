@@ -1,6 +1,6 @@
 """Diagnostics and evaluation: client drift, pseudo-gradient variance, the
 signed top-vs-rest sample-count difference, accuracy under attack, and
-top-set selection tracing across rounds.
+top-set selection counts read back from `metrics.csv` rows.
 
 Drift and variance read the round's (m, P) upload matrix, one row per
 participant, in place: drift measures it row by row through one (P,)
@@ -18,7 +18,6 @@ from . import nn
 from .attacks import AttackSpec, fgsm, pgd
 from .data import Dataset
 from .errors import ShapeError
-from .local import ClientUpdate
 
 
 class EvalAttack(Enum):
@@ -46,7 +45,6 @@ class RoundReport:
     mean_drift: float
     grad_variance: float
     xi: int
-    top_ids: list[int]
     alpha: float
     nat_acc: float | None = None
     fgsm_acc: float | None = None
@@ -83,10 +81,9 @@ def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> flo
     return float(np.mean(np.sum(g, axis=1)))
 
 
-def xi_count(sorted_updates: list[ClientUpdate], k_hat: int) -> int:
-    """Signed sample-count difference: top group minus the rest (sorted input)."""
-    n = [u.n_samples for u in sorted_updates]
-    return int(sum(n[:k_hat]) - sum(n[k_hat:]))
+def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:
+    """Signed sample-count difference: top group minus the rest (sorted counts)."""
+    return int(sorted_n_k[:k_hat].sum() - sorted_n_k[k_hat:].sum())
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
@@ -108,10 +105,10 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
     return float(np.mean(preds == y))
 
 
-def trace_topk(reports: list[RoundReport], num_clients: int) -> np.ndarray:
-    """How often each client id appeared in the round's top set."""
-    counts = np.zeros(num_clients, dtype=int)
-    for rep in reports:
-        for cid in rep.top_ids:
-            counts[cid] += 1
-    return counts
+def trace_topk(rows: list[dict]) -> tuple[dict[int, int], int]:
+    """Top-set selections per participating client id, ascending, and the round count."""
+    clients = [r for r in rows if r["client_id"] >= 0]
+    counts = {cid: 0 for cid in sorted({r["client_id"] for r in clients})}
+    for r in clients:
+        counts[r["client_id"]] += r["is_top"]
+    return counts, len({r["round"] for r in clients})

@@ -12,10 +12,10 @@ Gradients and the SGD velocity are plain float64 arrays in the order of
 `model.params.values`; only the model's parameters carry a layout.
 
 Each backward pass computes only the gradients its caller reads:
-`backprop` returns the flat parameter gradient and, unless told not to, the
-per-sample input gradient; `input_backprop` returns the input gradient alone
-(the attacks' path, with no weight-gradient matmul).  `sgd_step` updates the
-velocity it owns and the parameter buffer in place.
+`backprop` returns the flat parameter gradient alone, and `input_backprop`
+the per-sample input gradient alone (the attacks' path, with no
+weight-gradient matmul).  `sgd_step` updates the velocity it owns and the
+parameter buffer in place.
 
 Everything is float64 and pure given explicit inputs.
 """
@@ -170,14 +170,11 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
     return h, acts
 
 
-def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray,
-             input_grads: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
     """Backpropagate d(loss)/d(logits) through the cached forward pass.
 
-    Returns the flat parameter gradient (summed over the batch, in
-    `model.params` order) and per-sample input gradients (n, input_dim).
-    With `input_grads` false the input gradients are None and the layer-0
-    `delta @ W.T` is skipped.
+    Returns the flat parameter gradient, summed over the batch, in
+    `model.params` order; the layer-0 `delta @ W.T` is never computed.
     """
     grads = np.empty_like(model.params.values)
     views = _split(grads, model.layout)
@@ -185,12 +182,10 @@ def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray,
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=views[2 * i])
         delta.sum(axis=0, out=views[2 * i + 1])
-        if i == 0 and not input_grads:
-            return grads, None
-        delta = delta @ model.weights[i].T
         if i > 0:
+            delta = delta @ model.weights[i].T
             delta *= acts[i] > 0.0
-    return grads, delta
+    return grads
 
 
 def input_backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
@@ -230,16 +225,14 @@ def _check_labels(y: np.ndarray, num_classes: int) -> np.ndarray:
 def loss_and_grads(model: Model, x: np.ndarray,
                    y: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy loss, parameter gradients, and input gradient for one sample."""
-    loss, pgrads, xgrads = batch_loss_and_grads(model, np.asarray(x, dtype=np.float64)[None, :],
-                                                np.array([y]))
-    return loss, pgrads, xgrads[0]
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    loss, pgrads = batch_loss_and_grads(model, X, np.array([y]))
+    return loss, pgrads, input_grads_ce(model, X, _check_labels(y, model.num_classes))[0]
 
 
-def batch_loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray,
-                         input_grads: bool = True
-                         ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Mean cross-entropy over a batch, mean parameter grads, per-sample input
-    grads (None, and not computed, when `input_grads` is false)."""
+def batch_loss_and_grads(model: Model, X: np.ndarray,
+                         y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch and the mean parameter gradients."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
@@ -251,10 +244,7 @@ def batch_loss_and_grads(model: Model, X: np.ndarray, y: np.ndarray,
     dlogits = p.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-    pgrads, xgrads = backprop(model, acts, dlogits, input_grads)
-    # backprop sums over the batch; dlogits already carries the 1/n factor,
-    # but per-sample input grads must not, so rescale them back.
-    return loss, pgrads, None if xgrads is None else xgrads * n
+    return loss, backprop(model, acts, dlogits)
 
 
 def input_grads_ce(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -2,37 +2,39 @@
 sampling, per-round training and aggregation, diagnostics, and persistence.
 
 Everything is deterministic given (config, master seed): client streams are
-keyed by (seed, purpose, round, client), and aggregation always consumes
-updates ordered by client id.
+keyed by (seed, purpose, round, client), and the round's rows are always
+ordered by client id.
 
-`run` allocates the round matrices once per run.  Every round has the same
-number m of participants, and participant i (in client-id order) trains in
-row i of the (m, P) float64 upload matrix; under SCAFFOLD it writes its
-variate change into row i of an (m, P) delta matrix, and the control
-variates are one (K, P) matrix indexed by client id.  Aggregation, the
-variate updates, drift and gradient variance read these matrices in place,
-so nothing is stacked; a round's uploads are row views, valid only until the
-next round's training overwrites them.
+Every round has the same number m of participants, so `run` fixes the
+effective k_hat and allocates the round's matrices once per run.  Participant
+i (in client-id order) trains in row i of the (m, P) float64 upload matrix,
+and row i of the round's (m,) arrays `n_k` and `losses` holds its sample count
+and mean loss; under SCAFFOLD it writes its variate change into row i of an (m, P)
+delta matrix, and the control variates are a (K, P) matrix indexed by client
+id.  The server step sorts the rows once by weighted loss n_k/N*loss and
+reads these arrays in place: nothing is stacked or kept per client.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nn
-from .aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
+from .aggregation import (AggregationPolicy, scaffold_server_update,
                           slack_aggregate, slack_weights, sort_by_weighted_loss,
                           update_client_variates)
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, PartitionError
 from .local import LocalConfig, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
@@ -65,6 +67,11 @@ class DatasetSpec:
     test_path: str | None = None
     test_labels_path: str | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
+            raise ConfigError(
+                f"dataset.test_fraction must be finite and > 0, got {self.test_fraction}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,7 +86,6 @@ class ExperimentConfig:
     eval_every: int = 5
     seed: int = 0
     out_dir: str | None = None
-    k_hat_absolute: bool = False       # if set, never shrink k_hat under partial participation
 
     def __post_init__(self):
         if isinstance(self.optimizer, str):
@@ -93,11 +99,6 @@ class ExperimentConfig:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
             raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
-        m = participants_per_round(self.partition.num_clients, self.participation)
-        if (self.k_hat_absolute and self.policy.mode is not AggregationMode.FAT
-                and self.policy.k_hat > m // 2):
-            raise ConfigError(f"policy.k_hat {self.policy.k_hat} exceeds half of the {m} "
-                              f"clients per round, and k_hat_absolute forbids capping it")
 
 
 @dataclass
@@ -116,6 +117,34 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation (a bool is no int; an enum takes a str)."""
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        hint = str
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):                  # a union such as `str | None`
+        return any(_has_type(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_keys(cls, raw: dict, prefix: str = "") -> None:
+    """Every key `raw` sets, in its sections too, is a field of `cls` that fits its value."""
+    hints = get_type_hints(cls)
+    unknown = sorted(prefix + str(k) for k in set(raw) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in raw.items():
+        hint = hints[name]
+        if is_dataclass(hint) and isinstance(value, dict):
+            _check_keys(hint, value, f"{prefix}{name}.")
+        elif not _has_type(value, hint):
+            raise ConfigError(f"{prefix}{name} must be of type "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+
+
 _SECTIONS = {"dataset": DatasetSpec, "partition": PartitionSpec, "local": LocalConfig,
              "policy": AggregationPolicy}
 
@@ -124,9 +153,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Config from parsed JSON (`raw` is unchanged); omitted keys keep the defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(map(str, set(raw) - {f.name for f in fields(ExperimentConfig)}))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _check_keys(ExperimentConfig, raw)
     try:
         sections = {key: make(**raw[key]) for key, make in _SECTIONS.items() if key in raw}
         return ExperimentConfig(**{**raw, **sections})
@@ -135,13 +162,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["partition"]["mode"] = config.partition.mode.value
-    d["local"]["trainer"] = config.local.trainer.value
-    d["policy"]["mode"] = config.policy.mode.value
-    d["policy"]["schedule"] = config.policy.schedule.value
-    d["optimizer"] = config.optimizer.value
-    return d
+    """The JSON form of a config, enums as their values."""
+    return asdict(config, dict_factory=lambda items: {
+        k: v.value if isinstance(v, Enum) else v for k, v in items})
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -169,10 +192,14 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_shards(config: ExperimentConfig, train_set: Dataset) -> list[ClientShard]:
-    """Exact-count shards when `sample_counts` is set, equal splits otherwise."""
-    if config.partition.sample_counts is not None:
-        return partition_unequal(train_set, config.partition)
-    return partition(train_set, config.partition)
+    """Exact-count shards if `sample_counts` is set, else equal splits; shards[k],
+    client k's, is never empty."""
+    split = partition if config.partition.sample_counts is None else partition_unequal
+    shards = split(train_set, config.partition)
+    for s in shards:
+        if not s.n_samples:
+            raise PartitionError(f"the partition leaves client {s.client_id} no samples")
+    return shards
 
 
 def participants_per_round(num_clients: int, ratio: float) -> int:
@@ -236,7 +263,7 @@ def run(config: ExperimentConfig) -> RunArtifact:
     """Execute the full communication loop and return the artifact."""
     train_set, test_set = build_datasets(config)
     shards = build_shards(config, train_set)
-    shard_by_id = {s.client_id: s for s in shards}
+    sizes = np.array([s.n_samples for s in shards])
 
     dims = [train_set.dim] + list(config.hidden_dims) + [train_set.num_classes]
     model = nn.Model.init(dims, stream(config.seed, "init"))
@@ -247,7 +274,9 @@ def run(config: ExperimentConfig) -> RunArtifact:
         local_cfg = replace(local_cfg, fedprox_mu=0.01)
     K = config.partition.num_clients
     m = participants_per_round(K, config.participation)
+    policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
     uploads = np.empty((m, theta.values.size))
+    losses = np.empty(m)
     use_scaffold = config.optimizer is FedOptimizer.SCAFFOLD
     if use_scaffold:
         deltas = np.empty_like(uploads)
@@ -266,30 +295,24 @@ def run(config: ExperimentConfig) -> RunArtifact:
     try:
         for t in range(1, config.rounds + 1):
             t0 = time.perf_counter()
-            alpha = config.policy.alpha_at(t)
+            alpha = policy.alpha_at(t)
             participants = sample_participants(K, config.participation, t, config.seed)
-            updates = []
+            n_k = sizes[participants]
             for i, cid in enumerate(participants):
                 kwargs = {"out": uploads[i]}
                 if use_scaffold:
                     kwargs.update(c_global=c_global, c_local=c_locals[cid],
                                   delta_out=deltas[i])
                 try:
-                    updates.append(train_client(shard_by_id[cid], train_set, theta,
-                                                local_cfg, config.seed, t, **kwargs))
+                    losses[i] = train_client(shards[cid], train_set, theta, local_cfg,
+                                             config.seed, t, **kwargs)
                 except DivergenceError as exc:
                     raise DivergenceError(f"round {t}: {exc}") from exc
 
-            if config.k_hat_absolute:
-                k_hat_eff = config.policy.k_hat
-            else:
-                k_hat_eff = config.policy.effective_k_hat(m)
-            policy_eff = replace(config.policy, k_hat=k_hat_eff)
-
-            order = sort_by_weighted_loss(updates)
-            sorted_updates = [updates[i] for i in order]
-            xi = xi_count(sorted_updates, k_hat_eff) if k_hat_eff else 0
-            sw = slack_weights(updates, policy_eff, alpha)
+            wl = n_k / len(train_set) * losses
+            order = sort_by_weighted_loss(wl, participants)
+            xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
+            sw = slack_weights(n_k, order, participants, policy, alpha)
             theta_new = slack_aggregate(uploads, sw, theta.layout)
             if not np.all(np.isfinite(theta_new.values)):
                 raise DivergenceError(f"round {t}: non-finite aggregate")
@@ -303,10 +326,8 @@ def run(config: ExperimentConfig) -> RunArtifact:
             theta = theta_new
             model.load_vector(theta)
 
-            top_set = set(sw.top_ids)
-            recs = [ClientRecord(u.client_id, u.n_samples, u.loss, u.weighted_loss,
-                                 d, u.client_id in top_set)
-                    for u, d in zip(updates, drifts)]
+            recs = [ClientRecord(cid, int(n), float(loss), float(w), d, cid in sw.top_ids)
+                    for cid, n, loss, w, d in zip(participants, n_k, losses, wl, drifts)]
             nat = fg = pg = None
             if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
                 spec = local_cfg.attack
@@ -317,8 +338,8 @@ def run(config: ExperimentConfig) -> RunArtifact:
                                   stream(config.seed, "eval-attack", t))
                 else:
                     fg = pg = nat
-            rep = RoundReport(t, recs, mean_drift, gvar, xi, sw.top_ids, alpha,
-                              nat, fg, pg, wall_clock=time.perf_counter() - t0)
+            rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,
+                              wall_clock=time.perf_counter() - t0)
             reports.append(rep)
             if writer:
                 writer.write_round(rep)

@@ -1,42 +1,75 @@
 """Independent list-based reference implementations of the server step.
 
-The program keeps a round's uploads in one (m, P) matrix and reads it in
-place.  These oracles keep the per-client list and per-row formulas that it
-replaced, so tests can check the matrix path against them bit for bit.
+The program keeps a round's uploads in one (m, P) matrix and its sample
+counts and losses in (m,) arrays, and reads them in place.  `RoundArrays`
+holds such a round for the tests; the oracles keep the per-client list and
+per-row formulas that the matrix path replaced, so tests can check it
+against them bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from fedslack.aggregation import slack_weights
-from fedslack.errors import AggregationError, ShapeError
-from fedslack.nn import ParamVector
+from fedslack.aggregation import SlackWeights, slack_weights, sort_by_weighted_loss
+from fedslack.errors import AggregationError
+from fedslack.nn import Layout, ParamVector
 
 
-def upload_matrix(updates) -> np.ndarray:
-    """The (m, P) matrix whose row i is updates[i]'s parameters."""
-    return np.stack([u.params.values for u in updates])
+@dataclass
+class RoundArrays:
+    """One round's server-step inputs as the runner holds them: row i of
+    each array belongs to client `client_ids[i]` (0..m-1 unless given)."""
+
+    uploads: np.ndarray            # (m, P)
+    losses: np.ndarray             # (m,) mean losses
+    n_k: np.ndarray                # (m,) sample counts
+    layout: Layout
+    client_ids: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.uploads = np.asarray(self.uploads, dtype=np.float64)
+        self.losses = np.asarray(self.losses, dtype=np.float64)
+        self.n_k = np.asarray(self.n_k, dtype=np.int64)
+        if not self.client_ids:
+            self.client_ids = list(range(len(self.n_k)))
+
+    @property
+    def weighted_losses(self) -> np.ndarray:
+        """n_k/N * loss_k, N being the round's total sample count."""
+        return self.n_k / int(self.n_k.sum()) * self.losses
+
+    def rows(self, idx) -> "RoundArrays":
+        """The same clients in the row order `idx`."""
+        return RoundArrays(self.uploads[idx], self.losses[idx], self.n_k[idx], self.layout,
+                           [self.client_ids[i] for i in idx])
 
 
-def fedavg_aggregate(updates) -> ParamVector:
+def server_weights(r: RoundArrays, policy, alpha=None) -> SlackWeights:
+    """The runner's weighting of a round: one sort, then `slack_weights` at
+    `alpha`, or at the policy's alpha when None."""
+    order = sort_by_weighted_loss(r.weighted_losses, r.client_ids)
+    return slack_weights(r.n_k, order, r.client_ids, policy,
+                         policy.alpha if alpha is None else alpha)
+
+
+def fedavg_aggregate(r: RoundArrays) -> ParamVector:
     """Sample-weighted mean of the uploaded parameters."""
-    if not updates:
+    if not len(r.n_k):
         raise AggregationError("no client updates to aggregate")
-    layout = updates[0].params.layout
-    if any(u.params.layout != layout for u in updates):
-        raise ShapeError("client layouts differ")
-    n = np.array([u.n_samples for u in updates], dtype=np.float64)
+    n = r.n_k.astype(np.float64)
     w = n / n.sum()
-    stacked = np.stack([u.params.values for u in updates])
-    return ParamVector(w @ stacked, layout)
+    stacked = np.stack(list(r.uploads))
+    return ParamVector(w @ stacked, r.layout)
 
 
-def slack_aggregate_list(updates, policy, alpha=None) -> ParamVector:
+def slack_aggregate_list(r: RoundArrays, policy, alpha=None) -> ParamVector:
     """Convex combination of the listed uploads under the slack weights."""
-    sw = slack_weights(updates, policy, alpha)
-    stacked = np.stack([u.params.values for u in updates])
-    return ParamVector(sw.weights @ stacked, updates[0].params.layout)
+    sw = server_weights(r, policy, alpha)
+    stacked = np.stack(list(r.uploads))
+    return ParamVector(sw.weights @ stacked, r.layout)
 
 
 def client_drift_list(thetas, theta_global) -> tuple[list[float], float]:

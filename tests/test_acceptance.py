@@ -15,20 +15,22 @@ alpha axis is a non-increase, strict once k_hat > 0.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedslack import nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy,
-                                  alpha_slack_loss, slack_aggregate, slack_weights)
+                                  alpha_slack_loss, slack_aggregate)
 from fedslack.attacks import AttackSpec, fgsm, pgd
 from fedslack.data import (Dataset, PartitionSpec, class_counts, class_groups,
                            partition)
-from fedslack.local import ClientUpdate, LocalConfig
+from fedslack.local import LocalConfig
 from fedslack.metrics import trace_topk
-from fedslack.runner import DatasetSpec, ExperimentConfig, run
+from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
-from oracles import fedavg_aggregate, upload_matrix
+from oracles import RoundArrays, fedavg_aggregate, server_weights
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 
@@ -43,10 +45,7 @@ def _updates(rng, k=None, ns=None, thetas=None, losses=None):
     ns = ns if ns is not None else rng.integers(1, 60, size=k).tolist()
     thetas = thetas if thetas is not None else rng.normal(size=k).tolist()
     losses = losses if losses is not None else rng.uniform(0.01, 2, size=k).tolist()
-    total = int(sum(ns))
-    return [ClientUpdate(i, nn.ParamVector(np.array([t, 0.0]), LAYOUT), l, int(n),
-                         total)
-            for i, (t, l, n) in enumerate(zip(thetas, losses, ns))]
+    return RoundArrays(np.array([[t, 0.0] for t in thetas]), losses, ns, LAYOUT)
 
 
 def test_criterion_1_lower_bound():
@@ -98,26 +97,26 @@ def test_criterion_3_simplex_and_ratio():
     ok = True
     for _ in range(300):
         ups = _updates(rng)
-        k = len(ups)
+        k = len(ups.n_k)
         alpha = float(rng.uniform(0.0, 0.95))
         k_hat = int(rng.integers(0, k // 2 + 1))
         mode = [AggregationMode.FAT, AggregationMode.SFAT,
                 AggregationMode.RE_SFAT][int(rng.integers(3))]
-        sw = slack_weights(ups, AggregationPolicy(mode, alpha, k_hat))
+        sw = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
         ok &= abs(sw.weights.sum() - 1.0) <= 1e-9
         top = set(sw.top_ids)
         if top:
-            per_sample = sw.weights / np.array([u.n_samples for u in ups], float)
+            per_sample = sw.weights / ups.n_k.astype(float)
             r = (1 + alpha) / (1 - alpha)
-            for i, ui in enumerate(ups):
-                for j, uj in enumerate(ups):
-                    if ui.client_id in top and uj.client_id not in top:
+            for i, ci in enumerate(ups.client_ids):
+                for j, cj in enumerate(ups.client_ids):
+                    if ci in top and cj not in top:
                         ok &= abs(per_sample[i] / per_sample[j] - r) <= 1e-9
     # pinned pattern: K=5 equal N, alpha=1/6 -> 1.4 : 1, weights /5.4
     ups = _updates(np.random.default_rng(0), k=5, ns=[10] * 5,
                    losses=[0.5, 0.4, 0.1, 0.3, 0.2])
-    sw = slack_weights(ups, AggregationPolicy(AggregationMode.SFAT, 1 / 6, 1))
-    ok &= abs(sw.ratio - 1.4) <= 1e-12
+    sw = server_weights(ups, AggregationPolicy(AggregationMode.SFAT, 1 / 6, 1))
+    ok &= abs(sw.weights[2] / sw.weights[0] - 1.4) <= 1e-12
     ok &= np.allclose(sw.weights, np.array([1, 1, 1.4, 1, 1]) / 5.4, atol=1e-9)
     _report(3, ok, "weights on the simplex, top/other per-sample ratio (1+a)/(1-a), "
                    "1.4:1 pattern for K=5, alpha=1/6")
@@ -128,13 +127,12 @@ def test_criterion_4_reductions():
     ok = True
     for _ in range(50):
         ups = _updates(rng)
-        k = len(ups)
+        k = len(ups.n_k)
         base = fedavg_aggregate(ups).values
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.4, 0)]:
-            agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
-                                  ups[0].params.layout)
+            agg = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout)
             ok &= np.array_equal(agg.values, base)
     _report(4, ok, "SFAT(alpha=0) = SFAT(k_hat=0) = FAT = FedAvg, bit-identical")
 
@@ -227,25 +225,20 @@ def test_criterion_8_oracle_equivalence():
     ups = _updates(np.random.default_rng(1), k=3, ns=[2, 3, 5],
                    thetas=[1.0, -2.0, 4.0], losses=[0.3, 0.1, 0.2])
     fa = fedavg_aggregate(ups).values
-    ok &= np.max(np.abs(fa - oracle([u.params.values for u in ups],
-                                    [0.2, 0.3, 0.5]))) <= 1e-12
+    ok &= np.max(np.abs(fa - oracle(list(ups.uploads), [0.2, 0.3, 0.5]))) <= 1e-12
     policy = AggregationPolicy(AggregationMode.SFAT, 1 / 3, 1)
     # client 1 has smallest weighted loss: p = (1, 2, 1), w = p*n / sum
     pn = np.array([2.0, 6.0, 5.0])
-    sa = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
-                         ups[0].params.layout).values
-    ok &= np.max(np.abs(sa - oracle([u.params.values for u in ups],
-                                    list(pn / pn.sum())))) <= 1e-12
+    sa = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout).values
+    ok &= np.max(np.abs(sa - oracle(list(ups.uploads), list(pn / pn.sum())))) <= 1e-12
     # vector toy
     vec_layout = (("dense0.W", (2, 2)),)
     rng = np.random.default_rng(2)
     vals = [rng.normal(size=4) for _ in range(3)]
-    ups = [ClientUpdate(i, nn.ParamVector(v, vec_layout), l, n, 10)
-           for i, (v, l, n) in enumerate(zip(vals, [0.5, 0.2, 0.9], [4, 5, 1]))]
+    ups = RoundArrays(np.stack(vals), [0.5, 0.2, 0.9], [4, 5, 1], vec_layout)
     fa = fedavg_aggregate(ups).values
     ok &= np.max(np.abs(fa - oracle(vals, [0.4, 0.5, 0.1]))) <= 1e-12
-    sa = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy),
-                         ups[0].params.layout).values
+    sa = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout).values
     # client 2 has the smallest weighted loss (0.1*0.9): p = (1, 1, 2)
     pn = np.array([4.0, 5.0, 2.0])
     ok &= np.max(np.abs(sa - oracle(vals, list(pn / pn.sum())))) <= 1e-12
@@ -326,14 +319,17 @@ def test_criterion_11_reversed_slack_degrades(sfat_fat_runs):
             f"reversed slack robust accuracy <= FAT's in {hits}/5 seeds")
 
 
-def test_criterion_12_dynamic_routing():
+def test_criterion_12_dynamic_routing(tmp_path):
     hits = 0
     for seed in range(5):
-        art = run(desk_config(seed, 0.10, AggregationMode.SFAT, 1 / 6, 1,
-                              rounds=100, eval_every=0, separation=0.6,
-                              placement="orthogonal", batch_size=10))
-        counts = trace_topk(art.reports, 5)
-        hits += counts.max() <= 60
+        out = tmp_path / f"seed{seed}"
+        config = desk_config(seed, 0.10, AggregationMode.SFAT, 1 / 6, 1,
+                             rounds=100, eval_every=0, separation=0.6,
+                             placement="orthogonal", batch_size=10)
+        run(replace(config, out_dir=str(out)))
+        counts, rounds = trace_topk(load_metrics(out / "metrics.csv"))
+        assert rounds == 100 and len(counts) == 5
+        hits += max(counts.values()) <= 60
     _report(12, hits >= 4,
             f"no client selected as top in more than 60% of 100 rounds "
             f"in {hits}/5 seeds")

@@ -3,26 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fedslack import nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, alpha_slack_loss,
                                   scaffold_server_update, slack_aggregate, slack_weights,
                                   sort_by_weighted_loss)
 from fedslack.errors import AggregationError
-from fedslack.local import ClientUpdate
-from oracles import fedavg_aggregate, upload_matrix
+from oracles import RoundArrays, fedavg_aggregate, server_weights
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 
 
-def update(cid, values, loss, n, total):
-    return ClientUpdate(cid, nn.ParamVector(np.asarray(values, dtype=float), LAYOUT),
-                        loss, n, total)
-
-
 def scalar_updates(thetas, losses, ns):
-    total = sum(ns)
-    return [update(i, [v, 0.0], l, n, total)
-            for i, (v, l, n) in enumerate(zip(thetas, losses, ns))]
+    """A round whose client i uploads (thetas[i], 0)."""
+    uploads = np.array([[v, 0.0] for v in thetas]).reshape(len(thetas), 2)
+    return RoundArrays(uploads, losses, ns, LAYOUT)
 
 
 def brute_force_weighted_mean(values, weights):
@@ -55,29 +48,31 @@ def test_fedavg_equal_n_is_mean():
 
 def test_fedavg_empty_errors():
     with pytest.raises(AggregationError):
-        fedavg_aggregate([])
+        fedavg_aggregate(scalar_updates([], [], []))
 
 
 def test_sort_by_weighted_loss():
     ups = scalar_updates([0, 0, 0], [0.3, 0.1, 0.2], [1, 1, 1])
-    assert sort_by_weighted_loss(ups) == [1, 2, 0]
+    assert sort_by_weighted_loss(ups.weighted_losses, ups.client_ids) == [1, 2, 0]
 
 
 def test_sort_tie_broken_by_client_id():
     ups = scalar_updates([0, 0, 0], [0.2, 0.2, 0.2], [1, 1, 1])
-    assert sort_by_weighted_loss(ups) == [0, 1, 2]
+    assert sort_by_weighted_loss(ups.weighted_losses, ups.client_ids) == [0, 1, 2]
+    # rows 0..2 hold clients 7, 3, 5: equal losses sort by client id, not row
+    assert sort_by_weighted_loss(ups.weighted_losses, [7, 3, 5]) == [1, 2, 0]
 
 
 def test_sort_uses_sample_weighting():
     # N=(10,1), L=(0.1,0.5): weighted losses 10/11*0.1=0.0909 vs 1/11*0.5=0.0454
-    ups = [update(0, [0, 0], 0.1, 10, 11), update(1, [0, 0], 0.5, 1, 11)]
-    assert sort_by_weighted_loss(ups) == [1, 0]
+    ups = scalar_updates([0, 0], [0.1, 0.5], [10, 1])
+    assert sort_by_weighted_loss(ups.weighted_losses, ups.client_ids) == [1, 0]
 
 
 def test_sort_rejects_nan():
     ups = scalar_updates([0, 0], [np.nan, 0.1], [1, 1])
-    with pytest.raises(AggregationError):
-        sort_by_weighted_loss(ups)
+    with pytest.raises(AggregationError, match="client 4 "):
+        sort_by_weighted_loss(ups.weighted_losses, [4, 9])
 
 
 def test_slack_weights_equal_n_pattern():
@@ -85,8 +80,8 @@ def test_slack_weights_equal_n_pattern():
     # weights (1,1,1.4,1,1)/5.4
     ups = scalar_updates([0] * 5, [0.5, 0.4, 0.1, 0.3, 0.2], [10] * 5)
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=1 / 6, k_hat=1)
-    sw = slack_weights(ups, policy)
-    assert sw.ratio == pytest.approx(1.4, rel=1e-12)
+    order = sort_by_weighted_loss(ups.weighted_losses, ups.client_ids)
+    sw = slack_weights(ups.n_k, order, ups.client_ids, policy, policy.alpha)
     expected = np.array([1, 1, 1.4, 1, 1]) / 5.4
     np.testing.assert_allclose(sw.weights, expected, atol=1e-9)
     np.testing.assert_allclose(
@@ -94,10 +89,20 @@ def test_slack_weights_equal_n_pattern():
     assert sw.top_ids == [2]
 
 
+def test_slack_weights_takes_the_given_order():
+    # slack_weights does not sort again: the top set is the head (SFAT) or the
+    # tail (RE_SFAT) of the order it is given, named by client id
+    n_k, ids = np.array([10, 10, 10, 10]), [4, 7, 1, 9]
+    for mode, top in ((AggregationMode.SFAT, [1, 9]), (AggregationMode.RE_SFAT, [4, 7])):
+        sw = slack_weights(n_k, [2, 3, 0, 1], ids, AggregationPolicy(mode, 0.1, 2), 1 / 3)
+        assert sw.top_ids == top
+        assert np.array_equal(sw.weights > 0.25, np.isin(ids, top))
+
+
 def test_slack_weights_alpha_zero_is_fedavg():
     ups = scalar_updates([0] * 4, [0.4, 0.1, 0.3, 0.2], [3, 5, 2, 10])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.0, k_hat=2)
-    sw = slack_weights(ups, policy)
+    sw = server_weights(ups, policy)
     n = np.array([3, 5, 2, 10], dtype=float)
     assert np.array_equal(sw.weights, n / n.sum())
 
@@ -105,7 +110,7 @@ def test_slack_weights_alpha_zero_is_fedavg():
 def test_re_sfat_mirrors_top_choice():
     ups = scalar_updates([0] * 5, [0.5, 0.4, 0.1, 0.3, 0.2], [10] * 5)
     policy = AggregationPolicy(AggregationMode.RE_SFAT, alpha=1 / 6, k_hat=1)
-    sw = slack_weights(ups, policy)
+    sw = server_weights(ups, policy)
     assert sw.top_ids == [0]  # largest loss
     expected = np.array([1.4, 1, 1, 1, 1]) / 5.4
     np.testing.assert_allclose(sw.weights, expected, atol=1e-9)
@@ -115,7 +120,7 @@ def test_slack_weights_khat_constraint():
     ups = scalar_updates([0] * 4, [0.1, 0.2, 0.3, 0.4], [1] * 4)
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.2, k_hat=3)
     with pytest.raises(AggregationError):
-        slack_weights(ups, policy)
+        server_weights(ups, policy)
 
 
 def test_invalid_alpha():
@@ -124,14 +129,14 @@ def test_invalid_alpha():
     ups = scalar_updates([0, 0], [0.1, 0.2], [1, 1])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.2, k_hat=1)
     with pytest.raises(AggregationError):
-        slack_weights(ups, policy, alpha=-0.1)
+        server_weights(ups, policy, alpha=-0.1)
 
 
 def test_slack_aggregate_hand_case():
     # two clients equal N, theta (0, 10), alpha=1/3 -> r=2, client 0 smaller loss
     ups = scalar_updates([0.0, 10.0], [0.1, 0.9], [1, 1])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=1 / 3, k_hat=1)
-    agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
+    agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
     assert agg.values[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
     oracle = brute_force_weighted_mean([[0.0, 0.0], [10.0, 0.0]], [2 / 3, 1 / 3])
     np.testing.assert_allclose(agg.values, oracle, atol=1e-12)
@@ -148,14 +153,14 @@ def test_slack_aggregate_alpha_zero_equals_fedavg_bitwise():
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.3, 0)]:
-            agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
+            agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
             assert np.array_equal(agg.values, base.values)
 
 
 def test_slack_aggregate_idempotent():
     ups = scalar_updates([2.0, 2.0, 2.0, 2.0], [0.4, 0.3, 0.2, 0.1], [1, 2, 3, 4])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.5, k_hat=2)
-    agg = slack_aggregate(upload_matrix(ups), slack_weights(ups, policy), LAYOUT)
+    agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
     assert agg.values[0] == pytest.approx(2.0, rel=1e-15)
 
 
@@ -217,13 +222,13 @@ def test_slack_weights_simplex_and_ratio():
         alpha = float(rng.uniform(0.01, 0.95))
         k_hat = int(rng.integers(1, k // 2 + 1)) if k >= 2 else 0
         mode = AggregationMode.SFAT if rng.random() < 0.5 else AggregationMode.RE_SFAT
-        sw = slack_weights(ups, AggregationPolicy(mode, alpha, k_hat))
+        sw = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
         assert sw.weights.sum() == pytest.approx(1.0, abs=1e-9)
         top = set(sw.top_ids)
         per_sample = sw.weights / np.array(ns, dtype=float)
         for i in range(k):
             for j in range(k):
-                if ups[i].client_id in top and ups[j].client_id not in top:
+                if ups.client_ids[i] in top and ups.client_ids[j] not in top:
                     assert per_sample[i] / per_sample[j] == pytest.approx(
                         (1 + alpha) / (1 - alpha), abs=1e-9)
 
@@ -235,10 +240,10 @@ def test_permutation_equivariance():
     ns = [4, 9, 2, 7, 5]
     ups = scalar_updates(thetas, losses, ns)
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.25, k_hat=2)
-    sw = slack_weights(ups, policy)
+    sw = server_weights(ups, policy)
     perm = [3, 0, 4, 1, 2]
-    ups_p = [ups[i] for i in perm]
-    sw_p = slack_weights(ups_p, policy)
+    ups_p = ups.rows(perm)
+    sw_p = server_weights(ups_p, policy)
     np.testing.assert_allclose(sw_p.weights, sw.weights[perm], atol=1e-15)
     assert sorted(sw_p.top_ids) == sorted(sw.top_ids)
 

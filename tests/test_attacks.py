@@ -96,7 +96,7 @@ def test_attack_strength_monotone_trend():
     m = make_model(seed=6)
     state = nn.SgdState(lr=0.5)
     for _ in range(100):
-        _, g, _ = nn.batch_loss_and_grads(m, X, y)
+        _, g = nn.batch_loss_and_grads(m, X, y)
         nn.sgd_step(m, g, state)
     nat = nn.cross_entropy(nn.forward_batch(m, X), y).mean()
     one = AttackSpec(0.08, 0.08, steps=1)

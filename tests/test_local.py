@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from fedslack import nn
+from fedslack.aggregation import AggregationPolicy
 from fedslack.attacks import AttackSpec, pgd
-from fedslack.data import ClientShard, Dataset
+from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold,
                             train_client, update_scaffold_client)
+from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
 
 def toy_dataset(n=40, seed=0):
@@ -28,6 +30,12 @@ def toy_config(**kw):
 
 def global_theta(seed=0, dims=(3, 4, 2)):
     return nn.Model.init(list(dims), stream(seed, "init")).to_vector()
+
+
+def train(shard, ds, theta, cfg, **kwargs):
+    """`train_client` in a fresh upload row: (uploaded parameters, mean loss)."""
+    out = np.empty_like(theta.values)
+    return out, train_client(shard, ds, theta, cfg, out=out, **kwargs)
 
 
 def test_fedprox_mu_zero_noop():
@@ -86,11 +94,13 @@ def test_scaffold_mean_identity_two_client_toy():
     cfg = toy_config()
     c_g = np.zeros_like(theta.values)
     c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
-    ups = [train_client(s, ds, theta, cfg, master_seed=1, round_idx=1,
-                        c_global=c_g, c_local=c) for s, c in zip(shards, c_ls)]
-    mean_delta = np.mean([u.scaffold_delta for u in ups], axis=0)
+    uploads, deltas = np.empty((2, theta.values.size)), np.empty((2, theta.values.size))
+    for i, (s, c) in enumerate(zip(shards, c_ls)):
+        train_client(s, ds, theta, cfg, master_seed=1, round_idx=1, out=uploads[i],
+                     c_global=c_g, c_local=c, delta_out=deltas[i])
+    mean_delta = np.mean(list(deltas), axis=0)
     from fedslack.aggregation import scaffold_server_update
-    c_g2 = scaffold_server_update(c_g, np.stack([u.scaffold_delta for u in ups]), 2, 2)
+    c_g2 = scaffold_server_update(c_g, deltas, 2, 2)
     np.testing.assert_allclose(c_g2, c_g + mean_delta, atol=1e-15)
 
 
@@ -99,9 +109,10 @@ def test_scaffold_needs_both_variates():
     shard = ClientShard(0, np.arange(10))
     theta = global_theta()
     c = np.zeros_like(theta.values)
-    for kwargs in ({"c_global": c}, {"c_local": c}):
+    for kwargs in ({"c_global": c}, {"c_local": c}, {"c_global": c, "c_local": c},
+                   {"delta_out": c.copy()}):
         with pytest.raises(ValueError):
-            train_client(shard, ds, theta, toy_config(), master_seed=0, **kwargs)
+            train(shard, ds, theta, toy_config(), master_seed=0, **kwargs)
 
 
 def test_train_client_builds_one_param_vector(monkeypatch):
@@ -121,8 +132,8 @@ def test_train_client_builds_one_param_vector(monkeypatch):
         monkeypatch.setattr(nn.ParamVector, "__post_init__", counted)
         cfg = toy_config(epochs=2, batch_size=batch_size,
                          attack=AttackSpec(0.05, 0.01, steps=steps, random_start=True))
-        up = train_client(shard, ds, theta, cfg, master_seed=1, round_idx=1)
-        assert len(made) == 1 and made[0] is up.params
+        up, _ = train(shard, ds, theta, cfg, master_seed=1, round_idx=1)
+        assert len(made) == 1 and np.shares_memory(made[0].values, up)
 
 
 def test_at_epsilon_zero_equals_standard_bitwise():
@@ -130,11 +141,11 @@ def test_at_epsilon_zero_equals_standard_bitwise():
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
     cfg_at = toy_config(attack=AttackSpec(0.0, 0.01, steps=3))
-    up_at = train_client(shard, ds, theta, cfg_at, master_seed=2, round_idx=1)
-    up_std = train_client(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
-                          master_seed=2, round_idx=1)
-    assert np.array_equal(up_at.params.values, up_std.params.values)
-    assert up_at.loss == up_std.loss
+    up_at, loss_at = train(shard, ds, theta, cfg_at, master_seed=2, round_idx=1)
+    up_std, loss_std = train(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
+                             master_seed=2, round_idx=1)
+    assert np.array_equal(up_at, up_std)
+    assert loss_at == loss_std
 
 
 def test_at_single_step_replay_oracle():
@@ -144,25 +155,36 @@ def test_at_single_step_replay_oracle():
     shard = ClientShard(0, np.arange(8))
     theta = global_theta()
     cfg = toy_config(epochs=1, batch_size=8, momentum=0.0)
-    up = train_client(shard, ds, theta, cfg, master_seed=3, round_idx=2)
+    up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
     model = nn.Model.from_vector(theta)
     order = stream(3, "batch-order", 2, 0, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     rng = stream(3, "attack", 2, 0, 0)
     x_adv = pgd(model, xb, yb, cfg.attack, rng)
-    loss, grads, _ = nn.batch_loss_and_grads(model, x_adv, yb)
+    loss, grads = nn.batch_loss_and_grads(model, x_adv, yb)
     nn.sgd_step(model, grads, nn.SgdState(lr=0.1))
-    assert np.array_equal(up.params.values, model.to_vector().values)
-    assert up.loss == pytest.approx(loss, abs=1e-15)
+    assert np.array_equal(up, model.to_vector().values)
+    assert up_loss == pytest.approx(loss, abs=1e-15)
 
 
-def test_weighted_loss_contract():
-    ds = toy_dataset()
-    shard = ClientShard(0, np.arange(10))
-    up = train_client(shard, ds, global_theta(), toy_config(), master_seed=4)
-    assert up.weighted_loss == pytest.approx(10 / 40 * up.loss, abs=1e-12)
-    assert up.loss >= 0.0
+def test_weighted_loss_contract(tmp_path):
+    # every client row of metrics.csv carries weighted_loss == n_k/N * loss_k,
+    # bit for bit, with N the training-set size
+    cfg = ExperimentConfig(
+        dataset=DatasetSpec(n_per_class=20, num_classes=4, dim=3),
+        partition=PartitionSpec(5, mode="iid", sample_counts=[8, 12, 16, 20, 14]),
+        hidden_dims=[4], local=toy_config(batch_size=16),
+        policy=AggregationPolicy("sfat", 0.2, 2), rounds=2, participation=0.8,
+        eval_every=0, out_dir=str(tmp_path))
+    art = run(cfg)
+    rows = [r for r in load_metrics(tmp_path / "metrics.csv") if r["client_id"] >= 0]
+    assert len(rows) == 2 * 4
+    for row in rows:
+        assert row["weighted_loss"] == row["n_k"] / 80 * row["loss_k"]
+        assert row["loss_k"] >= 0.0
+    assert [c.weighted_loss for r in art.reports for c in r.clients] == \
+        [r["weighted_loss"] for r in rows]
 
 
 def test_isolation_from_other_clients_data():
@@ -171,33 +193,32 @@ def test_isolation_from_other_clients_data():
     shard = ClientShard(0, np.arange(10))
     theta = global_theta()
     cfg = toy_config()
-    up1 = train_client(shard, ds, theta, cfg, master_seed=5, round_idx=3)
+    up1, loss1 = train(shard, ds, theta, cfg, master_seed=5, round_idx=3)
     perm = np.arange(len(ds))
     perm[10:] = perm[10:][::-1]
     ds2 = Dataset(ds.features[perm], ds.labels[perm], 2)
     # shard indices still address the same rows because only rows >= 10 moved
-    up2 = train_client(shard, ds2, theta, cfg, master_seed=5, round_idx=3)
-    assert np.array_equal(up1.params.values, up2.params.values)
-    assert up1.loss == up2.loss
+    up2, loss2 = train(shard, ds2, theta, cfg, master_seed=5, round_idx=3)
+    assert np.array_equal(up1, up2)
+    assert loss1 == loss2
 
 
 def test_empty_shard_errors():
     ds = toy_dataset()
     with pytest.raises(ValueError):
-        train_client(ClientShard(0, np.array([], dtype=int)), ds, global_theta(),
-                     toy_config(), master_seed=0)
+        train(ClientShard(0, np.array([], dtype=int)), ds, global_theta(),
+              toy_config(), master_seed=0)
 
 
 def test_trades_beta_zero_equals_standard():
     ds = toy_dataset()
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
-    up_tr = train_client(shard, ds, theta,
-                         toy_config(trainer=Trainer.TRADES, trades_beta=0.0),
-                         master_seed=6, round_idx=1)
-    up_std = train_client(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
-                          master_seed=6, round_idx=1)
-    assert np.array_equal(up_tr.params.values, up_std.params.values)
+    up_tr, _ = train(shard, ds, theta, toy_config(trainer=Trainer.TRADES, trades_beta=0.0),
+                     master_seed=6, round_idx=1)
+    up_std, _ = train(shard, ds, theta, toy_config(trainer=Trainer.STANDARD),
+                      master_seed=6, round_idx=1)
+    assert np.array_equal(up_tr, up_std)
 
 
 def test_trades_loss_grows_with_beta():
@@ -208,8 +229,8 @@ def test_trades_loss_grows_with_beta():
     for beta in (1.0, 6.0, 30.0):
         cfg = toy_config(trainer=Trainer.TRADES, trades_beta=beta, epochs=1,
                          batch_size=16, lr=1e-9)  # tiny lr: loss reflects the start
-        up = train_client(shard, ds, theta, cfg, master_seed=7, round_idx=1)
-        losses.append(up.loss)
+        _, loss = train(shard, ds, theta, cfg, master_seed=7, round_idx=1)
+        losses.append(loss)
     assert losses[0] < losses[1] < losses[2]
 
 
@@ -221,7 +242,7 @@ def test_trades_recorded_loss_matches_direct_evaluation():
     theta = global_theta()
     cfg = toy_config(trainer=Trainer.TRADES, trades_beta=2.0, epochs=1,
                      batch_size=8, lr=1e-12, momentum=0.0)
-    up = train_client(shard, ds, theta, cfg, master_seed=8, round_idx=1)
+    _, up_loss = train(shard, ds, theta, cfg, master_seed=8, round_idx=1)
 
     model = nn.Model.from_vector(theta)
     order = stream(8, "batch-order", 1, 0, 0).permutation(8)
@@ -234,7 +255,7 @@ def test_trades_recorded_loss_matches_direct_evaluation():
     q = nn.softmax(logits_adv)
     kl = (q * (np.log(q) - np.log(p))).sum(axis=1)
     direct = nn.cross_entropy(logits_nat, yb).mean() + 2.0 * kl.mean()
-    assert up.loss == pytest.approx(direct, rel=1e-12)
+    assert up_loss == pytest.approx(direct, rel=1e-12)
 
 
 def test_trades_param_grads_match_finite_differences():
@@ -279,7 +300,7 @@ def test_backprop_runs_only_for_the_training_gradient(monkeypatch, trainer, per_
 
     monkeypatch.setattr(nn, "backprop", counted)
     cfg = toy_config(trainer=trainer, epochs=2, batch_size=16)
-    train_client(shard, ds, global_theta(), cfg, master_seed=1, round_idx=1)
+    train(shard, ds, global_theta(), cfg, master_seed=1, round_idx=1)
     batches = [16, 16, 8] * 2  # 40 samples in batches of 16, two epochs
     assert calls == [n for n in batches for _ in range(per_batch)]
 
@@ -296,8 +317,8 @@ def test_train_client_leaves_its_inputs_unchanged(trainer):
     c_local = rng.normal(scale=0.01, size=theta.values.shape)
     before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
     cfg = toy_config(trainer=trainer, epochs=2, fedprox_mu=0.1)
-    up = train_client(shard, ds, theta, cfg, master_seed=1, round_idx=1,
-                      c_global=c_global, c_local=c_local)
+    up, _ = train(shard, ds, theta, cfg, master_seed=1, round_idx=1, c_global=c_global,
+                  c_local=c_local, delta_out=np.empty_like(c_local))
     after = (theta.values, c_global, c_local, ds.features, ds.labels)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert not np.array_equal(up.params.values, theta.values)
+    assert not np.array_equal(up, theta.values)

@@ -6,9 +6,8 @@ import pytest
 from fedslack import nn
 from fedslack.attacks import AttackSpec
 from fedslack.data import Dataset
-from fedslack.local import ClientUpdate
-from fedslack.metrics import (EvalAttack, RoundReport, client_drift,
-                              evaluate, gradient_variance, trace_topk, xi_count)
+from fedslack.metrics import (EvalAttack, client_drift, evaluate, gradient_variance,
+                              trace_topk, xi_count)
 from fedslack.streams import stream
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
@@ -66,30 +65,27 @@ def test_gradient_variance_needs_two_clients():
         gradient_variance(rows(pv([1.0, 0.0])), pv([0.0, 0.0]).values)
 
 
-def update(cid, n, loss=0.1, total=100):
-    return ClientUpdate(cid, pv([0.0, 0.0]), loss, n, total)
-
-
 def test_xi_top1_equal_n():
-    ups = [update(i, 10) for i in range(5)]
+    ups = np.full(5, 10)
     assert xi_count(ups, 1) == 10 - 40
 
 
 def test_xi_half_split_equal_n():
-    ups = [update(i, 7) for i in range(4)]
+    ups = np.full(4, 7)
     assert xi_count(ups, 2) == 0
 
 
 def test_xi_unequal_hand_count():
-    ups = [update(0, 5), update(1, 1), update(2, 1)]
+    ups = np.array([5, 1, 1])
     assert xi_count(ups, 1) == 5 - 2
+    assert type(xi_count(ups, 1)) is int
 
 
 def test_xi_bounds():
     rng = np.random.default_rng(1)
     for _ in range(50):
         ns = rng.integers(1, 30, size=int(rng.integers(2, 9)))
-        ups = [update(i, int(n)) for i, n in enumerate(ns)]
+        ups = ns
         total = int(ns.sum())
         for k_hat in range(len(ns) // 2 + 1):
             xi = xi_count(ups, k_hat)
@@ -139,16 +135,25 @@ def test_accuracy_in_unit_interval():
         assert 0.0 <= acc <= 1.0
 
 
-def report(round_idx, top_ids):
-    return RoundReport(round_idx, [], 0.0, 0.0, 0, top_ids, 0.1)
+def report(round_idx, top_ids, client_ids=range(5)):
+    """The `load_metrics` rows of one round: a row per client, then the aggregate."""
+    rows = [{"round": round_idx, "client_id": cid, "is_top": cid in top_ids}
+            for cid in client_ids]
+    return rows + [{"round": round_idx, "client_id": -1, "is_top": None}]
 
 
 def test_trace_topk_single_round():
-    counts = trace_topk([report(1, [2])], 5)
-    assert counts.tolist() == [0, 0, 1, 0, 0]
+    counts, rounds = trace_topk(report(1, [2]))
+    assert list(counts.values()) == [0, 0, 1, 0, 0]
+    assert rounds == 1
 
 
 def test_trace_topk_counts_sum():
-    reports = [report(t, [t % 3, 3]) for t in range(1, 11)]
-    counts = trace_topk(reports, 5)
-    assert counts.sum() == 2 * 10
+    reports = [row for t in range(1, 11) for row in report(t, [t % 3, 3])]
+    counts, rounds = trace_topk(reports)
+    assert sum(counts.values()) == 2 * 10 and rounds == 10
+
+
+def test_trace_topk_lists_only_the_clients_that_took_part_in_id_order():
+    rows = report(1, [4], client_ids=[4, 1]) + report(2, [], client_ids=[7, 1])
+    assert trace_topk(rows) == ({1: 0, 4: 1, 7: 0}, 2)

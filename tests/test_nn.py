@@ -120,7 +120,8 @@ def test_batch_loss_is_mean_of_singles():
     m = nn.Model.init([4, 5, 3], rng)
     X = rng.uniform(size=(6, 4))
     y = rng.integers(3, size=6)
-    loss, pgrads, xgrads = nn.batch_loss_and_grads(m, X, y)
+    loss, pgrads = nn.batch_loss_and_grads(m, X, y)
+    xgrads = nn.input_grads_ce(m, X, y)
     singles = [nn.loss_and_grads(m, X[i], int(y[i])) for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
     np.testing.assert_allclose(pgrads,
@@ -151,16 +152,32 @@ def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
     X = rng.uniform(size=(9, 4))
     _, acts = nn._forward_cache(m, X)
     dlogits = rng.normal(size=(9, 3))
-    pgrads, xgrads = nn.backprop(m, acts, dlogits)
+    pgrads = nn.backprop(m, acts, dlogits)
+    xgrads = nn.input_backprop(m, acts, dlogits)
     ref_p, ref_x = reference_backprop(m, acts, dlogits)
     assert np.array_equal(pgrads, ref_p) and np.array_equal(xgrads, ref_x)
-    assert np.array_equal(nn.input_backprop(m, acts, dlogits), xgrads)
-    only, none = nn.backprop(m, acts, dlogits, input_grads=False)
-    assert none is None and np.array_equal(only, pgrads)
     y = rng.integers(3, size=9)
-    loss, full, _ = nn.batch_loss_and_grads(m, X, y)
-    loss_only, only, none = nn.batch_loss_and_grads(m, X, y, input_grads=False)
-    assert loss_only == loss and np.array_equal(only, full) and none is None
+    loss, full = nn.batch_loss_and_grads(m, X, y)
+    dl = nn.softmax(nn.forward_batch(m, X))
+    dl[np.arange(9), y] -= 1.0
+    dl /= 9
+    assert loss == nn.cross_entropy(nn.forward_batch(m, X), y).mean()
+    assert np.array_equal(full, reference_backprop(m, acts, dl)[0])
+
+
+def test_single_sample_input_gradient_equals_the_batch_form_bitwise():
+    # loss_and_grads takes its input gradient from input_grads_ce: at n = 1
+    # the old (dlogits/1)-backprop-(*1) form rounds identically
+    rng = stream(11, "single-test")
+    m = nn.Model.init([4, 6, 3], rng)
+    x, y = rng.uniform(size=4), 2
+    _, acts = nn._forward_cache(m, x[None, :])
+    dl = nn.softmax(acts[-1])
+    dl[0, y] -= 1.0
+    loss, pgrads, xgrad = nn.loss_and_grads(m, x, y)
+    ref_p, ref_x = reference_backprop(m, acts, dl / 1)
+    assert np.array_equal(pgrads, ref_p) and np.array_equal(xgrad, (ref_x * 1)[0])
+    assert loss == nn.cross_entropy(acts[-1], np.array([y]))[0]
 
 
 def test_sgd_plain_step():

@@ -8,17 +8,16 @@ import pytest
 
 from fedslack import aggregation, metrics, nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
-                                  slack_aggregate, slack_weights, update_client_variates)
+                                  slack_aggregate, update_client_variates)
 from fedslack.attacks import AttackSpec
 from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.errors import ShapeError
-from fedslack.local import (ClientUpdate, LocalConfig, Trainer, train_client,
-                            update_scaffold_client)
+from fedslack.local import LocalConfig, Trainer, train_client, update_scaffold_client
 from fedslack.metrics import client_drift, gradient_variance
 from fedslack.runner import DatasetSpec, ExperimentConfig, run
 from fedslack.streams import stream
-from oracles import (client_drift_list, gradient_variance_list, scaffold_delta,
-                     scaffold_server_update_list, slack_aggregate_list,
+from oracles import (RoundArrays, client_drift_list, gradient_variance_list, scaffold_delta,
+                     scaffold_server_update_list, server_weights, slack_aggregate_list,
                      update_client_variates_dict)
 
 DIMS = [20, 64, 10]
@@ -26,15 +25,13 @@ MS = [1, 2, 7]
 
 
 def random_round(m: int, seed: int):
-    """m uploads of a DIMS model around a random theta, as a matrix and as updates."""
+    """m uploads of a DIMS model around a random theta, as a matrix and as a round."""
     rng = np.random.default_rng(seed)
     theta = nn.Model.init(DIMS, rng).params
     uploads = theta.values + rng.normal(scale=0.1, size=(m, theta.values.size))
     ns = rng.integers(1, 60, size=m)
     losses = rng.uniform(0.01, 2.0, size=m)
-    updates = [ClientUpdate(i, nn.ParamVector(uploads[i], theta.layout), float(losses[i]),
-                            int(ns[i]), int(ns.sum()))
-               for i in range(m)]
+    updates = RoundArrays(uploads, losses, ns, theta.layout)
     return rng, theta, uploads, updates
 
 
@@ -45,7 +42,7 @@ def test_slack_aggregate_matches_the_list_oracle_bitwise(m):
         alpha = float(rng.uniform(0.0, 0.9))
         for mode in AggregationMode:
             policy = AggregationPolicy(mode, alpha, m // 2)
-            agg = slack_aggregate(uploads, slack_weights(updates, policy), theta.layout)
+            agg = slack_aggregate(uploads, server_weights(updates, policy), theta.layout)
             ref = slack_aggregate_list(updates, policy)
             assert agg.layout == ref.layout
             assert np.array_equal(agg.values, ref.values)
@@ -99,7 +96,7 @@ def test_scaffold_updates_match_the_list_oracles_bitwise(m):
 
 def test_matrix_calls_reject_mismatched_shapes():
     _, theta, uploads, updates = random_round(3, 0)
-    sw = slack_weights(updates, AggregationPolicy())
+    sw = server_weights(updates, AggregationPolicy())
     with pytest.raises(ShapeError):
         slack_aggregate(uploads[:2], sw, theta.layout)
     with pytest.raises(ShapeError):
@@ -129,17 +126,17 @@ def test_training_in_a_row_equals_training_in_a_fresh_array(trainer):
     cfg = LocalConfig(epochs=2, batch_size=16, trainer=trainer, fedprox_mu=0.1,
                       attack=AttackSpec(0.05, 0.0125, steps=3, random_start=True), lr=0.1)
     before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
-    fresh = train_client(shard, ds, theta, cfg, 1, 1, c_global=c_global, c_local=c_local)
+    fresh, fresh_delta = np.empty_like(theta.values), np.empty_like(theta.values)
+    fresh_loss = train_client(shard, ds, theta, cfg, 1, 1, out=fresh, c_global=c_global,
+                              c_local=c_local, delta_out=fresh_delta)
     uploads, deltas = np.full((3, theta.values.size), np.nan), np.empty((3, theta.values.size))
-    up = train_client(shard, ds, theta, cfg, 1, 1, c_global=c_global, c_local=c_local,
-                      out=uploads[1], delta_out=deltas[1])
+    loss = train_client(shard, ds, theta, cfg, 1, 1, c_global=c_global, c_local=c_local,
+                        out=uploads[1], delta_out=deltas[1])
     after = (theta.values, c_global, c_local, ds.features, ds.labels)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert np.array_equal(up.params.values, fresh.params.values)
-    assert np.array_equal(up.scaffold_delta, fresh.scaffold_delta)
-    assert up.loss == fresh.loss and up.params.layout == fresh.params.layout
-    assert np.shares_memory(up.params.values, uploads[1])
-    assert np.shares_memory(up.scaffold_delta, deltas[1])
+    assert np.array_equal(uploads[1], fresh)
+    assert np.array_equal(deltas[1], fresh_delta)
+    assert loss == fresh_loss and type(loss) is float
     assert np.isnan(uploads[[0, 2]]).all()
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedslack import cli, nn, runner
+from fedslack import aggregation, cli, nn, runner
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
@@ -128,7 +128,7 @@ def test_partial_participation_caps_khat():
                       participation=0.6, rounds=2)  # 3 participants -> k_hat 1
     art = run(cfg)
     for rep in art.reports:
-        assert len(rep.top_ids) == 1
+        assert sum(c.is_top for c in rep.clients) == 1
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -377,13 +377,76 @@ def test_cli_run_rejects_bad_alpha_schedule_before_writing(tmp_path, capsys, key
     assert f"policy.{key}" in capsys.readouterr().err
 
 
-def test_cli_run_rejects_absolute_k_hat_above_half_the_participants(tmp_path, capsys):
-    # 5 clients at participation 0.6 sample 3 per round, so k_hat 2 > 3 // 2
-    raw = config_to_dict(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 1),
-                                     participation=0.6, k_hat_absolute=True))
-    assert config_from_dict(raw).policy.k_hat == 1
-    raw["policy"]["k_hat"] = 2
+def test_cli_run_rejects_the_removed_k_hat_absolute_key(tmp_path, capsys):
+    # k_hat is capped at half the participants; the key that once forbade the
+    # cap is gone, and a config that still sets it names it and exits 2
+    raw = config_to_dict(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 2),
+                                     participation=0.6))
+    assert "k_hat_absolute" not in raw
+    raw["k_hat_absolute"] = True
     assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
-    assert "k_hat" in capsys.readouterr().err
-    raw["policy"]["mode"] = "fat"
-    assert config_from_dict(raw).k_hat_absolute
+    assert "k_hat_absolute" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+def test_cli_run_rejects_bad_trades_beta_before_writing(tmp_path, capsys, value):
+    # a NaN or negative beta used to train TRADES as standard training silently
+    raw = config_to_dict(tiny_config(local=LocalConfig(trainer="trades", batch_size=16)))
+    raw["local"]["trades_beta"] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "local.trades_beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("rounds",), 1.5), (("eval_every",), 2.5), (("local", "epochs"), 1.5),
+    (("local", "batch_size"), 2.5), (("local", "attack", "steps"), 2.5),
+    (("policy", "k_hat"), 1.5), (("policy", "anneal_rounds"), 2.5),
+    (("partition", "num_clients"), 5.0), (("rounds",), True), (("local", "epochs"), "2"),
+    (("seed",), float("nan"))])
+def test_cli_run_rejects_non_integer_counts_before_writing(tmp_path, capsys, path, value):
+    # {"rounds": 1.5} or steps 2.5 used to end in a TypeError traceback after
+    # writing a header-only metrics.csv
+    raw = config_to_dict(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 1)))
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert ".".join(path) + " must be of type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
+def test_cli_run_rejects_bad_test_fraction_before_writing(tmp_path, capsys, value):
+    # NaN or <= 0 used to shrink the test set to one sample per class silently
+    raw = config_to_dict(tiny_config())
+    raw["dataset"]["test_fraction"] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "dataset.test_fraction" in capsys.readouterr().err
+
+
+def test_test_fraction_above_one_stays_legal():
+    assert config_from_dict({"dataset": {"test_fraction": 2.0}}).dataset.test_fraction == 2.0
+
+
+def test_runner_sorts_once_per_round(monkeypatch):
+    # one sort by weighted loss per round, whichever module it is reached through
+    calls = []
+    original = aggregation.sort_by_weighted_loss
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "sort_by_weighted_loss", counted)
+    monkeypatch.setattr(aggregation, "sort_by_weighted_loss", counted)
+    run(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 1 / 6, 1), rounds=3))
+    assert len(calls) == 3
+
+
+def test_cli_run_rejects_a_partition_with_an_empty_shard_before_writing(tmp_path, capsys):
+    # client 2 of 3 owns none of the 2 classes, and a 5% share of 5 samples
+    # rounds to none: this used to fail in round 1, after metrics.csv existed
+    raw = config_to_dict(tiny_config(dataset=DatasetSpec(n_per_class=5, num_classes=2, dim=3),
+                                     partition=PartitionSpec(3, skew=5.0)))
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "client 2" in capsys.readouterr().err
