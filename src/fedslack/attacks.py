@@ -1,9 +1,12 @@
 """Inner maximization: FGSM and multi-step PGD inside the L-infinity ball.
 
-Both attacks accept a single feature vector or a batch.  PGD projects every
-iterate onto the epsilon-ball around the clean input intersected with [0,1]
-(one clip against precomputed bounds); sign(0) is 0, so zero-gradient
-coordinates stay untouched.
+Every attack accepts a single feature vector, a batch (n, d), or M clients'
+batches stacked as (M, n, d) for a stacked model (see `nn`): one call then
+attacks all of them, each step one stacked forward and backward.  A random
+start draws each client's (n, d) noise from that client's own generator.
+PGD projects every iterate onto the epsilon-ball around the clean input
+intersected with [0,1] (one clip against precomputed bounds); sign(0) is 0,
+so zero-gradient coordinates stay untouched.
 
 Labels are checked once per attack call, not at every step, and every
 step computes only the input gradient (`nn.input_backprop`): no attack
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,20 +53,43 @@ class AttackSpec:
                           clip_min=self.clip_min, clip_max=self.clip_max)
 
 
+Rng = np.random.Generator | Sequence[np.random.Generator] | None
+
+
 def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x[None, :], np.atleast_1d(np.asarray(y)), True
-    if x.ndim == 2:
+    if x.ndim in (2, 3):
         y = np.asarray(y)
-        if y.shape != (x.shape[0],):
+        if y.shape != x.shape[:-1]:
             raise ShapeError("label batch does not match input batch")
         return x, y, False
-    raise ShapeError(f"inputs must be 1-D or 2-D, got shape {x.shape}")
+    raise ShapeError(f"inputs must be 1-D, 2-D or 3-D, got shape {x.shape}")
+
+
+def _check_gradient(g: np.ndarray) -> None:
+    """DivergenceError if `g` is not finite, naming the first bad client row of (M, n, d)."""
+    finite = np.isfinite(g)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=(1, 2)))) if g.ndim == 3 else None
+        raise DivergenceError("non-finite attack gradient", row=row)
+
+
+def _uniform(rng: Rng, epsilon: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform(-epsilon, epsilon) noise: one generator draws it all; for (M, n, d),
+    a sequence of M generators draws one client's (n, d) each."""
+    if rng is None:
+        raise ValueError("random_start requires an RNG stream")
+    if isinstance(rng, np.random.Generator):
+        return rng.uniform(-epsilon, epsilon, size=shape)
+    if len(shape) != 3 or len(rng) != shape[0]:
+        raise ValueError("a stacked random start needs one RNG stream per client")
+    return np.stack([r.uniform(-epsilon, epsilon, size=shape[1:]) for r in rng])
 
 
 def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
-             spec: AttackSpec, rng: np.random.Generator | None = None) -> np.ndarray:
+             spec: AttackSpec, rng: Rng = None) -> np.ndarray:
     """PGD ascent on an arbitrary per-sample loss given its input-gradient fn.
 
     `x0` must lie in [clip_min, clip_max]; every iterate is then projected
@@ -74,16 +100,17 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
     lo = np.maximum(x0 - spec.epsilon, spec.clip_min)
     hi = np.minimum(x0 + spec.epsilon, spec.clip_max)
     if spec.random_start:
-        if rng is None:
-            raise ValueError("random_start requires an RNG stream")
-        x = np.clip(x0 + rng.uniform(-spec.epsilon, spec.epsilon, size=x0.shape), lo, hi)
+        x = np.clip(x0 + _uniform(rng, spec.epsilon, x0.shape), lo, hi)
     else:
         x = x0.copy()
     for _ in range(spec.steps):
         g = grad_fn(x)
-        if not np.isfinite(g).all():
-            raise DivergenceError("non-finite gradient during attack")
-        x = np.clip(x + spec.step_size * np.sign(g), lo, hi)
+        _check_gradient(g)
+        # x <- clip(x + step_size*sign(g)) in one buffer (an in-place sign is slower)
+        s = np.sign(g)
+        s *= spec.step_size
+        s += x
+        x = np.clip(s, lo, hi, out=s)
     return x
 
 
@@ -91,14 +118,13 @@ def fgsm(model: nn.Model, x: np.ndarray, y, spec: AttackSpec) -> np.ndarray:
     """Single sign step of size epsilon, clipped to the valid range."""
     xb, yb, single = _as_batch(x, y)
     g = nn.input_grads_ce(model, xb, nn._check_labels(yb, model.num_classes))
-    if not np.isfinite(g).all():
-        raise DivergenceError("non-finite gradient during attack")
+    _check_gradient(g)
     adv = np.clip(xb + spec.epsilon * np.sign(g), spec.clip_min, spec.clip_max)
     return adv[0] if single else adv
 
 
 def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
-        rng: np.random.Generator | None = None) -> np.ndarray:
+        rng: Rng = None) -> np.ndarray:
     """Multi-step PGD maximizing cross-entropy inside the epsilon-ball."""
     xb, yb, single = _as_batch(x, y)
     yb = nn._check_labels(yb, model.num_classes)
@@ -106,8 +132,7 @@ def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
     return adv[0] if single else adv
 
 
-def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec,
-           rng: np.random.Generator | None = None,
+def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
            log_ref: np.ndarray | None = None) -> np.ndarray:
     """PGD maximizing KL(softmax f(x_adv) || softmax f(x)) with f(x) fixed.
 
@@ -126,7 +151,7 @@ def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec,
         logits, acts = nn._forward_cache(model, z)
         q = nn.softmax(logits)
         s = np.log(np.clip(q, 1e-300, None)) - log_ref
-        kl = (q * s).sum(axis=1, keepdims=True)
+        kl = (q * s).sum(axis=-1, keepdims=True)
         dlogits = q * (s - kl)
         return nn.input_backprop(model, acts, dlogits)
 

@@ -108,6 +108,8 @@ def _cmd_eval(args) -> int:
 
 def _apply_sweep_value(config: ExperimentConfig, param: str,
                        value: float) -> ExperimentConfig:
+    if param in ("khat", "clients") and not value.is_integer():
+        raise ConfigError(f"--param {param} takes integer values, got {value:g}")
     if param == "alpha":
         return replace(config, policy=replace(config.policy, alpha=value))
     if param == "khat":
@@ -123,9 +125,10 @@ def _apply_sweep_value(config: ExperimentConfig, param: str,
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
+    # every value is checked before the first run starts
+    configs = [_apply_sweep_value(base, args.param, value) for value in args.values]
     results = []
-    for value in args.values:
-        config = _apply_sweep_value(base, args.param, value)
+    for value, config in zip(args.values, configs):
         out = None
         if args.out:
             out = str(Path(args.out) / f"{args.param}_{value:g}")

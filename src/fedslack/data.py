@@ -69,9 +69,13 @@ class PartitionSpec:
             raise PartitionError("need at least 2 clients")
         if isinstance(self.mode, str):
             self.mode = PartitionMode(self.mode.lower())
+        # `not x >= 0` rather than `x < 0`, so that NaN is rejected too.
+        if not self.skew >= 0:
+            raise PartitionError(f"partition.skew must be a non-negative percent, "
+                                 f"got {self.skew}")
         if self.mode is PartitionMode.NONIID:
             majority = 100.0 - (self.num_clients - 1) * self.skew
-            if self.skew < 0 or majority <= self.skew:
+            if majority <= self.skew:
                 raise PartitionError(
                     f"skew {self.skew} leaves majority share {majority}% <= minority share")
 

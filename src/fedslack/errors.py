@@ -26,7 +26,15 @@ class AggregationError(FedslackError):
 
 
 class DivergenceError(FedslackError):
-    """Non-finite values encountered during training."""
+    """Non-finite values encountered during training.
+
+    `row` is the index, along a stacked client axis, of the first client
+    whose values are non-finite (None when the arrays had no client axis).
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(FedslackError):

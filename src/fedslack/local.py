@@ -1,4 +1,4 @@
-"""Per-client local training for one communication round.
+"""Local training for one communication round, one cohort of clients at a time.
 
 A client downloads the global parameters, runs E epochs of minibatch SGD on
 adversarial examples (or TRADES / standard batches), and reports its updated
@@ -6,14 +6,26 @@ parameters together with the mean loss over the final local epoch.  Optional
 proximal and control-variate corrections hook into the gradient before the
 SGD step.
 
-Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
-arrays in the order of `model.params.values`; they are all derived from one
-model inside `train_client`, so only the downloaded and uploaded parameters
-carry a layout.
+Given the global parameters the clients are independent, so they train in
+cohorts: a cohort is a run of consecutive upload rows whose shards have the
+same size n, and so share one batch schedule.  `train_client` stacks the
+cohort's M models along a leading client axis (see `nn`): each forward,
+backward and attack step is one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
+layer, and each SGD, FedProx or SCAFFOLD update one elementwise op over the
+cohort's rows.  Every client still draws its batch order and attack noise
+from its own streams and computes exactly what it would alone, so a cohort
+of one is the per-client case.  `cohorts` caps a cohort at COHORT_BYTES of
+parameters: beyond that the stacked activations and gradients fall out of
+cache and cost more than the numpy calls stacking saves.
 
-The caller hands each participant its row of the round's upload matrix (and,
+Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
+arrays in the order of `model.params.values`, one row per client; they are
+all derived from one model inside `train_client`, so only the downloaded and
+uploaded parameters carry a layout.
+
+The caller hands each cohort its rows of the round's upload matrix (and,
 under SCAFFOLD, of its delta matrix) to train and write in; `train_client`
-returns only the mean loss.
+returns only the clients' mean losses.
 """
 
 from __future__ import annotations
@@ -25,10 +37,14 @@ from enum import Enum
 import numpy as np
 
 from . import nn
-from .attacks import AttackSpec, pgd, pgd_kl
+from .attacks import AttackSpec, Rng, pgd, pgd_kl
 from .data import ClientShard, Dataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .streams import stream
+
+
+# Largest parameter slice, in bytes, that one cohort stacks (8*P per client).
+COHORT_BYTES = 1 << 20
 
 
 class Trainer(Enum):
@@ -105,71 +121,125 @@ def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
     return out
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+@dataclass(eq=False)
+class Cohort:
+    """Clients trained together: their ids, in upload-row order, and the (M, n)
+    array of their shards' sample indices (row i is client_ids[i]'s shard)."""
+
+    client_ids: tuple[int, ...]
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, shards: list[ClientShard]) -> "Cohort":
+        return cls(tuple(s.client_id for s in shards), np.array([s.indices for s in shards]))
+
+    def __len__(self) -> int:
+        return len(self.client_ids)
+
+    @property
+    def n_samples(self) -> int:
+        """Samples of all the cohort's clients together."""
+        return self.indices.size
 
 
-def train_client(shard: ClientShard, dataset: Dataset, theta_global: nn.ParamVector,
+def cohorts(shards: list[ClientShard], n_params: int) -> list[Cohort]:
+    """The shards, in upload-row order, cut into maximal runs of consecutive
+    equal-size shards of at most max(1, COHORT_BYTES // (8*n_params)) each."""
+    cap = max(1, COHORT_BYTES // (8 * n_params))
+    groups: list[list[ClientShard]] = []
+    for shard in shards:
+        if groups and len(groups[-1]) < cap and shard.n_samples == groups[-1][0].n_samples:
+            groups[-1].append(shard)
+        else:
+            groups.append([shard])
+    return [Cohort.of(g) for g in groups]
+
+
+def _attack_draws(config: LocalConfig) -> bool:
+    """Whether a batch's attack reads its random stream: PGD (AT) or PGD-KL
+    (TRADES) with a random start, the same branches as `_batch_objective`."""
+    attack = config.attack
+    if not (attack.random_start and attack.epsilon > 0.0):
+        return False
+    return (config.trainer is Trainer.AT
+            or (config.trainer is Trainer.TRADES and config.trades_beta > 0.0))
+
+
+def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
                  config: LocalConfig, master_seed: int, round_idx: int = 0, *,
                  out: np.ndarray, c_global: np.ndarray | None = None,
                  c_local: np.ndarray | None = None,
-                 delta_out: np.ndarray | None = None) -> float:
-    """One client's E local epochs of SGD in `out`; returns the last epoch's mean loss.
+                 delta_out: np.ndarray | None = None) -> list[float]:
+    """The cohort's E local epochs of SGD in `out`, (M, P), one row per client;
+    returns each client's mean loss over its last epoch.
 
-    SCAFFOLD runs iff the variates are given, and writes the variate change
-    c_new - c_local into `delta_out`.  Neither the inputs nor the variates
-    are modified.
+    SCAFFOLD runs iff the variates are given (c_global (P,), c_local (M, P)),
+    and writes each variate change c_new - c_local into its row of
+    `delta_out` (M, P).  Neither the inputs nor the variates are modified.
+    A non-finite loss, attack gradient or result raises DivergenceError
+    naming the round, the client, the epoch and the batch (both from 0).
+    A cohort of one trains in out[0] with plain 2-D batches: the same engine
+    calls without the client axis, which fleets of one-client cohorts would
+    otherwise pay for in per-call overhead.
     """
-    if shard.n_samples == 0:
-        raise ValueError(f"client {shard.client_id} has an empty shard")
+    ids = cohort.client_ids
+    n = cohort.indices.shape[1]
+    if n == 0:
+        raise ValueError(f"client {ids[0]} has an empty shard")
+    if np.shape(out)[:1] != (len(ids),):
+        raise ShapeError(f"out has shape {np.shape(out)}, the cohort needs {len(ids)} rows")
     scaffold = c_global is not None
     if scaffold != (c_local is not None) or scaffold != (delta_out is not None):
         raise ValueError("SCAFFOLD needs c_global, c_local and delta_out")
-    model = nn.Model.from_vector(theta_global, out=out)
+    pick = 0 if len(ids) == 1 else slice(None)    # drops or keeps the client axis
+    model = nn.Model.from_vector(theta_global, out=out[pick])
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
+    draws = _attack_draws(config)
 
-    X = dataset.features[shard.indices]
-    y = dataset.labels[shard.indices]
+    def diverged(what: str, row: int | None, epoch: int, b: int) -> DivergenceError:
+        return DivergenceError(f"round {round_idx}, client {ids[row or 0]}, epoch {epoch}, "
+                               f"batch {b}: non-finite {what}")
+
     n_steps = 0
-    final_losses: list[tuple[float, int]] = []
     for epoch in range(config.epochs):
-        batch_rng = stream(master_seed, "batch-order", round_idx, shard.client_id, epoch)
-        losses: list[tuple[float, int]] = []
-        for b, idx in enumerate(_batches(len(y), config.batch_size, batch_rng)):
-            xb, yb = X[idx], y[idx]
-            attack_rng = stream(master_seed, "attack", round_idx, shard.client_id,
-                                epoch * 100000 + b)
-            loss, grads = _batch_objective(model, xb, yb, config, attack_rng)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"client {shard.client_id} diverged at round {round_idx}")
+        # each client's shard in its own batch order for this epoch
+        order = np.array([shard[stream(master_seed, "batch-order", round_idx, cid,
+                                       epoch).permutation(n)]
+                          for cid, shard in zip(ids, cohort.indices)])[pick]
+        loss_sum = 0.0
+        for b, start in enumerate(range(0, n, config.batch_size)):
+            idx = order[..., start:start + config.batch_size]
+            rng = ([stream(master_seed, "attack", round_idx, cid, epoch * 100000 + b)
+                    for cid in ids][pick] if draws else None)
+            try:
+                loss, grads = _batch_objective(model, dataset.features[idx],
+                                               dataset.labels[idx], config, rng)
+            except DivergenceError as exc:
+                raise diverged("attack gradient", exc.row, epoch, b) from exc
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise diverged("loss", int(np.argmin(finite)), epoch, b)
             if config.fedprox_mu > 0.0:
                 apply_fedprox(grads, model.params.values, theta_global.values,
                               config.fedprox_mu)
             if scaffold:
-                apply_scaffold(grads, c_global, c_local)
+                apply_scaffold(grads, c_global, c_local[pick])
             nn.sgd_step(model, grads, state)
             n_steps += 1
-            losses.append((loss, len(idx)))
-        final_losses = losses
+            loss_sum = loss_sum + loss * idx.shape[-1]
 
-    total = sum(n for _, n in final_losses)
-    mean_loss = sum(l * n for l, n in final_losses) / total
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"client {shard.client_id} produced non-finite parameters")
-
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise diverged("parameters", int(np.argmin(finite)), epoch, b)
     if scaffold:
         update_scaffold_client(theta_global.values, out, n_steps, config.lr, c_local,
                                c_global, out=delta_out)
         delta_out -= c_local
-    return float(mean_loss)
+    return np.reshape(loss_sum / n, -1).tolist()
 
 
 def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
-                     config: LocalConfig,
-                     rng: np.random.Generator) -> tuple[float, np.ndarray]:
+                     config: LocalConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     if config.trainer is Trainer.TRADES and config.trades_beta > 0.0:
         return _trades_objective(model, xb, yb, config, rng)
     if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
@@ -178,11 +248,10 @@ def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
 
 
 def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
-                      config: LocalConfig,
-                      rng: np.random.Generator) -> tuple[float, np.ndarray]:
+                      config: LocalConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x))."""
     beta = config.trades_beta
-    n = len(yb)
+    n = yb.shape[-1]
     logits_nat, acts_nat = nn._forward_cache(model, xb)
     p = nn.softmax(logits_nat)
     log_p = np.log(np.clip(p, 1e-300, None))
@@ -190,15 +259,15 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
     logits_adv, acts_adv = nn._forward_cache(model, x_adv)
     q = nn.softmax(logits_adv)
     s = np.log(np.clip(q, 1e-300, None)) - log_p
-    kl = (q * s).sum(axis=1)
+    kl = (q * s).sum(axis=-1)
     ce = nn.cross_entropy(logits_nat, yb)
-    loss = float(ce.mean() + beta * kl.mean())
+    loss = ce.mean(axis=-1) + beta * kl.mean(axis=-1)
 
     dl_nat = p.copy()
-    dl_nat[np.arange(n), yb] -= 1.0
+    dl_nat[nn._at_labels(yb)] -= 1.0
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
-    dl_adv = beta * q * (s - kl[:, None]) / n
+    dl_adv = beta * q * (s - kl[..., None]) / n
     grads = nn.backprop(model, acts_nat, dl_nat)
     grads += nn.backprop(model, acts_adv, dl_adv)
     return loss, grads

@@ -8,6 +8,16 @@ optimizer updates the buffer in place, `to_vector` copies it and
 `load_vector` overwrites it, so there is one copy of the parameters and no
 conversion between per-layer arrays and the flat vector.
 
+A model may also stack M clients' models along a leading client axis: its
+buffer is then (M, P), one row per client (a slice of the round's upload
+matrix), `weights[i]` is (M, fan_in, fan_out) and `biases[i]` (M, fan_out).
+Every function below takes the same leading axis on its batches, labels and
+gradients ((M, n, d), (M, n), (M, P)) and computes each client's slice
+exactly as it would alone: one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
+layer runs the same BLAS call per slice, and every reduction runs over the
+sample or class axis of one client only.  The layout always describes one
+row.
+
 Gradients and the SGD velocity are plain float64 arrays in the order of
 `model.params.values`; only the model's parameters carry a layout.
 
@@ -44,22 +54,25 @@ class ParamVector:
     layout: Layout
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        values = np.asarray(self.values, dtype=np.float64)
+        # (M, P) is one row per stacked client; anything else is one flat vector.
+        self.values = values if values.ndim == 2 else values.ravel()
         expected = sum(int(np.prod(shape)) for _, shape in self.layout)
-        if self.values.size != expected:
+        if self.values.shape[-1] != expected:
             raise ShapeError(
-                f"param vector has {self.values.size} values, layout needs {expected}")
+                f"param vector has {self.values.shape[-1]} values, layout needs {expected}")
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
 
 def _split(values: np.ndarray, layout: Layout) -> list[np.ndarray]:
-    """One reshaped view into the flat array `values` per layout entry."""
+    """One reshaped view into `values` (P,) or (M, P) per layout entry."""
     views, off = [], 0
+    lead = values.shape[:-1]
     for _, shape in layout:
         n = math.prod(shape)
-        views.append(values[off:off + n].reshape(shape))
+        views.append(values[..., off:off + n].reshape(lead + shape))
         off += n
     return views
 
@@ -69,8 +82,10 @@ class Model:
 
     `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
     `params.values`; the constructor copies the given arrays into it.  That
-    buffer is `out` when given (a contiguous 1-D float64 array of the right
-    size, such as one row of an upload matrix), else a fresh array.
+    buffer is `out` when given (a contiguous float64 array of the right
+    size, such as one row of an upload matrix), else a fresh array.  An
+    (M, P) `out`, such as M consecutive rows of an upload matrix, gets the
+    arrays in every row and makes a stacked model of M clients (see above).
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
@@ -83,12 +98,15 @@ class Model:
         layout = tuple(entry for i, (ws, bs) in enumerate(shapes)
                        for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
         size = sum(math.prod(shape) for _, shape in layout)
-        if out is not None and (out.dtype != np.float64 or out.shape != (size,)
-                                or not out.flags.c_contiguous):
-            raise ShapeError(f"out must be a contiguous float64 array of shape ({size},)")
-        self.params = ParamVector(
-            np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
-                           out=out), layout)
+        if out is not None and (out.dtype != np.float64 or out.shape[-1:] != (size,)
+                                or out.ndim > 2 or not out.flags.c_contiguous):
+            raise ShapeError(f"out must be a contiguous float64 array of shape "
+                             f"({size},) or (M, {size})")
+        first = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
+                               out=out if out is None or out.ndim == 1 else out[0])
+        if out is not None and out.ndim == 2:
+            out[1:] = first
+        self.params = ParamVector(first if out is None else out, layout)
         views = _split(self.params.values, layout)
         self.weights, self.biases = views[0::2], views[1::2]
 
@@ -116,11 +134,11 @@ class Model:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @property
     def layout(self) -> Layout:
@@ -143,15 +161,22 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x[None, :])[0]
 
 
-def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch, shape (n, C)."""
+def _check_batch(model: Model, X: np.ndarray) -> np.ndarray:
+    """`X` as float64, shaped (n, input_dim), or (M, n, input_dim) for a stacked model."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ShapeError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    h = X
+    lead = model.weights[0].shape[:-2]
+    if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != model.input_dim:
+        rows = "".join(f"{m}, " for m in lead)
+        raise ShapeError(f"batch has shape {X.shape}, expected ({rows}n, {model.input_dim})")
+    return X
+
+
+def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
+    """Logits for a batch, shape (n, C), or (M, n, C) for a stacked model."""
+    h = _check_batch(model, X)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w + b[..., None, :]
         if i != last:
             h = np.maximum(h, 0.0)
     return h
@@ -163,7 +188,7 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
     h = X
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w + b[..., None, :]
         if i != last:
             h = np.maximum(h, 0.0)
         acts.append(h)
@@ -173,44 +198,53 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
 def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
     """Backpropagate d(loss)/d(logits) through the cached forward pass.
 
-    Returns the flat parameter gradient, summed over the batch, in
-    `model.params` order; the layer-0 `delta @ W.T` is never computed.
+    Returns the flat parameter gradient, summed over each client's batch, in
+    `model.params` order ((P,), or (M, P) for a stacked model); the layer-0
+    `delta @ W.T` is never computed.
     """
     grads = np.empty_like(model.params.values)
     views = _split(grads, model.layout)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=views[2 * i])
-        delta.sum(axis=0, out=views[2 * i + 1])
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=views[2 * i])
+        delta.sum(axis=-2, out=views[2 * i + 1])
         if i > 0:
-            delta = delta @ model.weights[i].T
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta *= acts[i] > 0.0
     return grads
 
 
 def input_backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
-    """Per-sample input gradients (n, input_dim) alone: `backprop`'s
+    """Per-sample input gradients, shaped like `acts[0]`, alone: `backprop`'s
     `delta @ W.T` / ReLU-mask chain, in the same order, with no parameter
     gradients."""
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        delta = delta @ model.weights[i].T
+        delta = delta @ model.weights[i].swapaxes(-1, -2)
         if i > 0:
             delta *= acts[i] > 0.0
     return delta
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _at_labels(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index of each sample's label logit in logits of shape y.shape + (C,)."""
+    if y.ndim == 1:
+        return np.arange(len(y)), y
+    return np.arange(len(y))[:, None], np.arange(y.shape[1]), y
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample softmax cross-entropy; logits (n, C), y (n,)."""
+    """Per-sample softmax cross-entropy; logits (n, C), y (n,), or (M, n, C), (M, n)."""
     z = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
-    return lse - z[np.arange(len(y)), y]
+    return lse - z[_at_labels(y)]
 
 
 def _check_labels(y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -231,19 +265,18 @@ def loss_and_grads(model: Model, x: np.ndarray,
 
 
 def batch_loss_and_grads(model: Model, X: np.ndarray,
-                         y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and the mean parameter gradients."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ShapeError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
+                         y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy over a batch and the mean parameter gradients.
+
+    For a stacked model both are per client: losses (M,) and gradients (M, P).
+    """
+    X = _check_batch(model, X)
     y = _check_labels(y, model.num_classes)
-    n = X.shape[0]
     logits, acts = _forward_cache(model, X)
-    p = softmax(logits)
-    loss = float(cross_entropy(logits, y).mean())
-    dlogits = p.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
+    loss = cross_entropy(logits, y).mean(axis=-1)
+    dlogits = softmax(logits)
+    dlogits[_at_labels(y)] -= 1.0
+    dlogits /= X.shape[-2]
     return loss, backprop(model, acts, dlogits)
 
 
@@ -253,10 +286,9 @@ def input_grads_ce(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     `y` must already be checked by `_check_labels`; the attacks check their
     labels once per call, not once per step.
     """
-    X = np.asarray(X, dtype=np.float64)
-    logits, acts = _forward_cache(model, X)
+    logits, acts = _forward_cache(model, np.asarray(X, dtype=np.float64))
     dlogits = softmax(logits)
-    dlogits[np.arange(X.shape[0]), y] -= 1.0
+    dlogits[_at_labels(y)] -= 1.0
     return input_backprop(model, acts, dlogits)
 
 
@@ -282,7 +314,8 @@ def sgd_step(model: Model, grads: np.ndarray, state: SgdState) -> Model:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
     Updates `state.velocity` and `model.params` in place, in that order of
-    association, so the rounding equals the out-of-place formula.
+    association, so the rounding equals the out-of-place formula.  For a
+    stacked model each op runs once over all the clients' rows.
     """
     theta = model.params.values
     if np.shape(grads) != theta.shape:

@@ -11,8 +11,11 @@ i (in client-id order) trains in row i of the (m, P) float64 upload matrix,
 and row i of the round's (m,) arrays `n_k` and `losses` holds its sample count
 and mean loss; under SCAFFOLD it writes its variate change into row i of an (m, P)
 delta matrix, and the control variates are a (K, P) matrix indexed by client
-id.  The server step sorts the rows once by weighted loss n_k/N*loss and
-reads these arrays in place: nothing is stacked or kept per client.
+id.  The participants train in cohorts (see `local`): runs of consecutive
+rows with equal shard sizes, each trained by one `train_client` call in its
+block of rows.  The server step sorts the rows once by weighted loss
+n_k/N*loss and reads these arrays in place: nothing is stacked or kept per
+client.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .aggregation import (AggregationPolicy, scaffold_server_update,
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError, PartitionError
-from .local import LocalConfig, train_client
+from .local import LocalConfig, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
 from .streams import stream
@@ -95,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0 (0: no eval), got {self.eval_every}")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
@@ -259,6 +264,11 @@ def report_rows(rep: RoundReport) -> list[list[str]]:
     return rows
 
 
+def _rows(ids: tuple[int, ...]) -> slice | list[int]:
+    """Index of the ascending ids' rows: a slice (a view, no copy) when they are consecutive."""
+    return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else list(ids)
+
+
 def run(config: ExperimentConfig) -> RunArtifact:
     """Execute the full communication loop and return the artifact."""
     train_set, test_set = build_datasets(config)
@@ -298,16 +308,16 @@ def run(config: ExperimentConfig) -> RunArtifact:
             alpha = policy.alpha_at(t)
             participants = sample_participants(K, config.participation, t, config.seed)
             n_k = sizes[participants]
-            for i, cid in enumerate(participants):
-                kwargs = {"out": uploads[i]}
+            a = 0
+            for cohort in cohorts([shards[cid] for cid in participants], theta.values.size):
+                b = a + len(cohort)
+                kwargs = {"out": uploads[a:b]}
                 if use_scaffold:
-                    kwargs.update(c_global=c_global, c_local=c_locals[cid],
-                                  delta_out=deltas[i])
-                try:
-                    losses[i] = train_client(shards[cid], train_set, theta, local_cfg,
-                                             config.seed, t, **kwargs)
-                except DivergenceError as exc:
-                    raise DivergenceError(f"round {t}: {exc}") from exc
+                    kwargs.update(c_global=c_global, delta_out=deltas[a:b],
+                                  c_local=c_locals[_rows(cohort.client_ids)])
+                losses[a:b] = train_client(cohort, train_set, theta, local_cfg,
+                                           config.seed, t, **kwargs)
+                a = b
 
             wl = n_k / len(train_set) * losses
             order = sort_by_weighted_loss(wl, participants)

@@ -8,7 +8,7 @@ from fedslack import nn
 from fedslack.aggregation import AggregationPolicy
 from fedslack.attacks import AttackSpec, pgd
 from fedslack.data import ClientShard, Dataset, PartitionSpec
-from fedslack.local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold,
+from fedslack.local import (Cohort, LocalConfig, Trainer, apply_fedprox, apply_scaffold,
                             train_client, update_scaffold_client)
 from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
@@ -33,9 +33,12 @@ def global_theta(seed=0, dims=(3, 4, 2)):
 
 
 def train(shard, ds, theta, cfg, **kwargs):
-    """`train_client` in a fresh upload row: (uploaded parameters, mean loss)."""
-    out = np.empty_like(theta.values)
-    return out, train_client(shard, ds, theta, cfg, out=out, **kwargs)
+    """`train_client` on a cohort of one in a fresh upload row: (uploaded
+    parameters, mean loss); per-client variates become that cohort's row."""
+    out = np.empty((1, theta.values.size))
+    rows = {k: v[None] for k, v in kwargs.items() if k in ("c_local", "delta_out")}
+    (loss,) = train_client(Cohort.of([shard]), ds, theta, cfg, out=out, **{**kwargs, **rows})
+    return out[0], loss
 
 
 def test_fedprox_mu_zero_noop():
@@ -95,9 +98,8 @@ def test_scaffold_mean_identity_two_client_toy():
     c_g = np.zeros_like(theta.values)
     c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
     uploads, deltas = np.empty((2, theta.values.size)), np.empty((2, theta.values.size))
-    for i, (s, c) in enumerate(zip(shards, c_ls)):
-        train_client(s, ds, theta, cfg, master_seed=1, round_idx=1, out=uploads[i],
-                     c_global=c_g, c_local=c, delta_out=deltas[i])
+    train_client(Cohort.of(shards), ds, theta, cfg, master_seed=1, round_idx=1, out=uploads,
+                 c_global=c_g, c_local=np.stack(c_ls), delta_out=deltas)
     mean_delta = np.mean(list(deltas), axis=0)
     from fedslack.aggregation import scaffold_server_update
     c_g2 = scaffold_server_update(c_g, deltas, 2, 2)
@@ -295,7 +297,7 @@ def test_backprop_runs_only_for_the_training_gradient(monkeypatch, trainer, per_
     original = nn.backprop
 
     def counted(*args, **kwargs):
-        calls.append(args[2].shape[0])
+        calls.append(args[2].shape[-2])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nn, "backprop", counted)

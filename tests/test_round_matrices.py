@@ -12,7 +12,7 @@ from fedslack.aggregation import (AggregationMode, AggregationPolicy, scaffold_s
 from fedslack.attacks import AttackSpec
 from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.errors import ShapeError
-from fedslack.local import LocalConfig, Trainer, train_client, update_scaffold_client
+from fedslack.local import Cohort, LocalConfig, Trainer, train_client, update_scaffold_client
 from fedslack.metrics import client_drift, gradient_variance
 from fedslack.runner import DatasetSpec, ExperimentConfig, run
 from fedslack.streams import stream
@@ -126,16 +126,17 @@ def test_training_in_a_row_equals_training_in_a_fresh_array(trainer):
     cfg = LocalConfig(epochs=2, batch_size=16, trainer=trainer, fedprox_mu=0.1,
                       attack=AttackSpec(0.05, 0.0125, steps=3, random_start=True), lr=0.1)
     before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
-    fresh, fresh_delta = np.empty_like(theta.values), np.empty_like(theta.values)
-    fresh_loss = train_client(shard, ds, theta, cfg, 1, 1, out=fresh, c_global=c_global,
-                              c_local=c_local, delta_out=fresh_delta)
+    cohort = Cohort.of([shard])
+    fresh, fresh_delta = np.empty((1, theta.values.size)), np.empty((1, theta.values.size))
+    (fresh_loss,) = train_client(cohort, ds, theta, cfg, 1, 1, out=fresh, c_global=c_global,
+                                 c_local=c_local[None], delta_out=fresh_delta)
     uploads, deltas = np.full((3, theta.values.size), np.nan), np.empty((3, theta.values.size))
-    loss = train_client(shard, ds, theta, cfg, 1, 1, c_global=c_global, c_local=c_local,
-                        out=uploads[1], delta_out=deltas[1])
+    (loss,) = train_client(cohort, ds, theta, cfg, 1, 1, c_global=c_global,
+                           c_local=c_local[None], out=uploads[1:2], delta_out=deltas[1:2])
     after = (theta.values, c_global, c_local, ds.features, ds.labels)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert np.array_equal(uploads[1], fresh)
-    assert np.array_equal(deltas[1], fresh_delta)
+    assert np.array_equal(uploads[1], fresh[0])
+    assert np.array_equal(deltas[1], fresh_delta[0])
     assert loss == fresh_loss and type(loss) is float
     assert np.isnan(uploads[[0, 2]]).all()
 

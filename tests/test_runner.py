@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -450,3 +451,42 @@ def test_cli_run_rejects_a_partition_with_an_empty_shard_before_writing(tmp_path
                                      partition=PartitionSpec(3, skew=5.0)))
     assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
     assert "client 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, value", [("clients", "4.7"), ("khat", "1.9"),
+                                          ("clients", "nan")])
+def test_cli_sweep_rejects_non_integer_counts_before_any_run(tmp_path, capsys, param, value):
+    # int() used to truncate 4.7 to 4 and label the run "clients=4.7"
+    path = write_config(tmp_path, rounds=1, eval_every=0)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--param", param,
+                     "--values", "2", value, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"--param {param}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_negative_eval_every_before_writing(tmp_path, capsys):
+    raw = config_to_dict(tiny_config())
+    raw["eval_every"] = -1
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "eval_every" in capsys.readouterr().err
+    assert run_cli_on(tmp_path, config_to_dict(tiny_config(rounds=1, eval_every=0))) == (0, True)
+
+
+@pytest.mark.parametrize("sample_counts", [None, [40, 40, 40, 40, 40]])
+def test_cli_run_rejects_nan_skew_before_writing(tmp_path, capsys, sample_counts):
+    raw = config_to_dict(tiny_config())
+    raw["partition"].update(skew=float("nan"), sample_counts=sample_counts)
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "partition.skew" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("trainer, what", [("standard", "loss"), ("at", "attack gradient")])
+def test_cli_run_divergence_names_round_client_epoch_batch(tmp_path, capsys, trainer, what):
+    # a huge learning rate blows up the first step; the second batch diverges
+    raw = config_to_dict(tiny_config())
+    raw["local"].update(lr=1e300, trainer=trainer)
+    assert run_cli_on(tmp_path, raw)[0] == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert re.search(rf"round 1, client \d+, epoch 0, batch 1: non-finite {what}", err), err
