@@ -2,9 +2,8 @@
 aggregation, drift diagnostics, and a minimal dense-network engine."""
 
 from .aggregation import (AggregationMode, AggregationPolicy, AlphaSchedule,
-                          SlackWeights, alpha_slack_loss, scaffold_server_update,
-                          slack_aggregate, slack_weights, sort_by_weighted_loss,
-                          update_client_variates)
+                          alpha_slack_loss, scaffold_server_update, slack_aggregate,
+                          slack_weights, sort_by_weighted_loss, update_client_variates)
 from .attacks import AttackSpec, fgsm, pgd
 from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
@@ -12,8 +11,7 @@ from .local import (LocalConfig, Trainer, apply_fedprox,
                     apply_scaffold, train_client, update_scaffold_client)
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, trace_topk, xi_count)
-from .nn import (Model, ParamVector, SgdState, forward, load_checkpoint,
-                 loss_and_grads, save_checkpoint, sgd_step)
+from .nn import Model, ParamVector, SgdState, load_checkpoint, save_checkpoint, sgd_step
 from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunArtifact,
                      build_shards, load_config, load_metrics, participants_per_round,
                      run, sample_participants)

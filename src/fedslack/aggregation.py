@@ -7,9 +7,10 @@ top clients by r = (1+alpha)/(1-alpha) and renormalizes over samples, so
 the final weights are a convex combination and the top-vs-rest per-sample
 ratio is exactly r.
 
-The server step reads a round's arrays, row i being participant i: the (m, P)
-uploads and the (m,) sample counts and weighted losses, whose one sort per
-round `slack_weights` takes as given.
+The server step takes and returns plain arrays, row i being participant i:
+it reads the (m, P) uploads and the (m,) sample counts and weighted losses,
+whose one sort per round `slack_weights` takes as given, and returns the
+(m,) weights, the (m,) boolean top-set mask and the (P,) aggregate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import AggregationError, ShapeError
-from .nn import Layout, ParamVector
 
 
 class AggregationMode(Enum):
@@ -74,14 +74,6 @@ class AggregationPolicy:
         return max(1, min(self.k_hat, participants // 2))
 
 
-@dataclass
-class SlackWeights:
-    """Final simplex weights, one per upload row, plus the selected top set."""
-
-    weights: np.ndarray
-    top_ids: list[int]
-
-
 def sort_by_weighted_loss(weighted_losses: np.ndarray, client_ids: list[int]) -> list[int]:
     """Row indices ascending by weighted loss (N_k/N)*L_k; ties by client id."""
     bad = ~np.isfinite(weighted_losses)
@@ -91,14 +83,15 @@ def sort_by_weighted_loss(weighted_losses: np.ndarray, client_ids: list[int]) ->
     return np.lexsort((client_ids, weighted_losses)).tolist()
 
 
-def slack_weights(n_k: np.ndarray, order: list[int], client_ids: list[int],
-                  policy: AggregationPolicy, alpha: float) -> SlackWeights:
-    """Per-row aggregation weights for the given policy.
+def slack_weights(n_k: np.ndarray, order: list[int], policy: AggregationPolicy,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row aggregation weights for the given policy, and the top-set mask.
 
     `order` is `sort_by_weighted_loss`'s row order.  Top rows (its first
     k_hat for SFAT, its last k_hat for RE_SFAT) get unnormalized per-sample
     weight r = (1+alpha)/(1-alpha), every other row 1; the final weights are
-    p*N_k normalized over rows.
+    p*N_k normalized over rows.  Both returned arrays are (m,), aligned row
+    for row with `n_k`; the mask is all False when no row is upweighted.
     """
     if not 0.0 <= alpha < 1.0:
         raise AggregationError(f"alpha must lie in [0, 1), got {alpha}")
@@ -109,25 +102,26 @@ def slack_weights(n_k: np.ndarray, order: list[int], client_ids: list[int],
 
     n = np.asarray(n_k, dtype=np.float64)
     k_hat = policy.k_hat
+    is_top = np.zeros(m, dtype=bool)
     if policy.mode is AggregationMode.FAT or alpha == 0.0 or k_hat == 0:
-        return SlackWeights(n / n.sum(), [])
-    top = order[-k_hat:] if policy.mode is AggregationMode.RE_SFAT else order[:k_hat]
+        return n / n.sum(), is_top
+    is_top[order[-k_hat:] if policy.mode is AggregationMode.RE_SFAT else order[:k_hat]] = True
     p = np.ones(m)
-    p[top] = (1.0 + alpha) / (1.0 - alpha)
+    p[is_top] = (1.0 + alpha) / (1.0 - alpha)
     w = p * n
-    return SlackWeights(w / w.sum(), [client_ids[i] for i in top])
+    return w / w.sum(), is_top
 
 
-def slack_aggregate(uploads: np.ndarray, sw: SlackWeights, layout: Layout) -> ParamVector:
-    """Convex combination `sw.weights @ uploads` of the (m, P) upload matrix.
+def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Convex combination `weights @ uploads` of the (m, P) upload matrix, (P,).
 
-    Row i of `uploads` is the parameters of the update that `sw.weights[i]`
+    Row i of `uploads` is the parameters of the update that `weights[i]`
     weighs; under FAT (or alpha 0) this is the sample-weighted mean.
     """
-    if np.ndim(uploads) != 2 or len(uploads) != len(sw.weights):
+    if np.ndim(uploads) != 2 or len(uploads) != len(weights):
         raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
-                         f"{len(sw.weights)} weights")
-    return ParamVector(sw.weights @ uploads, layout)
+                         f"{len(weights)} weights")
+    return weights @ uploads
 
 
 def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:

@@ -1,12 +1,13 @@
 """Inner maximization: FGSM and multi-step PGD inside the L-infinity ball.
 
-Every attack accepts a single feature vector, a batch (n, d), or M clients'
-batches stacked as (M, n, d) for a stacked model (see `nn`): one call then
-attacks all of them, each step one stacked forward and backward.  A random
-start draws each client's (n, d) noise from that client's own generator.
-PGD projects every iterate onto the epsilon-ball around the clean input
-intersected with [0,1] (one clip against precomputed bounds); sign(0) is 0,
-so zero-gradient coordinates stay untouched.
+Every attack takes a batch (n, d), or M clients' batches stacked as
+(M, n, d) for a stacked model (see `nn`): one call then attacks all of them,
+each step one stacked forward and backward.  A random start draws each
+client's (n, d) noise from that client's own generator.  Inputs must lie in
+[0, 1], the range every `Dataset` guarantees; PGD projects every iterate
+onto the epsilon-ball around the clean input intersected with [0, 1] (one
+clip against precomputed bounds); sign(0) is 0, so zero-gradient
+coordinates stay untouched.
 
 Labels are checked once per attack call, not at every step, and every
 step computes only the input gradient (`nn.input_backprop`): no attack
@@ -33,8 +34,6 @@ class AttackSpec:
     step_size: float
     steps: int = 1
     random_start: bool = False
-    clip_min: float = 0.0
-    clip_max: float = 1.0
 
     def __post_init__(self):
         # `not (finite and x >= 0)` rather than `x < 0`, so NaN and inf are rejected too.
@@ -49,23 +48,19 @@ class AttackSpec:
 
     def evaluation(self, steps: int = 20) -> "AttackSpec":
         """Same ball and step size, fixed step count, no random start."""
-        return AttackSpec(self.epsilon, self.step_size, steps, random_start=False,
-                          clip_min=self.clip_min, clip_max=self.clip_max)
+        return AttackSpec(self.epsilon, self.step_size, steps, random_start=False)
 
 
 Rng = np.random.Generator | Sequence[np.random.Generator] | None
 
 
-def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], np.atleast_1d(np.asarray(y)), True
-    if x.ndim in (2, 3):
-        y = np.asarray(y)
-        if y.shape != x.shape[:-1]:
-            raise ShapeError("label batch does not match input batch")
-        return x, y, False
-    raise ShapeError(f"inputs must be 1-D, 2-D or 3-D, got shape {x.shape}")
+def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"inputs must be 2-D or 3-D, got shape {x.shape}")
+    if y.shape != x.shape[:-1]:
+        raise ShapeError("label batch does not match input batch")
+    return x, y
 
 
 def _check_gradient(g: np.ndarray) -> None:
@@ -92,13 +87,13 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
              spec: AttackSpec, rng: Rng = None) -> np.ndarray:
     """PGD ascent on an arbitrary per-sample loss given its input-gradient fn.
 
-    `x0` must lie in [clip_min, clip_max]; every iterate is then projected
-    onto the box lo..hi, the epsilon-ball intersected with the valid range.
+    `x0` must lie in [0, 1]; every iterate is then projected onto the box
+    lo..hi, the epsilon-ball intersected with [0, 1].
     """
-    if not np.all((x0 >= spec.clip_min) & (x0 <= spec.clip_max)):
-        raise ValueError(f"attack inputs must lie in [{spec.clip_min}, {spec.clip_max}]")
-    lo = np.maximum(x0 - spec.epsilon, spec.clip_min)
-    hi = np.minimum(x0 + spec.epsilon, spec.clip_max)
+    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):
+        raise ValueError("attack inputs must lie in [0, 1]")
+    lo = np.maximum(x0 - spec.epsilon, 0.0)
+    hi = np.minimum(x0 + spec.epsilon, 1.0)
     if spec.random_start:
         x = np.clip(x0 + _uniform(rng, spec.epsilon, x0.shape), lo, hi)
     else:
@@ -115,21 +110,19 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def fgsm(model: nn.Model, x: np.ndarray, y, spec: AttackSpec) -> np.ndarray:
-    """Single sign step of size epsilon, clipped to the valid range."""
-    xb, yb, single = _as_batch(x, y)
+    """Single sign step of size epsilon, clipped to [0, 1]."""
+    xb, yb = _as_batch(x, y)
     g = nn.input_grads_ce(model, xb, nn._check_labels(yb, model.num_classes))
     _check_gradient(g)
-    adv = np.clip(xb + spec.epsilon * np.sign(g), spec.clip_min, spec.clip_max)
-    return adv[0] if single else adv
+    return np.clip(xb + spec.epsilon * np.sign(g), 0.0, 1.0)
 
 
 def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
         rng: Rng = None) -> np.ndarray:
     """Multi-step PGD maximizing cross-entropy inside the epsilon-ball."""
-    xb, yb, single = _as_batch(x, y)
+    xb, yb = _as_batch(x, y)
     yb = nn._check_labels(yb, model.num_classes)
-    adv = pgd_core(xb, lambda z: nn.input_grads_ce(model, z, yb), spec, rng)
-    return adv[0] if single else adv
+    return pgd_core(xb, lambda z: nn.input_grads_ce(model, z, yb), spec, rng)
 
 
 def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
@@ -140,9 +133,6 @@ def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
     the batch `x` on this model, so the clean forward is not run again.
     """
     xb = np.asarray(x, dtype=np.float64)
-    single = xb.ndim == 1
-    if single:
-        xb = xb[None, :]
     if log_ref is None:
         p_ref = nn.softmax(nn.forward_batch(model, xb))
         log_ref = np.log(np.clip(p_ref, 1e-300, None))
@@ -155,5 +145,4 @@ def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
         dlogits = q * (s - kl)
         return nn.input_backprop(model, acts, dlogits)
 
-    adv = pgd_core(xb, grad_fn, spec, rng)
-    return adv[0] if single else adv
+    return pgd_core(xb, grad_fn, spec, rng)

@@ -19,7 +19,6 @@ from .data import class_counts, load_csv
 from .errors import ConfigError, DivergenceError, FedslackError, FormatError
 from .metrics import EvalAttack, evaluate, trace_topk
 from .runner import ExperimentConfig, load_config, load_metrics
-from .streams import stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--attack", choices=["none", "fgsm", "pgd20"], default="none")
     eval_p.add_argument("--epsilon", type=float, default=8 / 255)
     eval_p.add_argument("--step-size", type=float, default=2 / 255)
-    eval_p.add_argument("--seed", type=int, default=0)
 
     sweep_p = sub.add_parser("sweep", help="run a seeded grid over one parameter")
     sweep_p.add_argument("--config", required=True)
@@ -95,13 +93,8 @@ def _cmd_eval(args) -> int:
     test_set = load_csv(args.test)
     spec = AttackSpec(args.epsilon, args.step_size,
                       steps=20 if args.attack == "pgd20" else 1)
-    if args.attack == "none":
-        acc = evaluate(model, test_set, EvalAttack.NONE)
-    elif args.attack == "fgsm":
-        acc = evaluate(model, test_set, EvalAttack.FGSM, spec)
-    else:
-        acc = evaluate(model, test_set, EvalAttack.PGD, spec,
-                       stream(args.seed, "eval-attack"))
+    attack = {"none": EvalAttack.NONE, "fgsm": EvalAttack.FGSM, "pgd20": EvalAttack.PGD}
+    acc = evaluate(model, test_set, attack[args.attack], spec)
     print(f"accuracy: {acc:.4f}")
     return EXIT_OK
 

@@ -89,10 +89,12 @@ def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
              spec: AttackSpec | None = None,
              rng: np.random.Generator | None = None) -> float:
-    """Fraction of correct argmax predictions on (possibly attacked) inputs."""
+    """Fraction of correct argmax predictions on (possibly attacked) inputs; the
+    test batch's shape and labels are checked against the model once."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    X, y = test_set.features, nn._check_labels(test_set.labels, model.num_classes)
+    X = nn._check_batch(model, test_set.features)
+    y = nn._check_labels(test_set.labels, model.num_classes)
     if attack is EvalAttack.FGSM:
         if spec is None:
             raise ValueError("FGSM evaluation needs an attack spec")

@@ -4,9 +4,12 @@ SGD with momentum, flat parameter vectors, and a binary checkpoint format.
 A model keeps all of its parameters in one contiguous float64 ParamVector,
 `model.params`, laid out as dense0.W, dense0.b, dense1.W, ...; every
 `weights[i]` and `biases[i]` is a reshaped view into that buffer.  The
-optimizer updates the buffer in place, `to_vector` copies it and
-`load_vector` overwrites it, so there is one copy of the parameters and no
-conversion between per-layer arrays and the flat vector.
+optimizer updates the buffer in place and callers write into it in place,
+so there is one copy of the parameters and no conversion between per-layer
+arrays and the flat vector.
+
+Every function takes a batch, (n, d) inputs and (n,) labels; one sample is
+a batch of one.
 
 A model may also stack M clients' models along a leading client axis: its
 buffer is then (M, P), one row per client (a slice of the round's upload
@@ -61,9 +64,6 @@ class ParamVector:
         if self.values.shape[-1] != expected:
             raise ShapeError(
                 f"param vector has {self.values.shape[-1]} values, layout needs {expected}")
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
 
 
 def _split(values: np.ndarray, layout: Layout) -> list[np.ndarray]:
@@ -143,22 +143,6 @@ class Model:
     @property
     def layout(self) -> Layout:
         return self.params.layout
-
-    def to_vector(self) -> ParamVector:
-        return self.params.copy()
-
-    def load_vector(self, vec: ParamVector) -> None:
-        if vec.layout != self.layout:
-            raise ShapeError("param vector layout does not match model")
-        self.params.values[:] = vec.values
-
-
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.input_dim:
-        raise ShapeError(f"input has shape {x.shape}, expected ({model.input_dim},)")
-    return forward_batch(model, x[None, :])[0]
 
 
 def _check_batch(model: Model, X: np.ndarray) -> np.ndarray:
@@ -249,19 +233,9 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _check_labels(y: np.ndarray, num_classes: int) -> np.ndarray:
     y = np.asarray(y)
-    if y.ndim == 0:
-        y = y[None]
     if np.any(y < 0) or np.any(y >= num_classes):
         raise LabelError(f"labels must lie in [0, {num_classes})")
     return y.astype(np.intp)
-
-
-def loss_and_grads(model: Model, x: np.ndarray,
-                   y: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy loss, parameter gradients, and input gradient for one sample."""
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    loss, pgrads = batch_loss_and_grads(model, X, np.array([y]))
-    return loss, pgrads, input_grads_ce(model, X, _check_labels(y, model.num_classes))[0]
 
 
 def batch_loss_and_grads(model: Model, X: np.ndarray,

@@ -15,7 +15,8 @@ id.  The participants train in cohorts (see `local`): runs of consecutive
 rows with equal shard sizes, each trained by one `train_client` call in its
 block of rows.  The server step sorts the rows once by weighted loss
 n_k/N*loss and reads these arrays in place: nothing is stacked or kept per
-client.
+client.  Its (P,) aggregate is written into the global model's buffer, the
+one copy of the global parameters, which the next round's clients download.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Training set plus a held-out test set the partitioner never touches."""
+    """Training set plus a held-out test set the partitioner never touches; the
+    test set must match the training set's feature count and classes."""
     ds = config.dataset
     if ds.kind == "synthetic":
         train = make_synthetic(ds.n_per_class, ds.num_classes, ds.dim, ds.separation,
@@ -182,18 +184,24 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         test = make_synthetic(n_test, ds.num_classes, ds.dim, ds.separation,
                               seed=config.seed, noise_seed=config.seed + 1_000_003,
                               placement=ds.placement)
-        return train, test
-    if ds.kind == "csv":
+    elif ds.kind == "csv":
         if not ds.train_path or not ds.test_path:
             raise ConfigError("csv datasets need train_path and test_path")
-        return load_csv(ds.train_path), load_csv(ds.test_path)
-    if ds.kind == "idx":
+        train, test = load_csv(ds.train_path), load_csv(ds.test_path)
+    elif ds.kind == "idx":
         if not all([ds.train_path, ds.train_labels_path, ds.test_path,
                     ds.test_labels_path]):
             raise ConfigError("idx datasets need train/test image and label paths")
-        return (load_idx(ds.train_path, ds.train_labels_path),
-                load_idx(ds.test_path, ds.test_labels_path))
-    raise ConfigError(f"unknown dataset kind {ds.kind!r}")
+        train = load_idx(ds.train_path, ds.train_labels_path)
+        test = load_idx(ds.test_path, ds.test_labels_path)
+    else:
+        raise ConfigError(f"unknown dataset kind {ds.kind!r}")
+    if test.dim != train.dim:
+        raise ConfigError(f"the test set has {test.dim} features, the training set {train.dim}")
+    if len(test) and test.labels.max() >= train.num_classes:
+        raise ConfigError(f"the test set has label {test.labels.max()}, beyond the "
+                          f"training set's {train.num_classes} classes")
+    return train, test
 
 
 def build_shards(config: ExperimentConfig, train_set: Dataset) -> list[ClientShard]:
@@ -277,7 +285,7 @@ def run(config: ExperimentConfig) -> RunArtifact:
 
     dims = [train_set.dim] + list(config.hidden_dims) + [train_set.num_classes]
     model = nn.Model.init(dims, stream(config.seed, "init"))
-    theta = model.to_vector()
+    P = model.params.values.size
 
     local_cfg = config.local
     if config.optimizer is FedOptimizer.FEDPROX and local_cfg.fedprox_mu == 0.0:
@@ -285,13 +293,13 @@ def run(config: ExperimentConfig) -> RunArtifact:
     K = config.partition.num_clients
     m = participants_per_round(K, config.participation)
     policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
-    uploads = np.empty((m, theta.values.size))
+    uploads = np.empty((m, P))
     losses = np.empty(m)
     use_scaffold = config.optimizer is FedOptimizer.SCAFFOLD
     if use_scaffold:
         deltas = np.empty_like(uploads)
-        c_global = np.zeros_like(theta.values)
-        c_locals = np.zeros((K, theta.values.size))
+        c_global = np.zeros(P)
+        c_locals = np.zeros((K, P))
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     writer = None
@@ -309,43 +317,43 @@ def run(config: ExperimentConfig) -> RunArtifact:
             participants = sample_participants(K, config.participation, t, config.seed)
             n_k = sizes[participants]
             a = 0
-            for cohort in cohorts([shards[cid] for cid in participants], theta.values.size):
+            for cohort in cohorts([shards[cid] for cid in participants], P):
                 b = a + len(cohort)
                 kwargs = {"out": uploads[a:b]}
                 if use_scaffold:
                     kwargs.update(c_global=c_global, delta_out=deltas[a:b],
                                   c_local=c_locals[_rows(cohort.client_ids)])
-                losses[a:b] = train_client(cohort, train_set, theta, local_cfg,
+                losses[a:b] = train_client(cohort, train_set, model.params, local_cfg,
                                            config.seed, t, **kwargs)
                 a = b
 
             wl = n_k / len(train_set) * losses
             order = sort_by_weighted_loss(wl, participants)
             xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
-            sw = slack_weights(n_k, order, participants, policy, alpha)
-            theta_new = slack_aggregate(uploads, sw, theta.layout)
-            if not np.all(np.isfinite(theta_new.values)):
+            weights, is_top = slack_weights(n_k, order, policy, alpha)
+            theta_new = slack_aggregate(uploads, weights)
+            if not np.all(np.isfinite(theta_new)):
                 raise DivergenceError(f"round {t}: non-finite aggregate")
 
             if use_scaffold:
                 update_client_variates(c_locals, participants, deltas)
                 c_global = scaffold_server_update(c_global, deltas, m, K)
 
-            drifts, mean_drift = client_drift(uploads, theta_new.values)
-            gvar = gradient_variance(uploads, theta.values) if m >= 2 else 0.0
-            theta = theta_new
-            model.load_vector(theta)
+            drifts, mean_drift = client_drift(uploads, theta_new)
+            gvar = gradient_variance(uploads, model.params.values) if m >= 2 else 0.0
+            model.params.values[:] = theta_new
 
-            recs = [ClientRecord(cid, int(n), float(loss), float(w), d, cid in sw.top_ids)
-                    for cid, n, loss, w, d in zip(participants, n_k, losses, wl, drifts)]
+            # tolist() gives Python bools, which `_fmt` writes as 1/0
+            recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
+                    for cid, n, loss, w, d, top in
+                    zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
             nat = fg = pg = None
             if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
                 spec = local_cfg.attack
                 nat = evaluate(model, test_set, EvalAttack.NONE)
                 if spec.epsilon > 0:
                     fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
-                    pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20),
-                                  stream(config.seed, "eval-attack", t))
+                    pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
                 else:
                     fg = pg = nat
             rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,

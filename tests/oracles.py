@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedslack.aggregation import SlackWeights, slack_weights, sort_by_weighted_loss
+from fedslack.aggregation import slack_weights, sort_by_weighted_loss
 from fedslack.errors import AggregationError
 from fedslack.nn import Layout, ParamVector
 
@@ -47,12 +47,11 @@ class RoundArrays:
                            [self.client_ids[i] for i in idx])
 
 
-def server_weights(r: RoundArrays, policy, alpha=None) -> SlackWeights:
-    """The runner's weighting of a round: one sort, then `slack_weights` at
-    `alpha`, or at the policy's alpha when None."""
+def server_weights(r: RoundArrays, policy, alpha=None) -> tuple[np.ndarray, np.ndarray]:
+    """The runner's weighting of a round, (weights, is_top): one sort, then
+    `slack_weights` at `alpha`, or at the policy's alpha when None."""
     order = sort_by_weighted_loss(r.weighted_losses, r.client_ids)
-    return slack_weights(r.n_k, order, r.client_ids, policy,
-                         policy.alpha if alpha is None else alpha)
+    return slack_weights(r.n_k, order, policy, policy.alpha if alpha is None else alpha)
 
 
 def fedavg_aggregate(r: RoundArrays) -> ParamVector:
@@ -65,11 +64,11 @@ def fedavg_aggregate(r: RoundArrays) -> ParamVector:
     return ParamVector(w @ stacked, r.layout)
 
 
-def slack_aggregate_list(r: RoundArrays, policy, alpha=None) -> ParamVector:
+def slack_aggregate_list(r: RoundArrays, policy, alpha=None) -> np.ndarray:
     """Convex combination of the listed uploads under the slack weights."""
-    sw = server_weights(r, policy, alpha)
+    weights, _ = server_weights(r, policy, alpha)
     stacked = np.stack(list(r.uploads))
-    return ParamVector(sw.weights @ stacked, r.layout)
+    return weights @ stacked
 
 
 def client_drift_list(thetas, theta_global) -> tuple[list[float], float]:

@@ -102,22 +102,21 @@ def test_criterion_3_simplex_and_ratio():
         k_hat = int(rng.integers(0, k // 2 + 1))
         mode = [AggregationMode.FAT, AggregationMode.SFAT,
                 AggregationMode.RE_SFAT][int(rng.integers(3))]
-        sw = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
-        ok &= abs(sw.weights.sum() - 1.0) <= 1e-9
-        top = set(sw.top_ids)
-        if top:
-            per_sample = sw.weights / ups.n_k.astype(float)
+        weights, is_top = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
+        ok &= abs(weights.sum() - 1.0) <= 1e-9
+        if is_top.any():
+            per_sample = weights / ups.n_k.astype(float)
             r = (1 + alpha) / (1 - alpha)
-            for i, ci in enumerate(ups.client_ids):
-                for j, cj in enumerate(ups.client_ids):
-                    if ci in top and cj not in top:
+            for i in range(k):
+                for j in range(k):
+                    if is_top[i] and not is_top[j]:
                         ok &= abs(per_sample[i] / per_sample[j] - r) <= 1e-9
     # pinned pattern: K=5 equal N, alpha=1/6 -> 1.4 : 1, weights /5.4
     ups = _updates(np.random.default_rng(0), k=5, ns=[10] * 5,
                    losses=[0.5, 0.4, 0.1, 0.3, 0.2])
-    sw = server_weights(ups, AggregationPolicy(AggregationMode.SFAT, 1 / 6, 1))
-    ok &= abs(sw.weights[2] / sw.weights[0] - 1.4) <= 1e-12
-    ok &= np.allclose(sw.weights, np.array([1, 1, 1.4, 1, 1]) / 5.4, atol=1e-9)
+    weights, _ = server_weights(ups, AggregationPolicy(AggregationMode.SFAT, 1 / 6, 1))
+    ok &= abs(weights[2] / weights[0] - 1.4) <= 1e-12
+    ok &= np.allclose(weights, np.array([1, 1, 1.4, 1, 1]) / 5.4, atol=1e-9)
     _report(3, ok, "weights on the simplex, top/other per-sample ratio (1+a)/(1-a), "
                    "1.4:1 pattern for K=5, alpha=1/6")
 
@@ -132,8 +131,8 @@ def test_criterion_4_reductions():
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.4, 0)]:
-            agg = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout)
-            ok &= np.array_equal(agg.values, base)
+            agg = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
+            ok &= np.array_equal(agg, base)
     _report(4, ok, "SFAT(alpha=0) = SFAT(k_hat=0) = FAT = FedAvg, bit-identical")
 
 
@@ -144,27 +143,30 @@ def test_criterion_5_gradient_checks():
         rng = stream(trial, "acceptance-grad")
         dims = [int(rng.integers(2, 6)) for _ in range(3)]
         model = nn.Model.init(dims, rng)
-        x = rng.uniform(0.1, 0.9, size=dims[0])
-        y = int(rng.integers(dims[-1]))
-        _, pgrads, xgrad = nn.loss_and_grads(model, x, y)
-        vec = model.to_vector()
-        for i in range(len(vec.values)):
-            vp, vm = vec.values.copy(), vec.values.copy()
+        # one sample, as a batch of one
+        x = rng.uniform(0.1, 0.9, size=(1, dims[0]))
+        y = rng.integers(dims[-1], size=1)
+        _, pgrads = nn.batch_loss_and_grads(model, x, y)
+        xgrad = nn.input_grads_ce(model, x, y)[0]
+        theta = model.params.values
+        vec = theta.copy()
+        for i in range(len(vec)):
+            vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            model.load_vector(nn.ParamVector(vp, vec.layout))
-            lp, _, _ = nn.loss_and_grads(model, x, y)
-            model.load_vector(nn.ParamVector(vm, vec.layout))
-            lm, _, _ = nn.loss_and_grads(model, x, y)
+            theta[:] = vp
+            lp, _ = nn.batch_loss_and_grads(model, x, y)
+            theta[:] = vm
+            lm, _ = nn.batch_loss_and_grads(model, x, y)
             fd = (lp - lm) / (2 * h)
             ok &= abs(pgrads[i] - fd) <= 1e-4 * max(1e-4, abs(fd))
-        model.load_vector(vec)
-        for i in range(len(x)):
+        theta[:] = vec
+        for i in range(x.shape[1]):
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            lp, _, _ = nn.loss_and_grads(model, xp, y)
-            lm, _, _ = nn.loss_and_grads(model, xm, y)
+            xp[0, i] += h
+            xm[0, i] -= h
+            lp, _ = nn.batch_loss_and_grads(model, xp, y)
+            lm, _ = nn.batch_loss_and_grads(model, xm, y)
             fd = (lp - lm) / (2 * h)
             ok &= abs(xgrad[i] - fd) <= 1e-4 * max(1e-4, abs(fd))
     _report(5, ok, "analytic gradients match central differences at rel. 1e-4, "
@@ -229,7 +231,7 @@ def test_criterion_8_oracle_equivalence():
     policy = AggregationPolicy(AggregationMode.SFAT, 1 / 3, 1)
     # client 1 has smallest weighted loss: p = (1, 2, 1), w = p*n / sum
     pn = np.array([2.0, 6.0, 5.0])
-    sa = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout).values
+    sa = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
     ok &= np.max(np.abs(sa - oracle(list(ups.uploads), list(pn / pn.sum())))) <= 1e-12
     # vector toy
     vec_layout = (("dense0.W", (2, 2)),)
@@ -238,7 +240,7 @@ def test_criterion_8_oracle_equivalence():
     ups = RoundArrays(np.stack(vals), [0.5, 0.2, 0.9], [4, 5, 1], vec_layout)
     fa = fedavg_aggregate(ups).values
     ok &= np.max(np.abs(fa - oracle(vals, [0.4, 0.5, 0.1]))) <= 1e-12
-    sa = slack_aggregate(ups.uploads, server_weights(ups, policy), ups.layout).values
+    sa = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
     # client 2 has the smallest weighted loss (0.1*0.9): p = (1, 1, 2)
     pn = np.array([4.0, 5.0, 2.0])
     ok &= np.max(np.abs(sa - oracle(vals, list(pn / pn.sum())))) <= 1e-12

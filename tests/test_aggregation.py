@@ -81,39 +81,39 @@ def test_slack_weights_equal_n_pattern():
     ups = scalar_updates([0] * 5, [0.5, 0.4, 0.1, 0.3, 0.2], [10] * 5)
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=1 / 6, k_hat=1)
     order = sort_by_weighted_loss(ups.weighted_losses, ups.client_ids)
-    sw = slack_weights(ups.n_k, order, ups.client_ids, policy, policy.alpha)
+    weights, is_top = slack_weights(ups.n_k, order, policy, policy.alpha)
     expected = np.array([1, 1, 1.4, 1, 1]) / 5.4
-    np.testing.assert_allclose(sw.weights, expected, atol=1e-9)
+    np.testing.assert_allclose(weights, expected, atol=1e-9)
     np.testing.assert_allclose(
-        sw.weights, [0.18519, 0.18519, 0.25926, 0.18519, 0.18519], atol=1e-5)
-    assert sw.top_ids == [2]
+        weights, [0.18519, 0.18519, 0.25926, 0.18519, 0.18519], atol=1e-5)
+    assert np.flatnonzero(is_top).tolist() == [2]
 
 
 def test_slack_weights_takes_the_given_order():
     # slack_weights does not sort again: the top set is the head (SFAT) or the
-    # tail (RE_SFAT) of the order it is given, named by client id
-    n_k, ids = np.array([10, 10, 10, 10]), [4, 7, 1, 9]
+    # tail (RE_SFAT) of the order it is given, marked row for row
+    n_k, ids = np.array([10, 10, 10, 10]), np.array([4, 7, 1, 9])
     for mode, top in ((AggregationMode.SFAT, [1, 9]), (AggregationMode.RE_SFAT, [4, 7])):
-        sw = slack_weights(n_k, [2, 3, 0, 1], ids, AggregationPolicy(mode, 0.1, 2), 1 / 3)
-        assert sw.top_ids == top
-        assert np.array_equal(sw.weights > 0.25, np.isin(ids, top))
+        weights, is_top = slack_weights(n_k, [2, 3, 0, 1], AggregationPolicy(mode, 0.1, 2), 1 / 3)
+        assert ids[is_top].tolist() == top
+        assert np.array_equal(weights > 0.25, np.isin(ids, top))
 
 
 def test_slack_weights_alpha_zero_is_fedavg():
     ups = scalar_updates([0] * 4, [0.4, 0.1, 0.3, 0.2], [3, 5, 2, 10])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.0, k_hat=2)
-    sw = server_weights(ups, policy)
+    weights, _ = server_weights(ups, policy)
     n = np.array([3, 5, 2, 10], dtype=float)
-    assert np.array_equal(sw.weights, n / n.sum())
+    assert np.array_equal(weights, n / n.sum())
 
 
 def test_re_sfat_mirrors_top_choice():
     ups = scalar_updates([0] * 5, [0.5, 0.4, 0.1, 0.3, 0.2], [10] * 5)
     policy = AggregationPolicy(AggregationMode.RE_SFAT, alpha=1 / 6, k_hat=1)
-    sw = server_weights(ups, policy)
-    assert sw.top_ids == [0]  # largest loss
+    weights, is_top = server_weights(ups, policy)
+    assert np.flatnonzero(is_top).tolist() == [0]  # largest loss
     expected = np.array([1.4, 1, 1, 1, 1]) / 5.4
-    np.testing.assert_allclose(sw.weights, expected, atol=1e-9)
+    np.testing.assert_allclose(weights, expected, atol=1e-9)
 
 
 def test_slack_weights_khat_constraint():
@@ -136,10 +136,10 @@ def test_slack_aggregate_hand_case():
     # two clients equal N, theta (0, 10), alpha=1/3 -> r=2, client 0 smaller loss
     ups = scalar_updates([0.0, 10.0], [0.1, 0.9], [1, 1])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=1 / 3, k_hat=1)
-    agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
-    assert agg.values[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
+    agg = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
+    assert agg[0] == pytest.approx(10.0 / 3.0, rel=1e-12)
     oracle = brute_force_weighted_mean([[0.0, 0.0], [10.0, 0.0]], [2 / 3, 1 / 3])
-    np.testing.assert_allclose(agg.values, oracle, atol=1e-12)
+    np.testing.assert_allclose(agg, oracle, atol=1e-12)
 
 
 def test_slack_aggregate_alpha_zero_equals_fedavg_bitwise():
@@ -153,15 +153,15 @@ def test_slack_aggregate_alpha_zero_equals_fedavg_bitwise():
         for policy in [AggregationPolicy(AggregationMode.FAT, 0.0, 0),
                        AggregationPolicy(AggregationMode.SFAT, 0.0, k // 2),
                        AggregationPolicy(AggregationMode.SFAT, 0.3, 0)]:
-            agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
-            assert np.array_equal(agg.values, base.values)
+            agg = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
+            assert np.array_equal(agg, base.values)
 
 
 def test_slack_aggregate_idempotent():
     ups = scalar_updates([2.0, 2.0, 2.0, 2.0], [0.4, 0.3, 0.2, 0.1], [1, 2, 3, 4])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.5, k_hat=2)
-    agg = slack_aggregate(ups.uploads, server_weights(ups, policy), LAYOUT)
-    assert agg.values[0] == pytest.approx(2.0, rel=1e-15)
+    agg = slack_aggregate(ups.uploads, server_weights(ups, policy)[0])
+    assert agg[0] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_alpha_slack_loss_hand_values():
@@ -222,13 +222,12 @@ def test_slack_weights_simplex_and_ratio():
         alpha = float(rng.uniform(0.01, 0.95))
         k_hat = int(rng.integers(1, k // 2 + 1)) if k >= 2 else 0
         mode = AggregationMode.SFAT if rng.random() < 0.5 else AggregationMode.RE_SFAT
-        sw = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
-        assert sw.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        top = set(sw.top_ids)
-        per_sample = sw.weights / np.array(ns, dtype=float)
+        weights, is_top = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+        per_sample = weights / np.array(ns, dtype=float)
         for i in range(k):
             for j in range(k):
-                if ups.client_ids[i] in top and ups.client_ids[j] not in top:
+                if is_top[i] and not is_top[j]:
                     assert per_sample[i] / per_sample[j] == pytest.approx(
                         (1 + alpha) / (1 - alpha), abs=1e-9)
 
@@ -240,12 +239,13 @@ def test_permutation_equivariance():
     ns = [4, 9, 2, 7, 5]
     ups = scalar_updates(thetas, losses, ns)
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.25, k_hat=2)
-    sw = server_weights(ups, policy)
+    weights, is_top = server_weights(ups, policy)
     perm = [3, 0, 4, 1, 2]
     ups_p = ups.rows(perm)
-    sw_p = server_weights(ups_p, policy)
-    np.testing.assert_allclose(sw_p.weights, sw.weights[perm], atol=1e-15)
-    assert sorted(sw_p.top_ids) == sorted(sw.top_ids)
+    weights_p, is_top_p = server_weights(ups_p, policy)
+    np.testing.assert_allclose(weights_p, weights[perm], atol=1e-15)
+    top = sorted(np.asarray(ups.client_ids)[is_top])
+    assert sorted(np.asarray(ups_p.client_ids)[is_top_p]) == top
 
 
 def test_scaffold_server_update():

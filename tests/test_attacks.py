@@ -13,28 +13,30 @@ def make_model(seed=0, dims=(3, 4, 2)):
     return nn.Model.init(list(dims), stream(seed, "init"))
 
 
+# A single sample is a batch of one: (1, d) inputs and (1,) labels.
+
 def test_fgsm_zero_epsilon_identity():
     m = make_model()
-    x = np.array([0.2, 0.5, 0.8])
-    out = fgsm(m, x, 0, AttackSpec(0.0, 0.1))
+    x = np.array([[0.2, 0.5, 0.8]])
+    out = fgsm(m, x, np.array([0]), AttackSpec(0.0, 0.1))
     np.testing.assert_array_equal(out, x)
 
 
 def test_fgsm_scalar_sign_step():
     # single linear unit driving loss up in +x direction
     m = nn.Model([np.array([[1.0, -1.0]])], [np.zeros(2)])
-    x = np.array([0.5])
+    x = np.array([[0.5]])
     # label 0: loss grad w.r.t. x is negative, so attack moves x down;
     # label 1 moves it up
-    out_up = fgsm(m, x, 0, AttackSpec(0.1, 0.1))
-    out_dn = fgsm(m, x, 1, AttackSpec(0.1, 0.1))
+    out_up = fgsm(m, x, np.array([0]), AttackSpec(0.1, 0.1))[0]
+    out_dn = fgsm(m, x, np.array([1]), AttackSpec(0.1, 0.1))[0]
     assert out_up[0] == pytest.approx(0.4)
     assert out_dn[0] == pytest.approx(0.6)
 
 
 def test_fgsm_clip_boundary():
     m = nn.Model([np.array([[1.0, -1.0]])], [np.zeros(2)])
-    out = fgsm(m, np.array([0.05]), 0, AttackSpec(0.1, 0.1))
+    out = fgsm(m, np.array([[0.05]]), np.array([0]), AttackSpec(0.1, 0.1))[0]
     assert out[0] == 0.0
 
 
@@ -85,7 +87,7 @@ def test_pgd_random_start_requires_rng():
     m = make_model()
     spec = AttackSpec(0.1, 0.02, steps=2, random_start=True)
     with pytest.raises(ValueError):
-        pgd(m, np.array([0.5, 0.5, 0.5]), 0, spec)
+        pgd(m, np.array([[0.5, 0.5, 0.5]]), np.array([0]), spec)
 
 
 def test_attack_strength_monotone_trend():
@@ -129,7 +131,7 @@ def test_pgd_rejects_inputs_outside_clip_range():
     spec = AttackSpec(0.1, 0.02, steps=2)
     for bad in ([0.5, 1.5, 0.5], [-0.1, 0.5, 0.5], [0.5, np.nan, 0.5]):
         with pytest.raises(ValueError):
-            pgd(m, np.array(bad), 0, spec)
+            pgd(m, np.array([bad]), np.array([0]), spec)
 
 
 def test_attacks_check_labels_once_per_call(monkeypatch):

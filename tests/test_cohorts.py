@@ -80,7 +80,7 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
     # batches of 5: shards of 7 and 12 end on a short batch
     ds = toy_dataset(sum(sizes), seed=len(sizes))
     shards = shards_of(sizes, first_id=3)
-    theta = nn.Model.init([3] + hidden + [2], stream(cap, "init")).to_vector()
+    theta = nn.Model.init([3] + hidden + [2], stream(cap, "init")).params
     P = theta.values.size
     cfg = LocalConfig(epochs=epochs, batch_size=5, trainer=trainer,
                       fedprox_mu=0.05 if optimizer == "fedprox" else 0.0,
@@ -105,7 +105,7 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
 def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch):
     ds = toy_dataset(36)
     cohort = Cohort.of(shards_of([12, 12, 12]))
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).to_vector()
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     made, rows = [], []
     original_init, original_backprop = nn.ParamVector.__post_init__, nn.backprop
     monkeypatch.setattr(nn.ParamVector, "__post_init__",
@@ -129,7 +129,7 @@ def test_attack_streams_are_derived_only_when_an_attack_reads_them(
     purposes = []
     monkeypatch.setattr(local, "stream", lambda *key: purposes.append(key[1]) or stream(*key))
     ds = toy_dataset(24)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).to_vector()
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer, trades_beta=beta,
                       attack=AttackSpec(epsilon, 0.01, steps=2, random_start=random_start))
     train_client(Cohort.of(shards_of([12, 12])), ds, theta, cfg, 1, 1,
@@ -146,7 +146,7 @@ def test_divergence_names_the_round_client_epoch_and_batch(trainer, what, sizes,
     # only the last client's variate is huge: its first step blows up its
     # parameters, so its second batch diverges while any other client's does not
     ds = toy_dataset(20)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).to_vector()
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     P = theta.values.size
     m = len(sizes)
     c_local = np.zeros((m, P))
@@ -172,7 +172,7 @@ def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
 
     monkeypatch.setattr(nn, "sgd_step", poisoned)
     ds = toy_dataset(20)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).to_vector()
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=10, trainer="standard")
     with pytest.raises(DivergenceError,
                        match="round 2, client 6, epoch 1, batch 0: non-finite parameters"):

@@ -29,7 +29,7 @@ def toy_config(**kw):
 
 
 def global_theta(seed=0, dims=(3, 4, 2)):
-    return nn.Model.init(list(dims), stream(seed, "init")).to_vector()
+    return nn.Model.init(list(dims), stream(seed, "init")).params
 
 
 def train(shard, ds, theta, cfg, **kwargs):
@@ -166,7 +166,7 @@ def test_at_single_step_replay_oracle():
     x_adv = pgd(model, xb, yb, cfg.attack, rng)
     loss, grads = nn.batch_loss_and_grads(model, x_adv, yb)
     nn.sgd_step(model, grads, nn.SgdState(lr=0.1))
-    assert np.array_equal(up, model.to_vector().values)
+    assert np.array_equal(up, model.params.values)
     assert up_loss == pytest.approx(loss, abs=1e-15)
 
 
@@ -270,19 +270,19 @@ def test_trades_param_grads_match_finite_differences():
     X, y = ds.features, ds.labels
     rng = stream(1, "na")
     loss, grads = _trades_objective(model, X, y, cfg, rng)
-    vec = model.to_vector()
+    vec = model.params.values.copy()
     h = 1e-6
-    for i in range(0, len(vec.values), 5):
+    for i in range(0, len(vec), 5):
         for sign in (1.0, -1.0):
-            v = vec.values.copy()
+            v = vec.copy()
             v[i] += sign * h
-            model.load_vector(nn.ParamVector(v, vec.layout))
+            model.params.values[:] = v
             l, _ = _trades_objective(model, X, y, cfg, rng)
             if sign > 0:
                 lp = l
             else:
                 lm = l
-        model.load_vector(vec)
+        model.params.values[:] = vec
         fd = (lp - lm) / (2 * h)
         assert grads[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 

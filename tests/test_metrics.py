@@ -24,7 +24,7 @@ def rows(*pvs):
 
 def test_drift_zero_for_identical_params():
     th = pv([1.0, 2.0])
-    drifts, mean = client_drift(rows(th, th.copy()), th.values)
+    drifts, mean = client_drift(rows(th, pv(th.values.copy())), th.values)
     assert drifts == [0.0, 0.0] and mean == 0.0
 
 

@@ -26,33 +26,35 @@ def manual_mlp_forward(model, x):
     return np.array(h)
 
 
+# A single sample is a batch of one: (1, d) inputs and (1,) labels.
+
 def test_forward_zero_weights():
     m = nn.Model([np.zeros((3, 2))], [np.zeros(2)])
-    assert np.array_equal(nn.forward(m, np.array([0.3, 0.7, 0.1])), np.zeros(2))
+    assert np.array_equal(nn.forward_batch(m, np.array([[0.3, 0.7, 0.1]]))[0], np.zeros(2))
 
 
 def test_forward_identity_layer():
     m = nn.Model([np.eye(2)], [np.zeros(2)])
-    out = nn.forward(m, np.array([1.0, 2.0]))
+    out = nn.forward_batch(m, np.array([[1.0, 2.0]]))[0]
     assert np.array_equal(out, np.array([1.0, 2.0]))
 
 
 def test_forward_matches_manual_oracle():
     m = nn.Model.init([3, 4, 2], stream(7, "init"))
     x = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(nn.forward(m, x), manual_mlp_forward(m, x),
+    np.testing.assert_allclose(nn.forward_batch(m, x[None, :])[0], manual_mlp_forward(m, x),
                                rtol=1e-12, atol=1e-15)
 
 
 def test_forward_shape_error():
     m = nn.Model.init([3, 2], stream(0, "init"))
     with pytest.raises(ShapeError):
-        nn.forward(m, np.array([1.0, 2.0]))
+        nn.forward_batch(m, np.array([[1.0, 2.0]]))
 
 
 def test_loss_uniform_logits_is_ln2():
     m = nn.Model([np.zeros((3, 2))], [np.zeros(2)])
-    loss, _, _ = nn.loss_and_grads(m, np.array([0.5, 0.5, 0.5]), 0)
+    loss, _ = nn.batch_loss_and_grads(m, np.array([[0.5, 0.5, 0.5]]), np.array([0]))
     assert loss == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -69,35 +71,36 @@ def test_loss_decreases_with_margin():
 def test_label_out_of_range():
     m = nn.Model.init([3, 2], stream(0, "init"))
     with pytest.raises(LabelError):
-        nn.loss_and_grads(m, np.array([0.1, 0.2, 0.3]), 2)
+        nn.batch_loss_and_grads(m, np.array([[0.1, 0.2, 0.3]]), np.array([2]))
 
 
 def finite_diff_param_grads(model, x, y, h=1e-5):
-    vec = model.to_vector()
-    grads = np.zeros_like(vec.values)
-    for i in range(len(vec.values)):
-        vp = vec.values.copy()
+    theta = model.params.values
+    vec = theta.copy()
+    grads = np.zeros_like(vec)
+    for i in range(len(vec)):
+        vp = vec.copy()
         vp[i] += h
-        model.load_vector(nn.ParamVector(vp, vec.layout))
-        lp, _, _ = nn.loss_and_grads(model, x, y)
-        vm = vec.values.copy()
+        theta[:] = vp
+        lp, _ = nn.batch_loss_and_grads(model, x, y)
+        vm = vec.copy()
         vm[i] -= h
-        model.load_vector(nn.ParamVector(vm, vec.layout))
-        lm, _, _ = nn.loss_and_grads(model, x, y)
+        theta[:] = vm
+        lm, _ = nn.batch_loss_and_grads(model, x, y)
         grads[i] = (lp - lm) / (2 * h)
-    model.load_vector(vec)
+    theta[:] = vec
     return grads
 
 
 def finite_diff_input_grads(model, x, y, h=1e-5):
     grads = np.zeros_like(x)
-    for i in range(len(x)):
+    for i in range(x.shape[1]):
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        lp, _, _ = nn.loss_and_grads(model, xp, y)
-        lm, _, _ = nn.loss_and_grads(model, xm, y)
-        grads[i] = (lp - lm) / (2 * h)
+        xp[0, i] += h
+        xm[0, i] -= h
+        lp, _ = nn.batch_loss_and_grads(model, xp, y)
+        lm, _ = nn.batch_loss_and_grads(model, xm, y)
+        grads[0, i] = (lp - lm) / (2 * h)
     return grads
 
 
@@ -106,9 +109,10 @@ def test_gradients_match_finite_differences(seed):
     rng = stream(seed, "fd-test")
     m = nn.Model.init([3, 4, 2], rng)
     # keep inputs away from ReLU kinks to make central differences clean
-    x = rng.uniform(0.1, 0.9, size=3)
-    y = int(rng.integers(2))
-    _, pgrads, xgrad = nn.loss_and_grads(m, x, y)
+    x = rng.uniform(0.1, 0.9, size=(1, 3))
+    y = rng.integers(2, size=1)
+    _, pgrads = nn.batch_loss_and_grads(m, x, y)
+    xgrad = nn.input_grads_ce(m, x, y)
     fd_p = finite_diff_param_grads(m, x, y)
     fd_x = finite_diff_input_grads(m, x, y)
     np.testing.assert_allclose(pgrads, fd_p, rtol=1e-4, atol=1e-8)
@@ -122,13 +126,14 @@ def test_batch_loss_is_mean_of_singles():
     y = rng.integers(3, size=6)
     loss, pgrads = nn.batch_loss_and_grads(m, X, y)
     xgrads = nn.input_grads_ce(m, X, y)
-    singles = [nn.loss_and_grads(m, X[i], int(y[i])) for i in range(6)]
+    singles = [nn.batch_loss_and_grads(m, X[i:i + 1], y[i:i + 1]) for i in range(6)]
+    single_xgrads = [nn.input_grads_ce(m, X[i:i + 1], y[i:i + 1])[0] for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
     np.testing.assert_allclose(pgrads,
                                np.mean([s[1] for s in singles], axis=0),
                                rtol=1e-10, atol=1e-14)
     for i in range(6):
-        np.testing.assert_allclose(xgrads[i], singles[i][2], rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(xgrads[i], single_xgrads[i], rtol=1e-10, atol=1e-14)
 
 
 def reference_backprop(model, acts, dlogits):
@@ -165,35 +170,20 @@ def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
     assert np.array_equal(full, reference_backprop(m, acts, dl)[0])
 
 
-def test_single_sample_input_gradient_equals_the_batch_form_bitwise():
-    # loss_and_grads takes its input gradient from input_grads_ce: at n = 1
-    # the old (dlogits/1)-backprop-(*1) form rounds identically
-    rng = stream(11, "single-test")
-    m = nn.Model.init([4, 6, 3], rng)
-    x, y = rng.uniform(size=4), 2
-    _, acts = nn._forward_cache(m, x[None, :])
-    dl = nn.softmax(acts[-1])
-    dl[0, y] -= 1.0
-    loss, pgrads, xgrad = nn.loss_and_grads(m, x, y)
-    ref_p, ref_x = reference_backprop(m, acts, dl / 1)
-    assert np.array_equal(pgrads, ref_p) and np.array_equal(xgrad, (ref_x * 1)[0])
-    assert loss == nn.cross_entropy(acts[-1], np.array([y]))[0]
-
-
 def test_sgd_plain_step():
     m = nn.Model([np.ones((2, 2))], [np.zeros(2)])
     g = np.full_like(m.params.values, 0.5)
     state = nn.SgdState(lr=1.0)
     nn.sgd_step(m, g, state)
-    np.testing.assert_allclose(m.to_vector().values, np.array([0.5] * 4 + [-0.5] * 2))
+    np.testing.assert_allclose(m.params.values, np.array([0.5] * 4 + [-0.5] * 2))
 
 
 def test_sgd_zero_grads_fixed_point():
     m = nn.Model.init([2, 2], stream(1, "init"))
-    before = m.to_vector().values.copy()
+    before = m.params.values.copy()
     state = nn.SgdState(lr=0.1, momentum=0.9)
     nn.sgd_step(m, np.zeros_like(m.params.values), state)
-    np.testing.assert_array_equal(m.to_vector().values, before)
+    np.testing.assert_array_equal(m.params.values, before)
 
 
 def test_sgd_two_step_momentum_recurrence():
@@ -205,7 +195,7 @@ def test_sgd_two_step_momentum_recurrence():
     nn.sgd_step(m, g, state)
     nn.sgd_step(m, g, state)
     expected = -(0.1 * 1.0 + 0.1 * 1.9)
-    np.testing.assert_allclose(m.to_vector().values, [expected, expected], rtol=1e-15)
+    np.testing.assert_allclose(m.params.values, [expected, expected], rtol=1e-15)
 
 
 def test_sgd_step_in_place_equals_the_formula_bitwise():
@@ -233,10 +223,9 @@ def test_sgd_layout_mismatch():
 
 def test_param_vector_roundtrip_bit_exact():
     m = nn.Model.init([3, 5, 4, 2], stream(9, "init"))
-    vec = m.to_vector()
-    m2 = nn.Model.init([3, 5, 4, 2], stream(1, "init"))
-    m2.load_vector(vec)
-    assert np.array_equal(m2.to_vector().values, vec.values)
+    vec = m.params
+    m2 = nn.Model.from_vector(vec)
+    assert np.array_equal(m2.params.values, vec.values)
 
 
 def test_param_vector_length_validation():
@@ -250,7 +239,7 @@ def test_checkpoint_roundtrip(tmp_path):
     nn.save_checkpoint(m, path)
     m2 = nn.load_checkpoint(path)
     assert m2.layout == m.layout
-    assert np.array_equal(m2.to_vector().values, m.to_vector().values)
+    assert np.array_equal(m2.params.values, m.params.values)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -275,7 +264,7 @@ def test_forward_deterministic_across_runs():
     results = []
     for _ in range(2):
         m = nn.Model.init([3, 4, 2], stream(7, "init"))
-        results.append(nn.forward(m, np.array([0.2, 0.5, 0.9])))
+        results.append(nn.forward_batch(m, np.array([[0.2, 0.5, 0.9]])))
     assert np.array_equal(results[0], results[1])
 
 
@@ -286,13 +275,13 @@ def test_weights_and_biases_are_views_of_params():
     w0 = m.weights[1].copy()
     nn.sgd_step(m, g, nn.SgdState(lr=0.5))
     np.testing.assert_array_equal(m.weights[1], w0 - 0.5)
-    assert np.array_equal(m.to_vector().values,
+    assert np.array_equal(m.params.values,
                           np.concatenate([a.ravel() for wb in zip(m.weights, m.biases)
                                           for a in wb]))
 
 
 def test_from_vector_copies_and_checks_the_mlp_layout():
-    vec = nn.Model.init([3, 5, 2], stream(4, "init")).to_vector()
+    vec = nn.Model.init([3, 5, 2], stream(4, "init")).params
     m = nn.Model.from_vector(vec)
     assert m.layout == vec.layout and (m.input_dim, m.num_classes) == (3, 2)
     m.params.values[:] = 0.0

@@ -50,8 +50,8 @@ def test_sfat_alpha_zero_equals_fat_bitwise():
     fat = run(tiny_config())
     sfat = run(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT,
                                                     alpha=0.0, k_hat=1)))
-    a = fat.final_model.to_vector().values
-    b = sfat.final_model.to_vector().values
+    a = fat.final_model.params.values
+    b = sfat.final_model.params.values
     assert np.array_equal(a, b)
     for ra, rb in zip(fat.reports, sfat.reports):
         assert ra.mean_drift == rb.mean_drift
@@ -155,7 +155,7 @@ def test_fedprox_and_scaffold_optimizers_run():
     for opt in ("fedprox", "scaffold"):
         art = run(tiny_config(optimizer=opt, rounds=2, eval_every=0))
         assert len(art.reports) == 2
-        assert np.all(np.isfinite(art.final_model.to_vector().values))
+        assert np.all(np.isfinite(art.final_model.params.values))
 
 
 def write_config(tmp_path, **kw):
@@ -294,14 +294,20 @@ def test_cli_eval_rejects_truncated_checkpoint_header(tmp_path):
                      "--test", str(csv_path)]) == cli.EXIT_CONFIG
 
 
+def write_csv(path, rows):
+    """A `label,f0,...` CSV of (label, features) rows; returns its path."""
+    lines = ["label," + ",".join(f"f{i}" for i in range(len(rows[0][1])))]
+    lines += [f"{y}," + ",".join(repr(float(v)) for v in x) for y, x in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def eval_on_csv(tmp_path, rows, attack):
-    """Exit code of `fedslack eval` of a 2-class checkpoint on a 3-feature CSV."""
+    """Exit code of `fedslack eval` of a 3-feature, 2-class checkpoint on a CSV of `rows`."""
     ckpt = tmp_path / "model.bin"
     nn.save_checkpoint(nn.Model.init([3, 4, 2], stream(0, "init")), ckpt)
-    csv_path = tmp_path / "test.csv"
-    lines = ["label,f0,f1,f2"] + [f"{y}," + ",".join(map(repr, x)) for y, x in rows]
-    csv_path.write_text("\n".join(lines) + "\n")
-    return cli.main(["eval", "--checkpoint", str(ckpt), "--test", str(csv_path),
+    csv_path = write_csv(tmp_path / "test.csv", rows)
+    return cli.main(["eval", "--checkpoint", str(ckpt), "--test", csv_path,
                      "--attack", attack])
 
 
@@ -490,3 +496,41 @@ def test_cli_run_divergence_names_round_client_epoch_batch(tmp_path, capsys, tra
     assert run_cli_on(tmp_path, raw)[0] == cli.EXIT_DIVERGED
     err = capsys.readouterr().err
     assert re.search(rf"round 1, client \d+, epoch 0, batch 1: non-finite {what}", err), err
+
+
+@pytest.mark.parametrize("bounds", [{"clip_max": 0.5}, {"clip_min": 0.9, "clip_max": 0.1}])
+def test_cli_run_rejects_the_removed_attack_clip_keys(tmp_path, capsys, bounds):
+    # features always lie in [0, 1]; a narrower or inverted clip range used to
+    # pass parsing and exit 2 only in round 1, after metrics.csv was written
+    raw = config_to_dict(tiny_config())
+    assert not {"clip_min", "clip_max"} & set(raw["local"]["attack"])
+    raw["local"]["attack"].update(bounds)
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert "unknown config keys: local.attack.clip_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_rows, message", [
+    ([(0, (0.1, 0.2, 0.3, 0.4, 0.5)), (2, (0.5, 0.4, 0.3, 0.2, 0.1))],
+     "the test set has 5 features, the training set 4"),
+    ([(0, (0.1, 0.2, 0.3, 0.4)), (3, (0.5, 0.4, 0.3, 0.2))],
+     "the test set has label 3, beyond the training set's 3 classes")])
+def test_cli_run_rejects_a_test_set_that_does_not_fit_the_model_before_writing(
+        tmp_path, capsys, test_rows, message):
+    # used to train every round and exit 2 only at the first evaluation
+    rng = stream(0, "csv-rows")
+    train_rows = [(k % 3, tuple(rng.uniform(size=4).round(3))) for k in range(30)]
+    raw = config_to_dict(tiny_config(partition=PartitionSpec(3, mode="iid")))
+    raw["dataset"] = {"kind": "csv", "train_path": write_csv(tmp_path / "train.csv", train_rows),
+                      "test_path": write_csv(tmp_path / "test.csv", test_rows)}
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("attack", ["none", "fgsm", "pgd20"])
+def test_cli_eval_names_the_shapes_of_a_test_set_that_does_not_fit_the_checkpoint(
+        tmp_path, capsys, attack):
+    # the attacks used to fail inside numpy's matmul with a gufunc message
+    rows = [(0, (0.2, 0.5, 0.3, 0.1)), (1, (0.1, 0.4, 0.9, 0.6))]
+    assert eval_on_csv(tmp_path, rows, attack) == cli.EXIT_CONFIG
+    assert "batch has shape (2, 4), expected (n, 3)" in capsys.readouterr().err
