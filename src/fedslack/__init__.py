@@ -7,8 +7,8 @@ from .aggregation import (AggregationMode, AggregationPolicy, AlphaSchedule,
 from .attacks import AttackSpec, fgsm, pgd
 from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
-from .local import (LocalConfig, Trainer, apply_fedprox,
-                    apply_scaffold, train_client, update_scaffold_client)
+from .local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold, cohorts,
+                    train_client, update_scaffold_client)
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, trace_topk, xi_count)
 from .nn import Model, ParamVector, SgdState, load_checkpoint, save_checkpoint, sgd_step

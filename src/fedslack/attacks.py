@@ -9,9 +9,9 @@ onto the epsilon-ball around the clean input intersected with [0, 1] (one
 clip against precomputed bounds); sign(0) is 0, so zero-gradient
 coordinates stay untouched.
 
-Labels are checked once per attack call, not at every step, and every
-step computes only the input gradient (`nn.input_backprop`): no attack
-step builds a parameter gradient.
+Labels are checked and one-hot encoded once per attack call, not at every
+step, and every step computes only the input gradient
+(`nn.input_backprop`): no attack step builds a parameter gradient.
 """
 
 from __future__ import annotations
@@ -101,18 +101,21 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
     for _ in range(spec.steps):
         g = grad_fn(x)
         _check_gradient(g)
-        # x <- clip(x + step_size*sign(g)) in one buffer (an in-place sign is slower)
+        # x <- clip(x + step_size*sign(g)) in one buffer (an in-place sign is
+        # slower); s is finite, so max-then-min is np.clip bit for bit, without
+        # its per-call overhead
         s = np.sign(g)
         s *= spec.step_size
         s += x
-        x = np.clip(s, lo, hi, out=s)
+        np.maximum(s, lo, out=s)
+        x = np.minimum(s, hi, out=s)
     return x
 
 
 def fgsm(model: nn.Model, x: np.ndarray, y, spec: AttackSpec) -> np.ndarray:
     """Single sign step of size epsilon, clipped to [0, 1]."""
     xb, yb = _as_batch(x, y)
-    g = nn.input_grads_ce(model, xb, nn._check_labels(yb, model.num_classes))
+    g = nn.input_grads_ce(model, xb, nn.one_hot(yb, model.num_classes))
     _check_gradient(g)
     return np.clip(xb + spec.epsilon * np.sign(g), 0.0, 1.0)
 
@@ -121,8 +124,8 @@ def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
         rng: Rng = None) -> np.ndarray:
     """Multi-step PGD maximizing cross-entropy inside the epsilon-ball."""
     xb, yb = _as_batch(x, y)
-    yb = nn._check_labels(yb, model.num_classes)
-    return pgd_core(xb, lambda z: nn.input_grads_ce(model, z, yb), spec, rng)
+    onehot = nn.one_hot(yb, model.num_classes)
+    return pgd_core(xb, lambda z: nn.input_grads_ce(model, z, onehot), spec, rng)
 
 
 def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,

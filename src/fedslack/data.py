@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, PartitionError
+from .errors import ConfigError, FormatError, PartitionError
 from .streams import stream
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -67,6 +67,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_clients < 2:
             raise PartitionError("need at least 2 clients")
+        if self.seed < 0:
+            raise ConfigError(f"partition.seed must be a non-negative integer, got {self.seed}")
         if isinstance(self.mode, str):
             self.mode = PartitionMode(self.mode.lower())
         # `not x >= 0` rather than `x < 0`, so that NaN is rejected too.

@@ -14,9 +14,11 @@ backward and attack step is one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
 layer, and each SGD, FedProx or SCAFFOLD update one elementwise op over the
 cohort's rows.  Every client still draws its batch order and attack noise
 from its own streams and computes exactly what it would alone, so a cohort
-of one is the per-client case.  `cohorts` caps a cohort at COHORT_BYTES of
-parameters: beyond that the stacked activations and gradients fall out of
-cache and cost more than the numpy calls stacking saves.
+of one is the per-client case.  `cohorts` derives all of a round's streams
+in one batched call (see `streams`) and hands each cohort its own.  It caps
+a cohort at COHORT_BYTES of parameters: beyond that the stacked activations
+and gradients fall out of cache and cost more than the numpy calls stacking
+saves.
 
 Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
 arrays in the order of `model.params.values`, one row per client; they are
@@ -123,15 +125,19 @@ def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
 
 @dataclass(eq=False)
 class Cohort:
-    """Clients trained together: their ids, in upload-row order, and the (M, n)
-    array of their shards' sample indices (row i is client_ids[i]'s shard)."""
+    """Clients trained together in one round: their ids, in upload-row order,
+    the (M, n) array of their shards' sample indices (row i is client_ids[i]'s
+    shard), and the streams they draw from this round, as object arrays of
+    Generators: `orders[e, i]` shuffles client i's shard in epoch e, and
+    `attacks[e, b, i]` draws its attack noise for batch b (None when the
+    attack draws nothing).  The Generators advance as the cohort trains, so
+    a cohort trains once."""
 
     client_ids: tuple[int, ...]
     indices: np.ndarray
-
-    @classmethod
-    def of(cls, shards: list[ClientShard]) -> "Cohort":
-        return cls(tuple(s.client_id for s in shards), np.array([s.indices for s in shards]))
+    round_idx: int
+    orders: np.ndarray
+    attacks: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.client_ids)
@@ -140,19 +146,6 @@ class Cohort:
     def n_samples(self) -> int:
         """Samples of all the cohort's clients together."""
         return self.indices.size
-
-
-def cohorts(shards: list[ClientShard], n_params: int) -> list[Cohort]:
-    """The shards, in upload-row order, cut into maximal runs of consecutive
-    equal-size shards of at most max(1, COHORT_BYTES // (8*n_params)) each."""
-    cap = max(1, COHORT_BYTES // (8 * n_params))
-    groups: list[list[ClientShard]] = []
-    for shard in shards:
-        if groups and len(groups[-1]) < cap and shard.n_samples == groups[-1][0].n_samples:
-            groups[-1].append(shard)
-        else:
-            groups.append([shard])
-    return [Cohort.of(g) for g in groups]
 
 
 def _attack_draws(config: LocalConfig) -> bool:
@@ -165,13 +158,53 @@ def _attack_draws(config: LocalConfig) -> bool:
             or (config.trainer is Trainer.TRADES and config.trades_beta > 0.0))
 
 
+def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
+            master_seed: int, round_idx: int) -> list[Cohort]:
+    """The round's shards, in upload-row order, cut into maximal runs of
+    consecutive equal-size shards of at most max(1, COHORT_BYTES // (8*n_params))
+    each, with their clients' streams for the round.
+
+    Every stream of the round comes from one batched `stream` call.  Its keys
+    are (client, epoch) for batch order and (client, epoch*100000 + b) for
+    batch b's attack noise, so a client's streams do not depend on its cohort.
+    """
+    cap = max(1, COHORT_BYTES // (8 * n_params))
+    groups: list[list[ClientShard]] = []
+    for shard in shards:
+        if groups and len(groups[-1]) < cap and shard.n_samples == groups[-1][0].n_samples:
+            groups[-1].append(shard)
+        else:
+            groups.append([shard])
+    epochs, draws = range(config.epochs), _attack_draws(config)
+    keys, shapes = [], []         # (purpose, client, batch) in C order of each shape
+    for group in groups:
+        ids = [s.client_id for s in group]
+        n_batches = -(-group[0].n_samples // config.batch_size)
+        keys += [("batch-order", cid, e) for e in epochs for cid in ids]
+        shapes.append((config.epochs, len(ids)))
+        if draws:
+            keys += [("attack", cid, e * 100000 + b) for e in epochs
+                     for b in range(n_batches) for cid in ids]
+            shapes.append((config.epochs, n_batches, len(ids)))
+    purposes, clients, batches = zip(*keys)
+    rngs = np.empty(len(keys), dtype=object)
+    rngs[:] = stream(master_seed, np.array(purposes), round_idx, np.array(clients),
+                     np.array(batches))
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    per_group = iter(block.reshape(shape)
+                     for block, shape in zip(np.split(rngs, ends[:-1]), shapes))
+    return [Cohort(tuple(s.client_id for s in group), np.array([s.indices for s in group]),
+                   round_idx, next(per_group), next(per_group) if draws else None)
+            for group in groups]
+
+
 def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
-                 config: LocalConfig, master_seed: int, round_idx: int = 0, *,
-                 out: np.ndarray, c_global: np.ndarray | None = None,
-                 c_local: np.ndarray | None = None,
+                 config: LocalConfig, *, out: np.ndarray,
+                 c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
                  delta_out: np.ndarray | None = None) -> list[float]:
     """The cohort's E local epochs of SGD in `out`, (M, P), one row per client;
-    returns each client's mean loss over its last epoch.
+    returns each client's mean loss over its last epoch.  The cohort's
+    streams (see `cohorts`) supply each client's batch order and attack noise.
 
     SCAFFOLD runs iff the variates are given (c_global (P,), c_local (M, P)),
     and writes each variate change c_new - c_local into its row of
@@ -194,23 +227,20 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     pick = 0 if len(ids) == 1 else slice(None)    # drops or keeps the client axis
     model = nn.Model.from_vector(theta_global, out=out[pick])
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
-    draws = _attack_draws(config)
 
     def diverged(what: str, row: int | None, epoch: int, b: int) -> DivergenceError:
-        return DivergenceError(f"round {round_idx}, client {ids[row or 0]}, epoch {epoch}, "
-                               f"batch {b}: non-finite {what}")
+        return DivergenceError(f"round {cohort.round_idx}, client {ids[row or 0]}, "
+                               f"epoch {epoch}, batch {b}: non-finite {what}")
 
     n_steps = 0
     for epoch in range(config.epochs):
         # each client's shard in its own batch order for this epoch
-        order = np.array([shard[stream(master_seed, "batch-order", round_idx, cid,
-                                       epoch).permutation(n)]
-                          for cid, shard in zip(ids, cohort.indices)])[pick]
+        order = np.array([shard[rng.permutation(n)]
+                          for rng, shard in zip(cohort.orders[epoch], cohort.indices)])[pick]
         loss_sum = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[..., start:start + config.batch_size]
-            rng = ([stream(master_seed, "attack", round_idx, cid, epoch * 100000 + b)
-                    for cid in ids][pick] if draws else None)
+            rng = None if cohort.attacks is None else cohort.attacks[epoch, b, pick]
             try:
                 loss, grads = _batch_objective(model, dataset.features[idx],
                                                dataset.labels[idx], config, rng)

@@ -87,10 +87,10 @@ def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
-             spec: AttackSpec | None = None,
-             rng: np.random.Generator | None = None) -> float:
+             spec: AttackSpec | None = None) -> float:
     """Fraction of correct argmax predictions on (possibly attacked) inputs; the
-    test batch's shape and labels are checked against the model once."""
+    test batch's shape and labels are checked against the model once.  The
+    attack draws nothing, so a spec with a random start is rejected."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
     X = nn._check_batch(model, test_set.features)
@@ -102,7 +102,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
     elif attack is EvalAttack.PGD:
         if spec is None:
             raise ValueError("PGD evaluation needs an attack spec")
-        X = pgd(model, X, y, spec, rng)
+        X = pgd(model, X, y, spec)
     preds = nn.forward_batch(model, X).argmax(axis=1)
     return float(np.mean(preds == y))
 

@@ -238,6 +238,13 @@ def _check_labels(y: np.ndarray, num_classes: int) -> np.ndarray:
     return y.astype(np.intp)
 
 
+def one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
+    """The float64 one-hot of labels y, shape y.shape + (C,); LabelError if a
+    label is outside [0, C)."""
+    y = _check_labels(y, num_classes)
+    return (y[..., None] == np.arange(num_classes)).astype(np.float64)
+
+
 def batch_loss_and_grads(model: Model, X: np.ndarray,
                          y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over a batch and the mean parameter gradients.
@@ -254,15 +261,16 @@ def batch_loss_and_grads(model: Model, X: np.ndarray,
     return loss, backprop(model, acts, dlogits)
 
 
-def input_grads_ce(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def input_grads_ce(model: Model, X: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """Per-sample input gradients of the cross-entropy loss (used by attacks).
 
-    `y` must already be checked by `_check_labels`; the attacks check their
-    labels once per call, not once per step.
+    `onehot` is `one_hot` of the labels: the attacks build it once per call,
+    not once per step.  Subtracting it from the softmax changes only the
+    label logits (p - 0.0 is p), so this is the usual gradient bit for bit.
     """
     logits, acts = _forward_cache(model, np.asarray(X, dtype=np.float64))
     dlogits = softmax(logits)
-    dlogits[_at_labels(y)] -= 1.0
+    dlogits -= onehot
     return input_backprop(model, acts, dlogits)
 
 

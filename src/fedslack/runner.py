@@ -72,6 +72,8 @@ class DatasetSpec:
     test_labels_path: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.separation):
+            raise ConfigError(f"dataset.separation must be finite, got {self.separation}")
         if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
             raise ConfigError(
                 f"dataset.test_fraction must be finite and > 0, got {self.test_fraction}")
@@ -99,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0 (0: no eval), got {self.eval_every}")
         if not 0.0 < self.participation <= 1.0:
@@ -317,14 +321,15 @@ def run(config: ExperimentConfig) -> RunArtifact:
             participants = sample_participants(K, config.participation, t, config.seed)
             n_k = sizes[participants]
             a = 0
-            for cohort in cohorts([shards[cid] for cid in participants], P):
+            for cohort in cohorts([shards[cid] for cid in participants], P, local_cfg,
+                                  config.seed, t):
                 b = a + len(cohort)
                 kwargs = {"out": uploads[a:b]}
                 if use_scaffold:
                     kwargs.update(c_global=c_global, delta_out=deltas[a:b],
                                   c_local=c_locals[_rows(cohort.client_ids)])
                 losses[a:b] = train_client(cohort, train_set, model.params, local_cfg,
-                                           config.seed, t, **kwargs)
+                                           **kwargs)
                 a = b
 
             wl = n_k / len(train_set) * losses

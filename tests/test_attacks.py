@@ -173,7 +173,6 @@ def test_pgd_evaluation_runs_no_parameter_backprop(monkeypatch):
     calls = []
     original = nn.backprop
     monkeypatch.setattr(nn, "backprop", lambda *a, **k: calls.append(1) or original(*a, **k))
-    evaluate(m, test_set, EvalAttack.PGD, AttackSpec(0.1, 0.02, steps=20),
-             stream(5, "attack"))
+    evaluate(m, test_set, EvalAttack.PGD, AttackSpec(0.1, 0.02, steps=20))
     evaluate(m, test_set, EvalAttack.FGSM, AttackSpec(0.1, 0.02))
     assert calls == []

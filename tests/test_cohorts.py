@@ -15,7 +15,7 @@ from fedslack import local, nn
 from fedslack.attacks import AttackSpec
 from fedslack.data import ClientShard, Dataset
 from fedslack.errors import DivergenceError
-from fedslack.local import Cohort, LocalConfig, cohorts, train_client
+from fedslack.local import LocalConfig, cohorts, train_client
 from fedslack.streams import stream
 
 
@@ -32,22 +32,52 @@ def toy_dataset(n, seed=0):
     return Dataset(X, (X[:, 0] + X[:, 1] > 1.0).astype(int), 2)
 
 
+CFG = LocalConfig(epochs=2, batch_size=5,
+                  attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
+
+
 def test_cohorts_are_runs_of_equal_sizes_up_to_the_cap(monkeypatch):
     shards = shards_of([4, 4, 4, 5, 5, 4, 4])
-    groups = cohorts(shards, n_params=10)
+    groups = cohorts(shards, 10, CFG, 0, 1)
     assert [c.client_ids for c in groups] == [(0, 1, 2), (3, 4), (5, 6)]
     assert [c.n_samples for c in groups] == [12, 10, 8]
     assert np.array_equal(groups[1].indices, np.stack([shards[3].indices, shards[4].indices]))
     monkeypatch.setattr(local, "COHORT_BYTES", 2 * 8 * 10 + 7)    # room for two clients
-    assert [c.client_ids for c in cohorts(shards, 10)] == [(0, 1), (2,), (3, 4), (5, 6)]
+    assert [c.client_ids for c in cohorts(shards, 10, CFG, 0, 1)] == [(0, 1), (2,), (3, 4),
+                                                                      (5, 6)]
     monkeypatch.setattr(local, "COHORT_BYTES", 1)                 # room for none: one each
-    assert [c.client_ids for c in cohorts(shards, 10)] == [(k,) for k in range(7)]
+    assert [c.client_ids for c in cohorts(shards, 10, CFG, 0, 1)] == [(k,) for k in range(7)]
 
 
 @pytest.mark.parametrize("n_params, sizes", [(229, [3]), (50_826, [2, 1]), (203_530, [1, 1, 1])])
 def test_cohort_cap_at_the_benchmark_model_sizes(n_params, sizes):
     # 8-16-5 (desk) stacks, 64-256-128-10 (fleet) pairs, 784-256-10 (wide) trains alone
-    assert [len(c) for c in cohorts(shards_of([6, 6, 6]), n_params)] == sizes
+    assert [len(c) for c in cohorts(shards_of([6, 6, 6]), n_params, CFG, 0, 1)] == sizes
+
+
+def state(rng):
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("random_start", [True, False])
+def test_a_cohort_holds_each_clients_keyed_streams(random_start):
+    # shards of 7 and 12 in batches of 5: 2 and 3 batches per epoch
+    cfg = LocalConfig(epochs=2, batch_size=5,
+                      attack=AttackSpec(0.05, 0.01, steps=2, random_start=random_start))
+    groups = cohorts(shards_of([7, 7, 12], first_id=3), 10, cfg, 9, 4)
+    assert [(c.client_ids, c.round_idx) for c in groups] == [((3, 4), 4), ((5,), 4)]
+    for c, n_batches in zip(groups, [2, 3]):
+        assert c.orders.shape == (2, len(c))
+        if random_start:
+            assert c.attacks.shape == (2, n_batches, len(c))
+        else:
+            assert c.attacks is None
+        for e, i in np.ndindex(c.orders.shape):
+            cid = c.client_ids[i]
+            assert state(c.orders[e, i]) == state(stream(9, "batch-order", 4, cid, e))
+            for b in range(n_batches if random_start else 0):
+                assert (state(c.attacks[e, b, i])
+                        == state(stream(9, "attack", 4, cid, e * 100000 + b)))
 
 
 def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
@@ -60,7 +90,7 @@ def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
         b = a + len(c)
         kwargs = {} if c_locals is None else dict(
             c_global=c_global, c_local=c_locals[a:b], delta_out=deltas[a:b])
-        losses += train_client(c, ds, theta, cfg, 11, 2, out=uploads[a:b], **kwargs)
+        losses += train_client(c, ds, theta, cfg, out=uploads[a:b], **kwargs)
         a = b
     return uploads, deltas, losses
 
@@ -92,10 +122,12 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
         variates = dict(c_global=rng.normal(scale=0.01, size=P),
                         c_locals=rng.normal(scale=0.01, size=(len(sizes), P)))
     with mock.patch.object(local, "COHORT_BYTES", cap * 8 * P):
-        groups = cohorts(shards, P)
-    assert max(len(c) for c in groups) <= cap
+        groups = cohorts(shards, P, cfg, 11, 2)
+    with mock.patch.object(local, "COHORT_BYTES", 1):
+        singles = cohorts(shards, P, cfg, 11, 2)
+    assert max(len(c) for c in groups) <= cap and len(singles) == len(shards)
     together = train_rows(groups, ds, theta, cfg, **variates)
-    alone = train_rows([Cohort.of([s]) for s in shards], ds, theta, cfg, **variates)
+    alone = train_rows(singles, ds, theta, cfg, **variates)
     assert np.array_equal(together[0], alone[0])
     if optimizer == "scaffold":
         assert np.array_equal(together[1], alone[1])
@@ -104,17 +136,17 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
 
 def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch):
     ds = toy_dataset(36)
-    cohort = Cohort.of(shards_of([12, 12, 12]))
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    cfg = LocalConfig(epochs=2, batch_size=5, attack=AttackSpec(0.05, 0.01, steps=3,
+                                                                 random_start=True))
+    (cohort,) = cohorts(shards_of([12, 12, 12]), theta.values.size, cfg, 1, 1)
     made, rows = [], []
     original_init, original_backprop = nn.ParamVector.__post_init__, nn.backprop
     monkeypatch.setattr(nn.ParamVector, "__post_init__",
                         lambda self: made.append(1) or original_init(self))
     monkeypatch.setattr(nn, "backprop",
                         lambda *a: rows.append(a[2].shape[:-1]) or original_backprop(*a))
-    cfg = LocalConfig(epochs=2, batch_size=5, attack=AttackSpec(0.05, 0.01, steps=3,
-                                                                 random_start=True))
-    train_client(cohort, ds, theta, cfg, 1, 1, out=np.empty((3, theta.values.size)))
+    train_client(cohort, ds, theta, cfg, out=np.empty((3, theta.values.size)))
     assert len(made) == 1
     assert rows == [(3, 5), (3, 5), (3, 2)] * 2
 
@@ -126,14 +158,17 @@ def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch
     ("standard", True, 0.05, 6.0, False)])
 def test_attack_streams_are_derived_only_when_an_attack_reads_them(
         monkeypatch, trainer, random_start, epsilon, beta, draws):
-    purposes = []
-    monkeypatch.setattr(local, "stream", lambda *key: purposes.append(key[1]) or stream(*key))
+    calls = []
+    monkeypatch.setattr(local, "stream", lambda *key: calls.append(key) or stream(*key))
     ds = toy_dataset(24)
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer, trades_beta=beta,
                       attack=AttackSpec(epsilon, 0.01, steps=2, random_start=random_start))
-    train_client(Cohort.of(shards_of([12, 12])), ds, theta, cfg, 1, 1,
-                 out=np.empty((2, theta.values.size)))
+    (cohort,) = cohorts(shards_of([12, 12]), theta.values.size, cfg, 1, 1)
+    train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))
+    # one batched call per round: its purposes, broadcast to one per key
+    (key,) = calls
+    purposes = np.broadcast_arrays(*map(np.asarray, key))[1].ravel().tolist()
     # 2 clients x 2 epochs; 3 batches of a 12-sample shard in each
     assert purposes.count("batch-order") == 4
     assert purposes.count("attack") == (12 if draws else 0)
@@ -154,10 +189,10 @@ def test_divergence_names_the_round_client_epoch_and_batch(trainer, what, sizes,
     cfg = LocalConfig(epochs=1, batch_size=5, trainer=trainer, lr=1.0,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
     message = f"round 4, client {client}, epoch 0, batch 1: non-finite {what}"
+    (cohort,) = cohorts(shards_of(sizes, first_id=7), P, cfg, 1, 4)
     with pytest.raises(DivergenceError, match=re.escape(message)):
-        train_client(Cohort.of(shards_of(sizes, first_id=7)), ds, theta, cfg, 1, 4,
-                     out=np.empty((m, P)), c_global=np.zeros(P), c_local=c_local,
-                     delta_out=np.empty((m, P)))
+        train_client(cohort, ds, theta, cfg, out=np.empty((m, P)), c_global=np.zeros(P),
+                     c_local=c_local, delta_out=np.empty((m, P)))
 
 
 def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
@@ -174,7 +209,7 @@ def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
     ds = toy_dataset(20)
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=10, trainer="standard")
+    (cohort,) = cohorts(shards_of([10, 10], first_id=5), theta.values.size, cfg, 1, 2)
     with pytest.raises(DivergenceError,
                        match="round 2, client 6, epoch 1, batch 0: non-finite parameters"):
-        train_client(Cohort.of(shards_of([10, 10], first_id=5)), ds, theta, cfg, 1, 2,
-                     out=np.empty((2, theta.values.size)))
+        train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))

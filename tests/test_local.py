@@ -8,7 +8,7 @@ from fedslack import nn
 from fedslack.aggregation import AggregationPolicy
 from fedslack.attacks import AttackSpec, pgd
 from fedslack.data import ClientShard, Dataset, PartitionSpec
-from fedslack.local import (Cohort, LocalConfig, Trainer, apply_fedprox, apply_scaffold,
+from fedslack.local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold, cohorts,
                             train_client, update_scaffold_client)
 from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
@@ -32,12 +32,13 @@ def global_theta(seed=0, dims=(3, 4, 2)):
     return nn.Model.init(list(dims), stream(seed, "init")).params
 
 
-def train(shard, ds, theta, cfg, **kwargs):
+def train(shard, ds, theta, cfg, master_seed=0, round_idx=0, **kwargs):
     """`train_client` on a cohort of one in a fresh upload row: (uploaded
     parameters, mean loss); per-client variates become that cohort's row."""
     out = np.empty((1, theta.values.size))
     rows = {k: v[None] for k, v in kwargs.items() if k in ("c_local", "delta_out")}
-    (loss,) = train_client(Cohort.of([shard]), ds, theta, cfg, out=out, **{**kwargs, **rows})
+    (cohort,) = cohorts([shard], theta.values.size, cfg, master_seed, round_idx)
+    (loss,) = train_client(cohort, ds, theta, cfg, out=out, **{**kwargs, **rows})
     return out[0], loss
 
 
@@ -98,7 +99,8 @@ def test_scaffold_mean_identity_two_client_toy():
     c_g = np.zeros_like(theta.values)
     c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
     uploads, deltas = np.empty((2, theta.values.size)), np.empty((2, theta.values.size))
-    train_client(Cohort.of(shards), ds, theta, cfg, master_seed=1, round_idx=1, out=uploads,
+    (cohort,) = cohorts(shards, theta.values.size, cfg, master_seed=1, round_idx=1)
+    train_client(cohort, ds, theta, cfg, out=uploads,
                  c_global=c_g, c_local=np.stack(c_ls), delta_out=deltas)
     mean_delta = np.mean(list(deltas), axis=0)
     from fedslack.aggregation import scaffold_server_update

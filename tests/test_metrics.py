@@ -116,7 +116,7 @@ def test_attack_cannot_change_constant_argmax():
     m = const_model()
     spec = AttackSpec(0.1, 0.02, steps=5)
     nat = evaluate(m, ds, EvalAttack.NONE)
-    adv = evaluate(m, ds, EvalAttack.PGD, spec, stream(0, "eval"))
+    adv = evaluate(m, ds, EvalAttack.PGD, spec)
     assert nat == adv
 
 
@@ -131,7 +131,7 @@ def test_accuracy_in_unit_interval():
     for attack, spec in [(EvalAttack.NONE, None),
                          (EvalAttack.FGSM, AttackSpec(0.05, 0.05)),
                          (EvalAttack.PGD, AttackSpec(0.05, 0.01, steps=20))]:
-        acc = evaluate(m, ds, attack, spec, stream(1, "eval"))
+        acc = evaluate(m, ds, attack, spec)
         assert 0.0 <= acc <= 1.0
 
 

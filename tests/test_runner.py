@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -337,6 +338,31 @@ def test_cli_run_rejects_bad_values_before_writing(tmp_path, capsys, key, value)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "seed", -1), ("partition", "seed", -3), ("dataset", "separation", math.nan),
+    ("dataset", "separation", math.inf), ("dataset", "separation", -math.inf)])
+def test_cli_run_names_a_negative_seed_or_non_finite_separation(tmp_path, capsys, section,
+                                                                key, value):
+    raw = config_to_dict(tiny_config())
+    (raw[section] if section else raw)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"{section + '.' if section else ''}{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_names_a_negative_seed_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(tiny_config())))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--seed", "-1",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
