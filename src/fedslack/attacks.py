@@ -44,7 +44,7 @@ class AttackSpec:
             raise ValueError(f"attack.step_size must be finite and positive, "
                              f"got {self.step_size}")
         if self.steps < 1:
-            raise ValueError("need at least one step")
+            raise ValueError(f"attack.steps must be >= 1, got {self.steps}")
 
     def evaluation(self, steps: int = 20) -> "AttackSpec":
         """Same ball and step size, fixed step count, no random start."""

@@ -66,7 +66,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.num_clients < 2:
-            raise PartitionError("need at least 2 clients")
+            raise ConfigError(f"partition.num_clients must be >= 2, got {self.num_clients}")
         if self.seed < 0:
             raise ConfigError(f"partition.seed must be a non-negative integer, got {self.seed}")
         if isinstance(self.mode, str):

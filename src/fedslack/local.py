@@ -7,18 +7,18 @@ proximal and control-variate corrections hook into the gradient before the
 SGD step.
 
 Given the global parameters the clients are independent, so they train in
-cohorts: a cohort is a run of consecutive upload rows whose shards have the
-same size n, and so share one batch schedule.  `train_client` stacks the
-cohort's M models along a leading client axis (see `nn`): each forward,
-backward and attack step is one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
-layer, and each SGD, FedProx or SCAFFOLD update one elementwise op over the
-cohort's rows.  Every client still draws its batch order and attack noise
-from its own streams and computes exactly what it would alone, so a cohort
-of one is the per-client case.  `cohorts` derives all of a round's streams
-in one batched call (see `streams`) and hands each cohort its own.  It caps
-a cohort at COHORT_BYTES of parameters: beyond that the stacked activations
-and gradients fall out of cache and cost more than the numpy calls stacking
-saves.
+cohorts: a cohort is a set of evenly spaced upload rows, consecutive or
+not, whose shards have the same size n, and so share one batch schedule.
+`train_client` stacks the cohort's M models along a leading client axis
+(see `nn`): each forward, backward and attack step is one
+`(M, n, .) @ (M, fan_in, fan_out)` matmul per layer, and each SGD, FedProx
+or SCAFFOLD update one elementwise op over the cohort's rows.  Every client
+still draws its batch order and attack noise from its own streams and
+computes exactly what it would alone, so a cohort of one is the per-client
+case.  `cohorts` derives all of a round's streams in one batched call (see
+`streams`) and hands each cohort its own.  It caps a cohort at COHORT_BYTES
+of parameters: beyond that the stacked activations and gradients fall out
+of cache and cost more than the numpy calls stacking saves.
 
 Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
 arrays in the order of `model.params.values`, one row per client; they are
@@ -26,8 +26,8 @@ all derived from one model inside `train_client`, so only the downloaded and
 uploaded parameters carry a layout.
 
 The caller hands each cohort its rows of the round's upload matrix (and,
-under SCAFFOLD, of its delta matrix) to train and write in; `train_client`
-returns only the clients' mean losses.
+under SCAFFOLD, of its delta matrix) as a strided view to train and write
+in; `train_client` returns only the clients' mean losses.
 """
 
 from __future__ import annotations
@@ -74,9 +74,14 @@ class LocalConfig:
         if isinstance(self.trainer, str):
             self.trainer = Trainer(self.trainer.lower())
         if not isinstance(self.attack, AttackSpec):
-            self.attack = AttackSpec(**self.attack)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
+            try:
+                self.attack = AttackSpec(**self.attack)
+            except ValueError as exc:     # its message names `attack.<key>`
+                raise ConfigError(f"local.{exc}") from exc
+        if self.epochs < 1:
+            raise ConfigError(f"local.epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"local.batch_size must be >= 1, got {self.batch_size}")
         # `not x > 0` rather than `x <= 0`, so that NaN is rejected too.
         if not self.lr > 0:
             raise ConfigError(f"local.lr must be positive, got {self.lr}")
@@ -125,14 +130,16 @@ def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
 
 @dataclass(eq=False)
 class Cohort:
-    """Clients trained together in one round: their ids, in upload-row order,
-    the (M, n) array of their shards' sample indices (row i is client_ids[i]'s
-    shard), and the streams they draw from this round, as object arrays of
-    Generators: `orders[e, i]` shuffles client i's shard in epoch e, and
-    `attacks[e, b, i]` draws its attack noise for batch b (None when the
-    attack draws nothing).  The Generators advance as the cohort trains, so
-    a cohort trains once."""
+    """Clients trained together in one round: their evenly spaced rows of the
+    round's upload matrix (`uploads[cohort.view]` is a view of them), their
+    ids in the same order, the (M, n) array of their shards' sample indices
+    (row i is client_ids[i]'s shard), and the streams they draw from this
+    round, as object arrays of Generators: `orders[e, i]` shuffles client i's
+    shard in epoch e, and `attacks[e, b, i]` draws its attack noise for batch
+    b (None when the attack draws nothing).  The Generators advance as the
+    cohort trains, so a cohort trains once."""
 
+    rows: range
     client_ids: tuple[int, ...]
     indices: np.ndarray
     round_idx: int
@@ -141,6 +148,11 @@ class Cohort:
 
     def __len__(self) -> int:
         return len(self.client_ids)
+
+    @property
+    def view(self) -> slice:
+        """The cohort's rows as a slice, which indexes an array by a view."""
+        return slice(self.rows.start, self.rows.stop, self.rows.step)
 
     @property
     def n_samples(self) -> int:
@@ -160,21 +172,28 @@ def _attack_draws(config: LocalConfig) -> bool:
 
 def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
             master_seed: int, round_idx: int) -> list[Cohort]:
-    """The round's shards, in upload-row order, cut into maximal runs of
-    consecutive equal-size shards of at most max(1, COHORT_BYTES // (8*n_params))
-    each, with their clients' streams for the round.
+    """The round's shards, in upload-row order, grouped by size into cohorts
+    of at most max(1, COHORT_BYTES // (8*n_params)) evenly spaced rows each,
+    with their clients' streams for the round.  Each shard joins the latest
+    cohort of its size if that cohort has room and stays evenly spaced with
+    the shard's row, else opens a new one; the cohorts come in order of their
+    first row.
 
     Every stream of the round comes from one batched `stream` call.  Its keys
     are (client, epoch) for batch order and (client, epoch*100000 + b) for
     batch b's attack noise, so a client's streams do not depend on its cohort.
     """
     cap = max(1, COHORT_BYTES // (8 * n_params))
-    groups: list[list[ClientShard]] = []
-    for shard in shards:
-        if groups and len(groups[-1]) < cap and shard.n_samples == groups[-1][0].n_samples:
-            groups[-1].append(shard)
-        else:
-            groups.append([shard])
+    rows: list[list[int]] = []            # each cohort's rows, in order of its first row
+    latest: dict[int, list[int]] = {}     # shard size -> the latest cohort of that size
+    for row, shard in enumerate(shards):
+        group = latest.get(shard.n_samples)
+        if (group is None or len(group) == cap
+                or len(group) > 1 and row - group[-1] != group[1] - group[0]):
+            group = latest[shard.n_samples] = []
+            rows.append(group)
+        group.append(row)
+    groups = [[shards[row] for row in group] for group in rows]
     epochs, draws = range(config.epochs), _attack_draws(config)
     keys, shapes = [], []         # (purpose, client, batch) in C order of each shape
     for group in groups:
@@ -193,9 +212,11 @@ def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     per_group = iter(block.reshape(shape)
                      for block, shape in zip(np.split(rngs, ends[:-1]), shapes))
-    return [Cohort(tuple(s.client_id for s in group), np.array([s.indices for s in group]),
+    return [Cohort(range(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1),
+                   tuple(s.client_id for s in group),
+                   np.array([s.indices for s in group]),
                    round_idx, next(per_group), next(per_group) if draws else None)
-            for group in groups]
+            for r, group in zip(rows, groups)]
 
 
 def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,

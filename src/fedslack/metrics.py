@@ -3,8 +3,8 @@ signed top-vs-rest sample-count difference, accuracy under attack, and
 top-set selection counts read back from `metrics.csv` rows.
 
 Drift and variance read the round's (m, P) upload matrix, one row per
-participant, in place: drift measures it row by row through one (P,)
-scratch, and the variance centres one (m, P) copy of the pseudo-gradients.
+participant, in place, row by row through (P,) scratch: neither copies the
+matrix.
 """
 
 from __future__ import annotations
@@ -75,10 +75,20 @@ def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> flo
     if len(uploads) < 2:
         raise ValueError("gradient variance needs at least 2 clients")
     _check_rows(uploads, theta_prev_global)
-    g = uploads - theta_prev_global
-    g -= g.mean(axis=0)
-    g **= 2
-    return float(np.mean(np.sum(g, axis=1)))
+    # Bit-equal to centring the (m, P) matrix g = uploads - theta_prev: the
+    # mean sums g's rows in order, as numpy's axis-0 mean does, and each
+    # row's squares are summed pairwise, as numpy's axis-1 sum does.
+    diff = np.empty_like(theta_prev_global)
+    mean = np.subtract(uploads[0], theta_prev_global)
+    for row in uploads[1:]:
+        mean += np.subtract(row, theta_prev_global, out=diff)
+    mean /= len(uploads)
+    sums = np.empty(len(uploads))
+    for i, row in enumerate(uploads):
+        np.subtract(row, theta_prev_global, out=diff)
+        diff -= mean
+        sums[i] = np.square(diff, out=diff).sum()
+    return float(np.mean(sums))
 
 
 def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:

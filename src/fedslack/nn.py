@@ -12,8 +12,9 @@ Every function takes a batch, (n, d) inputs and (n,) labels; one sample is
 a batch of one.
 
 A model may also stack M clients' models along a leading client axis: its
-buffer is then (M, P), one row per client (a slice of the round's upload
-matrix), `weights[i]` is (M, fan_in, fan_out) and `biases[i]` (M, fan_out).
+buffer is then (M, P), one contiguous row per client (a slice of the
+round's upload matrix, whose rows need not be adjacent), `weights[i]` is
+(M, fan_in, fan_out) and `biases[i]` (M, fan_out).
 Every function below takes the same leading axis on its batches, labels and
 gradients ((M, n, d), (M, n), (M, P)) and computes each client's slice
 exactly as it would alone: one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
@@ -60,7 +61,7 @@ class ParamVector:
         values = np.asarray(self.values, dtype=np.float64)
         # (M, P) is one row per stacked client; anything else is one flat vector.
         self.values = values if values.ndim == 2 else values.ravel()
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
+        expected = sum(math.prod(shape) for _, shape in self.layout)
         if self.values.shape[-1] != expected:
             raise ShapeError(
                 f"param vector has {self.values.shape[-1]} values, layout needs {expected}")
@@ -84,8 +85,9 @@ class Model:
     `params.values`; the constructor copies the given arrays into it.  That
     buffer is `out` when given (a contiguous float64 array of the right
     size, such as one row of an upload matrix), else a fresh array.  An
-    (M, P) `out`, such as M consecutive rows of an upload matrix, gets the
-    arrays in every row and makes a stacked model of M clients (see above).
+    (M, P) `out` with contiguous rows, such as M evenly spaced rows of an
+    upload matrix, gets the arrays in every row and makes a stacked model of
+    M clients (see above).
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
@@ -99,9 +101,9 @@ class Model:
                        for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
         size = sum(math.prod(shape) for _, shape in layout)
         if out is not None and (out.dtype != np.float64 or out.shape[-1:] != (size,)
-                                or out.ndim > 2 or not out.flags.c_contiguous):
-            raise ShapeError(f"out must be a contiguous float64 array of shape "
-                             f"({size},) or (M, {size})")
+                                or out.ndim > 2 or out.strides[-1] != 8):
+            raise ShapeError(f"out must be a float64 array of shape ({size},) or "
+                             f"(M, {size}) with contiguous rows")
         first = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
                                out=out if out is None or out.ndim == 1 else out[0])
         if out is not None and out.ndim == 2:

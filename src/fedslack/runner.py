@@ -11,11 +11,11 @@ i (in client-id order) trains in row i of the (m, P) float64 upload matrix,
 and row i of the round's (m,) arrays `n_k` and `losses` holds its sample count
 and mean loss; under SCAFFOLD it writes its variate change into row i of an (m, P)
 delta matrix, and the control variates are a (K, P) matrix indexed by client
-id.  The participants train in cohorts (see `local`): runs of consecutive
-rows with equal shard sizes, each trained by one `train_client` call in its
-block of rows.  The server step sorts the rows once by weighted loss
-n_k/N*loss and reads these arrays in place: nothing is stacked or kept per
-client.  Its (P,) aggregate is written into the global model's buffer, the
+id.  The participants train in cohorts (see `local`): evenly spaced rows
+with equal shard sizes, each cohort trained by one `train_client` call in a
+strided view of its rows.  The server step sorts the rows once by weighted
+loss n_k/N*loss and reads these arrays in place: nothing is stacked or kept
+per client.  Its (P,) aggregate is written into the global model's buffer, the
 one copy of the global parameters, which the next round's clients download.
 """
 
@@ -72,6 +72,12 @@ class DatasetSpec:
     test_labels_path: str | None = None
 
     def __post_init__(self):
+        if self.n_per_class < 1:
+            raise ConfigError(f"dataset.n_per_class must be >= 1, got {self.n_per_class}")
+        if self.num_classes < 2:
+            raise ConfigError(f"dataset.num_classes must be >= 2, got {self.num_classes}")
+        if self.dim < 1:
+            raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
         if not math.isfinite(self.separation):
             raise ConfigError(f"dataset.separation must be finite, got {self.separation}")
         if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
@@ -277,8 +283,11 @@ def report_rows(rep: RoundReport) -> list[list[str]]:
 
 
 def _rows(ids: tuple[int, ...]) -> slice | list[int]:
-    """Index of the ascending ids' rows: a slice (a view, no copy) when they are consecutive."""
-    return slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] == len(ids) - 1 else list(ids)
+    """Index of the ascending ids' rows: a slice (a view, no copy) when they
+    are evenly spaced, such as any two rows."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    evenly = ids == tuple(range(ids[0], ids[-1] + 1, step))
+    return slice(ids[0], ids[-1] + 1, step) if evenly else list(ids)
 
 
 def run(config: ExperimentConfig) -> RunArtifact:
@@ -320,17 +329,15 @@ def run(config: ExperimentConfig) -> RunArtifact:
             alpha = policy.alpha_at(t)
             participants = sample_participants(K, config.participation, t, config.seed)
             n_k = sizes[participants]
-            a = 0
             for cohort in cohorts([shards[cid] for cid in participants], P, local_cfg,
                                   config.seed, t):
-                b = a + len(cohort)
-                kwargs = {"out": uploads[a:b]}
+                rows = cohort.view
+                kwargs = {"out": uploads[rows]}
                 if use_scaffold:
-                    kwargs.update(c_global=c_global, delta_out=deltas[a:b],
+                    kwargs.update(c_global=c_global, delta_out=deltas[rows],
                                   c_local=c_locals[_rows(cohort.client_ids)])
-                losses[a:b] = train_client(cohort, train_set, model.params, local_cfg,
-                                           **kwargs)
-                a = b
+                losses[rows] = train_client(cohort, train_set, model.params, local_cfg,
+                                            **kwargs)
 
             wl = n_k / len(train_set) * losses
             order = sort_by_weighted_loss(wl, participants)

@@ -4,6 +4,7 @@ together changes nothing but the number of numpy calls."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedslack import local, nn
+from fedslack import local, nn, runner
 from fedslack.attacks import AttackSpec
-from fedslack.data import ClientShard, Dataset
+from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.errors import DivergenceError
 from fedslack.local import LocalConfig, cohorts, train_client
+from fedslack.runner import DatasetSpec, ExperimentConfig
 from fedslack.streams import stream
 
 
@@ -36,17 +38,21 @@ CFG = LocalConfig(epochs=2, batch_size=5,
                   attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
 
 
-def test_cohorts_are_runs_of_equal_sizes_up_to_the_cap(monkeypatch):
-    shards = shards_of([4, 4, 4, 5, 5, 4, 4])
+def test_cohorts_group_equal_sizes_up_to_the_cap(monkeypatch):
+    # equal sizes join one cohort wherever their rows are, as long as the rows
+    # stay evenly spaced; cohorts come in order of their first row
+    shards = shards_of([4, 5, 4, 5, 4, 4, 6], first_id=3)
     groups = cohorts(shards, 10, CFG, 0, 1)
-    assert [c.client_ids for c in groups] == [(0, 1, 2), (3, 4), (5, 6)]
-    assert [c.n_samples for c in groups] == [12, 10, 8]
-    assert np.array_equal(groups[1].indices, np.stack([shards[3].indices, shards[4].indices]))
+    assert [tuple(c.rows) for c in groups] == [(0, 2, 4), (1, 3), (5,), (6,)]
+    assert [c.client_ids for c in groups] == [(3, 5, 7), (4, 6), (8,), (9,)]
+    assert [c.n_samples for c in groups] == [12, 10, 4, 6]
+    assert np.array_equal(groups[1].indices, np.stack([shards[1].indices, shards[3].indices]))
+    assert groups[0].view == slice(0, 5, 2)
     monkeypatch.setattr(local, "COHORT_BYTES", 2 * 8 * 10 + 7)    # room for two clients
-    assert [c.client_ids for c in cohorts(shards, 10, CFG, 0, 1)] == [(0, 1), (2,), (3, 4),
-                                                                      (5, 6)]
+    assert [tuple(c.rows) for c in cohorts(shards, 10, CFG, 0, 1)] == [(0, 2), (1, 3), (4, 5),
+                                                                       (6,)]
     monkeypatch.setattr(local, "COHORT_BYTES", 1)                 # room for none: one each
-    assert [c.client_ids for c in cohorts(shards, 10, CFG, 0, 1)] == [(k,) for k in range(7)]
+    assert [tuple(c.rows) for c in cohorts(shards, 10, CFG, 0, 1)] == [(k,) for k in range(7)]
 
 
 @pytest.mark.parametrize("n_params, sizes", [(229, [3]), (50_826, [2, 1]), (203_530, [1, 1, 1])])
@@ -64,8 +70,9 @@ def test_a_cohort_holds_each_clients_keyed_streams(random_start):
     # shards of 7 and 12 in batches of 5: 2 and 3 batches per epoch
     cfg = LocalConfig(epochs=2, batch_size=5,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=random_start))
-    groups = cohorts(shards_of([7, 7, 12], first_id=3), 10, cfg, 9, 4)
-    assert [(c.client_ids, c.round_idx) for c in groups] == [((3, 4), 4), ((5,), 4)]
+    groups = cohorts(shards_of([7, 12, 7], first_id=3), 10, cfg, 9, 4)
+    assert [(tuple(c.rows), c.client_ids, c.round_idx)
+            for c in groups] == [((0, 2), (3, 5), 4), ((1,), (4,), 4)]
     for c, n_batches in zip(groups, [2, 3]):
         assert c.orders.shape == (2, len(c))
         if random_start:
@@ -81,18 +88,18 @@ def test_a_cohort_holds_each_clients_keyed_streams(random_start):
 
 
 def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
-    """Train the cohorts in consecutive rows: (uploads, deltas, losses)."""
+    """Train each cohort in a strided view of its rows, as the runner does:
+    (uploads, deltas, losses), row i for shard i."""
     m = sum(len(c) for c in groups)
     uploads = np.full((m, theta.values.size), np.nan)
     deltas = np.full_like(uploads, np.nan)
-    losses, a = [], 0
+    losses = np.full(m, np.nan)
     for c in groups:
-        b = a + len(c)
         kwargs = {} if c_locals is None else dict(
-            c_global=c_global, c_local=c_locals[a:b], delta_out=deltas[a:b])
-        losses += train_client(c, ds, theta, cfg, out=uploads[a:b], **kwargs)
-        a = b
-    return uploads, deltas, losses
+            c_global=c_global, c_local=c_locals[c.view], delta_out=deltas[c.view])
+        losses[c.view] = train_client(c, ds, theta, cfg, out=uploads[c.view], **kwargs)
+    assert not np.isnan(uploads).any() and not np.isnan(losses).any()
+    return uploads, deltas, losses.tolist()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -100,11 +107,16 @@ def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
        optimizer=st.sampled_from(["fedavg", "fedprox", "scaffold"]),
        hidden=st.lists(st.integers(2, 6), min_size=1, max_size=2),
        epochs=st.integers(1, 2),
-       sizes=st.lists(st.sampled_from([5, 7, 12]), min_size=2, max_size=6),
+       sizes=st.lists(st.sampled_from([5, 7, 12]), min_size=2,
+                      max_size=6).flatmap(st.permutations),
        cap=st.integers(1, 4),
        random_start=st.booleans())
 @example(trainer="at", optimizer="scaffold", hidden=[4], epochs=2, sizes=[7, 7, 7, 7],
          cap=3, random_start=True)
+@example(trainer="at", optimizer="scaffold", hidden=[4], epochs=2,
+         sizes=[7, 12, 7, 5, 12, 7], cap=2, random_start=True)
+@example(trainer="trades", optimizer="scaffold", hidden=[4], epochs=2,
+         sizes=[7, 12, 7, 5, 7, 7], cap=4, random_start=True)
 def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidden, epochs,
                                                        sizes, cap, random_start):
     # batches of 5: shards of 7 and 12 end on a short batch
@@ -126,12 +138,44 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
     with mock.patch.object(local, "COHORT_BYTES", 1):
         singles = cohorts(shards, P, cfg, 11, 2)
     assert max(len(c) for c in groups) <= cap and len(singles) == len(shards)
+    assert sorted(row for c in groups for row in c.rows) == list(range(len(sizes)))
+    assert all(len({sizes[row] for row in c.rows}) == 1 for c in groups)
     together = train_rows(groups, ds, theta, cfg, **variates)
     alone = train_rows(singles, ds, theta, cfg, **variates)
     assert np.array_equal(together[0], alone[0])
     if optimizer == "scaffold":
         assert np.array_equal(together[1], alone[1])
     assert together[2] == alone[2]
+
+
+def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
+    # the runner trains each cohort in a strided view of its rows of the
+    # upload and delta matrices: rows 0, 2, 4 (size 8), 1, 5 (size 12) and
+    # 3, 6 (size 16); row 7 (size 12) would break 1, 5's spacing
+    cfg = ExperimentConfig(
+        dataset=DatasetSpec(n_per_class=30, num_classes=4, dim=3),
+        partition=PartitionSpec(8, mode="iid", sample_counts=[8, 12, 8, 16, 8, 12, 16, 12]),
+        hidden_dims=[6], optimizer="scaffold", rounds=2, eval_every=0, seed=1,
+        local=LocalConfig(epochs=2, batch_size=8, lr=0.1,
+                          attack=AttackSpec(0.05, 0.0125, steps=2, random_start=True)))
+    trained, views = [], []
+    original = runner.train_client
+
+    def spy(cohort, *a, **kw):
+        trained.append(tuple(cohort.rows))
+        views.append(not kw["out"].flags.owndata and not kw["delta_out"].flags.owndata)
+        return original(cohort, *a, **kw)
+
+    monkeypatch.setattr(runner, "train_client", spy)
+    together = runner.run(cfg)
+    assert trained == [(0, 2, 4), (1, 5), (3, 6), (7,)] * 2
+    assert all(views)
+    monkeypatch.setattr(local, "COHORT_BYTES", 1)
+    alone = runner.run(cfg)
+    assert np.array_equal(together.final_model.params.values, alone.final_model.params.values)
+    # equal reports, but for their wall-clock times
+    assert ([replace(r, wall_clock=0.0) for r in together.reports]
+            == [replace(r, wall_clock=0.0) for r in alone.reports])
 
 
 def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch):

@@ -1,11 +1,13 @@
-"""Golden trajectories: bit-exact replay of six tiny runs.
+"""Golden trajectories: bit-exact replay of seven tiny runs.
 
 Each golden is the SHA-256 of a run's `metrics.csv` followed by its
 `checkpoint.bin` (the same digest `bench/run_bench.py` prints).  Together
 the configs cover every trainer (at, trades, standard), every optimizer
 (fedavg, fedprox, scaffold) and every policy (fat, sfat, re_sfat), plus
 partial participation, the `linear_anneal` alpha schedule and exact
-`sample_counts` shards.
+`sample_counts` shards, including equal-size shards at non-adjacent rows,
+which train in one cohort, a strided view of the upload matrix (see
+`local.cohorts`): rows 0, 2 and 1, 4 and 5, 7.
 
 The digests were recorded with float64 numpy 2.4.6 on OpenBLAS 0.3.31
 (x86-64, one BLAS thread per matmul this small); another BLAS build or CPU
@@ -82,6 +84,12 @@ GOLDEN = {
                     "momentum": 0.0},
              policy={"mode": "sfat", "alpha": 0.3, "k_hat": 2}, seed=4),
         "ebc8d48ea3f4e75b9b6396d6541fa07ecc1bfb5c1f7532e7d30dc7bc94520c65"),
+    "at_scaffold_sfat_interleaved_counts": (
+        base(optimizer="scaffold",
+             partition={"num_clients": 8, "sample_counts": [8, 12, 8, 8, 12, 16, 12, 16]},
+             local={"epochs": 2, "batch_size": 8},
+             policy={"mode": "sfat", "alpha": 0.2, "k_hat": 2}, seed=5),
+        "8ca517d917c484f241dfb9ae89a2d4b0ebd6719d5436d9758e00f91084f7c442"),
 }
 
 

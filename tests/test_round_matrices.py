@@ -3,6 +3,8 @@ server step reads it in place, bit-equal to the per-client list formulas."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_client_drift_matches_the_list_oracle_bitwise(m):
         assert client_drift(uploads, center) == client_drift_list(list(uploads), center)
 
 
-@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("m", MS + [9, 50])
 def test_gradient_variance_matches_the_list_oracle_bitwise(m):
     for seed in range(5):
         _, theta, uploads, _ = random_round(m, seed)
@@ -65,6 +67,20 @@ def test_gradient_variance_matches_the_list_oracle_bitwise(m):
             continue
         got = gradient_variance(uploads, theta.values)
         assert got == gradient_variance_list(list(uploads), theta.values)
+
+
+def test_gradient_variance_copies_no_upload_matrix():
+    m, P = 8, 20_000
+    rng = np.random.default_rng(0)
+    theta = rng.normal(size=P)
+    uploads = theta + rng.normal(size=(m, P))
+    tracemalloc.start()
+    try:
+        gradient_variance(uploads, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * P * 8
 
 
 @pytest.mark.parametrize("m", MS)
@@ -106,6 +122,8 @@ def test_matrix_calls_reject_mismatched_shapes():
         nn.Model.from_vector(theta, out=np.empty(theta.values.size, dtype=np.float32))
     with pytest.raises(ShapeError):
         nn.Model.from_vector(theta, out=np.empty(theta.values.size + 1))
+    with pytest.raises(ShapeError):     # rows may be strided, not their entries
+        nn.Model.from_vector(theta, out=np.empty((2, 2 * theta.values.size))[:, ::2])
 
 
 def toy_client():

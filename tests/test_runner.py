@@ -421,6 +421,26 @@ def test_cli_run_rejects_the_removed_k_hat_absolute_key(tmp_path, capsys):
     assert "k_hat_absolute" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, bound", [
+    ("dataset.n_per_class", 0, 1), ("dataset.num_classes", 1, 2), ("dataset.dim", 0, 1),
+    ("local.epochs", 0, 1), ("local.batch_size", 0, 1), ("local.attack.steps", 0, 1),
+    ("partition.num_clients", 0, 2)])
+def test_cli_run_names_a_bad_size_key_before_writing(tmp_path, capsys, key, value, bound):
+    # each used to print a message naming no key, or no section
+    raw = config_to_dict(tiny_config())
+    *sections, name = key.split(".")
+    section = raw
+    for s in sections:
+        section = section[s]
+    section[name] = value
+    message = f"{key} must be >= {bound}, got {value}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
 def test_cli_run_rejects_bad_trades_beta_before_writing(tmp_path, capsys, value):
     # a NaN or negative beta used to train TRADES as standard training silently
