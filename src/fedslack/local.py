@@ -33,7 +33,7 @@ in; `train_client` returns only the clients' mean losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -74,8 +74,8 @@ class LocalConfig:
         if isinstance(self.trainer, str):
             self.trainer = Trainer(self.trainer.lower())
         if not isinstance(self.attack, AttackSpec):
-            try:
-                self.attack = AttackSpec(**self.attack)
+            try:      # omitted keys take the default attack's values
+                self.attack = replace(LocalConfig().attack, **self.attack)
             except ValueError as exc:     # its message names `attack.<key>`
                 raise ConfigError(f"local.{exc}") from exc
         if self.epochs < 1:

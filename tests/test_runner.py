@@ -580,3 +580,20 @@ def test_cli_eval_names_the_shapes_of_a_test_set_that_does_not_fit_the_checkpoin
     rows = [(0, (0.2, 0.5, 0.3, 0.1)), (1, (0.1, 0.4, 0.9, 0.6))]
     assert eval_on_csv(tmp_path, rows, attack) == cli.EXIT_CONFIG
     assert "batch has shape (2, 4), expected (n, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attack, expected", [
+    ({"steps": 3}, {"epsilon": 8 / 255, "step_size": 2 / 255, "steps": 3,
+                    "random_start": True}),
+    ({"epsilon": 0.05, "step_size": 0.01}, {"epsilon": 0.05, "step_size": 0.01, "steps": 10,
+                                            "random_start": True})])
+def test_a_partial_attack_section_takes_the_default_attack_for_omitted_keys(
+        tmp_path, attack, expected):
+    # a section that set only `steps` used to fail with a TypeError naming no key,
+    # and one without `steps` and `random_start` to run 1 step with no random start
+    raw = {"rounds": 1, "eval_every": 0, "hidden_dims": [4],
+           "dataset": {"n_per_class": 10, "num_classes": 2, "dim": 2},
+           "partition": {"num_clients": 2}, "local": {"attack": attack}}
+    assert run_cli_on(tmp_path, raw) == (0, True)
+    written = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert written["local"]["attack"] == expected

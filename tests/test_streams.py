@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,3 +57,13 @@ def test_a_negative_coordinate_raises_on_both_paths(coordinates):
     batched = {**key, "client_id": np.array([key["client_id"], 0])}
     with pytest.raises(ValueError, match="non-negative"):
         stream(**batched)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=coordinate, purpose=st.sampled_from(PURPOSES), round_idx=coordinate,
+       client=coordinate)
+def test_a_stream_is_the_pcg64_of_its_seed_sequence_key(seed, purpose, round_idx, client):
+    # the key layout every run's bits rest on: moving it moves every golden
+    key = [seed, zlib.crc32(purpose.encode("utf-8")), round_idx, client, 0]
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    assert state(stream(seed, purpose, round_idx, client)) == state(expected)
