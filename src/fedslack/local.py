@@ -15,10 +15,12 @@ not, whose shards have the same size n, and so share one batch schedule.
 or SCAFFOLD update one elementwise op over the cohort's rows.  Every client
 still draws its batch order and attack noise from its own streams and
 computes exactly what it would alone, so a cohort of one is the per-client
-case.  `cohorts` derives all of a round's streams in one batched call (see
-`streams`) and hands each cohort its own.  It caps a cohort at COHORT_BYTES
-of parameters: beyond that the stacked activations and gradients fall out
-of cache and cost more than the numpy calls stacking saves.
+case.  A client has one stream per purpose per round (see `streams`): it
+draws a permutation of its shard from its batch-order stream at each epoch,
+and its attack's random starts from its attack stream batch after batch.
+`cohorts` caps a cohort at COHORT_BYTES of parameters: beyond that the
+stacked activations and gradients fall out of cache and cost more than the
+numpy calls stacking saves.
 
 Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
 arrays in the order of `model.params.values`, one row per client; they are
@@ -134,17 +136,17 @@ class Cohort:
     round's upload matrix (`uploads[cohort.view]` is a view of them), their
     ids in the same order, the (M, n) array of their shards' sample indices
     (row i is client_ids[i]'s shard), and the streams they draw from this
-    round, as object arrays of Generators: `orders[e, i]` shuffles client i's
-    shard in epoch e, and `attacks[e, b, i]` draws its attack noise for batch
-    b (None when the attack draws nothing).  The Generators advance as the
-    cohort trains, so a cohort trains once."""
+    round, one Generator per client in the same order: `orders[i]` shuffles
+    client i's shard once per epoch, and `attacks[i]` draws its attack noise
+    batch after batch (None when the attack draws nothing).  The Generators
+    advance as the cohort trains, so a cohort trains once."""
 
     rows: range
     client_ids: tuple[int, ...]
     indices: np.ndarray
     round_idx: int
-    orders: np.ndarray
-    attacks: np.ndarray | None
+    orders: list[np.random.Generator]
+    attacks: list[np.random.Generator] | None
 
     def __len__(self) -> int:
         return len(self.client_ids)
@@ -179,9 +181,9 @@ def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
     the shard's row, else opens a new one; the cohorts come in order of their
     first row.
 
-    Every stream of the round comes from one batched `stream` call.  Its keys
-    are (client, epoch) for batch order and (client, epoch*100000 + b) for
-    batch b's attack noise, so a client's streams do not depend on its cohort.
+    Each client gets the round's "batch-order" stream and, only when the
+    attack reads it, its "attack" stream, both keyed by (round, client), so
+    a client's streams do not depend on its cohort.
     """
     cap = max(1, COHORT_BYTES // (8 * n_params))
     rows: list[list[int]] = []            # each cohort's rows, in order of its first row
@@ -193,30 +195,16 @@ def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
             group = latest[shard.n_samples] = []
             rows.append(group)
         group.append(row)
-    groups = [[shards[row] for row in group] for group in rows]
-    epochs, draws = range(config.epochs), _attack_draws(config)
-    keys, shapes = [], []         # (purpose, client, batch) in C order of each shape
-    for group in groups:
-        ids = [s.client_id for s in group]
-        n_batches = -(-group[0].n_samples // config.batch_size)
-        keys += [("batch-order", cid, e) for e in epochs for cid in ids]
-        shapes.append((config.epochs, len(ids)))
-        if draws:
-            keys += [("attack", cid, e * 100000 + b) for e in epochs
-                     for b in range(n_batches) for cid in ids]
-            shapes.append((config.epochs, n_batches, len(ids)))
-    purposes, clients, batches = zip(*keys)
-    rngs = np.empty(len(keys), dtype=object)
-    rngs[:] = stream(master_seed, np.array(purposes), round_idx, np.array(clients),
-                     np.array(batches))
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    per_group = iter(block.reshape(shape)
-                     for block, shape in zip(np.split(rngs, ends[:-1]), shapes))
-    return [Cohort(range(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1),
-                   tuple(s.client_id for s in group),
-                   np.array([s.indices for s in group]),
-                   round_idx, next(per_group), next(per_group) if draws else None)
-            for r, group in zip(rows, groups)]
+    draws = _attack_draws(config)
+    result = []
+    for r in rows:
+        ids = tuple(shards[row].client_id for row in r)
+        result.append(Cohort(
+            range(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1), ids,
+            np.array([shards[row].indices for row in r]), round_idx,
+            [stream(master_seed, "batch-order", round_idx, cid) for cid in ids],
+            [stream(master_seed, "attack", round_idx, cid) for cid in ids] if draws else None))
+    return result
 
 
 def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
@@ -257,11 +245,11 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     for epoch in range(config.epochs):
         # each client's shard in its own batch order for this epoch
         order = np.array([shard[rng.permutation(n)]
-                          for rng, shard in zip(cohort.orders[epoch], cohort.indices)])[pick]
+                          for rng, shard in zip(cohort.orders, cohort.indices)])[pick]
         loss_sum = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[..., start:start + config.batch_size]
-            rng = None if cohort.attacks is None else cohort.attacks[epoch, b, pick]
+            rng = None if cohort.attacks is None else cohort.attacks[pick]
             try:
                 loss, grads = _batch_objective(model, dataset.features[idx],
                                                dataset.labels[idx], config, rng)

@@ -66,25 +66,29 @@ def state(rng):
 
 
 @pytest.mark.parametrize("random_start", [True, False])
-def test_a_cohort_holds_each_clients_keyed_streams(random_start):
-    # shards of 7 and 12 in batches of 5: 2 and 3 batches per epoch
+def test_a_cohort_holds_each_clients_keyed_streams(monkeypatch, random_start):
+    # shards of 7 and 12: one stream per client and purpose for the round,
+    # keyed by (round, client) only, so the same in any cohort
     cfg = LocalConfig(epochs=2, batch_size=5,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=random_start))
     groups = cohorts(shards_of([7, 12, 7], first_id=3), 10, cfg, 9, 4)
     assert [(tuple(c.rows), c.client_ids, c.round_idx)
             for c in groups] == [((0, 2), (3, 5), 4), ((1,), (4,), 4)]
-    for c, n_batches in zip(groups, [2, 3]):
-        assert c.orders.shape == (2, len(c))
+    monkeypatch.setattr(local, "COHORT_BYTES", 1)
+    singles = {c.client_ids: c for c in cohorts(shards_of([7, 12, 7], first_id=3), 10, cfg, 9, 4)}
+    for c in groups:
+        assert len(c.orders) == len(c)
         if random_start:
-            assert c.attacks.shape == (2, n_batches, len(c))
+            assert len(c.attacks) == len(c)
         else:
             assert c.attacks is None
-        for e, i in np.ndindex(c.orders.shape):
-            cid = c.client_ids[i]
-            assert state(c.orders[e, i]) == state(stream(9, "batch-order", 4, cid, e))
-            for b in range(n_batches if random_start else 0):
-                assert (state(c.attacks[e, b, i])
-                        == state(stream(9, "attack", 4, cid, e * 100000 + b)))
+        for i, cid in enumerate(c.client_ids):
+            alone = singles[(cid,)]
+            assert (state(c.orders[i]) == state(alone.orders[0])
+                    == state(stream(9, "batch-order", 4, cid)))
+            if random_start:
+                assert (state(c.attacks[i]) == state(alone.attacks[0])
+                        == state(stream(9, "attack", 4, cid)))
 
 
 def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
@@ -210,12 +214,8 @@ def test_attack_streams_are_derived_only_when_an_attack_reads_them(
                       attack=AttackSpec(epsilon, 0.01, steps=2, random_start=random_start))
     (cohort,) = cohorts(shards_of([12, 12]), theta.values.size, cfg, 1, 1)
     train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))
-    # one batched call per round: its purposes, broadcast to one per key
-    (key,) = calls
-    purposes = np.broadcast_arrays(*map(np.asarray, key))[1].ravel().tolist()
-    # 2 clients x 2 epochs; 3 batches of a 12-sample shard in each
-    assert purposes.count("batch-order") == 4
-    assert purposes.count("attack") == (12 if draws else 0)
+    # one stream per client and purpose for the round, over its 2 epochs of 3 batches
+    assert [key[1] for key in calls] == ["batch-order"] * 2 + ["attack"] * (2 if draws else 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -53,18 +53,18 @@ def base(**top):
 GOLDEN = {
     "at_fedavg_fat": (
         base(),
-        "fb2154fbb0656026e898799ed44e9b07a966f862ffc1dd4671a26b52bc96f53a"),
+        "1d4b09fb5707436eb451fcc309ded4275c7904cb0b45ae7360a2548a5938da5a"),
     "at_fedprox_sfat_anneal": (
         base(optimizer="fedprox", rounds=4, eval_every=2,
              policy={"mode": "sfat", "alpha": 0.2, "k_hat": 1,
                      "schedule": "linear_anneal", "alpha_end": 0.05,
                      "anneal_rounds": 3}),
-        "2805c5be58762a03d7b0116674e023614a2feb3a810cb7852c946973646a12f2"),
+        "9e3bb3cbbc3bc009a906849b2f9e101a35326f2656a4729748ca2ea953dd31c3"),
     "trades_fedavg_re_sfat_partial": (
         base(partition={"num_clients": 5}, participation=0.6, rounds=4, eval_every=4,
              local={"trainer": "trades", "trades_beta": 3.0},
              policy={"mode": "re_sfat", "alpha": 1 / 6, "k_hat": 1}, seed=3),
-        "e0deb30c109b960d2b24fce69932e94be31e1eb6bcde5d9f3e16136f700324d8"),
+        "91e3eb0f7e108b0d2f48b3151dfe0d351357b5a5eec9b68ce8849727dab631e1"),
     "standard_scaffold_sfat_counts": (
         base(optimizer="scaffold",
              partition={"sample_counts": [8, 16, 24, 32]},
@@ -76,20 +76,20 @@ GOLDEN = {
              participation=0.5, rounds=4, eval_every=2,
              local={"epochs": 2, "batch_size": 12},
              policy={"mode": "sfat", "alpha": 1 / 6, "k_hat": 1}, seed=2),
-        "f223a3e70105b788db78eff60030e15e2e234a7ad2a6db77191e044a56c766da"),
+        "e2ac43fa9886de7c315e4f7179cfc2bc51d80a60d5ef880f8c180b6469b5a0d7"),
     "trades_fedprox_sfat_counts": (
         base(optimizer="fedprox",
              partition={"mode": "iid", "sample_counts": [20, 12, 30, 10]},
              local={"trainer": "trades", "trades_beta": 6.0, "fedprox_mu": 0.05,
                     "momentum": 0.0},
              policy={"mode": "sfat", "alpha": 0.3, "k_hat": 2}, seed=4),
-        "ebc8d48ea3f4e75b9b6396d6541fa07ecc1bfb5c1f7532e7d30dc7bc94520c65"),
+        "02104a2cce7b96f05f196f045482aaf760f9e822ab4b618d871e0e2afcdb7b7d"),
     "at_scaffold_sfat_interleaved_counts": (
         base(optimizer="scaffold",
              partition={"num_clients": 8, "sample_counts": [8, 12, 8, 8, 12, 16, 12, 16]},
              local={"epochs": 2, "batch_size": 8},
              policy={"mode": "sfat", "alpha": 0.2, "k_hat": 2}, seed=5),
-        "8ca517d917c484f241dfb9ae89a2d4b0ebd6719d5436d9758e00f91084f7c442"),
+        "f6ea4e2c556527557bfea80aa91c9581fcc14ad93a3ecf8fa5228d29ebd8df97"),
 }
 
 

@@ -162,14 +162,41 @@ def test_at_single_step_replay_oracle():
     up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
     model = nn.Model.from_vector(theta)
-    order = stream(3, "batch-order", 2, 0, 0).permutation(8)
+    order = stream(3, "batch-order", 2, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
-    rng = stream(3, "attack", 2, 0, 0)
+    rng = stream(3, "attack", 2, 0)
     x_adv = pgd(model, xb, yb, cfg.attack, rng)
     loss, grads = nn.batch_loss_and_grads(model, x_adv, yb)
     nn.sgd_step(model, grads, nn.SgdState(lr=0.1))
     assert np.array_equal(up, model.params.values)
     assert up_loss == pytest.approx(loss, abs=1e-15)
+
+
+def test_at_multi_batch_replay_draws_each_purposes_stream_in_order():
+    # 2 epochs of 3 batches (8, 8, 4): the client permutes its shard from one
+    # batch-order stream at each epoch and draws every batch's random start
+    # from one attack stream, both for the whole round, in order
+    ds = toy_dataset(n=20)
+    shard = ClientShard(4, np.arange(20))
+    theta = global_theta()
+    cfg = toy_config(epochs=2, batch_size=8)
+    up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
+
+    model = nn.Model.from_vector(theta)
+    state = nn.SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
+    orders, attacks = stream(3, "batch-order", 2, 4), stream(3, "attack", 2, 4)
+    for _ in range(cfg.epochs):
+        order = orders.permutation(20)
+        loss_sum = 0.0
+        for start in range(0, 20, 8):
+            idx = order[start:start + 8]
+            xb, yb = ds.features[idx], ds.labels[idx]
+            loss, grads = nn.batch_loss_and_grads(model, pgd(model, xb, yb, cfg.attack, attacks),
+                                                  yb)
+            nn.sgd_step(model, grads, state)
+            loss_sum = loss_sum + loss * len(idx)
+    assert np.array_equal(up, model.params.values)
+    assert up_loss == loss_sum / 20
 
 
 def test_weighted_loss_contract(tmp_path):
@@ -249,10 +276,10 @@ def test_trades_recorded_loss_matches_direct_evaluation():
     _, up_loss = train(shard, ds, theta, cfg, master_seed=8, round_idx=1)
 
     model = nn.Model.from_vector(theta)
-    order = stream(8, "batch-order", 1, 0, 0).permutation(8)
+    order = stream(8, "batch-order", 1, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     from fedslack.attacks import pgd_kl
-    x_adv = pgd_kl(model, xb, cfg.attack, stream(8, "attack", 1, 0, 0))
+    x_adv = pgd_kl(model, xb, cfg.attack, stream(8, "attack", 1, 0))
     logits_nat = nn.forward_batch(model, xb)
     logits_adv = nn.forward_batch(model, x_adv)
     p = nn.softmax(logits_nat)
