@@ -3,7 +3,7 @@ aggregation, drift diagnostics, and a minimal dense-network engine."""
 
 from .aggregation import (AggregationMode, AggregationPolicy, AlphaSchedule,
                           alpha_slack_loss, scaffold_server_update, slack_aggregate,
-                          slack_weights, sort_by_weighted_loss, update_client_variates)
+                          slack_weights, sort_by_weighted_loss)
 from .attacks import AttackSpec, fgsm, pgd
 from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)

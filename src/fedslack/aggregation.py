@@ -143,14 +143,11 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
     return float((1.0 + alpha) * s[:k_hat].sum() + (1.0 - alpha) * s[k_hat:].sum())
 
 
-def scaffold_server_update(c_global: np.ndarray, deltas: np.ndarray,
-                           participants: int, total_clients: int) -> np.ndarray:
-    """c_global + (M/K) * mean of the rows of the (M, P) delta matrix."""
-    return c_global + participants / total_clients * np.mean(deltas, axis=0)
-
-
-def update_client_variates(c_locals: np.ndarray, client_ids: list[int],
-                           deltas: np.ndarray) -> None:
-    """c_locals[client_ids[i]] += deltas[i] in place, row by row."""
+def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
+                           client_ids: list[int], deltas: np.ndarray) -> None:
+    """SCAFFOLD's server step, in place: c_locals[client_ids[i]] += deltas[i]
+    row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
+    delta matrix, for m participants of the K clients of the (K, P) c_locals."""
     for cid, delta in zip(client_ids, deltas):
         c_locals[cid] += delta
+    c_global += len(deltas) / len(c_locals) * np.mean(deltas, axis=0)

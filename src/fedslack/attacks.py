@@ -128,17 +128,13 @@ def pgd(model: nn.Model, x: np.ndarray, y, spec: AttackSpec,
     return pgd_core(xb, lambda z: nn.input_grads_ce(model, z, onehot), spec, rng)
 
 
-def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
-           log_ref: np.ndarray | None = None) -> np.ndarray:
+def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng,
+           log_ref: np.ndarray) -> np.ndarray:
     """PGD maximizing KL(softmax f(x_adv) || softmax f(x)) with f(x) fixed.
 
-    `log_ref`, if given, is the caller's log(clip(softmax f(x), 1e-300)) for
-    the batch `x` on this model, so the clean forward is not run again.
+    `log_ref` is log(clip(softmax f(x), 1e-300)) for the batch `x` on this
+    model: the caller's clean forward, which the attack does not run again.
     """
-    xb = np.asarray(x, dtype=np.float64)
-    if log_ref is None:
-        p_ref = nn.softmax(nn.forward_batch(model, xb))
-        log_ref = np.log(np.clip(p_ref, 1e-300, None))
 
     def grad_fn(z: np.ndarray) -> np.ndarray:
         logits, acts = nn._forward_cache(model, z)
@@ -148,4 +144,4 @@ def pgd_kl(model: nn.Model, x: np.ndarray, spec: AttackSpec, rng: Rng = None,
         dlogits = q * (s - kl)
         return nn.input_backprop(model, acts, dlogits)
 
-    return pgd_core(xb, grad_fn, spec, rng)
+    return pgd_core(np.asarray(x, dtype=np.float64), grad_fn, spec, rng)

@@ -12,15 +12,16 @@ not, whose shards have the same size n, and so share one batch schedule.
 `train_client` stacks the cohort's M models along a leading client axis
 (see `nn`): each forward, backward and attack step is one
 `(M, n, .) @ (M, fan_in, fan_out)` matmul per layer, and each SGD, FedProx
-or SCAFFOLD update one elementwise op over the cohort's rows.  Every client
-still draws its batch order and attack noise from its own streams and
-computes exactly what it would alone, so a cohort of one is the per-client
-case.  A client has one stream per purpose per round (see `streams`): it
-draws a permutation of its shard from its batch-order stream at each epoch,
-and its attack's random starts from its attack stream batch after batch.
-`cohorts` caps a cohort at COHORT_BYTES of parameters: beyond that the
-stacked activations and gradients fall out of cache and cost more than the
-numpy calls stacking saves.
+or SCAFFOLD update one elementwise op over the cohort's rows.  A lone
+client is a cohort of one and trains as a 1-row stack, through the same
+calls.  Every client still computes exactly what it would alone: it has
+one stream per purpose per round (see `streams`), which `train_client`
+derives when it starts, and draws a permutation of its shard from its
+batch-order stream at each epoch, and its attack's random starts from its
+attack stream batch after batch.  A `Cohort` holds no stream, so training
+it twice gives the same bits.  `cohorts` caps a cohort at COHORT_BYTES of
+parameters: beyond that the stacked activations and gradients fall out of
+cache and cost more than the numpy calls stacking saves.
 
 Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
 arrays in the order of `model.params.values`, one row per client; they are
@@ -133,28 +134,20 @@ def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
 @dataclass(eq=False)
 class Cohort:
     """Clients trained together in one round: their evenly spaced rows of the
-    round's upload matrix (`uploads[cohort.view]` is a view of them), their
-    ids in the same order, the (M, n) array of their shards' sample indices
-    (row i is client_ids[i]'s shard), and the streams they draw from this
-    round, one Generator per client in the same order: `orders[i]` shuffles
-    client i's shard once per epoch, and `attacks[i]` draws its attack noise
-    batch after batch (None when the attack draws nothing).  The Generators
-    advance as the cohort trains, so a cohort trains once."""
+    round's upload matrix as a slice (`uploads[cohort.rows]` is a view of
+    them), their ids in the same order, the (M, n) array of their shards'
+    sample indices (row i is client_ids[i]'s shard), and the master seed and
+    round that key their streams.  A plain value: training it again replays
+    the same bits."""
 
-    rows: range
+    rows: slice
     client_ids: tuple[int, ...]
     indices: np.ndarray
+    seed: int
     round_idx: int
-    orders: list[np.random.Generator]
-    attacks: list[np.random.Generator] | None
 
     def __len__(self) -> int:
         return len(self.client_ids)
-
-    @property
-    def view(self) -> slice:
-        """The cohort's rows as a slice, which indexes an array by a view."""
-        return slice(self.rows.start, self.rows.stop, self.rows.step)
 
     @property
     def n_samples(self) -> int:
@@ -172,18 +165,13 @@ def _attack_draws(config: LocalConfig) -> bool:
             or (config.trainer is Trainer.TRADES and config.trades_beta > 0.0))
 
 
-def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
-            master_seed: int, round_idx: int) -> list[Cohort]:
+def cohorts(shards: list[ClientShard], n_params: int, seed: int,
+            round_idx: int) -> list[Cohort]:
     """The round's shards, in upload-row order, grouped by size into cohorts
-    of at most max(1, COHORT_BYTES // (8*n_params)) evenly spaced rows each,
-    with their clients' streams for the round.  Each shard joins the latest
-    cohort of its size if that cohort has room and stays evenly spaced with
-    the shard's row, else opens a new one; the cohorts come in order of their
-    first row.
-
-    Each client gets the round's "batch-order" stream and, only when the
-    attack reads it, its "attack" stream, both keyed by (round, client), so
-    a client's streams do not depend on its cohort.
+    of at most max(1, COHORT_BYTES // (8*n_params)) evenly spaced rows each.
+    Each shard joins the latest cohort of its size if that cohort has room
+    and stays evenly spaced with the shard's row, else opens a new one; the
+    cohorts come in order of their first row.
     """
     cap = max(1, COHORT_BYTES // (8 * n_params))
     rows: list[list[int]] = []            # each cohort's rows, in order of its first row
@@ -195,16 +183,10 @@ def cohorts(shards: list[ClientShard], n_params: int, config: LocalConfig,
             group = latest[shard.n_samples] = []
             rows.append(group)
         group.append(row)
-    draws = _attack_draws(config)
-    result = []
-    for r in rows:
-        ids = tuple(shards[row].client_id for row in r)
-        result.append(Cohort(
-            range(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1), ids,
-            np.array([shards[row].indices for row in r]), round_idx,
-            [stream(master_seed, "batch-order", round_idx, cid) for cid in ids],
-            [stream(master_seed, "attack", round_idx, cid) for cid in ids] if draws else None))
-    return result
+    return [Cohort(slice(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1),
+                   tuple(shards[row].client_id for row in r),
+                   np.array([shards[row].indices for row in r]), seed, round_idx)
+            for r in rows]
 
 
 def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
@@ -212,17 +194,17 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
                  c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
                  delta_out: np.ndarray | None = None) -> list[float]:
     """The cohort's E local epochs of SGD in `out`, (M, P), one row per client;
-    returns each client's mean loss over its last epoch.  The cohort's
-    streams (see `cohorts`) supply each client's batch order and attack noise.
+    returns each client's mean loss over its last epoch.
 
+    Each client draws its batch order from its (seed, "batch-order", round,
+    client) stream, and its attack noise from its (seed, "attack", round,
+    client) stream, which is derived only when the attack reads it; both are
+    keyed by client, so a client trains alike in any cohort.
     SCAFFOLD runs iff the variates are given (c_global (P,), c_local (M, P)),
     and writes each variate change c_new - c_local into its row of
     `delta_out` (M, P).  Neither the inputs nor the variates are modified.
     A non-finite loss, attack gradient or result raises DivergenceError
     naming the round, the client, the epoch and the batch (both from 0).
-    A cohort of one trains in out[0] with plain 2-D batches: the same engine
-    calls without the client axis, which fleets of one-client cohorts would
-    otherwise pay for in per-call overhead.
     """
     ids = cohort.client_ids
     n = cohort.indices.shape[1]
@@ -233,26 +215,27 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     scaffold = c_global is not None
     if scaffold != (c_local is not None) or scaffold != (delta_out is not None):
         raise ValueError("SCAFFOLD needs c_global, c_local and delta_out")
-    pick = 0 if len(ids) == 1 else slice(None)    # drops or keeps the client axis
-    model = nn.Model.from_vector(theta_global, out=out[pick])
+    orders = [stream(cohort.seed, "batch-order", cohort.round_idx, cid) for cid in ids]
+    attacks = ([stream(cohort.seed, "attack", cohort.round_idx, cid) for cid in ids]
+               if _attack_draws(config) else None)
+    model = nn.Model.from_vector(theta_global, out=out)
     state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
 
-    def diverged(what: str, row: int | None, epoch: int, b: int) -> DivergenceError:
-        return DivergenceError(f"round {cohort.round_idx}, client {ids[row or 0]}, "
+    def diverged(what: str, row: int, epoch: int, b: int) -> DivergenceError:
+        return DivergenceError(f"round {cohort.round_idx}, client {ids[row]}, "
                                f"epoch {epoch}, batch {b}: non-finite {what}")
 
     n_steps = 0
     for epoch in range(config.epochs):
         # each client's shard in its own batch order for this epoch
         order = np.array([shard[rng.permutation(n)]
-                          for rng, shard in zip(cohort.orders, cohort.indices)])[pick]
+                          for rng, shard in zip(orders, cohort.indices)])
         loss_sum = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[..., start:start + config.batch_size]
-            rng = None if cohort.attacks is None else cohort.attacks[pick]
+            idx = order[:, start:start + config.batch_size]
             try:
                 loss, grads = _batch_objective(model, dataset.features[idx],
-                                               dataset.labels[idx], config, rng)
+                                               dataset.labels[idx], config, attacks)
             except DivergenceError as exc:
                 raise diverged("attack gradient", exc.row, epoch, b) from exc
             finite = np.isfinite(loss)
@@ -262,7 +245,7 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
                 apply_fedprox(grads, model.params.values, theta_global.values,
                               config.fedprox_mu)
             if scaffold:
-                apply_scaffold(grads, c_global, c_local[pick])
+                apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
             n_steps += 1
             loss_sum = loss_sum + loss * idx.shape[-1]
@@ -274,7 +257,7 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
         update_scaffold_client(theta_global.values, out, n_steps, config.lr, c_local,
                                c_global, out=delta_out)
         delta_out -= c_local
-    return np.reshape(loss_sum / n, -1).tolist()
+    return (loss_sum / n).tolist()
 
 
 def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,

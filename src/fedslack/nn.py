@@ -14,7 +14,9 @@ a batch of one.
 A model may also stack M clients' models along a leading client axis: its
 buffer is then (M, P), one contiguous row per client (a slice of the
 round's upload matrix, whose rows need not be adjacent), `weights[i]` is
-(M, fan_in, fan_out) and `biases[i]` (M, fan_out).
+(M, fan_in, fan_out) and `biases[i]` (M, fan_out).  Local training always
+uses this form, a lone client being a stack of one; the global model and
+evaluation use the plain one.
 Every function below takes the same leading axis on its batches, labels and
 gradients ((M, n, d), (M, n), (M, P)) and computes each client's slice
 exactly as it would alone: one `(M, n, .) @ (M, fan_in, fan_out)` matmul per
@@ -83,11 +85,10 @@ class Model:
 
     `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
     `params.values`; the constructor copies the given arrays into it.  That
-    buffer is `out` when given (a contiguous float64 array of the right
-    size, such as one row of an upload matrix), else a fresh array.  An
-    (M, P) `out` with contiguous rows, such as M evenly spaced rows of an
-    upload matrix, gets the arrays in every row and makes a stacked model of
-    M clients (see above).
+    buffer is a fresh (P,) array, or, given an (M, P) float64 `out` with
+    contiguous rows (such as M evenly spaced rows of an upload matrix),
+    `out` itself: every row gets the arrays, and the model is a stacked
+    model of M clients (see above).
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
@@ -100,13 +101,13 @@ class Model:
         layout = tuple(entry for i, (ws, bs) in enumerate(shapes)
                        for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
         size = sum(math.prod(shape) for _, shape in layout)
-        if out is not None and (out.dtype != np.float64 or out.shape[-1:] != (size,)
-                                or out.ndim > 2 or out.strides[-1] != 8):
-            raise ShapeError(f"out must be a float64 array of shape ({size},) or "
-                             f"(M, {size}) with contiguous rows")
+        if out is not None and (out.dtype != np.float64 or out.ndim != 2
+                                or out.shape[1] != size or out.strides[1] != 8):
+            raise ShapeError(f"out must be a float64 array of shape (M, {size}) "
+                             f"with contiguous rows")
         first = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
-                               out=out if out is None or out.ndim == 1 else out[0])
-        if out is not None and out.ndim == 2:
+                               out=None if out is None else out[0])
+        if out is not None:
             out[1:] = first
         self.params = ParamVector(first if out is None else out, layout)
         views = _split(self.params.values, layout)
@@ -157,21 +158,9 @@ def _check_batch(model: Model, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch, shape (n, C), or (M, n, C) for a stacked model."""
-    h = _check_batch(model, X)
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b[..., None, :]
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h
-
-
-def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping the post-activation of every layer (acts[0] = X)."""
-    acts = [X]
-    h = X
+def _forward(model: Model, h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The forward loop: logits and the post-activation of every layer (acts[0] = h)."""
+    acts = [h]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ w + b[..., None, :]
@@ -179,6 +168,16 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
             h = np.maximum(h, 0.0)
         acts.append(h)
     return h, acts
+
+
+def forward_batch(model: Model, X: np.ndarray) -> np.ndarray:
+    """Logits for a batch, shape (n, C), or (M, n, C) for a stacked model."""
+    return _forward(model, _check_batch(model, X))[0]
+
+
+def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass keeping the post-activation of every layer (acts[0] = X)."""
+    return _forward(model, X)
 
 
 def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:

@@ -34,8 +34,7 @@ import numpy as np
 
 from . import nn
 from .aggregation import (AggregationPolicy, scaffold_server_update,
-                          slack_aggregate, slack_weights, sort_by_weighted_loss,
-                          update_client_variates)
+                          slack_aggregate, slack_weights, sort_by_weighted_loss)
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError, PartitionError
@@ -329,9 +328,8 @@ def run(config: ExperimentConfig) -> RunArtifact:
             alpha = policy.alpha_at(t)
             participants = sample_participants(K, config.participation, t, config.seed)
             n_k = sizes[participants]
-            for cohort in cohorts([shards[cid] for cid in participants], P, local_cfg,
-                                  config.seed, t):
-                rows = cohort.view
+            for cohort in cohorts([shards[cid] for cid in participants], P, config.seed, t):
+                rows = cohort.rows
                 kwargs = {"out": uploads[rows]}
                 if use_scaffold:
                     kwargs.update(c_global=c_global, delta_out=deltas[rows],
@@ -348,8 +346,7 @@ def run(config: ExperimentConfig) -> RunArtifact:
                 raise DivergenceError(f"round {t}: non-finite aggregate")
 
             if use_scaffold:
-                update_client_variates(c_locals, participants, deltas)
-                c_global = scaffold_server_update(c_global, deltas, m, K)
+                scaffold_server_update(c_global, c_locals, participants, deltas)
 
             drifts, mean_drift = client_drift(uploads, theta_new)
             gvar = gradient_variance(uploads, model.params.values) if m >= 2 else 0.0

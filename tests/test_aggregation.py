@@ -249,15 +249,21 @@ def test_permutation_equivariance():
 
 
 def test_scaffold_server_update():
+    def server_step(c, deltas, K):
+        """c_global after the in-place step, with K zero client variates."""
+        out = c.copy()
+        scaffold_server_update(out, np.zeros((K, len(c))), list(range(len(deltas))), deltas)
+        return out
+
     c = np.array([1.0, 2.0])
     zero = np.zeros(2)
-    out = scaffold_server_update(c, np.stack([zero, zero]), 2, 4)
+    out = server_step(c, np.stack([zero, zero]), 4)
     assert np.array_equal(out, c)
 
     d = np.array([4.0, -2.0])
-    out = scaffold_server_update(c, np.stack([d]), 1, 1)
+    out = server_step(c, np.stack([d]), 1)
     np.testing.assert_allclose(out, [5.0, 0.0])
 
     neg = -d
-    out = scaffold_server_update(c, np.stack([d, neg]), 2, 4)
+    out = server_step(c, np.stack([d, neg]), 4)
     np.testing.assert_allclose(out, c)

@@ -21,6 +21,11 @@ from fedslack.runner import DatasetSpec, ExperimentConfig
 from fedslack.streams import stream
 
 
+def row_ids(cohort):
+    """The upload rows of a cohort's `rows` slice, as a tuple."""
+    return tuple(range(cohort.rows.stop)[cohort.rows])
+
+
 def shards_of(sizes, first_id=0):
     """Consecutive shards of the given sizes over one dataset, ids from first_id."""
     bounds = np.cumsum([0] + list(sizes))
@@ -42,23 +47,22 @@ def test_cohorts_group_equal_sizes_up_to_the_cap(monkeypatch):
     # equal sizes join one cohort wherever their rows are, as long as the rows
     # stay evenly spaced; cohorts come in order of their first row
     shards = shards_of([4, 5, 4, 5, 4, 4, 6], first_id=3)
-    groups = cohorts(shards, 10, CFG, 0, 1)
-    assert [tuple(c.rows) for c in groups] == [(0, 2, 4), (1, 3), (5,), (6,)]
+    groups = cohorts(shards, 10, 0, 1)
+    assert [row_ids(c) for c in groups] == [(0, 2, 4), (1, 3), (5,), (6,)]
     assert [c.client_ids for c in groups] == [(3, 5, 7), (4, 6), (8,), (9,)]
     assert [c.n_samples for c in groups] == [12, 10, 4, 6]
     assert np.array_equal(groups[1].indices, np.stack([shards[1].indices, shards[3].indices]))
-    assert groups[0].view == slice(0, 5, 2)
+    assert groups[0].rows == slice(0, 5, 2)
     monkeypatch.setattr(local, "COHORT_BYTES", 2 * 8 * 10 + 7)    # room for two clients
-    assert [tuple(c.rows) for c in cohorts(shards, 10, CFG, 0, 1)] == [(0, 2), (1, 3), (4, 5),
-                                                                       (6,)]
+    assert [row_ids(c) for c in cohorts(shards, 10, 0, 1)] == [(0, 2), (1, 3), (4, 5), (6,)]
     monkeypatch.setattr(local, "COHORT_BYTES", 1)                 # room for none: one each
-    assert [tuple(c.rows) for c in cohorts(shards, 10, CFG, 0, 1)] == [(k,) for k in range(7)]
+    assert [row_ids(c) for c in cohorts(shards, 10, 0, 1)] == [(k,) for k in range(7)]
 
 
 @pytest.mark.parametrize("n_params, sizes", [(229, [3]), (50_826, [2, 1]), (203_530, [1, 1, 1])])
 def test_cohort_cap_at_the_benchmark_model_sizes(n_params, sizes):
     # 8-16-5 (desk) stacks, 64-256-128-10 (fleet) pairs, 784-256-10 (wide) trains alone
-    assert [len(c) for c in cohorts(shards_of([6, 6, 6]), n_params, CFG, 0, 1)] == sizes
+    assert [len(c) for c in cohorts(shards_of([6, 6, 6]), n_params, 0, 1)] == sizes
 
 
 def state(rng):
@@ -71,24 +75,37 @@ def test_a_cohort_holds_each_clients_keyed_streams(monkeypatch, random_start):
     # keyed by (round, client) only, so the same in any cohort
     cfg = LocalConfig(epochs=2, batch_size=5,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=random_start))
-    groups = cohorts(shards_of([7, 12, 7], first_id=3), 10, cfg, 9, 4)
-    assert [(tuple(c.rows), c.client_ids, c.round_idx)
+    ds = toy_dataset(26)
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    P = theta.values.size
+    made = []
+
+    def spy(*key):
+        rng = stream(*key)
+        made.append((key, state(rng)))
+        return rng
+
+    def derived(c):
+        """Each stream that training `c` derives: its key and its initial state."""
+        made.clear()
+        train_client(c, ds, theta, cfg, out=np.empty((len(c), P)))
+        return dict(made)
+
+    monkeypatch.setattr(local, "stream", spy)
+    groups = cohorts(shards_of([7, 12, 7], first_id=3), P, 9, 4)
+    assert [(row_ids(c), c.client_ids, c.round_idx)
             for c in groups] == [((0, 2), (3, 5), 4), ((1,), (4,), 4)]
     monkeypatch.setattr(local, "COHORT_BYTES", 1)
-    singles = {c.client_ids: c for c in cohorts(shards_of([7, 12, 7], first_id=3), 10, cfg, 9, 4)}
+    singles = {c.client_ids: c for c in cohorts(shards_of([7, 12, 7], first_id=3), P, 9, 4)}
+    purposes = ["batch-order"] + (["attack"] if random_start else [])
     for c in groups:
-        assert len(c.orders) == len(c)
-        if random_start:
-            assert len(c.attacks) == len(c)
-        else:
-            assert c.attacks is None
-        for i, cid in enumerate(c.client_ids):
-            alone = singles[(cid,)]
-            assert (state(c.orders[i]) == state(alone.orders[0])
-                    == state(stream(9, "batch-order", 4, cid)))
-            if random_start:
-                assert (state(c.attacks[i]) == state(alone.attacks[0])
-                        == state(stream(9, "attack", 4, cid)))
+        streams = derived(c)
+        assert list(streams) == [(9, p, 4, cid) for p in purposes for cid in c.client_ids]
+        for cid in c.client_ids:
+            alone = derived(singles[(cid,)])
+            for p in purposes:
+                key = (9, p, 4, cid)
+                assert streams[key] == alone[key] == state(stream(*key))
 
 
 def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
@@ -100,8 +117,8 @@ def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
     losses = np.full(m, np.nan)
     for c in groups:
         kwargs = {} if c_locals is None else dict(
-            c_global=c_global, c_local=c_locals[c.view], delta_out=deltas[c.view])
-        losses[c.view] = train_client(c, ds, theta, cfg, out=uploads[c.view], **kwargs)
+            c_global=c_global, c_local=c_locals[c.rows], delta_out=deltas[c.rows])
+        losses[c.rows] = train_client(c, ds, theta, cfg, out=uploads[c.rows], **kwargs)
     assert not np.isnan(uploads).any() and not np.isnan(losses).any()
     return uploads, deltas, losses.tolist()
 
@@ -138,18 +155,34 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
         variates = dict(c_global=rng.normal(scale=0.01, size=P),
                         c_locals=rng.normal(scale=0.01, size=(len(sizes), P)))
     with mock.patch.object(local, "COHORT_BYTES", cap * 8 * P):
-        groups = cohorts(shards, P, cfg, 11, 2)
+        groups = cohorts(shards, P, 11, 2)
     with mock.patch.object(local, "COHORT_BYTES", 1):
-        singles = cohorts(shards, P, cfg, 11, 2)
+        singles = cohorts(shards, P, 11, 2)
     assert max(len(c) for c in groups) <= cap and len(singles) == len(shards)
-    assert sorted(row for c in groups for row in c.rows) == list(range(len(sizes)))
-    assert all(len({sizes[row] for row in c.rows}) == 1 for c in groups)
+    assert sorted(row for c in groups for row in row_ids(c)) == list(range(len(sizes)))
+    assert all(len({sizes[row] for row in row_ids(c)}) == 1 for c in groups)
     together = train_rows(groups, ds, theta, cfg, **variates)
     alone = train_rows(singles, ds, theta, cfg, **variates)
     assert np.array_equal(together[0], alone[0])
     if optimizer == "scaffold":
         assert np.array_equal(together[1], alone[1])
     assert together[2] == alone[2]
+
+
+@pytest.mark.parametrize("trainer", ["at", "trades"])
+def test_a_cohort_trains_twice_to_the_same_bits(trainer):
+    # a cohort is a plain value: its streams are derived anew by each call,
+    # so a second training with random starts replays the first bit for bit
+    ds = toy_dataset(24)
+    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    P = theta.values.size
+    cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer,
+                      attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
+    (cohort,) = cohorts(shards_of([12, 12], first_id=4), P, 5, 3)
+    first, second = np.empty((2, P)), np.empty((2, P))
+    first_losses = train_client(cohort, ds, theta, cfg, out=first)
+    second_losses = train_client(cohort, ds, theta, cfg, out=second)
+    assert np.array_equal(first, second) and first_losses == second_losses
 
 
 def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
@@ -166,7 +199,7 @@ def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
     original = runner.train_client
 
     def spy(cohort, *a, **kw):
-        trained.append(tuple(cohort.rows))
+        trained.append(row_ids(cohort))
         views.append(not kw["out"].flags.owndata and not kw["delta_out"].flags.owndata)
         return original(cohort, *a, **kw)
 
@@ -187,7 +220,7 @@ def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=5, attack=AttackSpec(0.05, 0.01, steps=3,
                                                                  random_start=True))
-    (cohort,) = cohorts(shards_of([12, 12, 12]), theta.values.size, cfg, 1, 1)
+    (cohort,) = cohorts(shards_of([12, 12, 12]), theta.values.size, 1, 1)
     made, rows = [], []
     original_init, original_backprop = nn.ParamVector.__post_init__, nn.backprop
     monkeypatch.setattr(nn.ParamVector, "__post_init__",
@@ -212,7 +245,7 @@ def test_attack_streams_are_derived_only_when_an_attack_reads_them(
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer, trades_beta=beta,
                       attack=AttackSpec(epsilon, 0.01, steps=2, random_start=random_start))
-    (cohort,) = cohorts(shards_of([12, 12]), theta.values.size, cfg, 1, 1)
+    (cohort,) = cohorts(shards_of([12, 12]), theta.values.size, 1, 1)
     train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))
     # one stream per client and purpose for the round, over its 2 epochs of 3 batches
     assert [key[1] for key in calls] == ["batch-order"] * 2 + ["attack"] * (2 if draws else 0)
@@ -233,7 +266,7 @@ def test_divergence_names_the_round_client_epoch_and_batch(trainer, what, sizes,
     cfg = LocalConfig(epochs=1, batch_size=5, trainer=trainer, lr=1.0,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
     message = f"round 4, client {client}, epoch 0, batch 1: non-finite {what}"
-    (cohort,) = cohorts(shards_of(sizes, first_id=7), P, cfg, 1, 4)
+    (cohort,) = cohorts(shards_of(sizes, first_id=7), P, 1, 4)
     with pytest.raises(DivergenceError, match=re.escape(message)):
         train_client(cohort, ds, theta, cfg, out=np.empty((m, P)), c_global=np.zeros(P),
                      c_local=c_local, delta_out=np.empty((m, P)))
@@ -253,7 +286,7 @@ def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
     ds = toy_dataset(20)
     theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
     cfg = LocalConfig(epochs=2, batch_size=10, trainer="standard")
-    (cohort,) = cohorts(shards_of([10, 10], first_id=5), theta.values.size, cfg, 1, 2)
+    (cohort,) = cohorts(shards_of([10, 10], first_id=5), theta.values.size, 1, 2)
     with pytest.raises(DivergenceError,
                        match="round 2, client 6, epoch 1, batch 0: non-finite parameters"):
         train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))

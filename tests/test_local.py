@@ -37,7 +37,7 @@ def train(shard, ds, theta, cfg, master_seed=0, round_idx=0, **kwargs):
     parameters, mean loss); per-client variates become that cohort's row."""
     out = np.empty((1, theta.values.size))
     rows = {k: v[None] for k, v in kwargs.items() if k in ("c_local", "delta_out")}
-    (cohort,) = cohorts([shard], theta.values.size, cfg, master_seed, round_idx)
+    (cohort,) = cohorts([shard], theta.values.size, master_seed, round_idx)
     (loss,) = train_client(cohort, ds, theta, cfg, out=out, **{**kwargs, **rows})
     return out[0], loss
 
@@ -99,12 +99,13 @@ def test_scaffold_mean_identity_two_client_toy():
     c_g = np.zeros_like(theta.values)
     c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
     uploads, deltas = np.empty((2, theta.values.size)), np.empty((2, theta.values.size))
-    (cohort,) = cohorts(shards, theta.values.size, cfg, master_seed=1, round_idx=1)
+    (cohort,) = cohorts(shards, theta.values.size, seed=1, round_idx=1)
     train_client(cohort, ds, theta, cfg, out=uploads,
                  c_global=c_g, c_local=np.stack(c_ls), delta_out=deltas)
     mean_delta = np.mean(list(deltas), axis=0)
     from fedslack.aggregation import scaffold_server_update
-    c_g2 = scaffold_server_update(c_g, deltas, 2, 2)
+    c_g2 = c_g.copy()
+    scaffold_server_update(c_g2, np.stack(c_ls), [0, 1], deltas)
     np.testing.assert_allclose(c_g2, c_g + mean_delta, atol=1e-15)
 
 
@@ -279,8 +280,9 @@ def test_trades_recorded_loss_matches_direct_evaluation():
     order = stream(8, "batch-order", 1, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     from fedslack.attacks import pgd_kl
-    x_adv = pgd_kl(model, xb, cfg.attack, stream(8, "attack", 1, 0))
     logits_nat = nn.forward_batch(model, xb)
+    log_ref = np.log(np.clip(nn.softmax(logits_nat), 1e-300, None))
+    x_adv = pgd_kl(model, xb, cfg.attack, stream(8, "attack", 1, 0), log_ref)
     logits_adv = nn.forward_batch(model, x_adv)
     p = nn.softmax(logits_nat)
     q = nn.softmax(logits_adv)

@@ -10,7 +10,7 @@ import pytest
 
 from fedslack import aggregation, metrics, nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
-                                  slack_aggregate, update_client_variates)
+                                  slack_aggregate)
 from fedslack.attacks import AttackSpec
 from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.errors import ShapeError
@@ -91,13 +91,12 @@ def test_scaffold_updates_match_the_list_oracles_bitwise(m):
         P = 300
         deltas = rng.normal(scale=0.01, size=(m, P))
         c_global = rng.normal(scale=0.01, size=P)
-        got = scaffold_server_update(c_global, deltas, m, K)
-        assert np.array_equal(got, scaffold_server_update_list(c_global, list(deltas), m, K))
-
         ids = sorted(rng.choice(K, size=m, replace=False).tolist())
         c_locals = rng.normal(scale=0.01, size=(K, P))
         by_id = {cid: row.copy() for cid, row in enumerate(c_locals)}
-        update_client_variates(c_locals, ids, deltas)
+        got = c_global.copy()
+        scaffold_server_update(got, c_locals, ids, deltas)
+        assert np.array_equal(got, scaffold_server_update_list(c_global, list(deltas), m, K))
         update_client_variates_dict(by_id, ids, list(deltas))
         assert all(np.array_equal(c_locals[cid], by_id[cid]) for cid in range(K))
 
@@ -119,9 +118,11 @@ def test_matrix_calls_reject_mismatched_shapes():
     with pytest.raises(ShapeError):
         gradient_variance(uploads[:, :-1], theta.values)
     with pytest.raises(ShapeError):
-        nn.Model.from_vector(theta, out=np.empty(theta.values.size, dtype=np.float32))
+        nn.Model.from_vector(theta, out=np.empty((1, theta.values.size), dtype=np.float32))
     with pytest.raises(ShapeError):
-        nn.Model.from_vector(theta, out=np.empty(theta.values.size + 1))
+        nn.Model.from_vector(theta, out=np.empty((1, theta.values.size + 1)))
+    with pytest.raises(ShapeError):     # a buffer of its own is the model's, not the caller's
+        nn.Model.from_vector(theta, out=np.empty(theta.values.size))
     with pytest.raises(ShapeError):     # rows may be strided, not their entries
         nn.Model.from_vector(theta, out=np.empty((2, 2 * theta.values.size))[:, ::2])
 
@@ -144,11 +145,10 @@ def test_training_in_a_row_equals_training_in_a_fresh_array(trainer):
                       attack=AttackSpec(0.05, 0.0125, steps=3, random_start=True), lr=0.1)
     before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
     fresh, fresh_delta = np.empty((1, theta.values.size)), np.empty((1, theta.values.size))
-    (cohort,) = cohorts([shard], theta.values.size, cfg, 1, 1)
+    (cohort,) = cohorts([shard], theta.values.size, 1, 1)
     (fresh_loss,) = train_client(cohort, ds, theta, cfg, out=fresh, c_global=c_global,
                                  c_local=c_local[None], delta_out=fresh_delta)
     uploads, deltas = np.full((3, theta.values.size), np.nan), np.empty((3, theta.values.size))
-    (cohort,) = cohorts([shard], theta.values.size, cfg, 1, 1)     # a cohort's streams train once
     (loss,) = train_client(cohort, ds, theta, cfg, c_global=c_global,
                            c_local=c_local[None], out=uploads[1:2], delta_out=deltas[1:2])
     after = (theta.values, c_global, c_local, ds.features, ds.labels)

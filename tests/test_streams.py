@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslack.data import ClientShard
-from fedslack.local import LocalConfig, cohorts
+from fedslack import nn
+from fedslack.data import ClientShard, Dataset
+from fedslack.local import LocalConfig, cohorts, train_client
 from fedslack.streams import stream
 
 PURPOSES = ["attack", "batch-order", "participation", "", "ünïcode"]
@@ -26,13 +27,16 @@ def state(rng: np.random.Generator) -> dict:
 @pytest.mark.parametrize("coordinates", [
     dict(master_seed=-1), dict(round_idx=-2), dict(client_id=-3)])
 def test_a_negative_coordinate_raises_on_both_paths(coordinates):
-    # directly, and through the per-client streams a round's cohorts derive
+    # directly, and through the per-client streams training a cohort derives
     key = {"master_seed": 1, "round_idx": 1, "client_id": 0, **coordinates}
     with pytest.raises(ValueError, match="non-negative"):
         stream(purpose="attack", **key)
     shard = ClientShard(key["client_id"], np.arange(4))
+    ds = Dataset(np.full((4, 2), 0.5), np.array([0, 1, 0, 1]), 2)
+    theta = nn.Model.init([2, 2], stream(0, "init")).params
+    (cohort,) = cohorts([shard], theta.values.size, key["master_seed"], key["round_idx"])
     with pytest.raises(ValueError, match="non-negative"):
-        cohorts([shard], 10, LocalConfig(), key["master_seed"], key["round_idx"])
+        train_client(cohort, ds, theta, LocalConfig(), out=np.empty((1, theta.values.size)))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
