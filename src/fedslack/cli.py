@@ -116,15 +116,25 @@ def _apply_sweep_value(config: ExperimentConfig, param: str,
     return replace(config, participation=value)
 
 
+def _run_name(param: str, value: float) -> str:
+    """`param_value`, the value as `:g` prints it if that reads back as the
+    value, else as `repr`: distinct values get distinct names."""
+    text = f"{value:g}"
+    return f"{param}_{text if float(text) == value else repr(value)}"
+
+
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     # every value is checked before the first run starts
+    repeated = [v for i, v in enumerate(args.values) if v in args.values[:i]]
+    if repeated:
+        raise ConfigError(f"--values gives {repeated[0]!r} more than once")
     configs = [_apply_sweep_value(base, args.param, value) for value in args.values]
     results = []
     for value, config in zip(args.values, configs):
         out = None
         if args.out:
-            out = str(Path(args.out) / f"{args.param}_{value:g}")
+            out = str(Path(args.out) / _run_name(args.param, value))
         config = replace(config, out_dir=out)
         artifact = runner.run(config)
         last = artifact.reports[-1]

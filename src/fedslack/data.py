@@ -5,6 +5,7 @@ IID / Non-IID client partitioner with equal or unequal splits.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +70,14 @@ class PartitionSpec:
             raise ConfigError(f"partition.num_clients must be >= 2, got {self.num_clients}")
         if self.seed < 0:
             raise ConfigError(f"partition.seed must be a non-negative integer, got {self.seed}")
+        if self.sample_counts is not None:
+            if len(self.sample_counts) != self.num_clients:
+                raise ConfigError(
+                    f"partition.sample_counts must have one entry per client, "
+                    f"got {len(self.sample_counts)} for {self.num_clients} clients")
+            if min(self.sample_counts) < 1:
+                raise ConfigError(f"partition.sample_counts must be >= 1 each, "
+                                  f"got {min(self.sample_counts)}")
         if isinstance(self.mode, str):
             self.mode = PartitionMode(self.mode.lower())
         # `not x >= 0` rather than `x < 0`, so that NaN is rejected too.
@@ -133,6 +142,16 @@ def make_synthetic(n_per_class: int, num_classes: int, dim: int,
                    np.repeat(np.arange(num_classes), n_per_class), num_classes)
 
 
+def _read_declared(f, n: int, what: str) -> bytes:
+    """The `n` bytes an IDX header declares, or FormatError if fewer are left
+    in the file; checked before anything is read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"{what} file truncated: its header declares {n} bytes, "
+                          f"{left} follow it")
+    return f.read(n)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style IDX image/label pair; pixels scaled to [0,1]."""
     with open(images_path, "rb") as f:
@@ -142,9 +161,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise FormatError("image file truncated")
+        raw = _read_declared(f, count * rows * cols, "image")
         features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         header = f.read(8)
@@ -153,7 +170,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, label_count = struct.unpack(">II", header)
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(f"bad label magic 0x{magic:08x}")
-        labels = np.frombuffer(f.read(label_count), dtype=np.uint8)
+        labels = np.frombuffer(_read_declared(f, label_count, "label"), dtype=np.uint8)
     if count != label_count:
         raise FormatError(f"image count {count} != label count {label_count}")
     num_classes = int(labels.max()) + 1 if len(labels) else 1

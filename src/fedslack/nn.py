@@ -39,6 +39,7 @@ Everything is float64 and pure given explicit inputs.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -331,11 +332,12 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def _read(f, n: int) -> bytes:
-    """Exactly `n` bytes of the checkpoint, or FormatError if the file ends first."""
-    raw = f.read(n)
-    if len(raw) != n:
-        raise FormatError(f"checkpoint truncated: wanted {n} bytes, got {len(raw)}")
-    return raw
+    """Exactly `n` bytes of the checkpoint, or FormatError if fewer are left in
+    the file; a declared length is checked before anything is read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"checkpoint truncated: wanted {n} bytes, {left} left")
+    return f.read(n)
 
 
 def _read_u32(f) -> int:

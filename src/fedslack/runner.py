@@ -82,6 +82,15 @@ class DatasetSpec:
         if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
             raise ConfigError(
                 f"dataset.test_fraction must be finite and > 0, got {self.test_fraction}")
+        if self.kind not in ("synthetic", "csv", "idx"):
+            raise ConfigError(f"dataset.kind must be synthetic, csv or idx, got {self.kind!r}")
+        if self.placement not in ("random", "orthogonal"):
+            raise ConfigError(
+                f"dataset.placement must be random or orthogonal, got {self.placement!r}")
+        if self.kind == "synthetic" and self.placement == "orthogonal" \
+                and self.dim < self.num_classes:
+            raise ConfigError(f"dataset.placement orthogonal needs dataset.dim >= "
+                              f"dataset.num_classes, got {self.dim} < {self.num_classes}")
 
 
 @dataclass

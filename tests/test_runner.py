@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -597,3 +598,98 @@ def test_a_partial_attack_section_takes_the_default_attack_for_omitted_keys(
     assert run_cli_on(tmp_path, raw) == (0, True)
     written = json.loads((tmp_path / "out" / "config.json").read_text())
     assert written["local"]["attack"] == expected
+
+
+def test_cli_eval_rejects_a_checkpoint_declaring_more_values_than_it_holds(tmp_path, capsys):
+    # shape (2**31, 2**31, 4) used to reach f.read as 2**67 bytes: an OverflowError traceback
+    ckpt = tmp_path / "huge.bin"
+    name = b"dense0.W"
+    ckpt.write_bytes(b"FSLK" + struct.pack("<III", 1, 1, len(name)) + name
+                     + struct.pack("<IIII", 3, 2**31, 2**31, 4))
+    csv_path = write_csv(tmp_path / "test.csv", [(0, (0.1, 0.2, 0.3))])
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--test", csv_path]) == cli.EXIT_CONFIG
+    assert f"checkpoint truncated: wanted {2**67} bytes, 0 left" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_an_idx_header_declaring_more_pixels_than_the_file_holds(tmp_path,
+                                                                                capsys):
+    # (2**32-1)**3 pixels used to reach f.read: an OverflowError traceback
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes([0]))
+    raw = config_to_dict(tiny_config())
+    raw["dataset"] = {"kind": "idx", "train_path": str(images),
+                      "train_labels_path": str(labels), "test_path": str(images),
+                      "test_labels_path": str(labels)}
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert (f"image file truncated: its header declares {(2**32 - 1)**3} bytes, 0 follow it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_gives_distinct_values_distinct_run_directories(tmp_path):
+    # 0.1 and 0.1000001 both used to run in alpha_0.1, the second over the first
+    path = write_config(tmp_path, rounds=1, eval_every=0)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--param", "alpha",
+                     "--values", "0.1", "0.1000001", "--out", str(out)]) == 0
+    runs = ["alpha_0.1", "alpha_0.1000001"]
+    assert sorted(p.name for p in out.iterdir()) == runs + ["sweep.json"]
+    assert [json.loads((out / run / "config.json").read_text())["policy"]["alpha"]
+            for run in runs] == [0.1, 0.1000001]
+
+
+@pytest.mark.parametrize("param, value, name", [
+    ("clients", 4.0, "clients_4"), ("alpha", 0.1, "alpha_0.1"),
+    ("epsilon", 1e-07, "epsilon_1e-07"), ("alpha", 0.1000001, "alpha_0.1000001"),
+    ("ratio", 1 / 3, "ratio_0.3333333333333333")])
+def test_a_sweep_run_keeps_its_short_name_when_that_reads_back_as_its_value(param, value,
+                                                                             name):
+    assert cli._run_name(param, value) == name
+
+
+def test_cli_sweep_rejects_a_repeated_value_before_any_run(tmp_path, capsys):
+    path = write_config(tmp_path, rounds=1, eval_every=0)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--param", "alpha",
+                     "--values", "0.1", "0.2", "0.1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "--values gives 0.1 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([16, 16, 16, 16],
+     "partition.sample_counts must have one entry per client, got 4 for 5 clients"),
+    ([16, 16, 0, 16, 16], "partition.sample_counts must be >= 1 each, got 0")])
+def test_cli_run_names_bad_sample_counts_before_writing(tmp_path, capsys, counts, message):
+    raw = config_to_dict(tiny_config())
+    raw["partition"]["sample_counts"] = counts
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_checks_the_sample_counts_of_every_value_before_any_run(tmp_path, capsys):
+    # with 4 counts, clients 4 used to run and write clients_4, then clients 5 failed
+    path = write_config(tmp_path, rounds=1, eval_every=0,
+                        partition=PartitionSpec(4, mode="iid", sample_counts=[10] * 4))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--param", "clients",
+                     "--values", "4", "5", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "partition.sample_counts must have one entry per client" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("kind", "tsv", "dataset.kind must be synthetic, csv or idx, got 'tsv'"),
+    ("placement", "grid", "dataset.placement must be random or orthogonal, got 'grid'"),
+    ("placement", "orthogonal",
+     "dataset.placement orthogonal needs dataset.dim >= dataset.num_classes, got 3 < 5")])
+def test_cli_run_names_a_bad_dataset_kind_or_placement_before_writing(tmp_path, capsys, key,
+                                                                      value, message):
+    # these used to exit 2 only when the data was built, naming no key
+    raw = config_to_dict(tiny_config())
+    raw["dataset"][key] = value
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
