@@ -121,7 +121,7 @@ def test_matrix_calls_reject_mismatched_shapes():
         nn.Model.from_vector(theta, out=np.empty((1, theta.values.size), dtype=np.float32))
     with pytest.raises(ShapeError):
         nn.Model.from_vector(theta, out=np.empty((1, theta.values.size + 1)))
-    with pytest.raises(ShapeError):     # a buffer of its own is the model's, not the caller's
+    with pytest.raises(ShapeError):     # out is (M, P); a flat buffer is the model's own
         nn.Model.from_vector(theta, out=np.empty(theta.values.size))
     with pytest.raises(ShapeError):     # rows may be strided, not their entries
         nn.Model.from_vector(theta, out=np.empty((2, 2 * theta.values.size))[:, ::2])
