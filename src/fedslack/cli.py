@@ -16,7 +16,7 @@ from pathlib import Path
 from . import nn, runner
 from .attacks import AttackSpec
 from .data import class_counts, load_csv
-from .errors import ConfigError, DivergenceError, FedslackError, FormatError
+from .errors import ConfigError, DivergenceError, FedslackError
 from .metrics import EvalAttack, evaluate, trace_topk
 from .runner import ExperimentConfig, load_config, load_metrics
 
@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, FormatError, FedslackError, ValueError) as exc:
+    except (FedslackError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -55,8 +55,8 @@ class PartitionMode(Enum):
 class PartitionSpec:
     """How to split a dataset across K clients.
 
-    In NONIID mode each client owns a group of classes and keeps
-    (100 - (K-1)*s)% of each owned class; every other client gets s%.
+    In NONIID mode client c mod K owns class c and keeps (100 - (K-1)*s)%
+    of it; every other client gets s%.
     """
 
     num_clients: int
@@ -206,30 +206,9 @@ def load_csv(path) -> Dataset:
 
 
 def class_groups(num_classes: int, num_clients: int) -> list[list[int]]:
-    """Round-robin assignment of class ids to clients, ascending."""
-    groups: list[list[int]] = [[] for _ in range(num_clients)]
-    for c in range(num_classes):
-        groups[c % num_clients].append(c)
-    return groups
-
-
-def _noniid_class_split(n_c: int, owner: int, spec: PartitionSpec,
-                        order: np.ndarray) -> list[np.ndarray]:
-    """Split one class's shuffled index array across clients by the skew rule."""
-    K = spec.num_clients
-    minority = int(np.floor(n_c * spec.skew / 100.0 + 0.5))
-    chunks: list[np.ndarray] = [None] * K
-    off = 0
-    for k in range(K):
-        if k == owner:
-            continue
-        chunks[k] = order[off:off + minority]
-        off += minority
-    chunks[owner] = order[off:]  # remainder goes to the majority client
-    if len(chunks[owner]) < minority:
-        raise PartitionError(
-            f"skew {spec.skew} leaves the majority client under-represented")
-    return chunks
+    """Each client's classes, ascending, by the one ownership rule of the
+    NONIID partitions: client c mod K owns class c."""
+    return [list(range(k, num_classes, num_clients)) for k in range(num_clients)]
 
 
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
@@ -237,24 +216,30 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
     K = spec.num_clients
     rng = stream(spec.seed, "partition")
     if spec.mode is PartitionMode.IID:
-        order = rng.permutation(len(dataset))
-        parts = np.array_split(order, K)
+        parts = np.array_split(rng.permutation(len(dataset)), K)
         return [ClientShard(k, np.sort(parts[k])) for k in range(K)]
 
-    groups = class_groups(dataset.num_classes, K)
-    owner_of = {c: k for k, cls in enumerate(groups) for c in cls}
     per_client: list[list[np.ndarray]] = [[] for _ in range(K)]
     for c in range(dataset.num_classes):
-        idx = np.flatnonzero(dataset.labels == c)
-        order = rng.permutation(idx)
-        for k, chunk in enumerate(_noniid_class_split(len(idx), owner_of[c], spec, order)):
-            per_client[k].append(chunk)
-    return [ClientShard(k, np.sort(np.concatenate(per_client[k])))
-            for k in range(K)]
+        order = rng.permutation(np.flatnonzero(dataset.labels == c))
+        minority = int(np.floor(len(order) * spec.skew / 100.0 + 0.5))
+        if len(order) < K * minority:
+            raise PartitionError(
+                f"skew {spec.skew} leaves the majority client under-represented")
+        # every other client, in client order, gets `minority`; the owner the rest
+        for i, k in enumerate([k for k in range(K) if k != c % K]):
+            per_client[k].append(order[i * minority:(i + 1) * minority])
+        per_client[c % K].append(order[(K - 1) * minority:])
+    return [ClientShard(k, np.sort(np.concatenate(per_client[k]))) for k in range(K)]
 
 
 def partition_unequal(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
-    """Partition with exact per-client sample counts, preserving the skew bias."""
+    """Partition with exact per-client sample counts, preserving the skew bias.
+
+    Client k's per-class targets are its share of each class's starting pool
+    size; clients take their samples in order, each from the ends of the
+    classes' shuffled pools.
+    """
     if spec.sample_counts is None:
         raise PartitionError("sample_counts required for unequal partition")
     counts = [int(c) for c in spec.sample_counts]
@@ -268,19 +253,15 @@ def partition_unequal(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard
 
     rng = stream(spec.seed, "partition-unequal")
     C = dataset.num_classes
-    class_pools = [list(rng.permutation(np.flatnonzero(dataset.labels == c)))
-                   for c in range(C)]
-    pool_sizes = np.array([len(p) for p in class_pools], dtype=np.float64)
+    pools = [rng.permutation(np.flatnonzero(dataset.labels == c)) for c in range(C)]
+    ends = np.array([len(p) for p in pools])      # what is left: pools[c][:ends[c]]
+    pool_sizes = ends.astype(np.float64)
 
     if spec.mode is PartitionMode.IID:
         share = np.ones((K, C))
     else:
-        groups = class_groups(C, K)
-        owner_of = {c: k for k, cls in enumerate(groups) for c in cls}
-        majority = (100.0 - (K - 1) * spec.skew) / 100.0
         share = np.full((K, C), spec.skew / 100.0)
-        for c in range(C):
-            share[owner_of[c], c] = majority
+        share[np.arange(C) % K, np.arange(C)] = (100.0 - (K - 1) * spec.skew) / 100.0
 
     shards = []
     for k in range(K):
@@ -289,20 +270,16 @@ def partition_unequal(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard
             raise PartitionError(f"client {k} has no feasible class mass")
         target = weights / weights.sum() * counts[k]
         want = np.floor(target).astype(int)
-        # distribute the rounding remainder to the largest fractional parts
-        short = counts[k] - int(want.sum())
-        frac_order = np.argsort(-(target - want))
-        for c in frac_order[:short]:
-            want[c] += 1
-        taken = []
-        for c in range(C):
-            if want[c] > len(class_pools[c]):
-                raise PartitionError(
-                    f"client {k} needs {want[c]} samples of class {c}, "
-                    f"pool has {len(class_pools[c])}")
-            for _ in range(want[c]):
-                taken.append(class_pools[c].pop())
-        shards.append(ClientShard(k, np.sort(np.asarray(taken, dtype=np.intp))))
+        # the rounding remainder goes to the largest fractional parts
+        want[np.argsort(-(target - want))[:counts[k] - int(want.sum())]] += 1
+        short = np.flatnonzero(want > ends)
+        if short.size:
+            c = short[0]
+            raise PartitionError(f"client {k} needs {want[c]} samples of class {c}, "
+                                 f"pool has {ends[c]}")
+        taken = [pool[end - n:end] for pool, end, n in zip(pools, ends, want)]
+        ends -= want
+        shards.append(ClientShard(k, np.sort(np.concatenate(taken))))
     return shards
 
 

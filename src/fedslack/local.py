@@ -36,7 +36,7 @@ in; `train_client` returns only the clients' mean losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,11 +76,6 @@ class LocalConfig:
     def __post_init__(self):
         if isinstance(self.trainer, str):
             self.trainer = Trainer(self.trainer.lower())
-        if not isinstance(self.attack, AttackSpec):
-            try:      # omitted keys take the default attack's values
-                self.attack = replace(LocalConfig().attack, **self.attack)
-            except ValueError as exc:     # its message names `attack.<key>`
-                raise ConfigError(f"local.{exc}") from exc
         if self.epochs < 1:
             raise ConfigError(f"local.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -165,6 +160,14 @@ def _attack_draws(config: LocalConfig) -> bool:
             or (config.trainer is Trainer.TRADES and config.trades_beta > 0.0))
 
 
+def _rows(ids: list[int] | tuple[int, ...]) -> slice | list[int]:
+    """Index of the ascending ids' rows: a slice (a view, no copy) when they
+    are evenly spaced, such as any two rows."""
+    step = ids[1] - ids[0] if len(ids) > 1 else 1
+    evenly = list(ids) == list(range(ids[0], ids[-1] + 1, step))
+    return slice(ids[0], ids[-1] + 1, step) if evenly else list(ids)
+
+
 def cohorts(shards: list[ClientShard], n_params: int, seed: int,
             round_idx: int) -> list[Cohort]:
     """The round's shards, in upload-row order, grouped by size into cohorts
@@ -183,8 +186,7 @@ def cohorts(shards: list[ClientShard], n_params: int, seed: int,
             group = latest[shard.n_samples] = []
             rows.append(group)
         group.append(row)
-    return [Cohort(slice(r[0], r[-1] + 1, r[1] - r[0] if len(r) > 1 else 1),
-                   tuple(shards[row].client_id for row in r),
+    return [Cohort(_rows(r), tuple(shards[row].client_id for row in r),
                    np.array([shards[row].indices for row in r]), seed, round_idx)
             for r in rows]
 

@@ -26,7 +26,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,7 +38,7 @@ from .aggregation import (AggregationPolicy, scaffold_server_update,
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError, PartitionError
-from .local import LocalConfig, cohorts, train_client
+from .local import LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
 from .streams import stream
@@ -143,7 +143,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation (a bool is no int; an enum takes a str)."""
-    if isinstance(hint, type) and issubclass(hint, Enum):
+    if isinstance(hint, EnumMeta):
         hint = str
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
@@ -154,35 +154,39 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check_keys(cls, raw: dict, prefix: str = "") -> None:
-    """Every key `raw` sets, in its sections too, is a field of `cls` that fits its value."""
-    hints = get_type_hints(cls)
+def _merged(default, raw: dict, prefix: str = ""):
+    """`default`, a config dataclass, with the values `raw` sets, each of a
+    field that fits it; a section given as an object is merged the same way
+    into the default's section.  `replace` runs every `__post_init__`."""
+    hints = get_type_hints(type(default))
     unknown = sorted(prefix + str(k) for k in set(raw) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
     for name, value in raw.items():
-        hint = hints[name]
+        hint, key = hints[name], prefix + name
         if is_dataclass(hint) and isinstance(value, dict):
-            _check_keys(hint, value, f"{prefix}{name}.")
+            try:
+                value = _merged(getattr(default, name), value, key + ".")
+            except ValueError as exc:     # an AttackSpec message names `attack.<key>`
+                raise ConfigError(f"{prefix}{exc}") from exc
         elif not _has_type(value, hint):
-            raise ConfigError(f"{prefix}{name} must be of type "
+            raise ConfigError(f"{key} must be of type "
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
-
-
-_SECTIONS = {"dataset": DatasetSpec, "partition": PartitionSpec, "local": LocalConfig,
-             "policy": AggregationPolicy}
+        elif isinstance(hint, EnumMeta):
+            choices = [member.value for member in hint]
+            if value.lower() not in choices:
+                raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        values[name] = value
+    return replace(default, **values)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Config from parsed JSON (`raw` is unchanged); omitted keys keep the defaults."""
+    """Config from parsed JSON (`raw` is unchanged): every key it sets, in its
+    sections too, replaces that value of the default `ExperimentConfig()`."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(ExperimentConfig, raw)
-    try:
-        sections = {key: make(**raw[key]) for key, make in _SECTIONS.items() if key in raw}
-        return ExperimentConfig(**{**raw, **sections})
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return _merged(ExperimentConfig(), raw)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -288,14 +292,6 @@ def report_rows(rep: RoundReport) -> list[list[str]]:
                  [rep.round_idx, -1, total, None, None, rep.mean_drift, None, rep.alpha,
                   rep.xi, rep.grad_variance, rep.nat_acc, rep.fgsm_acc, rep.pgd20_acc]])
     return rows
-
-
-def _rows(ids: tuple[int, ...]) -> slice | list[int]:
-    """Index of the ascending ids' rows: a slice (a view, no copy) when they
-    are evenly spaced, such as any two rows."""
-    step = ids[1] - ids[0] if len(ids) > 1 else 1
-    evenly = ids == tuple(range(ids[0], ids[-1] + 1, step))
-    return slice(ids[0], ids[-1] + 1, step) if evenly else list(ids)
 
 
 def run(config: ExperimentConfig) -> RunArtifact:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -208,3 +209,50 @@ def test_synthetic_points_equal_per_class_reference_draws():
     ref = [np.clip(means[c] + 0.08 * rng.normal(size=(7, 4)), 0.0, 1.0) for c in range(3)]
     assert np.array_equal(ds.features, np.concatenate(ref))
     assert np.array_equal(ds.labels, np.repeat(np.arange(3), 7))
+
+
+# Seven classes of unequal size, labels in shuffled order.
+CLASS_SIZES = [37, 52, 41, 60, 29, 45, 33]
+UNEVEN_LABELS = np.random.default_rng(11).permutation(
+    np.repeat(np.arange(len(CLASS_SIZES)), CLASS_SIZES))
+
+
+def shard_digest(shards) -> str:
+    h = hashlib.sha256()
+    for shard in shards:
+        h.update(np.int64(shard.client_id).tobytes())
+        h.update(np.int64(shard.n_samples).tobytes())
+        h.update(shard.indices.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+# Digests recorded from the partitioners as first written: a rewrite must
+# give the same shards, index for index.
+@pytest.mark.parametrize("split, spec, expected", [
+    pytest.param(data.partition, dict(num_clients=3, mode="iid", seed=4),
+                 "1af9558d52877b2ba06953110e71dad22b0df5c88cbe24aa75b5ded627bba0c2",
+                 id="equal-iid"),
+    pytest.param(data.partition, dict(num_clients=3, skew=10.0, seed=4),
+                 "bb480e9c455e60e9caa96fddbc094a5be3cc4428e40eddcc3cea48ef0cc6e175",
+                 id="equal-noniid"),
+    pytest.param(data.partition, dict(num_clients=9, skew=4.0, seed=1),
+                 "88e8bab9bfea1319040d210f37d6c3c608b1148a9bc4d2437b1034ca8ec95638",
+                 id="equal-noniid-more-clients-than-classes"),
+    pytest.param(data.partition_unequal,
+                 dict(num_clients=3, mode="iid", seed=4, sample_counts=[40, 95, 61]),
+                 "21b7709996d5afd1956a011e3a57d42170206e29752a2f4e4ac04cae37cf31b3",
+                 id="unequal-iid"),
+    pytest.param(data.partition_unequal,
+                 dict(num_clients=3, skew=10.0, seed=4, sample_counts=[40, 95, 61]),
+                 "93669d34eb2d0b2aa40b94e6f416293c85d3776fc84dd1c84231909429f9eae6",
+                 id="unequal-noniid"),
+    pytest.param(data.partition_unequal,
+                 dict(num_clients=9, skew=4.0, seed=1,
+                      sample_counts=[12, 30, 7, 25, 18, 40, 9, 22, 31]),
+                 "7f95ba944b6a6f9676b7e2046f29a1f7f91f00d96702e7f42ebcf4430c97b0c4",
+                 id="unequal-noniid-more-clients-than-classes"),
+])
+def test_partitioners_give_their_recorded_shards(split, spec, expected):
+    ds = data.Dataset(np.full((len(UNEVEN_LABELS), 1), 0.5), UNEVEN_LABELS,
+                      len(CLASS_SIZES))
+    assert shard_digest(split(ds, data.PartitionSpec(**spec))) == expected

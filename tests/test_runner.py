@@ -14,7 +14,7 @@ from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
 from fedslack.errors import ConfigError
-from fedslack.local import LocalConfig
+from fedslack.local import LocalConfig, Trainer
 from fedslack.runner import (DatasetSpec, ExperimentConfig, config_from_dict,
                              config_to_dict, load_config, load_metrics,
                              run, sample_participants)
@@ -267,6 +267,53 @@ def test_cli_run_rejects_unknown_top_level_key(tmp_path, capsys):
 def test_omitted_config_sections_take_experiment_defaults():
     assert config_from_dict({}) == ExperimentConfig()
     assert config_from_dict({}).partition.skew == 5.0
+
+
+@pytest.mark.parametrize("section", [{"num_clients": 5}, {"num_clients": 10},
+                                     {"mode": "iid"}, {"seed": 3, "sample_counts": None}])
+def test_a_partial_partition_section_takes_the_default_partition_for_omitted_keys(section):
+    # such a section used to be built from PartitionSpec's own defaults: skew 0.0,
+    # and a TypeError naming no key when it left out num_clients
+    config = config_from_dict({"partition": section})
+    assert config.partition == replace(ExperimentConfig().partition, **section)
+    assert config.partition.skew == 5.0
+
+
+def test_cli_runs_a_partition_section_that_sets_only_num_clients(tmp_path):
+    # at skew 0.0 clients 5 to 9 owned no class, and the run exited 2 with
+    # "the partition leaves client 5 no samples"
+    raw = {"rounds": 1, "eval_every": 0, "hidden_dims": [4],
+           "dataset": {"n_per_class": 20, "num_classes": 5, "dim": 2},
+           "partition": {"num_clients": 10}}
+    assert run_cli_on(tmp_path, raw) == (0, True)
+    written = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert written["partition"]["skew"] == 5.0
+
+
+ENUM_CHOICES = [("local.trainer", "standard, at, trades"), ("policy.mode", "fat, sfat, re_sfat"),
+                ("policy.schedule", "constant, linear_anneal"),
+                ("partition.mode", "iid, noniid"), ("optimizer", "fedavg, fedprox, scaffold")]
+
+
+@pytest.mark.parametrize("path, choices", [pytest.param(*pc, id=pc[0]) for pc in ENUM_CHOICES])
+def test_an_unknown_enum_value_names_its_key_and_choices(tmp_path, capsys, path, choices):
+    # each used to print "invalid config: 'xyz' is not a valid <Enum>", naming no key
+    *sections, name = path.split(".")
+    raw = section = {}
+    for key in sections:
+        section = section.setdefault(key, {})
+    section[name] = "xyz"
+    message = f"{path} must be one of {choices}, got 'xyz'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+
+
+def test_enum_values_are_read_case_insensitively():
+    config = config_from_dict({"local": {"trainer": "TRADES"}, "optimizer": "FedProx"})
+    assert config.local.trainer is Trainer.TRADES
+    assert config.optimizer is runner.FedOptimizer.FEDPROX
 
 
 def test_cli_run_rejects_fedprox_mu_without_fedprox(tmp_path, capsys):
