@@ -85,7 +85,8 @@ def _uniform(rng: Rng, epsilon: float, shape: tuple[int, ...]) -> np.ndarray:
 
 def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
              spec: AttackSpec, rng: Rng = None) -> np.ndarray:
-    """PGD ascent on an arbitrary per-sample loss given its input-gradient fn.
+    """PGD ascent on an arbitrary per-sample loss given its input-gradient fn,
+    which must return a new array at each call (the step overwrites it).
 
     `x0` must lie in [0, 1]; every iterate is then projected onto the box
     lo..hi, the epsilon-ball intersected with [0, 1].
@@ -101,14 +102,14 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
     for _ in range(spec.steps):
         g = grad_fn(x)
         _check_gradient(g)
-        # x <- clip(x + step_size*sign(g)) in one buffer (an in-place sign is
-        # slower); s is finite, so max-then-min is np.clip bit for bit, without
+        # x <- clip(x + step_size*sign(g)) in g's buffer, which no caller
+        # keeps; it is finite, so max-then-min is np.clip bit for bit, without
         # its per-call overhead
-        s = np.sign(g)
-        s *= spec.step_size
-        s += x
-        np.maximum(s, lo, out=s)
-        x = np.minimum(s, hi, out=s)
+        np.sign(g, g)
+        g *= spec.step_size
+        g += x
+        np.maximum(g, lo, out=g)
+        x = np.minimum(g, hi, out=g)
     return x
 
 

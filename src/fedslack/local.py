@@ -30,7 +30,11 @@ uploaded parameters carry a layout.
 
 The caller hands each cohort its rows of the round's upload matrix (and,
 under SCAFFOLD, of its delta matrix) as a strided view to train and write
-in; `train_client` returns only the clients' mean losses.
+in; `train_client` returns only the clients' mean losses.  It writes
+nothing else that another cohort reads, so a round's cohorts may train on
+several threads at once.  Each call allocates its parameter-sized (M, P)
+buffers once, the gradients and one scratch array, and reuses them batch
+after batch.
 """
 
 from __future__ import annotations
@@ -95,10 +99,11 @@ class LocalConfig:
                 f"local.trades_beta must be finite and non-negative, got {self.trades_beta}")
 
 
-def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray,
-                  theta_global: np.ndarray, mu: float) -> np.ndarray:
-    """Add the proximal pull mu*(theta_local - theta_global) to `grads` in place."""
-    pull = theta_local - theta_global
+def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray, theta_global: np.ndarray,
+                  mu: float, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Add the proximal pull mu*(theta_local - theta_global) to `grads` in place;
+    the pull is computed in `scratch`, shaped like `grads`, when given."""
+    pull = np.subtract(theta_local, theta_global, scratch)
     pull *= mu
     grads += pull
     return grads
@@ -114,13 +119,15 @@ def apply_scaffold(grads: np.ndarray, c_global: np.ndarray,
 
 def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
                            n_steps: int, lr: float, c_local: np.ndarray,
-                           c_global: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                           c_global: np.ndarray, out: np.ndarray | None = None,
+                           scratch: np.ndarray | None = None) -> np.ndarray:
     """New local variate: c_local - c_global + (theta_global - theta_local)/(steps*lr).
 
-    Written into `out` when given, in that order of association.
+    Written into `out` when given, in that order of association; the step
+    term is computed in `scratch`, shaped like `theta_local`, when given.
     """
     out = np.subtract(c_local, c_global, out=out)
-    step = theta_global - theta_local
+    step = np.subtract(theta_global, theta_local, scratch)
     step /= n_steps * lr
     out += step
     return out
@@ -221,7 +228,12 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     attacks = ([stream(cohort.seed, "attack", cohort.round_idx, cid) for cid in ids]
                if _attack_draws(config) else None)
     model = nn.Model.from_vector(theta_global, out=out)
-    state = nn.SgdState(config.lr, config.momentum, config.weight_decay)
+    # the cohort's two parameter-sized buffers: the gradients, and the scratch
+    # the SGD step, the FedProx pull, TRADES' second backprop and the SCAFFOLD
+    # update take turns in
+    grads = np.empty(out.shape)
+    state = nn.SgdState(config.lr, config.momentum, config.weight_decay,
+                        scratch=np.empty(out.shape))
 
     def diverged(what: str, row: int, epoch: int, b: int) -> DivergenceError:
         return DivergenceError(f"round {cohort.round_idx}, client {ids[row]}, "
@@ -236,8 +248,9 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[:, start:start + config.batch_size]
             try:
-                loss, grads = _batch_objective(model, dataset.features[idx],
-                                               dataset.labels[idx], config, attacks)
+                loss, _ = _batch_objective(model, dataset.features[idx],
+                                           dataset.labels[idx], config, attacks, grads,
+                                           state.scratch)
             except DivergenceError as exc:
                 raise diverged("attack gradient", exc.row, epoch, b) from exc
             finite = np.isfinite(loss)
@@ -245,7 +258,7 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
                 raise diverged("loss", int(np.argmin(finite)), epoch, b)
             if config.fedprox_mu > 0.0:
                 apply_fedprox(grads, model.params.values, theta_global.values,
-                              config.fedprox_mu)
+                              config.fedprox_mu, state.scratch)
             if scaffold:
                 apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
@@ -257,22 +270,27 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
         raise diverged("parameters", int(np.argmin(finite)), epoch, b)
     if scaffold:
         update_scaffold_client(theta_global.values, out, n_steps, config.lr, c_local,
-                               c_global, out=delta_out)
+                               c_global, out=delta_out, scratch=state.scratch)
         delta_out -= c_local
     return (loss_sum / n).tolist()
 
 
-def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
-                     config: LocalConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: LocalConfig,
+                     rng: Rng, grads: np.ndarray,
+                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's per-client losses, and its gradients written into `grads`;
+    the objective may overwrite `scratch` (both C-contiguous and shaped like
+    the model's parameters)."""
     if config.trainer is Trainer.TRADES and config.trades_beta > 0.0:
-        return _trades_objective(model, xb, yb, config, rng)
+        return _trades_objective(model, xb, yb, config, rng, grads, scratch)
     if config.trainer is Trainer.AT and config.attack.epsilon > 0.0:
         xb = pgd(model, xb, yb, config.attack, rng)
-    return nn.batch_loss_and_grads(model, xb, yb)
+    return nn.batch_loss_and_grads(model, xb, yb, grads)
 
 
-def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
-                      config: LocalConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: LocalConfig,
+                      rng: Rng, grads: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x))."""
     beta = config.trades_beta
     n = yb.shape[-1]
@@ -292,6 +310,6 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray,
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
     dl_adv = beta * q * (s - kl[..., None]) / n
-    grads = nn.backprop(model, acts_nat, dl_nat)
-    grads += nn.backprop(model, acts_adv, dl_adv)
+    grads = nn.backprop(model, acts_nat, dl_nat, grads)
+    grads += nn.backprop(model, acts_adv, dl_adv, scratch)
     return loss, grads

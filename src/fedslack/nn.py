@@ -181,14 +181,16 @@ def _forward_cache(model: Model, X: np.ndarray) -> tuple[np.ndarray, list[np.nda
     return _forward(model, X)
 
 
-def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
+def backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Backpropagate d(loss)/d(logits) through the cached forward pass.
 
     Returns the flat parameter gradient, summed over each client's batch, in
-    `model.params` order ((P,), or (M, P) for a stacked model); the layer-0
+    `model.params` order ((P,), or (M, P) for a stacked model), written into
+    `out` (C-contiguous, of that shape) when given; the layer-0
     `delta @ W.T` is never computed.
     """
-    grads = np.empty_like(model.params.values)
+    grads = np.empty_like(model.params.values) if out is None else out
     views = _split(grads, model.layout)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
@@ -247,9 +249,11 @@ def one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
     return (y[..., None] == np.arange(num_classes)).astype(np.float64)
 
 
-def batch_loss_and_grads(model: Model, X: np.ndarray,
-                         y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch and the mean parameter gradients.
+def batch_loss_and_grads(
+        model: Model, X: np.ndarray, y: np.ndarray,
+        out: np.ndarray | None = None) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy over a batch and the mean parameter gradients, the
+    latter in `out` when given (see `backprop`).
 
     For a stacked model both are per client: losses (M,) and gradients (M, P).
     """
@@ -260,7 +264,7 @@ def batch_loss_and_grads(model: Model, X: np.ndarray,
     dlogits = softmax(logits)
     dlogits[_at_labels(y)] -= 1.0
     dlogits /= X.shape[-2]
-    return loss, backprop(model, acts, dlogits)
+    return loss, backprop(model, acts, dlogits, out)
 
 
 def input_grads_ce(model: Model, X: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -278,12 +282,19 @@ def input_grads_ce(model: Model, X: np.ndarray, onehot: np.ndarray) -> np.ndarra
 
 @dataclass
 class SgdState:
-    """SGD with momentum and weight decay; velocity lives per round."""
+    """SGD with momentum and weight decay; velocity lives per round.
+
+    `scratch`, shaped like the parameters, holds the step's products; a
+    caller may borrow it between steps, so that a round's training allocates
+    no parameter-sized array per batch.  Both buffers are allocated at the
+    first step unless given.
+    """
 
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocity: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -298,19 +309,22 @@ def sgd_step(model: Model, grads: np.ndarray, state: SgdState) -> Model:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
     Updates `state.velocity` and `model.params` in place, in that order of
-    association, so the rounding equals the out-of-place formula.  For a
-    stacked model each op runs once over all the clients' rows.
+    association, so the rounding equals the out-of-place formula; `grads` is
+    not modified.  For a stacked model each op runs once over all the
+    clients' rows.
     """
     theta = model.params.values
     if np.shape(grads) != theta.shape:
         raise ShapeError(f"gradient has shape {np.shape(grads)}, model needs {theta.shape}")
     if state.velocity is None:
         state.velocity = np.zeros_like(theta)
-    v = state.velocity
+    if state.scratch is None:
+        state.scratch = np.empty_like(theta)
+    v, scratch = state.velocity, state.scratch
     v *= state.momentum
     v += grads
-    v += state.weight_decay * theta
-    theta -= state.lr * v
+    v += np.multiply(state.weight_decay, theta, scratch)
+    theta -= np.multiply(state.lr, v, scratch)
     return model
 
 

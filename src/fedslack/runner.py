@@ -13,7 +13,9 @@ and mean loss; under SCAFFOLD it writes its variate change into row i of an (m, 
 delta matrix, and the control variates are a (K, P) matrix indexed by client
 id.  The participants train in cohorts (see `local`): evenly spaced rows
 with equal shard sizes, each cohort trained by one `train_client` call in a
-strided view of its rows.  The server step sorts the rows once by weighted
+strided view of its rows.  A round's cohorts train on up to one thread per
+core (see `threads`), and all have finished before the server step, which
+runs on the calling thread.  The server step sorts the rows once by weighted
 loss n_k/N*loss and reads these arrays in place: nothing is stacked or kept
 per client.  Its (P,) aggregate is written into the global model's buffer, the
 one copy of the global parameters, which the next round's clients download.
@@ -24,7 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -32,13 +36,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import nn
+from . import nn, threads
 from .aggregation import (AggregationPolicy, scaffold_server_update,
                           slack_aggregate, slack_weights, sort_by_weighted_loss)
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
                    load_idx, make_synthetic, partition, partition_unequal)
 from .errors import ConfigError, DivergenceError, PartitionError
-from .local import LocalConfig, _rows, cohorts, train_client
+from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
 from .streams import stream
@@ -173,6 +177,12 @@ def _merged(default, raw: dict, prefix: str = ""):
         elif not _has_type(value, hint):
             raise ConfigError(f"{key} must be of type "
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        elif hint is float and isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} must fit a float64, got an integer beyond "
+                                  f"{sys.float_info.max:.4g} in magnitude") from None
         elif isinstance(hint, EnumMeta):
             choices = [member.value for member in hint]
             if value.lower() not in choices:
@@ -326,55 +336,62 @@ def run(config: ExperimentConfig) -> RunArtifact:
             json.dumps(config_to_dict(config), indent=2) + "\n")
         writer = _MetricsWriter(out_dir / "metrics.csv")
 
+    def train(cohort: Cohort) -> None:
+        rows = cohort.rows
+        kwargs = {"out": uploads[rows]}
+        if use_scaffold:
+            kwargs.update(c_global=c_global, delta_out=deltas[rows],
+                          c_local=c_locals[_rows(cohort.client_ids)])
+        losses[rows] = train_client(cohort, train_set, model.params, local_cfg, **kwargs)
+
+    n_threads = threads.cores()
     reports: list[RoundReport] = []
     try:
-        for t in range(1, config.rounds + 1):
-            t0 = time.perf_counter()
-            alpha = policy.alpha_at(t)
-            participants = sample_participants(K, config.participation, t, config.seed)
-            n_k = sizes[participants]
-            for cohort in cohorts([shards[cid] for cid in participants], P, config.seed, t):
-                rows = cohort.rows
-                kwargs = {"out": uploads[rows]}
+        # the pool starts its threads at the first round with more than one cohort
+        with threads.one_blas_thread(), ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+            for t in range(1, config.rounds + 1):
+                t0 = time.perf_counter()
+                alpha = policy.alpha_at(t)
+                participants = sample_participants(K, config.participation, t, config.seed)
+                n_k = sizes[participants]
+                round_cohorts = cohorts([shards[cid] for cid in participants], P,
+                                        config.seed, t)
+                threads.train_cohorts(train, round_cohorts, pool, n_threads)
+
+                wl = n_k / len(train_set) * losses
+                order = sort_by_weighted_loss(wl, participants)
+                xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
+                weights, is_top = slack_weights(n_k, order, policy, alpha)
+                theta_new = slack_aggregate(uploads, weights)
+                if not np.all(np.isfinite(theta_new)):
+                    raise DivergenceError(f"round {t}: non-finite aggregate")
+
                 if use_scaffold:
-                    kwargs.update(c_global=c_global, delta_out=deltas[rows],
-                                  c_local=c_locals[_rows(cohort.client_ids)])
-                losses[rows] = train_client(cohort, train_set, model.params, local_cfg,
-                                            **kwargs)
+                    scaffold_server_update(c_global, c_locals, participants, deltas)
 
-            wl = n_k / len(train_set) * losses
-            order = sort_by_weighted_loss(wl, participants)
-            xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
-            weights, is_top = slack_weights(n_k, order, policy, alpha)
-            theta_new = slack_aggregate(uploads, weights)
-            if not np.all(np.isfinite(theta_new)):
-                raise DivergenceError(f"round {t}: non-finite aggregate")
+                drifts, mean_drift = client_drift(uploads, theta_new)
+                gvar = gradient_variance(uploads, model.params.values) if m >= 2 else 0.0
+                model.params.values[:] = theta_new
 
-            if use_scaffold:
-                scaffold_server_update(c_global, c_locals, participants, deltas)
-
-            drifts, mean_drift = client_drift(uploads, theta_new)
-            gvar = gradient_variance(uploads, model.params.values) if m >= 2 else 0.0
-            model.params.values[:] = theta_new
-
-            # tolist() gives Python bools, which `_fmt` writes as 1/0
-            recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
-                    for cid, n, loss, w, d, top in
-                    zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
-            nat = fg = pg = None
-            if config.eval_every and (t % config.eval_every == 0 or t == config.rounds):
-                spec = local_cfg.attack
-                nat = evaluate(model, test_set, EvalAttack.NONE)
-                if spec.epsilon > 0:
-                    fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
-                    pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
-                else:
-                    fg = pg = nat
-            rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,
-                              wall_clock=time.perf_counter() - t0)
-            reports.append(rep)
-            if writer:
-                writer.write_round(rep)
+                # tolist() gives Python bools, which `_fmt` writes as 1/0
+                recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
+                        for cid, n, loss, w, d, top in
+                        zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
+                nat = fg = pg = None
+                if config.eval_every and (t % config.eval_every == 0
+                                          or t == config.rounds):
+                    spec = local_cfg.attack
+                    nat = evaluate(model, test_set, EvalAttack.NONE)
+                    if spec.epsilon > 0:
+                        fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
+                        pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
+                    else:
+                        fg = pg = nat
+                rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,
+                                  wall_clock=time.perf_counter() - t0)
+                reports.append(rep)
+                if writer:
+                    writer.write_round(rep)
     except DivergenceError:
         if out_dir:
             nn.save_checkpoint(model, out_dir / "checkpoint.bin")

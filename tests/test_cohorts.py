@@ -199,13 +199,16 @@ def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
     original = runner.train_client
 
     def spy(cohort, *a, **kw):
-        trained.append(row_ids(cohort))
+        trained.append((cohort.round_idx, row_ids(cohort)))
         views.append(not kw["out"].flags.owndata and not kw["delta_out"].flags.owndata)
         return original(cohort, *a, **kw)
 
     monkeypatch.setattr(runner, "train_client", spy)
     together = runner.run(cfg)
-    assert trained == [(0, 2, 4), (1, 5), (3, 6), (7,)] * 2
+    # a round's cohorts may train on several threads, so compare each round's set
+    assert len(trained) == 8
+    assert ({t: {rows for r, rows in trained if r == t} for t in (1, 2)}
+            == {t: {(0, 2, 4), (1, 5), (3, 6), (7,)} for t in (1, 2)})
     assert all(views)
     monkeypatch.setattr(local, "COHORT_BYTES", 1)
     alone = runner.run(cfg)

@@ -10,8 +10,8 @@ which train in one cohort, a strided view of the upload matrix (see
 `local.cohorts`): rows 0, 2 and 1, 4 and 5, 7.
 
 The digests were recorded with float64 numpy 2.4.6 on OpenBLAS 0.3.31
-(x86-64, one BLAS thread per matmul this small); another BLAS build or CPU
-may round differently.  Regenerate them only for a deliberate change of the
+(x86-64; a run pins OpenBLAS to one thread, see `fedslack.threads`); another
+BLAS build or CPU may round differently.  Regenerate them only for a deliberate change of the
 trajectory, and name the reason in CHANGES.md.  A refactor or speed-up must
 leave every digest as it is.
 """

@@ -447,6 +447,21 @@ def test_cli_run_rejects_non_finite_attack_values(tmp_path, capsys, key, value):
     assert f"attack.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [("dataset", "separation"), ("local", "lr"),
+                                  ("local", "attack", "epsilon")])
+def test_cli_run_rejects_an_integer_beyond_float64_for_a_float_key(tmp_path, capsys, path):
+    # json reads 1 followed by 400 zeros as an int, which float() cannot hold:
+    # it used to end in an OverflowError traceback (exit 1)
+    raw = config_to_dict(tiny_config())
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = 10 ** 400
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert f"{'.'.join(path)} must fit a float64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("alpha_end", 1.5), ("alpha_end", float("nan")),
                                         ("alpha_end", -0.1), ("anneal_rounds", -1)])
 def test_cli_run_rejects_bad_alpha_schedule_before_writing(tmp_path, capsys, key, value):
