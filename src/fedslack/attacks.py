@@ -104,7 +104,8 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
         _check_gradient(g)
         # x <- clip(x + step_size*sign(g)) in g's buffer, which no caller
         # keeps; it is finite, so max-then-min is np.clip bit for bit, without
-        # its per-call overhead
+        # its per-call overhead.  An in-place sign is several times slower on
+        # large arrays, but a third buffer raised wide's peak memory by 4 MB
         np.sign(g, g)
         g *= spec.step_size
         g += x

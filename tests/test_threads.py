@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -81,25 +80,6 @@ def test_more_threads_than_cores_and_frequent_switches_keep_the_bits(monkeypatch
     assert crowded == serial
 
 
-def test_the_earliest_failing_cohort_raises_and_no_later_one_starts():
-    # cohort 1 fails only after cohort 2 has failed; training in order raises
-    # cohort 1's error, and so must the threads; cohort 3 comes after both
-    started, second_failed = [], threading.Event()
-
-    def train(i):
-        started.append(i)
-        if i == 1:
-            assert second_failed.wait(timeout=10)
-            raise ValueError("cohort 1")
-        if i == 2:
-            second_failed.set()
-            raise ValueError("cohort 2")
-
-    with ThreadPoolExecutor(1) as pool, pytest.raises(ValueError, match="cohort 1"):
-        threads.train_cohorts(train, [0, 1, 2, 3], pool, 2)
-    assert sorted(started) == [0, 1, 2]
-
-
 def diverging(out_dir):
     # shards of 12 and 16 make two cohorts, and this step size diverges both
     raw = copy.deepcopy(GOLDEN["at_fedavg_fat"][0])
@@ -120,6 +100,26 @@ def test_two_diverging_cohorts_raise_the_earlier_ones_error_and_checkpoint(
         checkpoints.append((out / "checkpoint.bin").read_bytes())
     assert errors[0].startswith("round 1, client 0,")
     assert errors[1] == errors[0] and checkpoints[1] == checkpoints[0]
+
+
+def test_the_earliest_failing_cohort_raises_when_a_later_one_fails_first(
+        monkeypatch, tmp_path):
+    # training in order raises the first cohort's error; on two threads the
+    # second cohort fails first, and the first one's error must still win
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    second_failed = threading.Event()
+
+    def train_client(cohort, *args, **kwargs):
+        if cohort.client_ids[0] == 0:
+            assert second_failed.wait(timeout=10)
+            raise DivergenceError("first cohort")
+        second_failed.set()
+        raise DivergenceError("second cohort")
+
+    monkeypatch.setattr(runner, "train_client", train_client)
+    with pytest.raises(DivergenceError, match="first cohort"):
+        run(diverging(tmp_path))
+    assert (tmp_path / "checkpoint.bin").exists()
 
 
 def test_a_run_leaves_no_thread_behind(monkeypatch, tmp_path):
