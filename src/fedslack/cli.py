@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 
-from . import nn, runner
+from . import nn, runner, threads
 from .attacks import AttackSpec
 from .data import class_counts, load_csv
 from .errors import ConfigError, DivergenceError, FedslackError
@@ -94,7 +94,8 @@ def _cmd_eval(args) -> int:
     spec = AttackSpec(args.epsilon, args.step_size,
                       steps=20 if args.attack == "pgd20" else 1)
     attack = {"none": EvalAttack.NONE, "fgsm": EvalAttack.FGSM, "pgd20": EvalAttack.PGD}
-    acc = evaluate(model, test_set, attack[args.attack], spec)
+    with threads.workers() as (pool, n_threads):     # as `runner.run` evaluates
+        acc = evaluate(model, test_set, attack[args.attack], spec, pool, n_threads)
     print(f"accuracy: {acc:.4f}")
     return EXIT_OK
 

@@ -19,6 +19,10 @@ runs on the calling thread.  The server step sorts the rows once by weighted
 loss n_k/N*loss and reads these arrays in place: nothing is stacked or kept
 per client.  Its (P,) aggregate is written into the global model's buffer, the
 one copy of the global parameters, which the next round's clients download.
+An eval round then scores that model through the same work queue, in row
+chunks whose height comes from the model's size (see `metrics.evaluate`):
+a large model's test set is split over the threads, a small one's is scored
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -220,14 +223,12 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         if not ds.train_path or not ds.test_path:
             raise ConfigError("csv datasets need train_path and test_path")
         train, test = load_csv(ds.train_path), load_csv(ds.test_path)
-    elif ds.kind == "idx":
+    else:                               # idx; `DatasetSpec` admits no other kind
         if not all([ds.train_path, ds.train_labels_path, ds.test_path,
                     ds.test_labels_path]):
             raise ConfigError("idx datasets need train/test image and label paths")
         train = load_idx(ds.train_path, ds.train_labels_path)
         test = load_idx(ds.test_path, ds.test_labels_path)
-    else:
-        raise ConfigError(f"unknown dataset kind {ds.kind!r}")
     if test.dim != train.dim:
         raise ConfigError(f"the test set has {test.dim} features, the training set {train.dim}")
     if len(test) and test.labels.max() >= train.num_classes:
@@ -344,11 +345,9 @@ def run(config: ExperimentConfig) -> RunArtifact:
                           c_local=c_locals[_rows(cohort.client_ids)])
         losses[rows] = train_client(cohort, train_set, model.params, local_cfg, **kwargs)
 
-    n_threads = threads.cores()
     reports: list[RoundReport] = []
     try:
-        # the pool starts its threads at the first round with more than one cohort
-        with threads.one_blas_thread(), ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+        with threads.workers() as (pool, n_threads):
             for t in range(1, config.rounds + 1):
                 t0 = time.perf_counter()
                 alpha = policy.alpha_at(t)
@@ -356,7 +355,7 @@ def run(config: ExperimentConfig) -> RunArtifact:
                 n_k = sizes[participants]
                 round_cohorts = cohorts([shards[cid] for cid in participants], P,
                                         config.seed, t)
-                threads.train_cohorts(train, round_cohorts, pool, n_threads)
+                threads.for_each(train, round_cohorts, pool, n_threads)
 
                 wl = n_k / len(train_set) * losses
                 order = sort_by_weighted_loss(wl, participants)
@@ -381,10 +380,12 @@ def run(config: ExperimentConfig) -> RunArtifact:
                 if config.eval_every and (t % config.eval_every == 0
                                           or t == config.rounds):
                     spec = local_cfg.attack
-                    nat = evaluate(model, test_set, EvalAttack.NONE)
+                    nat = evaluate(model, test_set, EvalAttack.NONE, None, pool, n_threads)
                     if spec.epsilon > 0:
-                        fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
-                        pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
+                        fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1),
+                                      pool, n_threads)
+                        pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20),
+                                      pool, n_threads)
                     else:
                         fg = pg = nat
                 rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,

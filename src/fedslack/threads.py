@@ -1,5 +1,6 @@
-"""Where a run computes: a round's cohorts on every core the process may
-use, and every BLAS call on one thread.
+"""Where a run computes: a round's cohorts, and the row chunks of a large
+model's eval, on every core the process may use, and every BLAS call on
+one thread.
 
 Two levels could spread a round over the cores: BLAS, splitting one matmul
 over threads, or the runner, training the round's cohorts at once.  Only
@@ -8,10 +9,11 @@ in another order (the (25, 784) @ (784, 256) forward matmul of a 784-256-10
 MLP, and the (50,) @ (50, P) aggregation of 50 clients), so a run's bits
 would depend on the BLAS thread count.  A cohort trained on another thread
 runs exactly the calls it runs on the main one, and writes only its own
-rows of the round's matrices.  So `one_blas_thread` pins the loaded
-OpenBLAS to one thread for a run, and `train_cohorts` trains the cohorts
-on up to `cores()` threads; numpy releases the interpreter lock in its
-matmuls and ufuncs, so the threads overlap there.
+rows of the round's matrices.  So `workers` pins the loaded OpenBLAS to one
+thread (`one_blas_thread`) for a run or an eval, and `for_each` runs the
+cohorts, or eval's chunks (see `metrics.evaluate`), from one queue on up
+to `cores()` threads; numpy releases the interpreter lock in its matmuls
+and ufuncs, so the threads overlap there.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def cores() -> int:
@@ -72,8 +75,9 @@ def one_blas_thread() -> Iterator[None]:
     depend on the BLAS thread count."""
     limiter = _openblas()
     if limiter is None:
+        # stacklevel 5 names the line that enters `workers`
         warnings.warn("no OpenBLAS thread limiter found: the run's bits may depend "
-                      "on the BLAS thread count", RuntimeWarning, stacklevel=3)
+                      "on the BLAS thread count", RuntimeWarning, stacklevel=5)
         yield
         return
     get, set_ = limiter
@@ -85,33 +89,46 @@ def one_blas_thread() -> Iterator[None]:
         set_(old)
 
 
-def train_cohorts(train: Callable[[T], object], cohorts: Sequence[T],
-                  pool: ThreadPoolExecutor, n_threads: int) -> None:
-    """`train(cohort)` for every cohort, on the calling thread and up to
-    n_threads - 1 of `pool`'s, each taking the next cohort in order; all have
-    finished when this returns.  If cohorts fail, the earliest one's
-    exception is raised, as training them in order raises it.
+@contextmanager
+def workers() -> Iterator[tuple[ThreadPoolExecutor, int]]:
+    """`(pool, n_threads)` for `for_each` over the block, with the loaded
+    OpenBLAS on one thread (`one_blas_thread`): a pool of cores() - 1
+    threads, whose threads start at its first use, and n_threads = cores(),
+    since the calling thread works too.  The pool is shut down on exit."""
+    n_threads = cores()
+    with one_blas_thread(), ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+        yield pool, n_threads
 
-    The calling thread trains too, rather than waiting on `pool.map`: each
+
+def for_each(fn: Callable[[T], R], items: Sequence[T], pool: ThreadPoolExecutor | None,
+             n_threads: int) -> list[R]:
+    """`[fn(item) for item in items]`, on the calling thread and up to
+    n_threads - 1 of `pool`'s (no pool is needed for one thread), each taking
+    the next item in order; all have finished when this returns.  If items
+    fail, the earliest one's exception is raised, as calling `fn` on them in
+    order raises it.
+
+    The calling thread works too, rather than waiting on `pool.map`: each
     thread that allocates gets its own glibc malloc arena, and a third one
     took the wide benchmark's peak memory from 77 to 84 MB."""
     todo: queue.SimpleQueue = queue.SimpleQueue()
-    for item in enumerate(cohorts):
+    for item in enumerate(items):
         todo.put(item)
+    results: list = [None] * len(items)
     failed: dict[int, Exception] = {}
 
     def drain() -> None:
         while not failed:
             try:
-                i, cohort = todo.get_nowait()
+                i, item = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                train(cohort)
+                results[i] = fn(item)
             except Exception as exc:   # raised below, once every thread has finished
                 failed[i] = exc
 
-    others = [pool.submit(drain) for _ in range(min(len(cohorts), n_threads) - 1)]
+    others = [pool.submit(drain) for _ in range(min(len(items), n_threads) - 1)]
     try:
         drain()
     finally:
@@ -119,3 +136,4 @@ def train_cohorts(train: Callable[[T], object], cohorts: Sequence[T],
             future.result()
     if failed:
         raise failed[min(failed)]
+    return results

@@ -1,24 +1,32 @@
-"""A round's cohorts on several threads, and a run's BLAS calls on one: the
-bits of a run depend on neither count."""
+"""A round's cohorts and eval's row chunks on several threads, and a run's
+BLAS calls on one: the bits of a run depend on neither count."""
 
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+import math
 import os
+import runpy
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedslack
-from fedslack import runner, threads
+from fedslack import cli, metrics, nn, runner, threads
+from fedslack.attacks import fgsm, pgd
 from fedslack.errors import DivergenceError
-from fedslack.runner import config_from_dict, run
+from fedslack.metrics import EvalAttack, evaluate
+from fedslack.runner import config_from_dict, load_metrics, run
+from fedslack.streams import stream
 from test_golden import GOLDEN, run_digest
+from test_runner import write_csv
 
 # the wide benchmark's shapes, shrunk: a 784-256-10 MLP under TRADES and
 # FedProx, five lone clients per round, each with a (25, 784) batch
@@ -50,6 +58,8 @@ FLEET = {
     "policy": {"mode": "sfat", "alpha": 1 / 6, "k_hat": 2},
     "optimizer": "scaffold", "rounds": 3, "participation": 0.5, "eval_every": 1, "seed": 0,
 }
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 CONFIGS = {name: raw for name, (raw, _) in GOLDEN.items()} | {"wide": WIDE, "fleet": FLEET}
 
@@ -174,3 +184,109 @@ def test_replay_does_not_depend_on_the_openblas_thread_count(tmp_path):
         files = [(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.bin")]
         digests.append(hashlib.sha256(b"".join(files)).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A golden run's final model, its test set and its eval spec."""
+    config = config_from_dict(GOLDEN["at_fedavg_fat"][0])
+    _, test_set = runner.build_datasets(config)
+    return run(config).final_model, test_set, config.local.attack
+
+
+def split_eval(monkeypatch, model, n_rows, n_chunks):
+    """Set the chunk work so that eval splits `n_rows` rows into `n_chunks`
+    chunks; returns the chunk height."""
+    P = model.params.values.size
+    monkeypatch.setattr(metrics, "EVAL_CHUNK_WORK", -(-n_rows // n_chunks) * P)
+    height = metrics.eval_chunk_rows(P)
+    assert math.ceil(n_rows / height) == n_chunks
+    return height
+
+
+@pytest.mark.parametrize("n_chunks", [2, 3, 7])
+def test_eval_in_chunks_gives_the_same_bits_on_one_and_two_threads(
+        monkeypatch, trained, n_chunks):
+    model, test_set, spec = trained
+    X, y = test_set.features, test_set.labels
+    height = split_eval(monkeypatch, model, len(y), n_chunks)
+    cases = [(EvalAttack.NONE, None, None), (EvalAttack.FGSM, spec.evaluation(1), fgsm),
+             (EvalAttack.PGD, spec.evaluation(20), pgd)]
+    with ThreadPoolExecutor(1) as pool:
+        for attack, attack_spec, attack_fn in cases:
+            one = evaluate(model, test_set, attack, attack_spec)
+            two = evaluate(model, test_set, attack, attack_spec, pool, 2)
+            assert one == two
+
+            def adversarial(rows):
+                return X[rows] if attack_fn is None else \
+                    attack_fn(model, X[rows], y[rows], attack_spec)
+
+            # the one-chunk formula, on adversarial batches bit-equal to the chunks'
+            whole = adversarial(slice(None))
+            chunks = [adversarial(slice(i, i + height)) for i in range(0, len(y), height)]
+            assert np.array_equal(np.concatenate(chunks), whole)
+            assert one == float(np.mean(nn.forward_batch(model, whole).argmax(axis=1) == y))
+
+
+def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
+        monkeypatch, trained):
+    # scored in order, the first chunk's error is raised; on two threads the
+    # second chunk fails first, and the first one's error must still win
+    model, test_set, spec = trained
+    split_eval(monkeypatch, model, len(test_set), 2)
+    second_failed = threading.Event()
+
+    def failing_pgd(model, x, y, spec):
+        if np.array_equal(x[0], test_set.features[0]):
+            assert second_failed.wait(timeout=10)
+            raise DivergenceError("first chunk")
+        second_failed.set()
+        raise DivergenceError("second chunk")
+
+    monkeypatch.setattr(metrics, "pgd", failing_pgd)
+    with ThreadPoolExecutor(1) as pool, pytest.raises(DivergenceError, match="first chunk"):
+        evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20), pool, 2)
+
+
+def eval_chunks(raw) -> int:
+    """How many chunks a run of `raw` scores its test set in."""
+    config = config_from_dict(raw)
+    train_set, test_set = runner.build_datasets(config)
+    dims = [train_set.dim, *config.hidden_dims, train_set.num_classes]
+    P = nn.Model.init(dims, stream(0, "init")).params.values.size
+    return math.ceil(len(test_set) / metrics.eval_chunk_rows(P))
+
+
+@pytest.mark.parametrize("name, n_chunks",
+                         [("wide_trades", 2), ("fleet_scaffold", 1), ("desk_sfat", 1)])
+def test_only_the_wide_benchmark_splits_its_eval(name, n_chunks):
+    # fleet's and desk's eval measured slower when split over two threads
+    workloads = runpy.run_path(str(BENCH_WORKLOADS))["WORKLOADS"]
+    assert eval_chunks(workloads[name].config(3)) == n_chunks
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_golden_scores_its_test_set_in_one_chunk(name):
+    assert eval_chunks(GOLDEN[name][0]) == 1
+
+
+def test_cli_eval_of_a_saved_run_prints_its_final_accuracies(monkeypatch, tmp_path, capsys):
+    # the run and `fedslack eval` both score in three chunks on two threads
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    config = config_from_dict(WIDE)
+    _, test_set = runner.build_datasets(config)
+    model = nn.Model.init([784, 256, 10], stream(0, "init"))
+    split_eval(monkeypatch, model, len(test_set), 3)
+    path, out = tmp_path / "wide.json", tmp_path / "out"
+    path.write_text(json.dumps(WIDE))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    final = load_metrics(out / "metrics.csv")[-1]
+    csv_path = write_csv(tmp_path / "test.csv", list(zip(test_set.labels, test_set.features)))
+    capsys.readouterr()
+    spec = config.local.attack
+    for attack, key in (("none", "nat_acc"), ("pgd20", "pgd20_acc")):
+        assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--test",
+                         csv_path, "--attack", attack, "--epsilon", repr(spec.epsilon),
+                         "--step-size", repr(spec.step_size)]) == 0
+        assert capsys.readouterr().out == f"accuracy: {final[key]:.4f}\n"
