@@ -12,7 +12,7 @@ from .local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold, cohorts
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, trace_topk, xi_count)
 from .nn import Model, ParamVector, SgdState, load_checkpoint, save_checkpoint, sgd_step
-from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunArtifact,
+from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunState,
                      build_shards, load_config, load_metrics, participants_per_round,
                      run, sample_participants)
 

@@ -66,8 +66,7 @@ def _cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    artifact = runner.run(config)
-    last = artifact.reports[-1]
+    last = runner.run(config).reports[-1]
     print(f"finished {config.rounds} rounds; final mean drift {last.mean_drift:.6f}"
           + (f", nat acc {last.nat_acc:.4f}, pgd20 acc {last.pgd20_acc:.4f}"
              if last.nat_acc is not None else ""))
@@ -94,8 +93,8 @@ def _cmd_eval(args) -> int:
     spec = AttackSpec(args.epsilon, args.step_size,
                       steps=20 if args.attack == "pgd20" else 1)
     attack = {"none": EvalAttack.NONE, "fgsm": EvalAttack.FGSM, "pgd20": EvalAttack.PGD}
-    with threads.workers() as (pool, n_threads):     # as `runner.run` evaluates
-        acc = evaluate(model, test_set, attack[args.attack], spec, pool, n_threads)
+    with threads.workers() as each:     # as `runner.run` evaluates
+        acc = evaluate(model, test_set, attack[args.attack], spec, each)
     print(f"accuracy: {acc:.4f}")
     return EXIT_OK
 
@@ -137,8 +136,8 @@ def _cmd_sweep(args) -> int:
         if args.out:
             out = str(Path(args.out) / _run_name(args.param, value))
         config = replace(config, out_dir=out)
-        artifact = runner.run(config)
-        last = artifact.reports[-1]
+        # only the last report is kept: a run's state holds its round matrices
+        last = runner.run(config).reports[-1]
         results.append({"value": value, "mean_drift": last.mean_drift,
                         "nat_acc": last.nat_acc, "pgd20_acc": last.pgd20_acc})
         print(f"{args.param}={value:g}: drift {last.mean_drift:.6f}"

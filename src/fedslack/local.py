@@ -84,16 +84,14 @@ class LocalConfig:
             raise ConfigError(f"local.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"local.batch_size must be >= 1, got {self.batch_size}")
-        # `not x > 0` rather than `x <= 0`, so that NaN is rejected too.
-        if not self.lr > 0:
-            raise ConfigError(f"local.lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"local.lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"local.momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(
-                f"local.weight_decay must be non-negative, got {self.weight_decay}")
-        if not self.fedprox_mu >= 0:
-            raise ConfigError(f"local.fedprox_mu must be non-negative, got {self.fedprox_mu}")
+        for key in ("weight_decay", "fedprox_mu"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"local.{key} must be finite and non-negative, got {value}")
         if not (math.isfinite(self.trades_beta) and self.trades_beta >= 0):
             raise ConfigError(
                 f"local.trades_beta must be finite and non-negative, got {self.trades_beta}")

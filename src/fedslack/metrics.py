@@ -16,9 +16,9 @@ Only a large model's test set is split (see `EVAL_CHUNK_WORK`).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -121,21 +121,22 @@ def eval_chunk_rows(n_params: int) -> int:
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
-             spec: AttackSpec | None = None, pool: ThreadPoolExecutor | None = None,
-             n_threads: int = 1) -> float:
+             spec: AttackSpec | None = None, each: Callable = threads.for_each) -> float:
     """Fraction of correct argmax predictions on (possibly attacked) inputs; the
     test batch's shape and labels are checked against the model once.  The
     attack draws nothing, so a spec with a random start is rejected.
 
-    The rows are attacked and scored in chunks of `eval_chunk_rows` rows, on
-    up to `n_threads` threads (see `threads.for_each`); the correct counts
-    are summed in chunk order."""
+    The rows are attacked and scored in chunks of `eval_chunk_rows` rows
+    through `each(fn, chunks)`, `threads.for_each` or the one
+    `threads.workers()` yields; the correct counts are summed in chunk order."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
     X = nn._check_batch(model, test_set.features)
     y = nn._check_labels(test_set.labels, model.num_classes)
     if attack is not EvalAttack.NONE and spec is None:
         raise ValueError(f"{attack.name} evaluation needs an attack spec")
+    if spec is not None and spec.random_start:
+        raise ValueError("evaluation draws no random start: pass spec.evaluation()")
     height = eval_chunk_rows(model.params.values.size)
 
     def correct(start: int) -> int:
@@ -146,7 +147,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
             Xc = pgd(model, Xc, yc, spec)
         return int(np.count_nonzero(nn.forward_batch(model, Xc).argmax(axis=1) == yc))
 
-    counts = threads.for_each(correct, range(0, len(y), height), pool, n_threads)
+    counts = each(correct, range(0, len(y), height))
     return sum(counts) / len(y)     # an exact integer sum: the float np.mean(preds == y) gives
 
 

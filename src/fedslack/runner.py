@@ -5,24 +5,22 @@ Everything is deterministic given (config, master seed): client streams are
 keyed by (seed, purpose, round, client), and the round's rows are always
 ordered by client id.
 
-Every round has the same number m of participants, so `run` fixes the
-effective k_hat and allocates the round's matrices once per run.  Participant
-i (in client-id order) trains in row i of the (m, P) float64 upload matrix,
-and row i of the round's (m,) arrays `n_k` and `losses` holds its sample count
-and mean loss; under SCAFFOLD it writes its variate change into row i of an (m, P)
-delta matrix, and the control variates are a (K, P) matrix indexed by client
-id.  The participants train in cohorts (see `local`): evenly spaced rows
-with equal shard sizes, each cohort trained by one `train_client` call in a
-strided view of its rows.  A round's cohorts train on up to one thread per
-core (see `threads`), and all have finished before the server step, which
-runs on the calling thread.  The server step sorts the rows once by weighted
-loss n_k/N*loss and reads these arrays in place: nothing is stacked or kept
-per client.  Its (P,) aggregate is written into the global model's buffer, the
-one copy of the global parameters, which the next round's clients download.
-An eval round then scores that model through the same work queue, in row
-chunks whose height comes from the model's size (see `metrics.evaluate`):
-a large model's test set is split over the threads, a small one's is scored
-on the calling thread.
+Every round has the same number m of participants, so a run's `RunState`
+fixes the effective k_hat and allocates the round's matrices once.  A round
+is three phases on it.  `train_round`: participant i (in client-id order)
+trains in row i of the (m, P) float64 upload matrix and writes its mean loss
+into row i of the (m,) `losses`, and under SCAFFOLD its variate change into
+row i of an (m, P) delta matrix; the control variates are a (K, P) matrix
+indexed by client id.  The participants train in cohorts (see `local`):
+evenly spaced rows with equal shard sizes, each cohort trained by one
+`train_client` call in a strided view of its rows, on up to one thread per
+core (see `threads`).  `server_step`, on the calling thread once every
+cohort has finished, sorts the rows once by weighted loss n_k/N*loss and
+reads these arrays in place: nothing is stacked or kept per client.  Its
+(P,) aggregate is written into the global model's buffer, the one copy of
+the global parameters, which the next round's clients download.
+`evaluate_round` then scores that model through the same work queue, in row
+chunks whose height comes from the model's size (see `metrics.evaluate`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -130,13 +128,6 @@ class ExperimentConfig:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
             raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
-
-
-@dataclass
-class RunArtifact:
-    config: ExperimentConfig
-    reports: list[RoundReport]
-    final_model: nn.Model
 
 
 def load_config(path) -> ExperimentConfig:
@@ -305,105 +296,122 @@ def report_rows(rep: RoundReport) -> list[list[str]]:
     return rows
 
 
-def run(config: ExperimentConfig) -> RunArtifact:
-    """Execute the full communication loop and return the artifact."""
-    train_set, test_set = build_datasets(config)
-    shards = build_shards(config, train_set)
-    sizes = np.array([s.n_samples for s in shards])
+class RunState:
+    """One run's data, shards, model, round matrices, SCAFFOLD variates,
+    policy, reports and writer, set up from its config (with `config.json`
+    and the `metrics.csv` header written, given an `out_dir`)."""
 
-    dims = [train_set.dim] + list(config.hidden_dims) + [train_set.num_classes]
-    model = nn.Model.init(dims, stream(config.seed, "init"))
-    P = model.params.values.size
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.train_set, self.test_set = build_datasets(config)
+        self.shards = build_shards(config, self.train_set)
+        self.sizes = np.array([s.n_samples for s in self.shards])
+        dims = [self.train_set.dim] + list(config.hidden_dims) + [self.train_set.num_classes]
+        self.model = nn.Model.init(dims, stream(config.seed, "init"))
+        P, K = self.model.params.values.size, config.partition.num_clients
+        self.local_cfg = config.local
+        if config.optimizer is FedOptimizer.FEDPROX and config.local.fedprox_mu == 0.0:
+            self.local_cfg = replace(config.local, fedprox_mu=0.01)
+        m = participants_per_round(K, config.participation)
+        self.policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
+        self.uploads = np.empty((m, P))
+        self.losses = np.empty(m)
+        self.scaffold = config.optimizer is FedOptimizer.SCAFFOLD
+        if self.scaffold:
+            self.deltas = np.empty_like(self.uploads)
+            self.c_global = np.zeros(P)
+            self.c_locals = np.zeros((K, P))
+        self.reports: list[RoundReport] = []
+        self.out_dir = Path(config.out_dir) if config.out_dir else None
+        self.writer = None
+        if self.out_dir:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "config.json").write_text(
+                json.dumps(config_to_dict(config), indent=2) + "\n")
+            self.writer = _MetricsWriter(self.out_dir / "metrics.csv")
 
-    local_cfg = config.local
-    if config.optimizer is FedOptimizer.FEDPROX and local_cfg.fedprox_mu == 0.0:
-        local_cfg = replace(local_cfg, fedprox_mu=0.01)
-    K = config.partition.num_clients
-    m = participants_per_round(K, config.participation)
-    policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
-    uploads = np.empty((m, P))
-    losses = np.empty(m)
-    use_scaffold = config.optimizer is FedOptimizer.SCAFFOLD
-    if use_scaffold:
-        deltas = np.empty_like(uploads)
-        c_global = np.zeros(P)
-        c_locals = np.zeros((K, P))
+    def train_round(self, t: int, each: Callable) -> list[int]:
+        """Sample round t's participants and train their cohorts into the upload
+        matrix through `each` (see `threads.workers`); returns their client ids."""
+        config = self.config
+        participants = sample_participants(config.partition.num_clients,
+                                           config.participation, t, config.seed)
+        each(self._train, cohorts([self.shards[cid] for cid in participants],
+                                  self.model.params.values.size, config.seed, t))
+        return participants
 
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    writer = None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.json").write_text(
-            json.dumps(config_to_dict(config), indent=2) + "\n")
-        writer = _MetricsWriter(out_dir / "metrics.csv")
-
-    def train(cohort: Cohort) -> None:
+    def _train(self, cohort: Cohort) -> None:
         rows = cohort.rows
-        kwargs = {"out": uploads[rows]}
-        if use_scaffold:
-            kwargs.update(c_global=c_global, delta_out=deltas[rows],
-                          c_local=c_locals[_rows(cohort.client_ids)])
-        losses[rows] = train_client(cohort, train_set, model.params, local_cfg, **kwargs)
+        kwargs = {"out": self.uploads[rows]}
+        if self.scaffold:
+            kwargs.update(c_global=self.c_global, delta_out=self.deltas[rows],
+                          c_local=self.c_locals[_rows(cohort.client_ids)])
+        self.losses[rows] = train_client(cohort, self.train_set, self.model.params,
+                                         self.local_cfg, **kwargs)
 
-    reports: list[RoundReport] = []
+    def server_step(self, t: int, participants: list[int]) -> RoundReport:
+        """Aggregate round t's uploads into the global model; the report's
+        accuracies are left for `evaluate_round`."""
+        policy, uploads, losses = self.policy, self.uploads, self.losses
+        alpha = policy.alpha_at(t)
+        n_k = self.sizes[participants]
+        wl = n_k / len(self.train_set) * losses
+        order = sort_by_weighted_loss(wl, participants)
+        xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
+        weights, is_top = slack_weights(n_k, order, policy, alpha)
+        theta_new = slack_aggregate(uploads, weights)
+        if not np.all(np.isfinite(theta_new)):
+            raise DivergenceError(f"round {t}: non-finite aggregate")
+        if self.scaffold:
+            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas)
+        drifts, mean_drift = client_drift(uploads, theta_new)
+        gvar = gradient_variance(uploads, self.model.params.values) if len(uploads) >= 2 else 0.0
+        self.model.params.values[:] = theta_new
+        # tolist() gives Python bools, which `_fmt` writes as 1/0
+        recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
+                for cid, n, loss, w, d, top in
+                zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
+        return RoundReport(t, recs, mean_drift, gvar, xi, alpha)
+
+    def evaluate_round(self, rep: RoundReport, each: Callable) -> None:
+        """On an eval round (every `eval_every`-th and the last), fill the
+        report's natural, FGSM and PGD-20 accuracies of the global model."""
+        t, config, spec = rep.round_idx, self.config, self.local_cfg.attack
+        if not config.eval_every or (t % config.eval_every and t != config.rounds):
+            return
+        model, test_set = self.model, self.test_set
+        rep.nat_acc = evaluate(model, test_set, EvalAttack.NONE, None, each)
+        if spec.epsilon > 0:
+            rep.fgsm_acc = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1), each)
+            rep.pgd20_acc = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20), each)
+        else:
+            rep.fgsm_acc = rep.pgd20_acc = rep.nat_acc
+
+
+def run(config: ExperimentConfig) -> RunState:
+    """Run every round of `config`; returns the run's state: its `reports`, final `model`."""
+    state = RunState(config)
     try:
-        with threads.workers() as (pool, n_threads):
+        with threads.workers() as each:
             for t in range(1, config.rounds + 1):
                 t0 = time.perf_counter()
-                alpha = policy.alpha_at(t)
-                participants = sample_participants(K, config.participation, t, config.seed)
-                n_k = sizes[participants]
-                round_cohorts = cohorts([shards[cid] for cid in participants], P,
-                                        config.seed, t)
-                threads.for_each(train, round_cohorts, pool, n_threads)
-
-                wl = n_k / len(train_set) * losses
-                order = sort_by_weighted_loss(wl, participants)
-                xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
-                weights, is_top = slack_weights(n_k, order, policy, alpha)
-                theta_new = slack_aggregate(uploads, weights)
-                if not np.all(np.isfinite(theta_new)):
-                    raise DivergenceError(f"round {t}: non-finite aggregate")
-
-                if use_scaffold:
-                    scaffold_server_update(c_global, c_locals, participants, deltas)
-
-                drifts, mean_drift = client_drift(uploads, theta_new)
-                gvar = gradient_variance(uploads, model.params.values) if m >= 2 else 0.0
-                model.params.values[:] = theta_new
-
-                # tolist() gives Python bools, which `_fmt` writes as 1/0
-                recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
-                        for cid, n, loss, w, d, top in
-                        zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
-                nat = fg = pg = None
-                if config.eval_every and (t % config.eval_every == 0
-                                          or t == config.rounds):
-                    spec = local_cfg.attack
-                    nat = evaluate(model, test_set, EvalAttack.NONE, None, pool, n_threads)
-                    if spec.epsilon > 0:
-                        fg = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1),
-                                      pool, n_threads)
-                        pg = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20),
-                                      pool, n_threads)
-                    else:
-                        fg = pg = nat
-                rep = RoundReport(t, recs, mean_drift, gvar, xi, alpha, nat, fg, pg,
-                                  wall_clock=time.perf_counter() - t0)
-                reports.append(rep)
-                if writer:
-                    writer.write_round(rep)
+                rep = state.server_step(t, state.train_round(t, each))
+                state.evaluate_round(rep, each)
+                rep.wall_clock = time.perf_counter() - t0
+                state.reports.append(rep)
+                if state.writer:
+                    state.writer.write_round(rep)
     except DivergenceError:
-        if out_dir:
-            nn.save_checkpoint(model, out_dir / "checkpoint.bin")
+        if state.out_dir:
+            nn.save_checkpoint(state.model, state.out_dir / "checkpoint.bin")
         raise
     finally:
-        if writer:
-            writer.close()
+        if state.writer:
+            state.writer.close()
 
-    if out_dir:
-        nn.save_checkpoint(model, out_dir / "checkpoint.bin")
-    return RunArtifact(config, reports, model)
+    if state.out_dir:
+        nn.save_checkpoint(state.model, state.out_dir / "checkpoint.bin")
+    return state
 
 
 def load_metrics(path) -> list[dict]:

@@ -10,10 +10,10 @@ MLP, and the (50,) @ (50, P) aggregation of 50 clients), so a run's bits
 would depend on the BLAS thread count.  A cohort trained on another thread
 runs exactly the calls it runs on the main one, and writes only its own
 rows of the round's matrices.  So `workers` pins the loaded OpenBLAS to one
-thread (`one_blas_thread`) for a run or an eval, and `for_each` runs the
-cohorts, or eval's chunks (see `metrics.evaluate`), from one queue on up
-to `cores()` threads; numpy releases the interpreter lock in its matmuls
-and ufuncs, so the threads overlap there.
+thread for a run or an eval, and yields `for_each` bound to its pool, which
+runs the cohorts, or eval's chunks (see `metrics.evaluate`), from one queue
+on up to `cores()` threads; numpy releases the interpreter lock in its
+matmuls and ufuncs, so the threads overlap there.
 """
 
 from __future__ import annotations
@@ -69,39 +69,31 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 @contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Run the block with the loaded OpenBLAS on one thread, then restore its
-    thread count; without a limiter found, warn that the block's bits may
-    depend on the BLAS thread count."""
+def workers() -> Iterator[Callable[..., list]]:
+    """For the block, `each(fn, items)`: `for_each` on the calling thread and a
+    pool of cores() - 1 threads (started at first use, shut down on exit),
+    with the loaded OpenBLAS on one thread until exit; without a limiter
+    found, warn that the block's bits may depend on the BLAS thread count."""
     limiter = _openblas()
     if limiter is None:
-        # stacklevel 5 names the line that enters `workers`
+        # stacklevel 3 names the line that enters `workers`
         warnings.warn("no OpenBLAS thread limiter found: the run's bits may depend "
-                      "on the BLAS thread count", RuntimeWarning, stacklevel=5)
-        yield
-        return
-    get, set_ = limiter
-    old = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
-@contextmanager
-def workers() -> Iterator[tuple[ThreadPoolExecutor, int]]:
-    """`(pool, n_threads)` for `for_each` over the block, with the loaded
-    OpenBLAS on one thread (`one_blas_thread`): a pool of cores() - 1
-    threads, whose threads start at its first use, and n_threads = cores(),
-    since the calling thread works too.  The pool is shut down on exit."""
+                      "on the BLAS thread count", RuntimeWarning, stacklevel=3)
+    else:
+        get, set_ = limiter
+        old = get()
+        set_(1)
     n_threads = cores()
-    with one_blas_thread(), ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-        yield pool, n_threads
+    try:
+        with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+            yield functools.partial(for_each, pool=pool, n_threads=n_threads)
+    finally:
+        if limiter is not None:
+            set_(old)
 
 
-def for_each(fn: Callable[[T], R], items: Sequence[T], pool: ThreadPoolExecutor | None,
-             n_threads: int) -> list[R]:
+def for_each(fn: Callable[[T], R], items: Sequence[T],
+             pool: ThreadPoolExecutor | None = None, n_threads: int = 1) -> list[R]:
     """`[fn(item) for item in items]`, on the calling thread and up to
     n_threads - 1 of `pool`'s (no pool is needed for one thread), each taking
     the next item in order; all have finished when this returns.  If items

@@ -212,7 +212,7 @@ def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
     assert all(views)
     monkeypatch.setattr(local, "COHORT_BYTES", 1)
     alone = runner.run(cfg)
-    assert np.array_equal(together.final_model.params.values, alone.final_model.params.values)
+    assert np.array_equal(together.model.params.values, alone.model.params.values)
     # equal reports, but for their wall-clock times
     assert ([replace(r, wall_clock=0.0) for r in together.reports]
             == [replace(r, wall_clock=0.0) for r in alone.reports])

@@ -120,6 +120,17 @@ def test_attack_cannot_change_constant_argmax():
     assert nat == adv
 
 
+@pytest.mark.parametrize("attack", [EvalAttack.FGSM, EvalAttack.PGD])
+def test_evaluate_rejects_a_random_start_before_splitting_the_test_set(attack):
+    # eval draws no noise: a random-start spec is an error, not a score
+    chunked = []
+    spec = AttackSpec(0.1, 0.02, steps=5, random_start=True)
+    with pytest.raises(ValueError, match="draws no random start"):
+        evaluate(const_model(), balanced_dataset(), attack, spec,
+                 lambda fn, items: chunked.append(items))
+    assert chunked == []
+
+
 def test_evaluate_empty_set_errors():
     with pytest.raises(ValueError):
         evaluate(const_model(), Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedslack import aggregation, cli, nn, runner
+from fedslack import aggregation, cli, nn, runner, threads
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
@@ -19,6 +19,7 @@ from fedslack.runner import (DatasetSpec, ExperimentConfig, config_from_dict,
                              config_to_dict, load_config, load_metrics,
                              run, sample_participants)
 from fedslack.streams import stream
+from test_golden import GOLDEN
 
 
 def tiny_config(**kw):
@@ -52,8 +53,8 @@ def test_sfat_alpha_zero_equals_fat_bitwise():
     fat = run(tiny_config())
     sfat = run(tiny_config(policy=AggregationPolicy(AggregationMode.SFAT,
                                                     alpha=0.0, k_hat=1)))
-    a = fat.final_model.params.values
-    b = sfat.final_model.params.values
+    a = fat.model.params.values
+    b = sfat.model.params.values
     assert np.array_equal(a, b)
     for ra, rb in zip(fat.reports, sfat.reports):
         assert ra.mean_drift == rb.mean_drift
@@ -157,7 +158,7 @@ def test_fedprox_and_scaffold_optimizers_run():
     for opt in ("fedprox", "scaffold"):
         art = run(tiny_config(optimizer=opt, rounds=2, eval_every=0))
         assert len(art.reports) == 2
-        assert np.all(np.isfinite(art.final_model.params.values))
+        assert np.all(np.isfinite(art.model.params.values))
 
 
 def write_config(tmp_path, **kw):
@@ -391,7 +392,9 @@ def test_cli_run_rejects_bad_values_before_writing(tmp_path, capsys, key, value)
 
 @pytest.mark.parametrize("section, key, value", [
     (None, "seed", -1), ("partition", "seed", -3), ("dataset", "separation", math.nan),
-    ("dataset", "separation", math.inf), ("dataset", "separation", -math.inf)])
+    ("dataset", "separation", math.inf), ("dataset", "separation", -math.inf),
+    ("local", "lr", math.inf), ("local", "weight_decay", math.inf),
+    ("local", "fedprox_mu", math.inf)])
 def test_cli_run_names_a_negative_seed_or_non_finite_separation(tmp_path, capsys, section,
                                                                 key, value):
     raw = config_to_dict(tiny_config())
@@ -755,3 +758,18 @@ def test_cli_run_names_a_bad_dataset_kind_or_placement_before_writing(tmp_path, 
     assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["at_fedavg_fat", "at_scaffold_sfat_partial"])
+def test_the_round_phases_called_by_hand_reproduce_run(name):
+    config = config_from_dict(GOLDEN[name][0])
+    whole = run(config)
+    state = runner.RunState(config)
+    reports = []
+    with threads.workers() as each:
+        for t in range(1, config.rounds + 1):
+            rep = state.server_step(t, state.train_round(t, each))
+            state.evaluate_round(rep, each)
+            reports.append(rep)
+    assert reports == [replace(r, wall_clock=0.0) for r in whole.reports]
+    assert state.model.params.values.tobytes() == whole.model.params.values.tobytes()

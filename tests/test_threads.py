@@ -4,6 +4,7 @@ BLAS calls on one: the bits of a run depend on neither count."""
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -161,8 +162,13 @@ def test_a_run_pins_openblas_to_one_thread_and_restores_its_count(monkeypatch, t
 
 def test_a_run_says_when_it_finds_no_blas_thread_limiter(monkeypatch, tmp_path):
     monkeypatch.setattr(threads, "_openblas", lambda: None)
-    with pytest.warns(RuntimeWarning, match="no OpenBLAS thread limiter"):
+    with pytest.warns(RuntimeWarning, match="no OpenBLAS thread limiter") as record:
         run_digest(GOLDEN["at_fedavg_fat"][0], tmp_path)
+    # the warning names the line of `run` that enters `threads.workers()`
+    [warning] = [w for w in record if "thread limiter" in str(w.message)]
+    assert Path(warning.filename).name == "runner.py"
+    source = Path(runner.__file__).read_text().splitlines()
+    assert "threads.workers()" in source[warning.lineno - 1]
 
 
 def test_replay_does_not_depend_on_the_openblas_thread_count(tmp_path):
@@ -191,7 +197,7 @@ def trained():
     """A golden run's final model, its test set and its eval spec."""
     config = config_from_dict(GOLDEN["at_fedavg_fat"][0])
     _, test_set = runner.build_datasets(config)
-    return run(config).final_model, test_set, config.local.attack
+    return run(config).model, test_set, config.local.attack
 
 
 def split_eval(monkeypatch, model, n_rows, n_chunks):
@@ -215,7 +221,8 @@ def test_eval_in_chunks_gives_the_same_bits_on_one_and_two_threads(
     with ThreadPoolExecutor(1) as pool:
         for attack, attack_spec, attack_fn in cases:
             one = evaluate(model, test_set, attack, attack_spec)
-            two = evaluate(model, test_set, attack, attack_spec, pool, 2)
+            two = evaluate(model, test_set, attack, attack_spec,
+                           functools.partial(threads.for_each, pool=pool, n_threads=2))
             assert one == two
 
             def adversarial(rows):
@@ -246,7 +253,8 @@ def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
 
     monkeypatch.setattr(metrics, "pgd", failing_pgd)
     with ThreadPoolExecutor(1) as pool, pytest.raises(DivergenceError, match="first chunk"):
-        evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20), pool, 2)
+        evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20),
+                 functools.partial(threads.for_each, pool=pool, n_threads=2))
 
 
 def eval_chunks(raw) -> int:
