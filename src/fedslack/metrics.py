@@ -6,12 +6,13 @@ Drift and variance read the round's (m, P) upload matrix, one row per
 participant, in place, row by row through (P,) scratch: neither copies the
 matrix.
 
-Eval attacks and scores the test set in chunks of rows, run from the
+Eval attacks and scores the test set whole or in two halves, run from the
 round's work queue (`threads.for_each`) beside training's cohorts.  The
-chunk height depends only on the model's parameter count, never on the
-number of cores: a matmul cut into other row blocks can round differently,
-so a height derived from the cores would make a run's bits depend on them.
-Only a large model's test set is split (see `EVAL_CHUNK_WORK`).
+split depends only on the test set's rows and the model's parameter count,
+never on the number of cores: a matmul cut into other row blocks can round
+differently, so a split derived from the cores would make a run's bits
+depend on them.  Only a test set of large total work is halved (see
+`EVAL_CHUNK_WORK`).
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ from .attacks import AttackSpec, fgsm, pgd
 from .data import Dataset
 from .errors import ShapeError
 
-# Rows times parameters per eval chunk: a chunk's forward or backward pass
-# costs about that many multiply-adds.  At 2**25 a 784-256-10 MLP (203,530
-# parameters) scores 164 rows per chunk, so its 300 test rows make two
-# chunks; a 64-256-128-10 MLP (50,826) scores 660 rows and an 8-16-5 MLP
-# (229) over 146,000, so their test sets stay whole.  On a 2-core x86 host
-# the 784-256-10 MLP's eval round took 0.55x its whole-batch time in two
-# chunks on two threads, 0.64x in four and 0.72x in eight; the 8-16-5 MLP's
-# took 1.4x in two.
-EVAL_CHUNK_WORK = 2**25
+# Test rows times parameters from which eval scores the test set in two
+# halves: a forward or backward pass over the set costs about that many
+# multiply-adds.  At 2**23 a 784-256-10 MLP (203,530 parameters) halves its
+# 300 test rows into 152 + 148 and a 64-256-128-10 MLP (50,826) its 320 rows
+# into 160 + 160, while an 8-16-5 MLP (229) keeps 1000 rows whole.  On a
+# 2-core x86 host the 784-256-10 MLP's eval round took 0.55x its whole-batch
+# time in two chunks on two threads and the 64-256-128-10 MLP's 0.61x, and
+# the fleet benchmark, which evaluates the latter every round, ran in 0.78x
+# the time it took with the test set whole; the 8-16-5 MLP's eval round took
+# 1.4x in two.
+EVAL_CHUNK_WORK = 2**23
 
 
 class EvalAttack(Enum):
@@ -114,10 +117,19 @@ def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:
     return int(sorted_n_k[:k_hat].sum() - sorted_n_k[k_hat:].sum())
 
 
-def eval_chunk_rows(n_params: int) -> int:
-    """Rows per eval chunk for a model of `n_params` parameters: a function of
-    the model alone, so that eval's bits do not depend on the thread count."""
-    return max(1, EVAL_CHUNK_WORK // n_params)
+def eval_chunk_rows(n_rows: int, n_params: int) -> int:
+    """Rows per eval chunk for `n_rows` test rows and a model of `n_params`
+    parameters: all of them while n_rows * n_params is below
+    `EVAL_CHUNK_WORK`, else half of them rounded up to a multiple of 8,
+    unless that leaves under 8 rows for the second half.  A function of
+    (n_rows, n_params) alone, so that eval's bits do not depend on the
+    thread count.  The multiple of 8: on a single-thread OpenBLAS, a chunk
+    whose height is not a multiple of 4 can round differently from the same
+    rows of the whole batch."""
+    half = -(-n_rows // 16) * 8
+    if n_rows * n_params < EVAL_CHUNK_WORK or n_rows - half < 8:
+        return n_rows
+    return half
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
@@ -126,8 +138,8 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
     test batch's shape and labels are checked against the model once.  The
     attack draws nothing, so a spec with a random start is rejected.
 
-    The rows are attacked and scored in chunks of `eval_chunk_rows` rows
-    through `each(fn, chunks)`, `threads.for_each` or the one
+    The rows are attacked and scored in chunks of `eval_chunk_rows` rows, one
+    or two, through `each(fn, chunks)`, `threads.for_each` or the one
     `threads.workers()` yields; the correct counts are summed in chunk order."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
@@ -137,7 +149,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
         raise ValueError(f"{attack.name} evaluation needs an attack spec")
     if spec is not None and spec.random_start:
         raise ValueError("evaluation draws no random start: pass spec.evaluation()")
-    height = eval_chunk_rows(model.params.values.size)
+    height = eval_chunk_rows(len(y), model.params.values.size)
 
     def correct(start: int) -> int:
         Xc, yc = X[start:start + height], y[start:start + height]

@@ -200,12 +200,11 @@ def trained():
     return run(config).model, test_set, config.local.attack
 
 
-def split_eval(monkeypatch, model, n_rows, n_chunks):
-    """Set the chunk work so that eval splits `n_rows` rows into `n_chunks`
-    chunks; returns the chunk height."""
-    P = model.params.values.size
-    monkeypatch.setattr(metrics, "EVAL_CHUNK_WORK", -(-n_rows // n_chunks) * P)
-    height = metrics.eval_chunk_rows(P)
+def split_eval(monkeypatch, n_rows, n_chunks):
+    """Set the chunk height so that eval splits `n_rows` rows into `n_chunks`
+    chunks; returns the height."""
+    height = -(-n_rows // n_chunks)
+    monkeypatch.setattr(metrics, "eval_chunk_rows", lambda n, P: height)
     assert math.ceil(n_rows / height) == n_chunks
     return height
 
@@ -215,7 +214,7 @@ def test_eval_in_chunks_gives_the_same_bits_on_one_and_two_threads(
         monkeypatch, trained, n_chunks):
     model, test_set, spec = trained
     X, y = test_set.features, test_set.labels
-    height = split_eval(monkeypatch, model, len(y), n_chunks)
+    height = split_eval(monkeypatch, len(y), n_chunks)
     cases = [(EvalAttack.NONE, None, None), (EvalAttack.FGSM, spec.evaluation(1), fgsm),
              (EvalAttack.PGD, spec.evaluation(20), pgd)]
     with ThreadPoolExecutor(1) as pool:
@@ -241,7 +240,7 @@ def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
     # scored in order, the first chunk's error is raised; on two threads the
     # second chunk fails first, and the first one's error must still win
     model, test_set, spec = trained
-    split_eval(monkeypatch, model, len(test_set), 2)
+    split_eval(monkeypatch, len(test_set), 2)
     second_failed = threading.Event()
 
     def failing_pgd(model, x, y, spec):
@@ -257,21 +256,69 @@ def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
                  functools.partial(threads.for_each, pool=pool, n_threads=2))
 
 
-def eval_chunks(raw) -> int:
-    """How many chunks a run of `raw` scores its test set in."""
+def model_and_test_set(raw):
+    """A freshly initialised model for a run of `raw`, its test set and its
+    attack spec."""
     config = config_from_dict(raw)
     train_set, test_set = runner.build_datasets(config)
     dims = [train_set.dim, *config.hidden_dims, train_set.num_classes]
-    P = nn.Model.init(dims, stream(0, "init")).params.values.size
-    return math.ceil(len(test_set) / metrics.eval_chunk_rows(P))
+    return nn.Model.init(dims, stream(0, "init")), test_set, config.local.attack
+
+
+def eval_chunks(raw) -> int:
+    """How many chunks a run of `raw` scores its test set in."""
+    model, test_set, _ = model_and_test_set(raw)
+    P = model.params.values.size
+    return math.ceil(len(test_set) / metrics.eval_chunk_rows(len(test_set), P))
+
+
+def bench_config(name):
+    return runpy.run_path(str(BENCH_WORKLOADS))["WORKLOADS"][name].config(3)
 
 
 @pytest.mark.parametrize("name, n_chunks",
-                         [("wide_trades", 2), ("fleet_scaffold", 1), ("desk_sfat", 1)])
-def test_only_the_wide_benchmark_splits_its_eval(name, n_chunks):
-    # fleet's and desk's eval measured slower when split over two threads
-    workloads = runpy.run_path(str(BENCH_WORKLOADS))["WORKLOADS"]
-    assert eval_chunks(workloads[name].config(3)) == n_chunks
+                         [("wide_trades", 2), ("fleet_scaffold", 2), ("desk_sfat", 1)])
+def test_the_wide_and_fleet_benchmarks_halve_their_eval(name, n_chunks):
+    # desk's eval measured slower when split over two threads
+    assert eval_chunks(bench_config(name)) == n_chunks
+
+
+@pytest.mark.parametrize("name, height", [("fleet_scaffold", 160), ("wide_trades", 152)])
+def test_a_benchmarks_eval_halves_give_the_whole_batchs_bits(name, height):
+    # each half's adversarial rows and logits are the whole batch's rows, so
+    # the halves' counts sum to the whole batch's on any number of threads
+    model, test_set, spec = model_and_test_set(bench_config(name))
+    X, y = test_set.features, test_set.labels
+    assert metrics.eval_chunk_rows(len(y), model.params.values.size) == height
+    cases = [(EvalAttack.FGSM, spec.evaluation(1), fgsm),
+             (EvalAttack.PGD, spec.evaluation(20), pgd)]
+    with ThreadPoolExecutor(1) as pool:
+        for attack, attack_spec, attack_fn in cases:
+            whole = attack_fn(model, X, y, attack_spec)
+            halves = [attack_fn(model, X[rows], y[rows], attack_spec)
+                      for rows in (slice(None, height), slice(height, None))]
+            assert np.array_equal(np.concatenate(halves), whole)
+            logits = [nn.forward_batch(model, half) for half in halves]
+            assert np.array_equal(np.concatenate(logits), nn.forward_batch(model, whole))
+            one = evaluate(model, test_set, attack, attack_spec)
+            two = evaluate(model, test_set, attack, attack_spec,
+                           functools.partial(threads.for_each, pool=pool, n_threads=2))
+            assert one == two
+
+
+@pytest.mark.parametrize("P", [229, 50_826, 203_530, 10**9])
+def test_eval_scores_a_test_set_whole_or_in_two_balanced_halves(P):
+    for n in range(1, 1025):
+        height = metrics.eval_chunk_rows(n, P)
+        rest = n - height
+        if n * P < metrics.EVAL_CHUNK_WORK:
+            assert height == n
+        # at most two chunks, none empty; a split set's first chunk is a
+        # multiple of 8 rows and its second holds 8 rows or more
+        assert 1 <= height <= n and rest <= height
+        if rest:
+            assert height % 8 == 0 and 8 <= rest and height - rest < 16
+    assert metrics.eval_chunk_rows(9, 10**9) == 9     # not 8 + 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -280,12 +327,11 @@ def test_every_golden_scores_its_test_set_in_one_chunk(name):
 
 
 def test_cli_eval_of_a_saved_run_prints_its_final_accuracies(monkeypatch, tmp_path, capsys):
-    # the run and `fedslack eval` both score in three chunks on two threads
+    # the run and `fedslack eval` both score in two halves on two threads
     monkeypatch.setattr(threads, "cores", lambda: 2)
+    assert eval_chunks(WIDE) == 2
     config = config_from_dict(WIDE)
     _, test_set = runner.build_datasets(config)
-    model = nn.Model.init([784, 256, 10], stream(0, "init"))
-    split_eval(monkeypatch, model, len(test_set), 3)
     path, out = tmp_path / "wide.json", tmp_path / "out"
     path.write_text(json.dumps(WIDE))
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
