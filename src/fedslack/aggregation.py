@@ -51,11 +51,11 @@ class AggregationPolicy:
         if isinstance(self.schedule, str):
             self.schedule = AlphaSchedule(self.schedule.lower())
         if not 0.0 <= self.alpha < 1.0:
-            raise AggregationError(f"alpha must lie in [0, 1), got {self.alpha}")
+            raise AggregationError(f"policy.alpha must lie in [0, 1), got {self.alpha}")
         if not 0.0 <= self.alpha_end < 1.0:
             raise AggregationError(f"policy.alpha_end must lie in [0, 1), got {self.alpha_end}")
         if self.k_hat < 0:
-            raise AggregationError("k_hat must be non-negative")
+            raise AggregationError(f"policy.k_hat must be non-negative, got {self.k_hat}")
         if self.anneal_rounds < 0:
             raise AggregationError(
                 f"policy.anneal_rounds must be non-negative, got {self.anneal_rounds}")

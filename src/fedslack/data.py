@@ -88,7 +88,8 @@ class PartitionSpec:
             majority = 100.0 - (self.num_clients - 1) * self.skew
             if majority <= self.skew:
                 raise PartitionError(
-                    f"skew {self.skew} leaves majority share {majority}% <= minority share")
+                    f"partition.skew {self.skew} leaves majority share {majority}% "
+                    f"<= minority share")
 
 
 @dataclass
@@ -205,12 +206,6 @@ def load_csv(path) -> Dataset:
     return Dataset(np.asarray(feats), labels, int(labels.max()) + 1)
 
 
-def class_groups(num_classes: int, num_clients: int) -> list[list[int]]:
-    """Each client's classes, ascending, by the one ownership rule of the
-    NONIID partitions: client c mod K owns class c."""
-    return [list(range(k, num_classes, num_clients)) for k in range(num_clients)]
-
-
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
     """Equal-split partition: disjoint shards covering the whole dataset."""
     K = spec.num_clients
@@ -225,7 +220,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
         minority = int(np.floor(len(order) * spec.skew / 100.0 + 0.5))
         if len(order) < K * minority:
             raise PartitionError(
-                f"skew {spec.skew} leaves the majority client under-represented")
+                f"partition.skew {spec.skew} leaves the majority client under-represented")
         # every other client, in client order, gets `minority`; the owner the rest
         for i, k in enumerate([k for k in range(K) if k != c % K]):
             per_client[k].append(order[i * minority:(i + 1) * minority])

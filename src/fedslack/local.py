@@ -24,15 +24,15 @@ parameters: beyond that the stacked activations and gradients fall out of
 cache and cost more than the numpy calls stacking saves.
 
 Gradients, FedProx pulls and SCAFFOLD control variates are plain float64
-arrays in the order of `model.params.values`, one row per client; they are
-all derived from one model inside `train_client`, so only the downloaded and
-uploaded parameters carry a layout.
+arrays in the order of `model.params.values`, one row per client; only the
+global model and the cohort's stacked model, `Model(dims, out)` over the
+upload rows, carry a layout.
 
-The caller hands each cohort its rows of the round's upload matrix (and,
-under SCAFFOLD, of its delta matrix) as a strided view to train and write
-in; `train_client` returns only the clients' mean losses.  It writes
-nothing else that another cohort reads, so a round's cohorts may train on
-several threads at once.  Each call allocates its parameter-sized (M, P)
+The caller hands each cohort the global model and its rows of the round's
+upload matrix (and, under SCAFFOLD, of its delta matrix) as a strided view
+to train and write in; `train_client` returns only the clients' mean
+losses.  It writes nothing else that another cohort reads, so a round's
+cohorts may train on several threads at once.  Each call allocates its parameter-sized (M, P)
 buffers once, the gradients and one scratch array, and reuses them batch
 after batch.
 """
@@ -196,12 +196,13 @@ def cohorts(shards: list[ClientShard], n_params: int, seed: int,
             for r in rows]
 
 
-def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
+def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
                  config: LocalConfig, *, out: np.ndarray,
                  c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
                  delta_out: np.ndarray | None = None) -> list[float]:
-    """The cohort's E local epochs of SGD in `out`, (M, P), one row per client;
-    returns each client's mean loss over its last epoch.
+    """The cohort's E local epochs of SGD from `global_model`'s parameters in
+    `out`, (M, P), one row per client; returns each client's mean loss over
+    its last epoch.
 
     Each client draws its batch order from its (seed, "batch-order", round,
     client) stream, and its attack noise from its (seed, "attack", round,
@@ -217,7 +218,7 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     n = cohort.indices.shape[1]
     if n == 0:
         raise ValueError(f"client {ids[0]} has an empty shard")
-    if np.shape(out)[:1] != (len(ids),):
+    if np.ndim(out) != 2 or len(out) != len(ids):
         raise ShapeError(f"out has shape {np.shape(out)}, the cohort needs {len(ids)} rows")
     scaffold = c_global is not None
     if scaffold != (c_local is not None) or scaffold != (delta_out is not None):
@@ -225,7 +226,8 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     orders = [stream(cohort.seed, "batch-order", cohort.round_idx, cid) for cid in ids]
     attacks = ([stream(cohort.seed, "attack", cohort.round_idx, cid) for cid in ids]
                if _attack_draws(config) else None)
-    model = nn.Model.from_vector(theta_global, out=out)
+    model = nn.Model(global_model.dims, out)
+    out[...] = global_model.params.values
     # the cohort's two parameter-sized buffers: the gradients, and the scratch
     # the SGD step, the FedProx pull, TRADES' second backprop and the SCAFFOLD
     # update take turns in
@@ -255,8 +257,8 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
             if not finite.all():
                 raise diverged("loss", int(np.argmin(finite)), epoch, b)
             if config.fedprox_mu > 0.0:
-                apply_fedprox(grads, model.params.values, theta_global.values,
-                              config.fedprox_mu, state.scratch)
+                apply_fedprox(grads, out, global_model.params.values, config.fedprox_mu,
+                              state.scratch)
             if scaffold:
                 apply_scaffold(grads, c_global, c_local)
             nn.sgd_step(model, grads, state)
@@ -267,7 +269,7 @@ def train_client(cohort: Cohort, dataset: Dataset, theta_global: nn.ParamVector,
     if not finite.all():
         raise diverged("parameters", int(np.argmin(finite)), epoch, b)
     if scaffold:
-        update_scaffold_client(theta_global.values, out, n_steps, config.lr, c_local,
+        update_scaffold_client(global_model.params.values, out, n_steps, config.lr, c_local,
                                c_global, out=delta_out, scratch=state.scratch)
         delta_out -= c_local
     return (loss_sum / n).tolist()

@@ -1,12 +1,12 @@
 """Minimal dense-network engine: MLP forward/backward, softmax cross-entropy,
 SGD with momentum, flat parameter vectors, and a binary checkpoint format.
 
-A model keeps all of its parameters in one contiguous float64 ParamVector,
-`model.params`, laid out as dense0.W, dense0.b, dense1.W, ...; every
-`weights[i]` and `biases[i]` is a reshaped view into that buffer.  The
-optimizer updates the buffer in place and callers write into it in place,
-so there is one copy of the parameters and no conversion between per-layer
-arrays and the flat vector.
+A model is its layer widths and one float64 buffer: `Model(dims, values)`
+keeps `values`, not a copy, laid out by `mlp_layout(dims)` as dense0.W,
+dense0.b, dense1.W, ... (`model.params`), and every `weights[i]` and
+`biases[i]` is a reshaped view into it.  The optimizer updates the buffer in
+place and callers write into it in place, so there is one copy of the
+parameters and no conversion between per-layer arrays and the flat vector.
 
 Every function takes a batch, (n, d) inputs and (n,) labels; one sample is
 a batch of one.
@@ -55,19 +55,22 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class ParamVector:
-    """Flat ordered view of model parameters plus the layout mapping it back."""
+    """A model's float64 parameter buffer, (P,) or (M, P) with one row per
+    stacked client, plus the layout mapping one row back."""
 
     values: np.ndarray
     layout: Layout
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        # (M, P) is one row per stacked client; anything else is one flat vector.
-        self.values = values if values.ndim == 2 else values.ravel()
-        expected = sum(math.prod(shape) for _, shape in self.layout)
+        expected = _size(self.layout)
         if self.values.shape[-1] != expected:
             raise ShapeError(
                 f"param vector has {self.values.shape[-1]} values, layout needs {expected}")
+
+
+def _size(layout: Layout) -> int:
+    """The number of values `layout` lays out."""
+    return sum(math.prod(shape) for _, shape in layout)
 
 
 def _split(values: np.ndarray, layout: Layout) -> list[np.ndarray]:
@@ -81,68 +84,52 @@ def _split(values: np.ndarray, layout: Layout) -> list[np.ndarray]:
     return views
 
 
-class Model:
-    """MLP with ReLU hidden activations and linear output logits.
+def mlp_layout(dims: list[int] | tuple[int, ...]) -> Layout:
+    """The layout of an MLP of layer widths `dims`: dense{i}.W (fan_in, fan_out),
+    then dense{i}.b (fan_out,), layer after layer."""
+    if len(dims) < 2 or min(dims) < 1:
+        raise ShapeError(f"an MLP needs at least two widths, each >= 1, got {list(dims)}")
+    return tuple(entry for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))
+                 for entry in ((f"dense{i}.W", (fan_in, fan_out)), (f"dense{i}.b", (fan_out,))))
 
-    `weights[i]` (fan_in, fan_out) and `biases[i]` (fan_out,) are views into
-    `params.values`; the constructor copies the given arrays into it.  That
-    buffer is a fresh (P,) array, or, given an (M, P) float64 `out` with
-    contiguous rows (such as M evenly spaced rows of an upload matrix),
-    `out` itself: every row gets the arrays, and the model is a stacked
-    model of M clients (see above).
+
+class Model:
+    """MLP of layer widths `dims` with ReLU hidden activations and linear
+    output logits, its parameters in `values`.
+
+    `values` is the model's one buffer, kept as given, not copied: a (P,)
+    float64 vector laid out by `mlp_layout(dims)`, or (M, P) with contiguous
+    rows (such as M evenly spaced rows of an upload matrix) for a stacked
+    model of M clients (see above).  `weights[i]` (fan_in, fan_out) and
+    `biases[i]` (fan_out,) are views into it.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
-                 out: np.ndarray | None = None):
-        shapes = [(np.shape(w), np.shape(b)) for w, b in zip(weights, biases)]
-        if (not weights or len(weights) != len(biases)
-                or any(len(ws) != 2 or bs != ws[1:] for ws, bs in shapes)
-                or any(ws[1] != nxt[0] for (ws, _), (nxt, _) in zip(shapes, shapes[1:]))):
-            raise ShapeError("weights and biases do not form an MLP")
-        layout = tuple(entry for i, (ws, bs) in enumerate(shapes)
-                       for entry in ((f"dense{i}.W", ws), (f"dense{i}.b", bs)))
-        size = sum(math.prod(shape) for _, shape in layout)
-        if out is not None and (out.dtype != np.float64 or out.ndim != 2
-                                or out.shape[1] != size or out.strides[1] != 8):
-            raise ShapeError(f"out must be a float64 array of shape (M, {size}) "
-                             f"with contiguous rows")
-        first = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
-                               out=None if out is None else out[0])
-        if out is not None:
-            out[1:] = first
-        self.params = ParamVector(first if out is None else out, layout)
-        views = _split(self.params.values, layout)
+    def __init__(self, dims: list[int] | tuple[int, ...], values: np.ndarray):
+        self.dims = tuple(dims)
+        if values.dtype != np.float64 or values.ndim not in (1, 2) or values.strides[-1] != 8:
+            raise ShapeError(f"values must be float64, (P,) or (M, P) with contiguous rows, "
+                             f"got {values.dtype} {values.shape}")
+        self.params = ParamVector(values, mlp_layout(self.dims))   # checks the size
+        views = _split(values, self.layout)
         self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def init(cls, dims: list[int], rng: np.random.Generator) -> "Model":
-        """Glorot-uniform initialization: uniform(-a, a), a = sqrt(6/(fi+fo))."""
-        if len(dims) < 2:
-            raise ShapeError("need at least input and output dims")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-a, a, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
-
-    @classmethod
-    def from_vector(cls, vec: ParamVector, out: np.ndarray | None = None) -> "Model":
-        """A model holding a copy of `vec` in `out` (see the class docstring);
-        the layout must be dense0.W, dense0.b, ..."""
-        parts = _split(vec.values, vec.layout)
-        model = cls(parts[0::2], parts[1::2], out=out)
-        if model.layout != vec.layout:
-            raise ShapeError("param vector layout is not a dense<i>.W/.b MLP")
+        """Glorot-uniform initialization: uniform(-a, a), a = sqrt(6/(fi+fo)),
+        zero biases, in one fresh buffer."""
+        model = cls(dims, np.zeros(_size(mlp_layout(dims))))
+        for w in model.weights:
+            a = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-a, a, size=w.shape)
         return model
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[-2]
+        return self.dims[0]
 
     @property
     def num_classes(self) -> int:
-        return self.weights[-1].shape[-1]
+        return self.dims[-1]
 
     @property
     def layout(self) -> Layout:
@@ -359,6 +346,8 @@ def _read_u32(f) -> int:
 
 
 def load_checkpoint(path) -> Model:
+    """The model `save_checkpoint` wrote; FormatError unless the file holds an
+    MLP's layer entries and exactly their values."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -371,9 +360,16 @@ def load_checkpoint(path) -> Model:
             name = _read(f, _read_u32(f)).decode("utf-8")
             shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             layout.append((name, shape))
-        total = sum(math.prod(s) for _, s in layout)
-        values = np.frombuffer(_read(f, total * 8), dtype="<f8").astype(np.float64)
+        values = np.frombuffer(_read(f, _size(layout) * 8), dtype="<f8").astype(np.float64)
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise FormatError(f"checkpoint has {extra} bytes after its values")
+    # the widths: the first weight's fan_in, then every weight's fan_out
+    shapes = [shape for _, shape in layout[0::2] if shape]
+    dims = [shape[0] for shape in shapes[:1]] + [shape[-1] for shape in shapes]
     try:
-        return Model.from_vector(ParamVector(values, tuple(layout)))
+        if tuple(layout) != mlp_layout(dims):
+            raise ShapeError(f"they are not the layout of widths {dims}")
     except ShapeError as exc:
         raise FormatError(f"checkpoint layer entries inconsistent: {exc}") from exc
+    return Model(dims, values)

@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
             raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
+        if self.optimizer is FedOptimizer.FEDPROX and self.local.fedprox_mu == 0.0:
+            self.local = replace(self.local, fedprox_mu=0.01)   # FedProx's default pull
 
 
 def load_config(path) -> ExperimentConfig:
@@ -309,9 +311,6 @@ class RunState:
         dims = [self.train_set.dim] + list(config.hidden_dims) + [self.train_set.num_classes]
         self.model = nn.Model.init(dims, stream(config.seed, "init"))
         P, K = self.model.params.values.size, config.partition.num_clients
-        self.local_cfg = config.local
-        if config.optimizer is FedOptimizer.FEDPROX and config.local.fedprox_mu == 0.0:
-            self.local_cfg = replace(config.local, fedprox_mu=0.01)
         m = participants_per_round(K, config.participation)
         self.policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
         self.uploads = np.empty((m, P))
@@ -346,8 +345,8 @@ class RunState:
         if self.scaffold:
             kwargs.update(c_global=self.c_global, delta_out=self.deltas[rows],
                           c_local=self.c_locals[_rows(cohort.client_ids)])
-        self.losses[rows] = train_client(cohort, self.train_set, self.model.params,
-                                         self.local_cfg, **kwargs)
+        self.losses[rows] = train_client(cohort, self.train_set, self.model,
+                                         self.config.local, **kwargs)
 
     def server_step(self, t: int, participants: list[int]) -> RoundReport:
         """Aggregate round t's uploads into the global model; the report's
@@ -376,7 +375,7 @@ class RunState:
     def evaluate_round(self, rep: RoundReport, each: Callable) -> None:
         """On an eval round (every `eval_every`-th and the last), fill the
         report's natural, FGSM and PGD-20 accuracies of the global model."""
-        t, config, spec = rep.round_idx, self.config, self.local_cfg.attack
+        t, config, spec = rep.round_idx, self.config, self.config.local.attack
         if not config.eval_every or (t % config.eval_every and t != config.rounds):
             return
         model, test_set = self.model, self.test_set

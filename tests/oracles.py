@@ -4,7 +4,8 @@ The program keeps a round's uploads in one (m, P) matrix and its sample
 counts and losses in (m,) arrays, and reads them in place.  `RoundArrays`
 holds such a round for the tests; the oracles keep the per-client list and
 per-row formulas that the matrix path replaced, so tests can check it
-against them bit for bit.
+against them bit for bit.  `class_groups` states the NONIID partitions'
+ownership rule as each client's list of classes, for the partition tests.
 """
 
 from __future__ import annotations
@@ -97,3 +98,9 @@ def scaffold_delta(theta_global, theta_local, n_steps, lr, c_local, c_global):
     """The variate change a client uploads: c_new - c_local."""
     c_new = c_local - c_global + (theta_global - theta_local) / (n_steps * lr)
     return c_new - c_local
+
+
+def class_groups(num_classes: int, num_clients: int) -> list[list[int]]:
+    """Each client's classes, ascending, by the one ownership rule of the
+    NONIID partitions: client c mod K owns class c."""
+    return [list(range(k, num_classes, num_clients)) for k in range(num_clients)]

@@ -24,13 +24,12 @@ from fedslack import nn
 from fedslack.aggregation import (AggregationMode, AggregationPolicy,
                                   alpha_slack_loss, slack_aggregate)
 from fedslack.attacks import AttackSpec, fgsm, pgd
-from fedslack.data import (Dataset, PartitionSpec, class_counts, class_groups,
-                           partition)
+from fedslack.data import Dataset, PartitionSpec, class_counts, partition
 from fedslack.local import LocalConfig
 from fedslack.metrics import trace_topk
 from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
-from oracles import RoundArrays, fedavg_aggregate, server_weights
+from oracles import RoundArrays, class_groups, fedavg_aggregate, server_weights
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 

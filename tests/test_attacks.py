@@ -24,7 +24,7 @@ def test_fgsm_zero_epsilon_identity():
 
 def test_fgsm_scalar_sign_step():
     # single linear unit driving loss up in +x direction
-    m = nn.Model([np.array([[1.0, -1.0]])], [np.zeros(2)])
+    m = nn.Model([1, 2], np.array([1.0, -1.0, 0.0, 0.0]))
     x = np.array([[0.5]])
     # label 0: loss grad w.r.t. x is negative, so attack moves x down;
     # label 1 moves it up
@@ -35,7 +35,7 @@ def test_fgsm_scalar_sign_step():
 
 
 def test_fgsm_clip_boundary():
-    m = nn.Model([np.array([[1.0, -1.0]])], [np.zeros(2)])
+    m = nn.Model([1, 2], np.array([1.0, -1.0, 0.0, 0.0]))
     out = fgsm(m, np.array([[0.05]]), np.array([0]), AttackSpec(0.1, 0.1))[0]
     assert out[0] == 0.0
 

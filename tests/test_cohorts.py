@@ -76,8 +76,8 @@ def test_a_cohort_holds_each_clients_keyed_streams(monkeypatch, random_start):
     cfg = LocalConfig(epochs=2, batch_size=5,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=random_start))
     ds = toy_dataset(26)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
-    P = theta.values.size
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
+    P = theta.params.values.size
     made = []
 
     def spy(*key):
@@ -112,7 +112,7 @@ def train_rows(groups, ds, theta, cfg, c_global=None, c_locals=None):
     """Train each cohort in a strided view of its rows, as the runner does:
     (uploads, deltas, losses), row i for shard i."""
     m = sum(len(c) for c in groups)
-    uploads = np.full((m, theta.values.size), np.nan)
+    uploads = np.full((m, theta.params.values.size), np.nan)
     deltas = np.full_like(uploads, np.nan)
     losses = np.full(m, np.nan)
     for c in groups:
@@ -143,8 +143,8 @@ def test_cohorts_train_bit_for_bit_like_cohorts_of_one(trainer, optimizer, hidde
     # batches of 5: shards of 7 and 12 end on a short batch
     ds = toy_dataset(sum(sizes), seed=len(sizes))
     shards = shards_of(sizes, first_id=3)
-    theta = nn.Model.init([3] + hidden + [2], stream(cap, "init")).params
-    P = theta.values.size
+    theta = nn.Model.init([3] + hidden + [2], stream(cap, "init"))
+    P = theta.params.values.size
     cfg = LocalConfig(epochs=epochs, batch_size=5, trainer=trainer,
                       fedprox_mu=0.05 if optimizer == "fedprox" else 0.0,
                       attack=AttackSpec(0.05, 0.0125, steps=2, random_start=random_start),
@@ -174,8 +174,8 @@ def test_a_cohort_trains_twice_to_the_same_bits(trainer):
     # a cohort is a plain value: its streams are derived anew by each call,
     # so a second training with random starts replays the first bit for bit
     ds = toy_dataset(24)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
-    P = theta.values.size
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
+    P = theta.params.values.size
     cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer,
                       attack=AttackSpec(0.05, 0.01, steps=2, random_start=True))
     (cohort,) = cohorts(shards_of([12, 12], first_id=4), P, 5, 3)
@@ -220,17 +220,17 @@ def test_a_run_trains_non_adjacent_cohorts_like_cohorts_of_one(monkeypatch):
 
 def test_a_cohort_builds_one_param_vector_and_one_backprop_per_batch(monkeypatch):
     ds = toy_dataset(36)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
     cfg = LocalConfig(epochs=2, batch_size=5, attack=AttackSpec(0.05, 0.01, steps=3,
                                                                  random_start=True))
-    (cohort,) = cohorts(shards_of([12, 12, 12]), theta.values.size, 1, 1)
+    (cohort,) = cohorts(shards_of([12, 12, 12]), theta.params.values.size, 1, 1)
     made, rows = [], []
     original_init, original_backprop = nn.ParamVector.__post_init__, nn.backprop
     monkeypatch.setattr(nn.ParamVector, "__post_init__",
                         lambda self: made.append(1) or original_init(self))
     monkeypatch.setattr(nn, "backprop",
                         lambda *a: rows.append(a[2].shape[:-1]) or original_backprop(*a))
-    train_client(cohort, ds, theta, cfg, out=np.empty((3, theta.values.size)))
+    train_client(cohort, ds, theta, cfg, out=np.empty((3, theta.params.values.size)))
     assert len(made) == 1
     assert rows == [(3, 5), (3, 5), (3, 2)] * 2
 
@@ -245,11 +245,11 @@ def test_attack_streams_are_derived_only_when_an_attack_reads_them(
     calls = []
     monkeypatch.setattr(local, "stream", lambda *key: calls.append(key) or stream(*key))
     ds = toy_dataset(24)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
     cfg = LocalConfig(epochs=2, batch_size=5, trainer=trainer, trades_beta=beta,
                       attack=AttackSpec(epsilon, 0.01, steps=2, random_start=random_start))
-    (cohort,) = cohorts(shards_of([12, 12]), theta.values.size, 1, 1)
-    train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))
+    (cohort,) = cohorts(shards_of([12, 12]), theta.params.values.size, 1, 1)
+    train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.params.values.size)))
     # one stream per client and purpose for the round, over its 2 epochs of 3 batches
     assert [key[1] for key in calls] == ["batch-order"] * 2 + ["attack"] * (2 if draws else 0)
 
@@ -261,8 +261,8 @@ def test_divergence_names_the_round_client_epoch_and_batch(trainer, what, sizes,
     # only the last client's variate is huge: its first step blows up its
     # parameters, so its second batch diverges while any other client's does not
     ds = toy_dataset(20)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
-    P = theta.values.size
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
+    P = theta.params.values.size
     m = len(sizes)
     c_local = np.zeros((m, P))
     c_local[-1] = 1e300
@@ -287,9 +287,9 @@ def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
 
     monkeypatch.setattr(nn, "sgd_step", poisoned)
     ds = toy_dataset(20)
-    theta = nn.Model.init([3, 4, 2], stream(0, "init")).params
+    theta = nn.Model.init([3, 4, 2], stream(0, "init"))
     cfg = LocalConfig(epochs=2, batch_size=10, trainer="standard")
-    (cohort,) = cohorts(shards_of([10, 10], first_id=5), theta.values.size, 1, 2)
+    (cohort,) = cohorts(shards_of([10, 10], first_id=5), theta.params.values.size, 1, 2)
     with pytest.raises(DivergenceError,
                        match="round 2, client 6, epoch 1, batch 0: non-finite parameters"):
-        train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.values.size)))
+        train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.params.values.size)))

@@ -9,6 +9,7 @@ import pytest
 from fedslack import data
 from fedslack.errors import FormatError, PartitionError
 from fedslack.streams import stream
+from oracles import class_groups
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -111,7 +112,7 @@ def test_partition_skew_two_percent_case():
     spec = data.PartitionSpec(5, mode=data.PartitionMode.NONIID, skew=2.0, seed=3)
     shards = data.partition(ds, spec)
     table = data.class_counts(ds, shards)
-    groups = data.class_groups(10, 5)
+    groups = class_groups(10, 5)
     for k in range(5):
         for c in range(10):
             expected = 920 if c in groups[k] else 20

@@ -29,15 +29,15 @@ def toy_config(**kw):
 
 
 def global_theta(seed=0, dims=(3, 4, 2)):
-    return nn.Model.init(list(dims), stream(seed, "init")).params
+    return nn.Model.init(list(dims), stream(seed, "init"))
 
 
 def train(shard, ds, theta, cfg, master_seed=0, round_idx=0, **kwargs):
     """`train_client` on a cohort of one in a fresh upload row: (uploaded
     parameters, mean loss); per-client variates become that cohort's row."""
-    out = np.empty((1, theta.values.size))
+    out = np.empty((1, theta.params.values.size))
     rows = {k: v[None] for k, v in kwargs.items() if k in ("c_local", "delta_out")}
-    (cohort,) = cohorts([shard], theta.values.size, master_seed, round_idx)
+    (cohort,) = cohorts([shard], theta.params.values.size, master_seed, round_idx)
     (loss,) = train_client(cohort, ds, theta, cfg, out=out, **{**kwargs, **rows})
     return out[0], loss
 
@@ -96,10 +96,11 @@ def test_scaffold_mean_identity_two_client_toy():
     shards = [ClientShard(0, np.arange(20)), ClientShard(1, np.arange(20, 40))]
     theta = global_theta()
     cfg = toy_config()
-    c_g = np.zeros_like(theta.values)
-    c_ls = [np.zeros_like(theta.values), np.zeros_like(theta.values)]
-    uploads, deltas = np.empty((2, theta.values.size)), np.empty((2, theta.values.size))
-    (cohort,) = cohorts(shards, theta.values.size, seed=1, round_idx=1)
+    c_g = np.zeros_like(theta.params.values)
+    c_ls = [np.zeros_like(theta.params.values), np.zeros_like(theta.params.values)]
+    P = theta.params.values.size
+    uploads, deltas = np.empty((2, P)), np.empty((2, P))
+    (cohort,) = cohorts(shards, theta.params.values.size, seed=1, round_idx=1)
     train_client(cohort, ds, theta, cfg, out=uploads,
                  c_global=c_g, c_local=np.stack(c_ls), delta_out=deltas)
     mean_delta = np.mean(list(deltas), axis=0)
@@ -113,7 +114,7 @@ def test_scaffold_needs_both_variates():
     ds = toy_dataset()
     shard = ClientShard(0, np.arange(10))
     theta = global_theta()
-    c = np.zeros_like(theta.values)
+    c = np.zeros_like(theta.params.values)
     for kwargs in ({"c_global": c}, {"c_local": c}, {"c_global": c, "c_local": c},
                    {"delta_out": c.copy()}):
         with pytest.raises(ValueError):
@@ -122,7 +123,7 @@ def test_scaffold_needs_both_variates():
 
 def test_train_client_builds_one_param_vector(monkeypatch):
     # gradients, momentum and corrections are plain arrays: the only layout
-    # built in a round is the local model's, by Model.from_vector
+    # built in a round is the local model's, by Model(dims, out)
     ds = toy_dataset()
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
@@ -162,7 +163,7 @@ def test_at_single_step_replay_oracle():
     cfg = toy_config(epochs=1, batch_size=8, momentum=0.0)
     up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
-    model = nn.Model.from_vector(theta)
+    model = nn.Model(theta.dims, theta.params.values.copy())
     order = stream(3, "batch-order", 2, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     rng = stream(3, "attack", 2, 0)
@@ -183,7 +184,7 @@ def test_at_multi_batch_replay_draws_each_purposes_stream_in_order():
     cfg = toy_config(epochs=2, batch_size=8)
     up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
-    model = nn.Model.from_vector(theta)
+    model = nn.Model(theta.dims, theta.params.values.copy())
     state = nn.SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
     orders, attacks = stream(3, "batch-order", 2, 4), stream(3, "attack", 2, 4)
     for _ in range(cfg.epochs):
@@ -276,7 +277,7 @@ def test_trades_recorded_loss_matches_direct_evaluation():
                      batch_size=8, lr=1e-12, momentum=0.0)
     _, up_loss = train(shard, ds, theta, cfg, master_seed=8, round_idx=1)
 
-    model = nn.Model.from_vector(theta)
+    model = nn.Model(theta.dims, theta.params.values.copy())
     order = stream(8, "batch-order", 1, 0).permutation(8)
     xb, yb = ds.features[order], ds.labels[order]
     from fedslack.attacks import pgd_kl
@@ -294,7 +295,7 @@ def test_trades_recorded_loss_matches_direct_evaluation():
 def test_trades_param_grads_match_finite_differences():
     ds = toy_dataset(n=6)
     theta = global_theta(seed=9)
-    model = nn.Model.from_vector(theta)
+    model = nn.Model(theta.dims, theta.params.values.copy())
     cfg = toy_config(trainer=Trainer.TRADES, trades_beta=3.0,
                      attack=AttackSpec(0.0, 0.01))  # eps 0: x_adv == x, loss smooth
     from fedslack.local import _trades_objective
@@ -346,12 +347,12 @@ def test_train_client_leaves_its_inputs_unchanged(trainer):
     shard = ClientShard(0, np.arange(len(ds)))
     theta = global_theta()
     rng = stream(2, "variates")
-    c_global = rng.normal(scale=0.01, size=theta.values.shape)
-    c_local = rng.normal(scale=0.01, size=theta.values.shape)
-    before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
+    c_global = rng.normal(scale=0.01, size=theta.params.values.shape)
+    c_local = rng.normal(scale=0.01, size=theta.params.values.shape)
+    before = [a.copy() for a in (theta.params.values, c_global, c_local, ds.features, ds.labels)]
     cfg = toy_config(trainer=trainer, epochs=2, fedprox_mu=0.1)
     up, _ = train(shard, ds, theta, cfg, master_seed=1, round_idx=1, c_global=c_global,
                   c_local=c_local, delta_out=np.empty_like(c_local))
-    after = (theta.values, c_global, c_local, ds.features, ds.labels)
+    after = (theta.params.values, c_global, c_local, ds.features, ds.labels)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert not np.array_equal(up, theta.values)
+    assert not np.array_equal(up, theta.params.values)

@@ -96,7 +96,7 @@ def test_xi_bounds():
 
 def const_model(c=2, dim=3):
     # constant logits: always predicts class 0
-    return nn.Model([np.zeros((dim, c))], [np.zeros(c)])
+    return nn.Model([dim, c], np.zeros(dim * c + c))
 
 
 def balanced_dataset(n_per_class=10, c=2, dim=3, seed=0):

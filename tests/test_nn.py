@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import math
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedslack import nn
 from fedslack.errors import FormatError, LabelError, ShapeError
@@ -29,12 +36,12 @@ def manual_mlp_forward(model, x):
 # A single sample is a batch of one: (1, d) inputs and (1,) labels.
 
 def test_forward_zero_weights():
-    m = nn.Model([np.zeros((3, 2))], [np.zeros(2)])
+    m = nn.Model([3, 2], np.zeros(8))
     assert np.array_equal(nn.forward_batch(m, np.array([[0.3, 0.7, 0.1]]))[0], np.zeros(2))
 
 
 def test_forward_identity_layer():
-    m = nn.Model([np.eye(2)], [np.zeros(2)])
+    m = nn.Model([2, 2], np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
     out = nn.forward_batch(m, np.array([[1.0, 2.0]]))[0]
     assert np.array_equal(out, np.array([1.0, 2.0]))
 
@@ -53,7 +60,7 @@ def test_forward_shape_error():
 
 
 def test_loss_uniform_logits_is_ln2():
-    m = nn.Model([np.zeros((3, 2))], [np.zeros(2)])
+    m = nn.Model([3, 2], np.zeros(8))
     loss, _ = nn.batch_loss_and_grads(m, np.array([[0.5, 0.5, 0.5]]), np.array([0]))
     assert loss == pytest.approx(np.log(2.0), abs=1e-15)
 
@@ -172,7 +179,7 @@ def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
 
 
 def test_sgd_plain_step():
-    m = nn.Model([np.ones((2, 2))], [np.zeros(2)])
+    m = nn.Model([2, 2], np.array([1.0] * 4 + [0.0] * 2))
     g = np.full_like(m.params.values, 0.5)
     state = nn.SgdState(lr=1.0)
     nn.sgd_step(m, g, state)
@@ -190,7 +197,7 @@ def test_sgd_zero_grads_fixed_point():
 def test_sgd_two_step_momentum_recurrence():
     # independent recurrence: v1 = g, v2 = 0.9 g + g = 1.9 g
     # so total decrease is 0.1*g + 0.1*1.9*g
-    m = nn.Model([np.zeros((1, 1))], [np.zeros(1)])
+    m = nn.Model([1, 1], np.zeros(2))
     g = np.array([1.0, 1.0])
     state = nn.SgdState(lr=0.1, momentum=0.9)
     nn.sgd_step(m, g, state)
@@ -225,7 +232,7 @@ def test_sgd_layout_mismatch():
 def test_param_vector_roundtrip_bit_exact():
     m = nn.Model.init([3, 5, 4, 2], stream(9, "init"))
     vec = m.params
-    m2 = nn.Model.from_vector(vec)
+    m2 = nn.Model(m.dims, vec.values.copy())
     assert np.array_equal(m2.params.values, vec.values)
 
 
@@ -281,15 +288,72 @@ def test_weights_and_biases_are_views_of_params():
                                           for a in wb]))
 
 
-def test_from_vector_copies_and_checks_the_mlp_layout():
-    vec = nn.Model.init([3, 5, 2], stream(4, "init")).params
-    m = nn.Model.from_vector(vec)
-    assert m.layout == vec.layout and (m.input_dim, m.num_classes) == (3, 2)
-    m.params.values[:] = 0.0
-    assert np.any(vec.values != 0.0)
-    renamed = nn.ParamVector(vec.values, (("fc.W", (3, 5)),) + vec.layout[1:])
-    unchained = nn.ParamVector(vec.values, (("dense0.W", (3, 5)), ("dense0.b", (5,)),
-                                            ("dense1.W", (3, 3)), ("dense1.b", (3,))))
-    for bad in (renamed, unchained, nn.ParamVector(vec.values[:15], vec.layout[:1])):
-        with pytest.raises(ShapeError):
-            nn.Model.from_vector(bad)
+def test_model_keeps_its_values_and_reads_its_dims():
+    values = nn.Model.init([3, 5, 2], stream(4, "init")).params.values.copy()
+    m = nn.Model((3, 5, 2), values)
+    assert m.params.values is values and m.dims == (3, 5, 2)
+    assert m.layout == nn.mlp_layout([3, 5, 2]) and (m.input_dim, m.num_classes) == (3, 2)
+    stack = np.empty((4, 2 * values.size))[::2, :values.size]
+    stack[:] = values
+    s = nn.Model([3, 5, 2], stack)
+    assert s.params.values is stack and s.weights[0].shape == (2, 3, 5)
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(31),                                   # one value short
+    np.zeros((2, 33)),                              # one value over, per row
+    np.zeros((2, 32), dtype=np.float32),            # a stack, not float64
+    np.zeros((2, 64))[:, ::2],                      # rows strided, not contiguous
+    np.zeros((1, 1, 32)),                           # neither a vector nor a stack
+])
+def test_model_rejects_values_it_cannot_lay_out(values):
+    with pytest.raises(ShapeError):
+        nn.Model([3, 5, 2], values)
+
+
+def write_checkpoint(path, layout, values, tail=b""):
+    # independent encoder of the checkpoint format, for files save_checkpoint never writes
+    raw = b"FSLK" + struct.pack("<II", 1, len(layout))
+    for name, shape in layout:
+        raw += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", len(shape))
+        raw += b"".join(struct.pack("<I", d) for d in shape)
+    path.write_bytes(raw + np.asarray(values, dtype="<f8").tobytes() + tail)
+
+
+def test_load_checkpoint_checks_the_mlp_layout(tmp_path):
+    path = tmp_path / "model.bin"
+    layout = nn.mlp_layout([3, 5, 2])
+    write_checkpoint(path, layout, np.arange(32.0))
+    m = nn.load_checkpoint(path)
+    assert m.layout == layout and (m.input_dim, m.num_classes) == (3, 2)
+    renamed = (("fc.W", (3, 5)),) + layout[1:]
+    unchained = layout[:2] + (("dense1.W", (3, 3)), ("dense1.b", (3,)))
+    short = layout[:1]
+    zero_width = (("dense0.W", (3, 0)), ("dense0.b", (0,)),
+                  ("dense1.W", (0, 2)), ("dense1.b", (2,)))
+    for bad in (renamed, unchained, short, zero_width, ()):
+        write_checkpoint(path, bad, np.ones(sum(math.prod(shape) for _, shape in bad)))
+        with pytest.raises(FormatError):
+            nn.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_bytes_after_the_values(tmp_path):
+    m = nn.Model.init([3, 5, 2], stream(4, "init"))
+    path = tmp_path / "model.bin"
+    write_checkpoint(path, m.layout, m.params.values)
+    assert np.array_equal(nn.load_checkpoint(path).params.values, m.params.values)
+    write_checkpoint(path, m.layout, m.params.values, tail=b"\0" * 8)
+    with pytest.raises(FormatError, match="8 bytes after its values"):
+        nn.load_checkpoint(path)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.integers(1, 9), min_size=3, max_size=6), st.integers(0, 2**32 - 1))
+def test_checkpoint_roundtrip_keeps_dims_layout_and_bytes(dims, seed):
+    # 2 to 5 dense layers of widths 1 to 9
+    m = nn.Model.init(dims, stream(seed, "init"))
+    with tempfile.TemporaryDirectory() as tmp:
+        nn.save_checkpoint(m, Path(tmp) / "model.bin")
+        back = nn.load_checkpoint(Path(tmp) / "model.bin")
+    assert back.dims == m.dims == tuple(dims) and back.layout == m.layout
+    assert back.params.values.tobytes() == m.params.values.tobytes()

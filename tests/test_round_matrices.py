@@ -118,13 +118,13 @@ def test_matrix_calls_reject_mismatched_shapes():
     with pytest.raises(ShapeError):
         gradient_variance(uploads[:, :-1], theta.values)
     with pytest.raises(ShapeError):
-        nn.Model.from_vector(theta, out=np.empty((1, theta.values.size), dtype=np.float32))
+        nn.Model(DIMS, np.empty((1, theta.values.size), dtype=np.float32))
     with pytest.raises(ShapeError):
-        nn.Model.from_vector(theta, out=np.empty((1, theta.values.size + 1)))
-    with pytest.raises(ShapeError):     # out is (M, P); a flat buffer is the model's own
-        nn.Model.from_vector(theta, out=np.empty(theta.values.size))
+        nn.Model(DIMS, np.empty((1, theta.values.size + 1)))
+    with pytest.raises(ShapeError):     # (P,) or (M, P), nothing else
+        nn.Model(DIMS, np.empty((1, 1, theta.values.size)))
     with pytest.raises(ShapeError):     # rows may be strided, not their entries
-        nn.Model.from_vector(theta, out=np.empty((2, 2 * theta.values.size))[:, ::2])
+        nn.Model(DIMS, np.empty((2, 2 * theta.values.size))[:, ::2])
 
 
 def toy_client():
@@ -132,26 +132,27 @@ def toy_client():
     X = rng.uniform(0.2, 0.8, size=(40, 3))
     y = np.arange(40) % 2
     ds = Dataset(X, y, 2)
-    return ds, ClientShard(0, np.arange(len(ds))), nn.Model.init([3, 6, 2], rng).params
+    return ds, ClientShard(0, np.arange(len(ds))), nn.Model.init([3, 6, 2], rng)
 
 
 @pytest.mark.parametrize("trainer", [Trainer.AT, Trainer.TRADES])
 def test_training_in_a_row_equals_training_in_a_fresh_array(trainer):
     ds, shard, theta = toy_client()
     rng = stream(2, "variates")
-    c_global = rng.normal(scale=0.01, size=theta.values.shape)
-    c_local = rng.normal(scale=0.01, size=theta.values.shape)
+    c_global = rng.normal(scale=0.01, size=theta.params.values.shape)
+    c_local = rng.normal(scale=0.01, size=theta.params.values.shape)
     cfg = LocalConfig(epochs=2, batch_size=16, trainer=trainer, fedprox_mu=0.1,
                       attack=AttackSpec(0.05, 0.0125, steps=3, random_start=True), lr=0.1)
-    before = [a.copy() for a in (theta.values, c_global, c_local, ds.features, ds.labels)]
-    fresh, fresh_delta = np.empty((1, theta.values.size)), np.empty((1, theta.values.size))
-    (cohort,) = cohorts([shard], theta.values.size, 1, 1)
+    before = [a.copy() for a in (theta.params.values, c_global, c_local, ds.features, ds.labels)]
+    P = theta.params.values.size
+    fresh, fresh_delta = np.empty((1, P)), np.empty((1, P))
+    (cohort,) = cohorts([shard], theta.params.values.size, 1, 1)
     (fresh_loss,) = train_client(cohort, ds, theta, cfg, out=fresh, c_global=c_global,
                                  c_local=c_local[None], delta_out=fresh_delta)
-    uploads, deltas = np.full((3, theta.values.size), np.nan), np.empty((3, theta.values.size))
+    uploads, deltas = np.full((3, P), np.nan), np.empty((3, P))
     (loss,) = train_client(cohort, ds, theta, cfg, c_global=c_global,
                            c_local=c_local[None], out=uploads[1:2], delta_out=deltas[1:2])
-    after = (theta.values, c_global, c_local, ds.features, ds.labels)
+    after = (theta.params.values, c_global, c_local, ds.features, ds.labels)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
     assert np.array_equal(uploads[1], fresh[0])
     assert np.array_equal(deltas[1], fresh_delta[0])

@@ -326,6 +326,34 @@ def test_cli_run_rejects_fedprox_mu_without_fedprox(tmp_path, capsys):
     assert "fedprox_mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu, expected", [(0.0, 0.01), (0.05, 0.05)])
+def test_config_json_records_the_fedprox_mu_a_run_trains_with(tmp_path, mu, expected):
+    # a fedprox_mu of 0 under fedprox trains with 0.01, which config.json used to record as 0.0
+    raw = config_to_dict(tiny_config(rounds=1, eval_every=0))
+    raw["optimizer"] = "fedprox"
+    raw["local"]["fedprox_mu"] = mu
+    assert config_from_dict(raw).local.fedprox_mu == expected
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_OK, True)
+    written = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert written["local"]["fedprox_mu"] == expected
+    assert replace(config_from_dict(written), out_dir=None) == config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"policy": {"alpha": 1.5}}, "policy.alpha must lie in [0, 1), got 1.5"),
+    ({"policy": {"k_hat": -1}}, "policy.k_hat must be non-negative, got -1"),
+    ({"partition": {"skew": 60.0}},
+     "partition.skew 60.0 leaves majority share -140.0% <= minority share"),
+    # 3 samples per class: 19% of them rounds to 1 for each of 4 minority clients
+    ({"dataset": {"n_per_class": 3}, "partition": {"skew": 19.0}},
+     "partition.skew 19.0 leaves the majority client under-represented"),
+], ids=["alpha", "k_hat", "skew", "under-represented"])
+def test_policy_and_partition_errors_name_their_full_key(tmp_path, capsys, raw, message):
+    assert run_cli_on(tmp_path, {"rounds": 1, "eval_every": 0, **raw}) == (
+        cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+
+
 def test_cli_run_rejects_local_scaffold_flag(tmp_path, capsys):
     raw = config_to_dict(tiny_config())
     raw["local"]["scaffold"] = True

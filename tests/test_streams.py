@@ -33,10 +33,10 @@ def test_a_negative_coordinate_raises_on_both_paths(coordinates):
         stream(purpose="attack", **key)
     shard = ClientShard(key["client_id"], np.arange(4))
     ds = Dataset(np.full((4, 2), 0.5), np.array([0, 1, 0, 1]), 2)
-    theta = nn.Model.init([2, 2], stream(0, "init")).params
-    (cohort,) = cohorts([shard], theta.values.size, key["master_seed"], key["round_idx"])
+    theta = nn.Model.init([2, 2], stream(0, "init"))
+    (cohort,) = cohorts([shard], theta.params.values.size, key["master_seed"], key["round_idx"])
     with pytest.raises(ValueError, match="non-negative"):
-        train_client(cohort, ds, theta, LocalConfig(), out=np.empty((1, theta.values.size)))
+        train_client(cohort, ds, theta, LocalConfig(), out=np.empty((1, theta.params.values.size)))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
