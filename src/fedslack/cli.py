@@ -93,8 +93,8 @@ def _cmd_eval(args) -> int:
     spec = AttackSpec(args.epsilon, args.step_size,
                       steps=20 if args.attack == "pgd20" else 1)
     attack = {"none": EvalAttack.NONE, "fgsm": EvalAttack.FGSM, "pgd20": EvalAttack.PGD}
-    with threads.workers() as each:     # as `runner.run` evaluates
-        acc = evaluate(model, test_set, attack[args.attack], spec, each)
+    with threads.one_blas_thread():     # as `runner.run` evaluates
+        acc = evaluate(model, test_set, attack[args.attack], spec)
     print(f"accuracy: {acc:.4f}")
     return EXIT_OK
 

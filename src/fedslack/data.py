@@ -7,8 +7,10 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -143,14 +145,26 @@ def make_synthetic(n_per_class: int, num_classes: int, dim: int,
                    np.repeat(np.arange(num_classes), n_per_class), num_classes)
 
 
-def _read_declared(f, n: int, what: str) -> bytes:
-    """The `n` bytes an IDX header declares, or FormatError if fewer are left
-    in the file; checked before anything is read."""
+def read_declared(f, n: int, what: str) -> bytes:
+    """The `n` bytes a binary file's header declares (an IDX file's or a
+    checkpoint's), or FormatError naming the file and `what` it is if fewer
+    are left in it; checked before anything is read."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
-        raise FormatError(f"{what} file truncated: its header declares {n} bytes, "
+        raise FormatError(f"{f.name}: {what} truncated: its header declares {n} bytes, "
                           f"{left} follow it")
     return f.read(n)
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text for the csv module; FormatError naming it
+    if it is not UTF-8."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -162,7 +176,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"bad image magic 0x{magic:08x}")
-        raw = _read_declared(f, count * rows * cols, "image")
+        raw = read_declared(f, count * rows * cols, "image file")
         features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         header = f.read(8)
@@ -171,7 +185,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, label_count = struct.unpack(">II", header)
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(f"bad label magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_declared(f, label_count, "label"), dtype=np.uint8)
+        labels = np.frombuffer(read_declared(f, label_count, "label file"), dtype=np.uint8)
     if count != label_count:
         raise FormatError(f"image count {count} != label count {label_count}")
     num_classes = int(labels.max()) + 1 if len(labels) else 1
@@ -181,11 +195,11 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def load_csv(path) -> Dataset:
     """CSV with header `label,f0,f1,...`; features are floats in [0,1]."""
-    with open(path, newline="") as f:
+    with open_utf8(path) as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if not header or header[0] != "label":
-            raise FormatError("csv must start with a `label` column")
+            raise FormatError(f"{path}: csv must start with a `label` column")
         labels, feats = [], []
         for row in reader:
             if not row:
@@ -201,9 +215,12 @@ def load_csv(path) -> Dataset:
                 raise FormatError(
                     f"{path}: line {line} has a field that is not a number ({exc})") from exc
     if not labels:
-        raise FormatError("csv contains no samples")
+        raise FormatError(f"{path}: csv contains no samples")
     labels = np.asarray(labels)
-    return Dataset(np.asarray(feats), labels, int(labels.max()) + 1)
+    try:
+        return Dataset(np.asarray(feats), labels, int(labels.max()) + 1)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:

@@ -6,20 +6,19 @@ Drift and variance read the round's (m, P) upload matrix, one row per
 participant, in place, row by row through (P,) scratch: neither copies the
 matrix.
 
-Eval attacks and scores the test set whole or in two halves, run from the
-round's work queue (`threads.for_each`) beside training's cohorts.  The
-split depends only on the test set's rows and the model's parameter count,
-never on the number of cores: a matmul cut into other row blocks can round
-differently, so a split derived from the cores would make a run's bits
-depend on them.  Only a test set of large total work is halved (see
-`EVAL_CHUNK_WORK`).
+Eval attacks and scores the test set whole or in two halves, on every core
+through `threads.for_each`, the queue that trains a round's cohorts, in a
+run or outside one.  The split depends only on the test set's rows and the
+model's parameter count, never on the number of cores: a matmul cut into
+other row blocks can round differently, so a split derived from the cores
+would make a run's bits depend on them.  Only a test set of large total
+work is halved (see `EVAL_CHUNK_WORK`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -133,14 +132,14 @@ def eval_chunk_rows(n_rows: int, n_params: int) -> int:
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,
-             spec: AttackSpec | None = None, each: Callable = threads.for_each) -> float:
+             spec: AttackSpec | None = None) -> float:
     """Fraction of correct argmax predictions on (possibly attacked) inputs; the
     test batch's shape and labels are checked against the model once.  The
     attack draws nothing, so a spec with a random start is rejected.
 
     The rows are attacked and scored in chunks of `eval_chunk_rows` rows, one
-    or two, through `each(fn, chunks)`, `threads.for_each` or the one
-    `threads.workers()` yields; the correct counts are summed in chunk order."""
+    or two, through `threads.for_each`; the correct counts are summed in
+    chunk order."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
     X = nn._check_batch(model, test_set.features)
@@ -159,7 +158,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
             Xc = pgd(model, Xc, yc, spec)
         return int(np.count_nonzero(nn.forward_batch(model, Xc).argmax(axis=1) == yc))
 
-    counts = each(correct, range(0, len(y), height))
+    counts = threads.for_each(correct, range(0, len(y), height))
     return sum(counts) / len(y)     # an exact integer sum: the float np.mean(preds == y) gives
 
 

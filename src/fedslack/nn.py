@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_declared
 from .errors import FormatError, LabelError, ShapeError
 
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
@@ -332,17 +333,8 @@ def save_checkpoint(model: Model, path) -> None:
         f.write(model.params.values.astype("<f8").tobytes())
 
 
-def _read(f, n: int) -> bytes:
-    """Exactly `n` bytes of the checkpoint, or FormatError if fewer are left in
-    the file; a declared length is checked before anything is read."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise FormatError(f"checkpoint truncated: wanted {n} bytes, {left} left")
-    return f.read(n)
-
-
 def _read_u32(f) -> int:
-    return struct.unpack("<I", _read(f, 4))[0]
+    return struct.unpack("<I", read_declared(f, 4, "checkpoint"))[0]
 
 
 def load_checkpoint(path) -> Model:
@@ -351,19 +343,21 @@ def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
+            raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
         version = _read_u32(f)
         if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
         layout = []
         for _ in range(_read_u32(f)):
-            name = _read(f, _read_u32(f)).decode("utf-8")
+            # a name that is not UTF-8 is no layer's name: the layout check rejects it
+            name = read_declared(f, _read_u32(f), "checkpoint").decode("utf-8", "replace")
             shape = tuple(_read_u32(f) for _ in range(_read_u32(f)))
             layout.append((name, shape))
-        values = np.frombuffer(_read(f, _size(layout) * 8), dtype="<f8").astype(np.float64)
+        values = np.frombuffer(read_declared(f, _size(layout) * 8, "checkpoint"),
+                               dtype="<f8").astype(np.float64)
         extra = os.fstat(f.fileno()).st_size - f.tell()
         if extra:
-            raise FormatError(f"checkpoint has {extra} bytes after its values")
+            raise FormatError(f"{path}: checkpoint has {extra} bytes after its values")
     # the widths: the first weight's fan_in, then every weight's fan_out
     shapes = [shape for _, shape in layout[0::2] if shape]
     dims = [shape[0] for shape in shapes[:1]] + [shape[-1] for shape in shapes]
@@ -371,5 +365,5 @@ def load_checkpoint(path) -> Model:
         if tuple(layout) != mlp_layout(dims):
             raise ShapeError(f"they are not the layout of widths {dims}")
     except ShapeError as exc:
-        raise FormatError(f"checkpoint layer entries inconsistent: {exc}") from exc
+        raise FormatError(f"{path}: checkpoint layer entries inconsistent: {exc}") from exc
     return Model(dims, values)

@@ -14,11 +14,12 @@ row i of an (m, P) delta matrix; the control variates are a (K, P) matrix
 indexed by client id.  The participants train in cohorts (see `local`):
 evenly spaced rows with equal shard sizes, each cohort trained by one
 `train_client` call in a strided view of its rows, on up to one thread per
-core (see `threads`).  `server_step`, on the calling thread once every
-cohort has finished, sorts the rows once by weighted loss n_k/N*loss and
-reads these arrays in place: nothing is stacked or kept per client.  Its
-(P,) aggregate is written into the global model's buffer, the one copy of
-the global parameters, which the next round's clients download.
+core, started by the round's `threads.for_each` call; `run` keeps BLAS on
+one thread throughout (see `threads`).  `server_step`, on the calling
+thread once every cohort has finished, sorts the rows once by weighted loss
+n_k/N*loss and reads these arrays in place: nothing is stacked or kept per
+client.  Its (P,) aggregate is written into the global model's buffer, the
+one copy of the global parameters, which the next round's clients download.
 `evaluate_round` then scores that model through the same work queue, in row
 chunks whose height comes from the model's size (see `metrics.evaluate`).
 """
@@ -33,16 +34,16 @@ import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nn, threads
 from .aggregation import (AggregationPolicy, scaffold_server_update,
                           slack_aggregate, slack_weights, sort_by_weighted_loss)
-from .data import (ClientShard, Dataset, PartitionSpec, load_csv,
-                   load_idx, make_synthetic, partition, partition_unequal)
-from .errors import ConfigError, DivergenceError, PartitionError
+from .data import (ClientShard, Dataset, PartitionSpec, load_csv, load_idx,
+                   make_synthetic, open_utf8, partition, partition_unequal)
+from .errors import ConfigError, DivergenceError, FormatError, PartitionError
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
@@ -135,8 +136,10 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON config file into an ExperimentConfig."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: not UTF-8, not JSON, or an integer of too many digits;
+    # RecursionError: arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -329,14 +332,14 @@ class RunState:
                 json.dumps(config_to_dict(config), indent=2) + "\n")
             self.writer = _MetricsWriter(self.out_dir / "metrics.csv")
 
-    def train_round(self, t: int, each: Callable) -> list[int]:
+    def train_round(self, t: int) -> list[int]:
         """Sample round t's participants and train their cohorts into the upload
-        matrix through `each` (see `threads.workers`); returns their client ids."""
+        matrix on every core (see `threads.for_each`); returns their client ids."""
         config = self.config
         participants = sample_participants(config.partition.num_clients,
                                            config.participation, t, config.seed)
-        each(self._train, cohorts([self.shards[cid] for cid in participants],
-                                  self.model.params.values.size, config.seed, t))
+        threads.for_each(self._train, cohorts([self.shards[cid] for cid in participants],
+                                              self.model.params.values.size, config.seed, t))
         return participants
 
     def _train(self, cohort: Cohort) -> None:
@@ -372,17 +375,17 @@ class RunState:
                 zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
         return RoundReport(t, recs, mean_drift, gvar, xi, alpha)
 
-    def evaluate_round(self, rep: RoundReport, each: Callable) -> None:
+    def evaluate_round(self, rep: RoundReport) -> None:
         """On an eval round (every `eval_every`-th and the last), fill the
         report's natural, FGSM and PGD-20 accuracies of the global model."""
         t, config, spec = rep.round_idx, self.config, self.config.local.attack
         if not config.eval_every or (t % config.eval_every and t != config.rounds):
             return
         model, test_set = self.model, self.test_set
-        rep.nat_acc = evaluate(model, test_set, EvalAttack.NONE, None, each)
+        rep.nat_acc = evaluate(model, test_set, EvalAttack.NONE)
         if spec.epsilon > 0:
-            rep.fgsm_acc = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1), each)
-            rep.pgd20_acc = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20), each)
+            rep.fgsm_acc = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
+            rep.pgd20_acc = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
         else:
             rep.fgsm_acc = rep.pgd20_acc = rep.nat_acc
 
@@ -391,11 +394,11 @@ def run(config: ExperimentConfig) -> RunState:
     """Run every round of `config`; returns the run's state: its `reports`, final `model`."""
     state = RunState(config)
     try:
-        with threads.workers() as each:
+        with threads.one_blas_thread():
             for t in range(1, config.rounds + 1):
                 t0 = time.perf_counter()
-                rep = state.server_step(t, state.train_round(t, each))
-                state.evaluate_round(rep, each)
+                rep = state.server_step(t, state.train_round(t))
+                state.evaluate_round(rep)
                 rep.wall_clock = time.perf_counter() - t0
                 state.reports.append(rep)
                 if state.writer:
@@ -414,22 +417,30 @@ def run(config: ExperimentConfig) -> RunState:
 
 
 def load_metrics(path) -> list[dict]:
-    """Parse metrics.csv back into typed row dicts (round-trip of report_rows)."""
+    """Parse metrics.csv back into typed row dicts (round-trip of report_rows);
+    FormatError naming the file, and the line and column of a bad field."""
     rows = []
-    with open(path, newline="") as f:
+    with open_utf8(path) as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != METRICS_COLUMNS:
-            raise ConfigError(f"unexpected metrics header in {path}")
+            raise FormatError(f"{path}: unexpected metrics header {reader.fieldnames}")
         for raw in reader:
+            line = reader.line_num
+            if None in raw or None in raw.values():
+                raise FormatError(f"{path}: line {line} does not have the header's "
+                                  f"{len(METRICS_COLUMNS)} fields")
             row = {}
             for key, val in raw.items():
-                if val == "":
-                    row[key] = None
-                elif key in ("round", "client_id", "n_k", "xi"):
-                    row[key] = int(val)
-                elif key == "is_top":
-                    row[key] = val == "1"
-                else:
-                    row[key] = float(val)
+                try:
+                    if val == "":
+                        row[key] = None
+                    elif key in ("round", "client_id", "n_k", "xi"):
+                        row[key] = int(val)
+                    elif key == "is_top":
+                        row[key] = val == "1"
+                    else:
+                        row[key] = float(val)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {line}, column {key}: {exc}") from exc
             rows.append(row)
     return rows

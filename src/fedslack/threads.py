@@ -9,11 +9,12 @@ in another order (the (25, 784) @ (784, 256) forward matmul of a 784-256-10
 MLP, and the (50,) @ (50, P) aggregation of 50 clients), so a run's bits
 would depend on the BLAS thread count.  A cohort trained on another thread
 runs exactly the calls it runs on the main one, and writes only its own
-rows of the round's matrices.  So `workers` pins the loaded OpenBLAS to one
-thread for a run or an eval, and yields `for_each` bound to its pool, which
-runs the cohorts, or eval's chunks (see `metrics.evaluate`), from one queue
-on up to `cores()` threads; numpy releases the interpreter lock in its
-matmuls and ufuncs, so the threads overlap there.
+rows of the round's matrices.  So `one_blas_thread` pins the loaded
+OpenBLAS to one thread for a run or an eval, and `for_each` runs the
+cohorts, or eval's chunks (see `metrics.evaluate`), from one queue on up to
+`cores()` threads, started for the call and joined before it returns;
+numpy releases the interpreter lock in its matmuls and ufuncs, so the
+threads overlap there.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import functools
 import itertools
 import os
 import queue
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -69,45 +70,41 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 @contextmanager
-def workers() -> Iterator[Callable[..., list]]:
-    """For the block, `each(fn, items)`: `for_each` on the calling thread and a
-    pool of cores() - 1 threads (started at first use, shut down on exit),
-    with the loaded OpenBLAS on one thread until exit; without a limiter
-    found, warn that the block's bits may depend on the BLAS thread count."""
+def one_blas_thread() -> Iterator[None]:
+    """The loaded OpenBLAS on one thread for the block, its count restored on
+    exit; without a limiter found, warn that the block's bits may depend on
+    the BLAS thread count."""
     limiter = _openblas()
     if limiter is None:
-        # stacklevel 3 names the line that enters `workers`
+        # stacklevel 3 names the line that enters `one_blas_thread`
         warnings.warn("no OpenBLAS thread limiter found: the run's bits may depend "
                       "on the BLAS thread count", RuntimeWarning, stacklevel=3)
-    else:
-        get, set_ = limiter
-        old = get()
-        set_(1)
-    n_threads = cores()
+        yield
+        return
+    get, set_ = limiter
+    old = get()
+    set_(1)
     try:
-        with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-            yield functools.partial(for_each, pool=pool, n_threads=n_threads)
+        yield
     finally:
-        if limiter is not None:
-            set_(old)
+        set_(old)
 
 
-def for_each(fn: Callable[[T], R], items: Sequence[T],
-             pool: ThreadPoolExecutor | None = None, n_threads: int = 1) -> list[R]:
-    """`[fn(item) for item in items]`, on the calling thread and up to
-    n_threads - 1 of `pool`'s (no pool is needed for one thread), each taking
+def for_each(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """`[fn(item) for item in items]`, on the calling thread and
+    min(len(items), cores()) - 1 threads started for the call, each taking
     the next item in order; all have finished when this returns.  If items
     fail, the earliest one's exception is raised, as calling `fn` on them in
     order raises it.
 
-    The calling thread works too, rather than waiting on `pool.map`: each
-    thread that allocates gets its own glibc malloc arena, and a third one
-    took the wide benchmark's peak memory from 77 to 84 MB."""
+    The calling thread works too, rather than only waiting: each thread that
+    allocates gets its own glibc malloc arena, and a third one took the wide
+    benchmark's peak memory from 77 to 84 MB."""
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for item in enumerate(items):
         todo.put(item)
     results: list = [None] * len(items)
-    failed: dict[int, Exception] = {}
+    failed: dict[int, BaseException] = {}
 
     def drain() -> None:
         while not failed:
@@ -117,15 +114,17 @@ def for_each(fn: Callable[[T], R], items: Sequence[T],
                 return
             try:
                 results[i] = fn(item)
-            except Exception as exc:   # raised below, once every thread has finished
+            except BaseException as exc:   # raised below, once every thread has finished
                 failed[i] = exc
 
-    others = [pool.submit(drain) for _ in range(min(len(items), n_threads) - 1)]
+    others = [threading.Thread(target=drain) for _ in range(min(len(items), cores()) - 1)]
+    for thread in others:
+        thread.start()
     try:
         drain()
     finally:
-        for future in others:
-            future.result()
+        for thread in others:
+            thread.join()
     if failed:
         raise failed[min(failed)]
     return results

@@ -99,6 +99,20 @@ def test_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(ds.features, [[0.25, 0.5], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"label,f0\n0,0.5\xff\n", "is not UTF-8 text"),
+    (b"label,f0\n0,1.5\n", "features must be finite and lie in [0, 1]")],
+    ids=["not_utf8", "out_of_range"])
+def test_a_malformed_csv_is_a_format_error_naming_it(tmp_path, body, message):
+    # a byte that is not UTF-8 used to raise UnicodeDecodeError, and a
+    # feature out of range named no file
+    path = tmp_path / "data.csv"
+    path.write_bytes(body)
+    with pytest.raises(FormatError) as info:
+        data.load_csv(path)
+    assert str(info.value).startswith(str(path)) and message in str(info.value)
+
+
 def make_uniform_dataset(samples_per_class, num_classes, seed=0):
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     feats = np.random.default_rng(seed).uniform(size=(len(labels), 2))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fedslack import nn
+from fedslack import nn, threads
 from fedslack.attacks import AttackSpec
 from fedslack.data import Dataset
 from fedslack.metrics import (EvalAttack, client_drift, evaluate, gradient_variance,
@@ -121,13 +121,13 @@ def test_attack_cannot_change_constant_argmax():
 
 
 @pytest.mark.parametrize("attack", [EvalAttack.FGSM, EvalAttack.PGD])
-def test_evaluate_rejects_a_random_start_before_splitting_the_test_set(attack):
+def test_evaluate_rejects_a_random_start_before_splitting_the_test_set(monkeypatch, attack):
     # eval draws no noise: a random-start spec is an error, not a score
     chunked = []
+    monkeypatch.setattr(threads, "for_each", lambda fn, items: chunked.append(items))
     spec = AttackSpec(0.1, 0.02, steps=5, random_start=True)
     with pytest.raises(ValueError, match="draws no random start"):
-        evaluate(const_model(), balanced_dataset(), attack, spec,
-                 lambda fn, items: chunked.append(items))
+        evaluate(const_model(), balanced_dataset(), attack, spec)
     assert chunked == []
 
 

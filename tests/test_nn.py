@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -344,6 +345,15 @@ def test_load_checkpoint_rejects_bytes_after_the_values(tmp_path):
     assert np.array_equal(nn.load_checkpoint(path).params.values, m.params.values)
     write_checkpoint(path, m.layout, m.params.values, tail=b"\0" * 8)
     with pytest.raises(FormatError, match="8 bytes after its values"):
+        nn.load_checkpoint(path)
+
+
+def test_a_checkpoint_layer_name_that_is_not_utf8_is_a_format_error_naming_it(tmp_path):
+    # used to raise UnicodeDecodeError, naming no file
+    path = tmp_path / "model.bin"
+    nn.save_checkpoint(nn.Model.init([3, 5, 2], stream(4, "init")), path)
+    path.write_bytes(path.read_bytes().replace(b"dense0.W", b"dense0.\xff", 1))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: checkpoint layer entries")):
         nn.load_checkpoint(path)
 
 

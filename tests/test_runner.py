@@ -13,7 +13,7 @@ from fedslack import aggregation, cli, nn, runner, threads
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
-from fedslack.errors import ConfigError
+from fedslack.errors import ConfigError, FormatError
 from fedslack.local import LocalConfig, Trainer
 from fedslack.runner import (DatasetSpec, ExperimentConfig, config_from_dict,
                              config_to_dict, load_config, load_metrics,
@@ -701,7 +701,8 @@ def test_cli_eval_rejects_a_checkpoint_declaring_more_values_than_it_holds(tmp_p
                      + struct.pack("<IIII", 3, 2**31, 2**31, 4))
     csv_path = write_csv(tmp_path / "test.csv", [(0, (0.1, 0.2, 0.3))])
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--test", csv_path]) == cli.EXIT_CONFIG
-    assert f"checkpoint truncated: wanted {2**67} bytes, 0 left" in capsys.readouterr().err
+    assert (f"{ckpt}: checkpoint truncated: its header declares {2**67} bytes, 0 follow it"
+            in capsys.readouterr().err)
 
 
 def test_cli_run_rejects_an_idx_header_declaring_more_pixels_than_the_file_holds(tmp_path,
@@ -718,6 +719,44 @@ def test_cli_run_rejects_an_idx_header_declaring_more_pixels_than_the_file_holds
     assert (f"image file truncated: its header declares {(2**32 - 1)**3} bytes, 0 follow it"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"rounds": 1\xff}',
+                                     b'{"rounds": ' + b"1" * 5001 + b"}"],
+                         ids=["nested", "not_utf8", "long_integer"])
+def test_cli_run_names_a_config_it_cannot_parse(tmp_path, capsys, content):
+    # these used to exit 1 with a RecursionError traceback, or print a decode
+    # or digit-limit message naming no file
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"error: cannot read config {path}: " in capsys.readouterr().err
+
+
+METRICS_ROW = b"1,0,5,0.1,0.1,0.1,1,0.1,0,0.1,,,"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([b"round,client_id", b"1,0"], "unexpected metrics header"),
+    ([METRICS_ROW.replace(b"1,0,", b"1,x,", 1)],
+     "line 2, column client_id: invalid literal for int()"),
+    ([METRICS_ROW, b"1,0,5"], "line 3 does not have the header's 13 fields"),
+    ([METRICS_ROW + b",9"], "line 2 does not have the header's 13 fields"),
+    ([METRICS_ROW + b"\xff"], "is not UTF-8 text")],
+    ids=["header", "not_an_int", "short_row", "long_row", "not_utf8"])
+def test_a_malformed_metrics_file_is_a_format_error_naming_it(tmp_path, capsys, rows,
+                                                              message):
+    # these used to raise ConfigError, a ValueError naming no file, or a
+    # TypeError traceback
+    path = tmp_path / "metrics.csv"
+    if rows[0] != b"round,client_id":
+        rows = [",".join(runner.METRICS_COLUMNS).encode()] + rows
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    with pytest.raises(FormatError) as info:
+        load_metrics(path)
+    assert str(info.value).startswith(str(path)) and message in str(info.value)
+    assert cli.main(["trace-topk", "--run", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert f"error: {info.value}\n" == capsys.readouterr().err
 
 
 def test_cli_sweep_gives_distinct_values_distinct_run_directories(tmp_path):
@@ -794,10 +833,10 @@ def test_the_round_phases_called_by_hand_reproduce_run(name):
     whole = run(config)
     state = runner.RunState(config)
     reports = []
-    with threads.workers() as each:
+    with threads.one_blas_thread():
         for t in range(1, config.rounds + 1):
-            rep = state.server_step(t, state.train_round(t, each))
-            state.evaluate_round(rep, each)
+            rep = state.server_step(t, state.train_round(t))
+            state.evaluate_round(rep)
             reports.append(rep)
     assert reports == [replace(r, wall_clock=0.0) for r in whole.reports]
     assert state.model.params.values.tobytes() == whole.model.params.values.tobytes()

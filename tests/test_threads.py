@@ -4,7 +4,6 @@ BLAS calls on one: the bits of a run depend on neither count."""
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import math
@@ -13,7 +12,6 @@ import runpy
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +141,56 @@ def test_a_run_leaves_no_thread_behind(monkeypatch, tmp_path):
     assert threading.active_count() == before
 
 
+def test_for_each_returns_the_serial_results_in_item_order(monkeypatch):
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    # the first two items wait for each other, so they run on two threads
+    both = threading.Barrier(2, timeout=10)
+    seen = set()
+
+    def square(i):
+        if i < 2:
+            both.wait()
+        seen.add(threading.get_ident())
+        return i * i
+
+    assert threads.for_each(square, range(40)) == [i * i for i in range(40)]
+    assert len(seen) == 2
+
+
+class Stop(BaseException):
+    """Not an Exception: a bare thread drops it unless `for_each` keeps it."""
+
+
+def test_a_base_exception_raised_on_the_started_thread_propagates(monkeypatch):
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    raised = threading.Event()
+
+    def fn(i):
+        if threading.current_thread() is threading.main_thread():
+            assert raised.wait(timeout=10)
+            return i
+        raised.set()
+        raise Stop(i)
+
+    with pytest.raises(Stop):
+        threads.for_each(fn, [0, 1])
+
+
+def test_for_each_leaves_no_thread_behind_a_call_that_fails_or_not(monkeypatch):
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    before = threading.active_count()
+
+    def fail(exc):
+        raise exc
+
+    assert threads.for_each(abs, [-1, 2, -3]) == [1, 2, 3]
+    assert threading.active_count() == before
+    for exc in (ValueError("item"), Stop()):
+        with pytest.raises(type(exc)):
+            threads.for_each(fail, [exc, exc, exc])
+        assert threading.active_count() == before
+
+
 def test_a_run_pins_openblas_to_one_thread_and_restores_its_count(monkeypatch, tmp_path):
     limiter = threads._openblas()
     if limiter is None:
@@ -164,11 +212,11 @@ def test_a_run_says_when_it_finds_no_blas_thread_limiter(monkeypatch, tmp_path):
     monkeypatch.setattr(threads, "_openblas", lambda: None)
     with pytest.warns(RuntimeWarning, match="no OpenBLAS thread limiter") as record:
         run_digest(GOLDEN["at_fedavg_fat"][0], tmp_path)
-    # the warning names the line of `run` that enters `threads.workers()`
+    # the warning names the line of `run` that enters `threads.one_blas_thread()`
     [warning] = [w for w in record if "thread limiter" in str(w.message)]
     assert Path(warning.filename).name == "runner.py"
     source = Path(runner.__file__).read_text().splitlines()
-    assert "threads.workers()" in source[warning.lineno - 1]
+    assert "threads.one_blas_thread()" in source[warning.lineno - 1]
 
 
 def test_replay_does_not_depend_on_the_openblas_thread_count(tmp_path):
@@ -200,6 +248,11 @@ def trained():
     return run(config).model, test_set, config.local.attack
 
 
+def evaluate_at(monkeypatch, n_threads, *args):
+    monkeypatch.setattr(threads, "cores", lambda: n_threads)
+    return evaluate(*args)
+
+
 def split_eval(monkeypatch, n_rows, n_chunks):
     """Set the chunk height so that eval splits `n_rows` rows into `n_chunks`
     chunks; returns the height."""
@@ -217,22 +270,20 @@ def test_eval_in_chunks_gives_the_same_bits_on_one_and_two_threads(
     height = split_eval(monkeypatch, len(y), n_chunks)
     cases = [(EvalAttack.NONE, None, None), (EvalAttack.FGSM, spec.evaluation(1), fgsm),
              (EvalAttack.PGD, spec.evaluation(20), pgd)]
-    with ThreadPoolExecutor(1) as pool:
-        for attack, attack_spec, attack_fn in cases:
-            one = evaluate(model, test_set, attack, attack_spec)
-            two = evaluate(model, test_set, attack, attack_spec,
-                           functools.partial(threads.for_each, pool=pool, n_threads=2))
-            assert one == two
+    for attack, attack_spec, attack_fn in cases:
+        one, two = (evaluate_at(monkeypatch, n, model, test_set, attack, attack_spec)
+                    for n in (1, 2))
+        assert one == two
 
-            def adversarial(rows):
-                return X[rows] if attack_fn is None else \
-                    attack_fn(model, X[rows], y[rows], attack_spec)
+        def adversarial(rows):
+            return X[rows] if attack_fn is None else \
+                attack_fn(model, X[rows], y[rows], attack_spec)
 
-            # the one-chunk formula, on adversarial batches bit-equal to the chunks'
-            whole = adversarial(slice(None))
-            chunks = [adversarial(slice(i, i + height)) for i in range(0, len(y), height)]
-            assert np.array_equal(np.concatenate(chunks), whole)
-            assert one == float(np.mean(nn.forward_batch(model, whole).argmax(axis=1) == y))
+        # the one-chunk formula, on adversarial batches bit-equal to the chunks'
+        whole = adversarial(slice(None))
+        chunks = [adversarial(slice(i, i + height)) for i in range(0, len(y), height)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        assert one == float(np.mean(nn.forward_batch(model, whole).argmax(axis=1) == y))
 
 
 def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
@@ -251,9 +302,9 @@ def test_the_earliest_failing_eval_chunk_raises_when_a_later_one_fails_first(
         raise DivergenceError("second chunk")
 
     monkeypatch.setattr(metrics, "pgd", failing_pgd)
-    with ThreadPoolExecutor(1) as pool, pytest.raises(DivergenceError, match="first chunk"):
-        evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20),
-                 functools.partial(threads.for_each, pool=pool, n_threads=2))
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    with pytest.raises(DivergenceError, match="first chunk"):
+        evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
 
 
 def model_and_test_set(raw):
@@ -284,7 +335,7 @@ def test_the_wide_and_fleet_benchmarks_halve_their_eval(name, n_chunks):
 
 
 @pytest.mark.parametrize("name, height", [("fleet_scaffold", 160), ("wide_trades", 152)])
-def test_a_benchmarks_eval_halves_give_the_whole_batchs_bits(name, height):
+def test_a_benchmarks_eval_halves_give_the_whole_batchs_bits(monkeypatch, name, height):
     # each half's adversarial rows and logits are the whole batch's rows, so
     # the halves' counts sum to the whole batch's on any number of threads
     model, test_set, spec = model_and_test_set(bench_config(name))
@@ -292,18 +343,28 @@ def test_a_benchmarks_eval_halves_give_the_whole_batchs_bits(name, height):
     assert metrics.eval_chunk_rows(len(y), model.params.values.size) == height
     cases = [(EvalAttack.FGSM, spec.evaluation(1), fgsm),
              (EvalAttack.PGD, spec.evaluation(20), pgd)]
-    with ThreadPoolExecutor(1) as pool:
-        for attack, attack_spec, attack_fn in cases:
-            whole = attack_fn(model, X, y, attack_spec)
-            halves = [attack_fn(model, X[rows], y[rows], attack_spec)
-                      for rows in (slice(None, height), slice(height, None))]
-            assert np.array_equal(np.concatenate(halves), whole)
-            logits = [nn.forward_batch(model, half) for half in halves]
-            assert np.array_equal(np.concatenate(logits), nn.forward_batch(model, whole))
-            one = evaluate(model, test_set, attack, attack_spec)
-            two = evaluate(model, test_set, attack, attack_spec,
-                           functools.partial(threads.for_each, pool=pool, n_threads=2))
-            assert one == two
+    for attack, attack_spec, attack_fn in cases:
+        whole = attack_fn(model, X, y, attack_spec)
+        halves = [attack_fn(model, X[rows], y[rows], attack_spec)
+                  for rows in (slice(None, height), slice(height, None))]
+        assert np.array_equal(np.concatenate(halves), whole)
+        logits = [nn.forward_batch(model, half) for half in halves]
+        assert np.array_equal(np.concatenate(logits), nn.forward_batch(model, whole))
+        one, two = (evaluate_at(monkeypatch, n, model, test_set, attack, attack_spec)
+                    for n in (1, 2))
+        assert one == two
+
+
+def test_evaluate_outside_a_run_gives_the_same_float_on_one_and_two_cores(monkeypatch):
+    # no BLAS scope and no run: eval still scores the fleet benchmark's
+    # test set in two halves, one per core, with the same bits
+    raw = bench_config("fleet_scaffold")
+    assert eval_chunks(raw) == 2
+    model, test_set, spec = model_and_test_set(raw)
+    for attack, attack_spec in ((EvalAttack.NONE, None), (EvalAttack.PGD, spec.evaluation(20))):
+        one, two = (evaluate_at(monkeypatch, n, model, test_set, attack, attack_spec)
+                    for n in (1, 2))
+        assert one == two
 
 
 @pytest.mark.parametrize("P", [229, 50_826, 203_530, 10**9])
