@@ -172,22 +172,23 @@ def load_idx(images_path, labels_path) -> Dataset:
     with open(images_path, "rb") as f:
         header = f.read(16)
         if len(header) != 16:
-            raise FormatError("image file header truncated")
+            raise FormatError(f"{images_path}: image file header truncated")
         magic, count, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"bad image magic 0x{magic:08x}")
+            raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}")
         raw = read_declared(f, count * rows * cols, "image file")
         features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         header = f.read(8)
         if len(header) != 8:
-            raise FormatError("label file header truncated")
+            raise FormatError(f"{labels_path}: label file header truncated")
         magic, label_count = struct.unpack(">II", header)
         if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"bad label magic 0x{magic:08x}")
+            raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
         labels = np.frombuffer(read_declared(f, label_count, "label file"), dtype=np.uint8)
     if count != label_count:
-        raise FormatError(f"image count {count} != label count {label_count}")
+        raise FormatError(f"image count {count} in {images_path} != label count "
+                          f"{label_count} in {labels_path}")
     num_classes = int(labels.max()) + 1 if len(labels) else 1
     return Dataset(features.astype(np.float64) / 255.0, labels.astype(np.intp),
                    max(num_classes, 2))

@@ -32,9 +32,9 @@ The caller hands each cohort the global model and its rows of the round's
 upload matrix (and, under SCAFFOLD, of its delta matrix) as a strided view
 to train and write in; `train_client` returns only the clients' mean
 losses.  It writes nothing else that another cohort reads, so a round's
-cohorts may train on several threads at once.  Each call allocates its parameter-sized (M, P)
-buffers once, the gradients and one scratch array, and reuses them batch
-after batch.
+cohorts may train on several threads at once.  Each call owns three
+parameter-sized (M, P) buffers, the gradients, the SGD velocity and one
+scratch array, allocates each once and reuses it batch after batch.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class LocalConfig:
 
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray, theta_global: np.ndarray,
-                  mu: float, scratch: np.ndarray | None = None) -> np.ndarray:
+                  mu: float, scratch: np.ndarray) -> np.ndarray:
     """Add the proximal pull mu*(theta_local - theta_global) to `grads` in place;
-    the pull is computed in `scratch`, shaped like `grads`, when given."""
+    the pull is computed in `scratch`, shaped like `grads`."""
     pull = np.subtract(theta_local, theta_global, scratch)
     pull *= mu
     grads += pull
@@ -117,14 +117,14 @@ def apply_scaffold(grads: np.ndarray, c_global: np.ndarray,
 
 def update_scaffold_client(theta_global: np.ndarray, theta_local: np.ndarray,
                            n_steps: int, lr: float, c_local: np.ndarray,
-                           c_global: np.ndarray, out: np.ndarray | None = None,
-                           scratch: np.ndarray | None = None) -> np.ndarray:
+                           c_global: np.ndarray, out: np.ndarray,
+                           scratch: np.ndarray) -> np.ndarray:
     """New local variate: c_local - c_global + (theta_global - theta_local)/(steps*lr).
 
-    Written into `out` when given, in that order of association; the step
-    term is computed in `scratch`, shaped like `theta_local`, when given.
+    Written into `out`, in that order of association; the step term is
+    computed in `scratch`, shaped like `theta_local`.
     """
-    out = np.subtract(c_local, c_global, out=out)
+    np.subtract(c_local, c_global, out=out)
     step = np.subtract(theta_global, theta_local, scratch)
     step /= n_steps * lr
     out += step
@@ -228,12 +228,10 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
                if _attack_draws(config) else None)
     model = nn.Model(global_model.dims, out)
     out[...] = global_model.params.values
-    # the cohort's two parameter-sized buffers: the gradients, and the scratch
-    # the SGD step, the FedProx pull, TRADES' second backprop and the SCAFFOLD
-    # update take turns in
-    grads = np.empty(out.shape)
-    state = nn.SgdState(config.lr, config.momentum, config.weight_decay,
-                        scratch=np.empty(out.shape))
+    # the gradients, and the scratch the SGD step, the FedProx pull, TRADES'
+    # second backprop and the SCAFFOLD update take turns in; the velocity is
+    # allocated at the first step, so it is not live through the first batch
+    grads, scratch = np.empty(out.shape), np.empty(out.shape)
 
     def diverged(what: str, row: int, epoch: int, b: int) -> DivergenceError:
         return DivergenceError(f"round {cohort.round_idx}, client {ids[row]}, "
@@ -250,7 +248,7 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
             try:
                 loss, _ = _batch_objective(model, dataset.features[idx],
                                            dataset.labels[idx], config, attacks, grads,
-                                           state.scratch)
+                                           scratch)
             except DivergenceError as exc:
                 raise diverged("attack gradient", exc.row, epoch, b) from exc
             finite = np.isfinite(loss)
@@ -258,10 +256,13 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
                 raise diverged("loss", int(np.argmin(finite)), epoch, b)
             if config.fedprox_mu > 0.0:
                 apply_fedprox(grads, out, global_model.params.values, config.fedprox_mu,
-                              state.scratch)
+                              scratch)
             if scaffold:
                 apply_scaffold(grads, c_global, c_local)
-            nn.sgd_step(model, grads, state)
+            if n_steps == 0:
+                velocity = np.zeros(out.shape)
+            nn.sgd_step(model, grads, velocity, scratch, config.lr, config.momentum,
+                        config.weight_decay)
             n_steps += 1
             loss_sum = loss_sum + loss * idx.shape[-1]
 
@@ -270,7 +271,7 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
         raise diverged("parameters", int(np.argmin(finite)), epoch, b)
     if scaffold:
         update_scaffold_client(global_model.params.values, out, n_steps, config.lr, c_local,
-                               c_global, out=delta_out, scratch=state.scratch)
+                               c_global, delta_out, scratch)
         delta_out -= c_local
     return (loss_sum / n).tolist()
 
@@ -289,9 +290,10 @@ def _batch_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: Lo
 
 
 def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: LocalConfig,
-                      rng: Rng, grads: np.ndarray | None = None,
-                      scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x))."""
+                      rng: Rng, grads: np.ndarray,
+                      scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CE on clean data plus beta * KL(softmax f(x_adv) || softmax f(x)), its
+    gradients written into `grads`; the second backprop's go to `scratch`."""
     beta = config.trades_beta
     n = yb.shape[-1]
     logits_nat, acts_nat = nn._forward_cache(model, xb)
@@ -310,6 +312,6 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: L
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
     dl_adv = beta * q * (s - kl[..., None]) / n
-    grads = nn.backprop(model, acts_nat, dl_nat, grads)
+    nn.backprop(model, acts_nat, dl_nat, grads)
     grads += nn.backprop(model, acts_adv, dl_adv, scratch)
     return loss, grads

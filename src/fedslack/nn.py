@@ -30,8 +30,9 @@ Gradients and the SGD velocity are plain float64 arrays in the order of
 Each backward pass computes only the gradients its caller reads:
 `backprop` returns the flat parameter gradient alone, and `input_backprop`
 the per-sample input gradient alone (the attacks' path, with no
-weight-gradient matmul).  `sgd_step` updates the velocity it owns and the
-parameter buffer in place.
+weight-gradient matmul).  `sgd_step` updates the velocity and the
+parameter buffer in place; its caller, `local.train_client`, owns the
+velocity, the gradients and the scratch the step computes in.
 
 Everything is float64 and pure given explicit inputs.
 """
@@ -268,52 +269,23 @@ def input_grads_ce(model: Model, X: np.ndarray, onehot: np.ndarray) -> np.ndarra
     return input_backprop(model, acts, dlogits)
 
 
-@dataclass
-class SgdState:
-    """SGD with momentum and weight decay; velocity lives per round.
-
-    `scratch`, shaped like the parameters, holds the step's products; a
-    caller may borrow it between steps, so that a round's training allocates
-    no parameter-sized array per batch.  Both buffers are allocated at the
-    first step unless given.
-    """
-
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocity: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
-
-
-def sgd_step(model: Model, grads: np.ndarray, state: SgdState) -> Model:
+def sgd_step(model: Model, grads: np.ndarray, velocity: np.ndarray, scratch: np.ndarray,
+             lr: float, momentum: float, weight_decay: float) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
-    Updates `state.velocity` and `model.params` in place, in that order of
-    association, so the rounding equals the out-of-place formula; `grads` is
-    not modified.  For a stacked model each op runs once over all the
-    clients' rows.
+    Updates `velocity` and `model.params` in place, in that order of
+    association, so the rounding equals the out-of-place formula; the step's
+    products go to `scratch`, and `grads` is not modified.  All three are
+    shaped like the parameters.  For a stacked model each op runs once over
+    all the clients' rows.
     """
     theta = model.params.values
     if np.shape(grads) != theta.shape:
         raise ShapeError(f"gradient has shape {np.shape(grads)}, model needs {theta.shape}")
-    if state.velocity is None:
-        state.velocity = np.zeros_like(theta)
-    if state.scratch is None:
-        state.scratch = np.empty_like(theta)
-    v, scratch = state.velocity, state.scratch
-    v *= state.momentum
-    v += grads
-    v += np.multiply(state.weight_decay, theta, scratch)
-    theta -= np.multiply(state.lr, v, scratch)
-    return model
+    velocity *= momentum
+    velocity += grads
+    velocity += np.multiply(weight_decay, theta, scratch)
+    theta -= np.multiply(lr, velocity, scratch)
 
 
 def save_checkpoint(model: Model, path) -> None:

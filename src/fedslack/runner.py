@@ -178,7 +178,7 @@ def _merged(default, raw: dict, prefix: str = ""):
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
         elif hint is float and isinstance(value, int):
             try:
-                float(value)
+                value = float(value)
             except OverflowError:
                 raise ConfigError(f"{key} must fit a float64, got an integer beyond "
                                   f"{sys.float_info.max:.4g} in magnitude") from None
@@ -437,6 +437,8 @@ def load_metrics(path) -> list[dict]:
                     elif key in ("round", "client_id", "n_k", "xi"):
                         row[key] = int(val)
                     elif key == "is_top":
+                        if val not in ("0", "1"):
+                            raise ValueError(f"must be 0, 1 or empty, got {val!r}")
                         row[key] = val == "1"
                     else:
                         row[key] = float(val)

@@ -96,10 +96,10 @@ def test_attack_strength_monotone_trend():
     X = rng.uniform(size=(256, 3))
     y = (X[:, 0] > 0.5).astype(int)
     m = make_model(seed=6)
-    state = nn.SgdState(lr=0.5)
+    velocity, scratch = np.zeros_like(m.params.values), np.empty_like(m.params.values)
     for _ in range(100):
         _, g = nn.batch_loss_and_grads(m, X, y)
-        nn.sgd_step(m, g, state)
+        nn.sgd_step(m, g, velocity, scratch, 0.5, 0.0, 0.0)
     nat = nn.cross_entropy(nn.forward_batch(m, X), y).mean()
     one = AttackSpec(0.08, 0.08, steps=1)
     ten = AttackSpec(0.08, 0.02, steps=10)

@@ -279,8 +279,8 @@ def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
     # the last SGD step (epoch 1, batch 0) leaves the second client an inf
     original, steps = nn.sgd_step, []
 
-    def poisoned(model, grads, state):
-        original(model, grads, state)
+    def poisoned(model, grads, *buffers_and_rates):
+        original(model, grads, *buffers_and_rates)
         steps.append(1)
         if len(steps) == 2:
             model.params.values[1, 0] = np.inf

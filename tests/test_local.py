@@ -46,7 +46,7 @@ def test_fedprox_mu_zero_noop():
     """apply_fedprox updates `grads` in place, so compare with a copy taken before."""
     g = np.array([1.0, 2.0])
     g0 = g.copy()
-    out = apply_fedprox(g, np.array([3.0, 4.0]), np.array([0.0, 0.0]), 0.0)
+    out = apply_fedprox(g, np.array([3.0, 4.0]), np.array([0.0, 0.0]), 0.0, np.empty(2))
     assert np.array_equal(out, g0)
 
 
@@ -55,13 +55,13 @@ def test_fedprox_zero_drift_noop():
     g = np.array([1.0, 2.0])
     g0 = g.copy()
     th = np.array([3.0, 4.0])
-    out = apply_fedprox(g, th, th, 5.0)
+    out = apply_fedprox(g, th, th, 5.0, np.empty(2))
     assert np.array_equal(out, g0)
 
 
 def test_fedprox_default_mu_arithmetic():
     g = np.array([0.0, 0.0])
-    out = apply_fedprox(g, np.array([1.0, -2.0]), np.array([0.0, 0.0]), 0.01)
+    out = apply_fedprox(g, np.array([1.0, -2.0]), np.array([0.0, 0.0]), 0.01, np.empty(2))
     np.testing.assert_allclose(out, [0.01, -0.02], rtol=1e-15)
 
 
@@ -84,7 +84,8 @@ def test_scaffold_equal_variates_noop():
 def test_scaffold_client_variate_update():
     c_new = update_scaffold_client(np.array([1.0, 1.0]), np.array([0.0, 0.0]), n_steps=5,
                                    lr=0.1, c_local=np.array([0.2, 0.2]),
-                                   c_global=np.array([0.1, 0.1]))
+                                   c_global=np.array([0.1, 0.1]), out=np.empty(2),
+                                   scratch=np.empty(2))
     # c_local - c_global + (1 - 0)/(5*0.1) = 0.1 + 2.0
     np.testing.assert_allclose(c_new, [2.1, 2.1], rtol=1e-12)
 
@@ -169,7 +170,7 @@ def test_at_single_step_replay_oracle():
     rng = stream(3, "attack", 2, 0)
     x_adv = pgd(model, xb, yb, cfg.attack, rng)
     loss, grads = nn.batch_loss_and_grads(model, x_adv, yb)
-    nn.sgd_step(model, grads, nn.SgdState(lr=0.1))
+    nn.sgd_step(model, grads, np.zeros_like(grads), np.empty_like(grads), 0.1, 0.0, 0.0)
     assert np.array_equal(up, model.params.values)
     assert up_loss == pytest.approx(loss, abs=1e-15)
 
@@ -185,7 +186,7 @@ def test_at_multi_batch_replay_draws_each_purposes_stream_in_order():
     up, up_loss = train(shard, ds, theta, cfg, master_seed=3, round_idx=2)
 
     model = nn.Model(theta.dims, theta.params.values.copy())
-    state = nn.SgdState(cfg.lr, cfg.momentum, cfg.weight_decay)
+    velocity, scratch = np.zeros_like(model.params.values), np.empty_like(model.params.values)
     orders, attacks = stream(3, "batch-order", 2, 4), stream(3, "attack", 2, 4)
     for _ in range(cfg.epochs):
         order = orders.permutation(20)
@@ -195,7 +196,7 @@ def test_at_multi_batch_replay_draws_each_purposes_stream_in_order():
             xb, yb = ds.features[idx], ds.labels[idx]
             loss, grads = nn.batch_loss_and_grads(model, pgd(model, xb, yb, cfg.attack, attacks),
                                                   yb)
-            nn.sgd_step(model, grads, state)
+            nn.sgd_step(model, grads, velocity, scratch, cfg.lr, cfg.momentum, cfg.weight_decay)
             loss_sum = loss_sum + loss * len(idx)
     assert np.array_equal(up, model.params.values)
     assert up_loss == loss_sum / 20
@@ -301,7 +302,8 @@ def test_trades_param_grads_match_finite_differences():
     from fedslack.local import _trades_objective
     X, y = ds.features, ds.labels
     rng = stream(1, "na")
-    loss, grads = _trades_objective(model, X, y, cfg, rng)
+    P = model.params.values.size
+    loss, grads = _trades_objective(model, X, y, cfg, rng, np.empty(P), np.empty(P))
     vec = model.params.values.copy()
     h = 1e-6
     for i in range(0, len(vec), 5):
@@ -309,7 +311,7 @@ def test_trades_param_grads_match_finite_differences():
             v = vec.copy()
             v[i] += sign * h
             model.params.values[:] = v
-            l, _ = _trades_objective(model, X, y, cfg, rng)
+            l, _ = _trades_objective(model, X, y, cfg, rng, np.empty(P), np.empty(P))
             if sign > 0:
                 lp = l
             else:

@@ -182,16 +182,15 @@ def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
 def test_sgd_plain_step():
     m = nn.Model([2, 2], np.array([1.0] * 4 + [0.0] * 2))
     g = np.full_like(m.params.values, 0.5)
-    state = nn.SgdState(lr=1.0)
-    nn.sgd_step(m, g, state)
+    nn.sgd_step(m, g, np.zeros(6), np.empty(6), 1.0, 0.0, 0.0)
     np.testing.assert_allclose(m.params.values, np.array([0.5] * 4 + [-0.5] * 2))
 
 
 def test_sgd_zero_grads_fixed_point():
     m = nn.Model.init([2, 2], stream(1, "init"))
     before = m.params.values.copy()
-    state = nn.SgdState(lr=0.1, momentum=0.9)
-    nn.sgd_step(m, np.zeros_like(m.params.values), state)
+    zero = np.zeros_like(m.params.values)
+    nn.sgd_step(m, zero, zero.copy(), np.empty_like(zero), 0.1, 0.9, 0.0)
     np.testing.assert_array_equal(m.params.values, before)
 
 
@@ -200,9 +199,9 @@ def test_sgd_two_step_momentum_recurrence():
     # so total decrease is 0.1*g + 0.1*1.9*g
     m = nn.Model([1, 1], np.zeros(2))
     g = np.array([1.0, 1.0])
-    state = nn.SgdState(lr=0.1, momentum=0.9)
-    nn.sgd_step(m, g, state)
-    nn.sgd_step(m, g, state)
+    velocity, scratch = np.zeros(2), np.empty(2)
+    nn.sgd_step(m, g, velocity, scratch, 0.1, 0.9, 0.0)
+    nn.sgd_step(m, g, velocity, scratch, 0.1, 0.9, 0.0)
     expected = -(0.1 * 1.0 + 0.1 * 1.9)
     np.testing.assert_allclose(m.params.values, [expected, expected], rtol=1e-15)
 
@@ -211,23 +210,23 @@ def test_sgd_step_in_place_equals_the_formula_bitwise():
     m = nn.Model.init([4, 5, 3], stream(2, "init"))
     theta = m.params.values.copy()
     v = np.zeros_like(theta)
-    state = nn.SgdState(lr=0.07, momentum=0.9, weight_decay=3e-4)
+    velocity, scratch = np.zeros_like(theta), np.empty_like(theta)
     rng = stream(2, "grads")
     for _ in range(4):
         g = rng.normal(size=theta.shape)
         g0 = g.copy()
-        nn.sgd_step(m, g, state)
+        nn.sgd_step(m, g, velocity, scratch, 0.07, 0.9, 3e-4)
         v = 0.9 * v + g + 3e-4 * theta
         theta = theta - 0.07 * v
         assert np.array_equal(g, g0)
-    assert np.array_equal(m.params.values, theta) and np.array_equal(state.velocity, v)
+    assert np.array_equal(m.params.values, theta) and np.array_equal(velocity, v)
 
 
 def test_sgd_layout_mismatch():
     m = nn.Model.init([2, 2], stream(1, "init"))
     other = nn.Model.init([3, 2], stream(1, "init"))
     with pytest.raises(ShapeError):
-        nn.sgd_step(m, other.params.values, nn.SgdState(lr=0.1))
+        nn.sgd_step(m, other.params.values, np.zeros(6), np.empty(6), 0.1, 0.0, 0.0)
 
 
 def test_param_vector_roundtrip_bit_exact():
@@ -282,7 +281,7 @@ def test_weights_and_biases_are_views_of_params():
     assert all(np.shares_memory(a, m.params.values) for a in m.weights + m.biases)
     g = np.ones_like(m.params.values)
     w0 = m.weights[1].copy()
-    nn.sgd_step(m, g, nn.SgdState(lr=0.5))
+    nn.sgd_step(m, g, np.zeros_like(g), np.empty_like(g), 0.5, 0.0, 0.0)
     np.testing.assert_array_equal(m.weights[1], w0 - 0.5)
     assert np.array_equal(m.params.values,
                           np.concatenate([a.ravel() for wb in zip(m.weights, m.biases)

@@ -102,7 +102,8 @@ def test_scaffold_updates_match_the_list_oracles_bitwise(m):
 
         theta_g, theta_l, c_local = rng.normal(size=(3, P))
         row = np.empty(P)
-        out = update_scaffold_client(theta_g, theta_l, 3, 0.05, c_local, c_global, out=row)
+        out = update_scaffold_client(theta_g, theta_l, 3, 0.05, c_local, c_global, out=row,
+                                     scratch=np.empty(P))
         out -= c_local
         assert out is row
         assert np.array_equal(row, scaffold_delta(theta_g, theta_l, 3, 0.05, c_local, c_global))

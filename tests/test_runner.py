@@ -339,6 +339,18 @@ def test_config_json_records_the_fedprox_mu_a_run_trains_with(tmp_path, mu, expe
     assert replace(config_from_dict(written), out_dir=None) == config_from_dict(raw)
 
 
+def test_a_float_key_given_as_an_integer_writes_the_bytes_of_the_float(tmp_path):
+    # "alpha": 0 used to write 0 in config.json and metrics.csv, "alpha": 0.0 wrote 0.0
+    written = []
+    for alpha in (0, 0.0):
+        raw = config_to_dict(tiny_config(rounds=1, eval_every=0))
+        raw["policy"] = {"mode": "sfat", "alpha": alpha, "k_hat": 1}
+        assert run_cli_on(tmp_path, raw) == (cli.EXIT_OK, True)
+        written.append([(tmp_path / "out" / name).read_bytes()
+                        for name in ("config.json", "metrics.csv")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("raw, message", [
     ({"policy": {"alpha": 1.5}}, "policy.alpha must lie in [0, 1), got 1.5"),
     ({"policy": {"k_hat": -1}}, "policy.k_hat must be non-negative, got -1"),
@@ -721,6 +733,32 @@ def test_cli_run_rejects_an_idx_header_declaring_more_pixels_than_the_file_holds
     assert not (tmp_path / "out").exists()
 
 
+IDX_IMAGE = struct.pack(">IIII", 0x803, 1, 1, 3) + bytes(3)
+IDX_LABEL = struct.pack(">II", 0x801, 1) + bytes(1)
+
+
+@pytest.mark.parametrize("image, label, message", [
+    (IDX_IMAGE[:8], IDX_LABEL, "{images}: image file header truncated"),
+    (struct.pack(">I", 0x804) + IDX_IMAGE[4:], IDX_LABEL, "{images}: bad image magic 0x00000804"),
+    (IDX_IMAGE, IDX_LABEL[:4], "{labels}: label file header truncated"),
+    (IDX_IMAGE, struct.pack(">I", 0x803) + IDX_LABEL[4:], "{labels}: bad label magic 0x00000803"),
+    (struct.pack(">IIII", 0x803, 2, 1, 3) + bytes(6), IDX_LABEL,
+     "image count 2 in {images} != label count 1 in {labels}")],
+    ids=["image_header", "image_magic", "label_header", "label_magic", "count"])
+def test_cli_run_names_the_idx_file_a_header_error_is_in(tmp_path, capsys, image, label,
+                                                         message):
+    # these used to name no file: `bad image magic 0x00000804` alone
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(image)
+    labels.write_bytes(label)
+    raw = config_to_dict(tiny_config())
+    raw["dataset"] = {"kind": "idx", "train_path": str(images),
+                      "train_labels_path": str(labels), "test_path": str(images),
+                      "test_labels_path": str(labels)}
+    assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message.format(images=images, labels=labels) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"rounds": 1\xff}',
                                      b'{"rounds": ' + b"1" * 5001 + b"}"],
                          ids=["nested", "not_utf8", "long_integer"])
@@ -742,12 +780,14 @@ METRICS_ROW = b"1,0,5,0.1,0.1,0.1,1,0.1,0,0.1,,,"
      "line 2, column client_id: invalid literal for int()"),
     ([METRICS_ROW, b"1,0,5"], "line 3 does not have the header's 13 fields"),
     ([METRICS_ROW + b",9"], "line 2 does not have the header's 13 fields"),
-    ([METRICS_ROW + b"\xff"], "is not UTF-8 text")],
-    ids=["header", "not_an_int", "short_row", "long_row", "not_utf8"])
+    ([METRICS_ROW + b"\xff"], "is not UTF-8 text"),
+    ([METRICS_ROW.replace(b"0.1,1,0.1", b"0.1,yes,0.1")],
+     "line 2, column is_top: must be 0, 1 or empty, got 'yes'")],
+    ids=["header", "not_an_int", "short_row", "long_row", "not_utf8", "bad_is_top"])
 def test_a_malformed_metrics_file_is_a_format_error_naming_it(tmp_path, capsys, rows,
                                                               message):
     # these used to raise ConfigError, a ValueError naming no file, or a
-    # TypeError traceback
+    # TypeError traceback, and an is_top of `yes` used to load as false
     path = tmp_path / "metrics.csv"
     if rows[0] != b"round,client_id":
         rows = [",".join(runner.METRICS_COLUMNS).encode()] + rows
