@@ -15,12 +15,13 @@ whose one sort per round `slack_weights` takes as given, and returns the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import AggregationError, ShapeError
+from .errors import (FROM_0_BELOW_1, NON_NEGATIVE, AggregationError, ShapeError,
+                     check_bounds)
 
 
 class AggregationMode(Enum):
@@ -39,26 +40,18 @@ class AggregationPolicy:
     """Mode, slack coefficient, top-set size, and the alpha schedule."""
 
     mode: AggregationMode = AggregationMode.FAT
-    alpha: float = 0.0
-    k_hat: int = 0
+    alpha: float = field(default=0.0, metadata=FROM_0_BELOW_1)
+    k_hat: int = field(default=0, metadata=NON_NEGATIVE)
     schedule: AlphaSchedule = AlphaSchedule.CONSTANT
-    alpha_end: float = 0.0
-    anneal_rounds: int = 0
+    alpha_end: float = field(default=0.0, metadata=FROM_0_BELOW_1)
+    anneal_rounds: int = field(default=0, metadata=NON_NEGATIVE)
 
     def __post_init__(self):
+        check_bounds(self)
         if isinstance(self.mode, str):
             self.mode = AggregationMode(self.mode.lower())
         if isinstance(self.schedule, str):
             self.schedule = AlphaSchedule(self.schedule.lower())
-        if not 0.0 <= self.alpha < 1.0:
-            raise AggregationError(f"policy.alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.alpha_end < 1.0:
-            raise AggregationError(f"policy.alpha_end must lie in [0, 1), got {self.alpha_end}")
-        if self.k_hat < 0:
-            raise AggregationError(f"policy.k_hat must be non-negative, got {self.k_hat}")
-        if self.anneal_rounds < 0:
-            raise AggregationError(
-                f"policy.anneal_rounds must be non-negative, got {self.anneal_rounds}")
 
     def alpha_at(self, round_idx: int) -> float:
         """Alpha in effect at a (1-based) round under the schedule."""

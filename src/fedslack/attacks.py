@@ -16,35 +16,27 @@ step, and every step computes only the input gradient
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nn
-from .errors import DivergenceError, ShapeError
+from .errors import (AT_LEAST_1, FINITE_NON_NEGATIVE, POSITIVE, DivergenceError,
+                     ShapeError, check_bounds)
 
 
 @dataclass
 class AttackSpec:
     """L-infinity attack parameters in feature units."""
 
-    epsilon: float
-    step_size: float
-    steps: int = 1
+    epsilon: float = field(metadata=FINITE_NON_NEGATIVE)
+    step_size: float = field(metadata=POSITIVE)
+    steps: int = field(default=1, metadata=AT_LEAST_1)
     random_start: bool = False
 
     def __post_init__(self):
-        # `not (finite and x >= 0)` rather than `x < 0`, so NaN and inf are rejected too.
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"attack.epsilon must be finite and non-negative, "
-                             f"got {self.epsilon}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"attack.step_size must be finite and positive, "
-                             f"got {self.step_size}")
-        if self.steps < 1:
-            raise ValueError(f"attack.steps must be >= 1, got {self.steps}")
+        check_bounds(self)
 
     def evaluation(self, steps: int = 20) -> "AttackSpec":
         """Same ball and step size, fixed step count, no random start."""

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import nn, runner, threads
 from .attacks import AttackSpec
 from .data import class_counts, load_csv
-from .errors import ConfigError, DivergenceError, FedslackError
+from .errors import ConfigError, DivergenceError, FedslackError, PartitionError
 from .metrics import EvalAttack, evaluate, trace_topk
 from .runner import ExperimentConfig, load_config, load_metrics
 
@@ -101,19 +101,17 @@ def _cmd_eval(args) -> int:
 
 def _apply_sweep_value(config: ExperimentConfig, param: str,
                        value: float) -> ExperimentConfig:
-    if param in ("khat", "clients") and not value.is_integer():
-        raise ConfigError(f"--param {param} takes integer values, got {value:g}")
-    if param == "alpha":
-        return replace(config, policy=replace(config.policy, alpha=value))
-    if param == "khat":
-        return replace(config, policy=replace(config.policy, k_hat=int(value)))
-    if param == "epsilon":
-        attack = replace(config.local.attack, epsilon=value)
-        return replace(config, local=replace(config.local, attack=attack))
-    if param == "clients":
-        return replace(config, partition=replace(config.partition,
-                                                 num_clients=int(value)))
-    return replace(config, participation=value)
+    """`config` with the key `param` sweeps set to `value`, merged as a
+    config file's value is (an integral value as JSON's integer)."""
+    path = {"alpha": "policy.alpha", "khat": "policy.k_hat", "clients": "partition.num_clients",
+            "epsilon": "local.attack.epsilon", "ratio": "participation"}[param]
+    raw = int(value) if value.is_integer() else value
+    for key in reversed(path.split(".")):
+        raw = {key: raw}
+    try:
+        return runner._merged(config, raw)
+    except (ConfigError, PartitionError) as exc:
+        raise type(exc)(f"--param {param}: {exc}") from exc
 
 
 def _run_name(param: str, value: float) -> str:

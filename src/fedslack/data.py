@@ -8,13 +8,14 @@ import csv
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, PartitionError
+from .errors import (AT_LEAST_2, NON_NEGATIVE, ConfigError, FormatError, PartitionError,
+                     check_bounds)
 from .streams import stream
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -61,37 +62,29 @@ class PartitionSpec:
     of it; every other client gets s%.
     """
 
-    num_clients: int
+    num_clients: int = field(metadata=AT_LEAST_2)
     mode: PartitionMode = PartitionMode.NONIID
-    skew: float = 0.0          # percent
+    skew: float = field(default=0.0, metadata=NON_NEGATIVE)     # percent
     sample_counts: list[int] | None = None
-    seed: int = 0
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
     def __post_init__(self):
-        if self.num_clients < 2:
-            raise ConfigError(f"partition.num_clients must be >= 2, got {self.num_clients}")
-        if self.seed < 0:
-            raise ConfigError(f"partition.seed must be a non-negative integer, got {self.seed}")
+        check_bounds(self)
         if self.sample_counts is not None:
             if len(self.sample_counts) != self.num_clients:
                 raise ConfigError(
-                    f"partition.sample_counts must have one entry per client, "
+                    f"sample_counts must have one entry per client, "
                     f"got {len(self.sample_counts)} for {self.num_clients} clients")
             if min(self.sample_counts) < 1:
-                raise ConfigError(f"partition.sample_counts must be >= 1 each, "
+                raise ConfigError(f"sample_counts must be >= 1 each, "
                                   f"got {min(self.sample_counts)}")
         if isinstance(self.mode, str):
             self.mode = PartitionMode(self.mode.lower())
-        # `not x >= 0` rather than `x < 0`, so that NaN is rejected too.
-        if not self.skew >= 0:
-            raise PartitionError(f"partition.skew must be a non-negative percent, "
-                                 f"got {self.skew}")
         if self.mode is PartitionMode.NONIID:
             majority = 100.0 - (self.num_clients - 1) * self.skew
             if majority <= self.skew:
                 raise PartitionError(
-                    f"partition.skew {self.skew} leaves majority share {majority}% "
-                    f"<= minority share")
+                    f"skew {self.skew} leaves majority share {majority}% <= minority share")
 
 
 @dataclass
@@ -227,6 +220,9 @@ def load_csv(path) -> Dataset:
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
     """Equal-split partition: disjoint shards covering the whole dataset."""
     K = spec.num_clients
+    if K > len(dataset):
+        raise PartitionError(f"partition.num_clients {K} exceeds the {len(dataset)} "
+                             f"training samples")
     rng = stream(spec.seed, "partition")
     if spec.mode is PartitionMode.IID:
         parts = np.array_split(rng.permutation(len(dataset)), K)

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the bounds a config
+section declares on its numeric fields."""
+
+import math
+from dataclasses import fields
 
 
 class FedslackError(Exception):
@@ -39,3 +43,29 @@ class DivergenceError(FedslackError):
 
 class ConfigError(FedslackError):
     """Invalid experiment configuration."""
+
+
+def _bound(text: str, test) -> dict:
+    """Field metadata: the value must be `text`, which `test` (false for NaN) checks."""
+    return {"bound": (text, test)}
+
+
+NON_NEGATIVE = _bound(">= 0", lambda v: v >= 0)
+AT_LEAST_1 = _bound(">= 1", lambda v: v >= 1)
+AT_LEAST_2 = _bound(">= 2", lambda v: v >= 2)
+FINITE = _bound("finite", math.isfinite)
+FINITE_NON_NEGATIVE = _bound("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+POSITIVE = _bound("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+FROM_0_BELOW_1 = _bound("in [0, 1)", lambda v: 0 <= v < 1)
+ABOVE_0_TO_1 = _bound("in (0, 1]", lambda v: 0 < v <= 1)
+
+
+def check_bounds(section) -> None:
+    """ConfigError naming, bare, the first field of the config dataclass
+    `section` whose value is outside the bound its metadata declares."""
+    for f in fields(section):
+        if "bound" in f.metadata:
+            text, test = f.metadata["bound"]
+            value = getattr(section, f.name)
+            if not test(value):
+                raise ConfigError(f"{f.name} must be {text}, got {value}")

@@ -39,7 +39,6 @@ scratch array, allocates each once and reuses it batch after batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,7 +47,8 @@ import numpy as np
 from . import nn
 from .attacks import AttackSpec, Rng, pgd, pgd_kl
 from .data import ClientShard, Dataset
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import (AT_LEAST_1, FINITE_NON_NEGATIVE, FROM_0_BELOW_1, POSITIVE,
+                     DivergenceError, ShapeError, check_bounds)
 from .streams import stream
 
 
@@ -66,35 +66,21 @@ class Trainer(Enum):
 class LocalConfig:
     """One client's training recipe for a round."""
 
-    epochs: int = 1
-    batch_size: int = 32
+    epochs: int = field(default=1, metadata=AT_LEAST_1)
+    batch_size: int = field(default=32, metadata=AT_LEAST_1)
     trainer: Trainer = Trainer.AT
-    trades_beta: float = 6.0
-    fedprox_mu: float = 0.0
+    trades_beta: float = field(default=6.0, metadata=FINITE_NON_NEGATIVE)
+    fedprox_mu: float = field(default=0.0, metadata=FINITE_NON_NEGATIVE)
     attack: AttackSpec = field(default_factory=lambda: AttackSpec(8 / 255, 2 / 255, 10,
                                                                  random_start=True))
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    lr: float = field(default=0.01, metadata=POSITIVE)
+    momentum: float = field(default=0.9, metadata=FROM_0_BELOW_1)
+    weight_decay: float = field(default=1e-4, metadata=FINITE_NON_NEGATIVE)
 
     def __post_init__(self):
+        check_bounds(self)
         if isinstance(self.trainer, str):
             self.trainer = Trainer(self.trainer.lower())
-        if self.epochs < 1:
-            raise ConfigError(f"local.epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"local.batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"local.lr must be finite and positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"local.momentum must lie in [0, 1), got {self.momentum}")
-        for key in ("weight_decay", "fedprox_mu"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"local.{key} must be finite and non-negative, got {value}")
-        if not (math.isfinite(self.trades_beta) and self.trades_beta >= 0):
-            raise ConfigError(
-                f"local.trades_beta must be finite and non-negative, got {self.trades_beta}")
 
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray, theta_global: np.ndarray,

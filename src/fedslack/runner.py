@@ -43,7 +43,9 @@ from .aggregation import (AggregationPolicy, scaffold_server_update,
                           slack_aggregate, slack_weights, sort_by_weighted_loss)
 from .data import (ClientShard, Dataset, PartitionSpec, load_csv, load_idx,
                    make_synthetic, open_utf8, partition, partition_unequal)
-from .errors import ConfigError, DivergenceError, FormatError, PartitionError
+from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE, POSITIVE,
+                     ConfigError, DivergenceError, FormatError, PartitionError,
+                     check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
@@ -65,38 +67,32 @@ class DatasetSpec:
     """Where the training/test data comes from."""
 
     kind: str = "synthetic"            # synthetic | csv | idx
-    n_per_class: int = 200
-    num_classes: int = 5
-    dim: int = 4
-    separation: float = 0.8
+    n_per_class: int = field(default=200, metadata=AT_LEAST_1)
+    num_classes: int = field(default=5, metadata=AT_LEAST_2)
+    dim: int = field(default=4, metadata=AT_LEAST_1)
+    separation: float = field(default=0.8, metadata=FINITE)
     placement: str = "random"
-    test_fraction: float = 0.25
+    test_fraction: float = field(default=0.25, metadata=POSITIVE)
     train_path: str | None = None      # csv path, or idx images path
     train_labels_path: str | None = None
     test_path: str | None = None
     test_labels_path: str | None = None
 
     def __post_init__(self):
-        if self.n_per_class < 1:
-            raise ConfigError(f"dataset.n_per_class must be >= 1, got {self.n_per_class}")
-        if self.num_classes < 2:
-            raise ConfigError(f"dataset.num_classes must be >= 2, got {self.num_classes}")
-        if self.dim < 1:
-            raise ConfigError(f"dataset.dim must be >= 1, got {self.dim}")
-        if not math.isfinite(self.separation):
-            raise ConfigError(f"dataset.separation must be finite, got {self.separation}")
-        if not (math.isfinite(self.test_fraction) and self.test_fraction > 0):
-            raise ConfigError(
-                f"dataset.test_fraction must be finite and > 0, got {self.test_fraction}")
+        check_bounds(self)
+        # an n_per_class beyond float64 fails where the data is built
+        if self.n_per_class <= sys.float_info.max \
+                and math.isinf(self.n_per_class * self.test_fraction):
+            raise ConfigError(f"test_fraction {self.test_fraction} times n_per_class "
+                              f"{self.n_per_class} overflows a float64")
         if self.kind not in ("synthetic", "csv", "idx"):
-            raise ConfigError(f"dataset.kind must be synthetic, csv or idx, got {self.kind!r}")
+            raise ConfigError(f"kind must be synthetic, csv or idx, got {self.kind!r}")
         if self.placement not in ("random", "orthogonal"):
-            raise ConfigError(
-                f"dataset.placement must be random or orthogonal, got {self.placement!r}")
+            raise ConfigError(f"placement must be random or orthogonal, got {self.placement!r}")
         if self.kind == "synthetic" and self.placement == "orthogonal" \
                 and self.dim < self.num_classes:
-            raise ConfigError(f"dataset.placement orthogonal needs dataset.dim >= "
-                              f"dataset.num_classes, got {self.dim} < {self.num_classes}")
+            raise ConfigError(f"placement orthogonal needs dim >= num_classes, "
+                              f"got {self.dim} < {self.num_classes}")
 
 
 @dataclass
@@ -107,26 +103,19 @@ class ExperimentConfig:
     local: LocalConfig = field(default_factory=LocalConfig)
     policy: AggregationPolicy = field(default_factory=AggregationPolicy)
     optimizer: FedOptimizer = FedOptimizer.FEDAVG
-    rounds: int = 30
-    participation: float = 1.0
-    eval_every: int = 5
-    seed: int = 0
+    rounds: int = field(default=30, metadata=AT_LEAST_1)
+    participation: float = field(default=1.0, metadata=ABOVE_0_TO_1)
+    eval_every: int = field(default=5, metadata=NON_NEGATIVE)     # 0: no eval
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
     out_dir: str | None = None
 
     def __post_init__(self):
+        check_bounds(self)
         if isinstance(self.optimizer, str):
             self.optimizer = FedOptimizer(self.optimizer.lower())
         self.hidden_dims = list(self.hidden_dims)
         if not all(isinstance(d, int) and d >= 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.eval_every < 0:
-            raise ConfigError(f"eval_every must be >= 0 (0: no eval), got {self.eval_every}")
-        if not 0.0 < self.participation <= 1.0:
-            raise ConfigError("participation must lie in (0, 1]")
         if self.local.fedprox_mu > 0.0 and self.optimizer is not FedOptimizer.FEDPROX:
             raise ConfigError("local.fedprox_mu > 0 needs optimizer fedprox")
         if self.optimizer is FedOptimizer.FEDPROX and self.local.fedprox_mu == 0.0:
@@ -160,7 +149,8 @@ def _has_type(value, hint) -> bool:
 def _merged(default, raw: dict, prefix: str = ""):
     """`default`, a config dataclass, with the values `raw` sets, each of a
     field that fits it; a section given as an object is merged the same way
-    into the default's section.  `replace` runs every `__post_init__`."""
+    into the default's section.  `replace` runs every `__post_init__`, whose
+    errors name a field bare: this prefixes the section's key path."""
     hints = get_type_hints(type(default))
     unknown = sorted(prefix + str(k) for k in set(raw) - set(hints))
     if unknown:
@@ -169,10 +159,7 @@ def _merged(default, raw: dict, prefix: str = ""):
     for name, value in raw.items():
         hint, key = hints[name], prefix + name
         if is_dataclass(hint) and isinstance(value, dict):
-            try:
-                value = _merged(getattr(default, name), value, key + ".")
-            except ValueError as exc:     # an AttackSpec message names `attack.<key>`
-                raise ConfigError(f"{prefix}{exc}") from exc
+            value = _merged(getattr(default, name), value, key + ".")
         elif not _has_type(value, hint):
             raise ConfigError(f"{key} must be of type "
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
@@ -187,7 +174,10 @@ def _merged(default, raw: dict, prefix: str = ""):
             if value.lower() not in choices:
                 raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         values[name] = value
-    return replace(default, **values)
+    try:
+        return replace(default, **values)
+    except (ConfigError, PartitionError) as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -6,7 +6,7 @@ import pytest
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, alpha_slack_loss,
                                   scaffold_server_update, slack_aggregate, slack_weights,
                                   sort_by_weighted_loss)
-from fedslack.errors import AggregationError
+from fedslack.errors import AggregationError, ConfigError
 from oracles import RoundArrays, fedavg_aggregate, server_weights
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
@@ -124,7 +124,7 @@ def test_slack_weights_khat_constraint():
 
 
 def test_invalid_alpha():
-    with pytest.raises(AggregationError):
+    with pytest.raises(ConfigError):
         AggregationPolicy(AggregationMode.SFAT, alpha=1.0, k_hat=1)
     ups = scalar_updates([0, 0], [0.1, 0.2], [1, 1])
     policy = AggregationPolicy(AggregationMode.SFAT, alpha=0.2, k_hat=1)

@@ -5,7 +5,7 @@ import pytest
 
 from fedslack import nn
 from fedslack.attacks import AttackSpec, fgsm, pgd, pgd_core, pgd_kl
-from fedslack.errors import LabelError
+from fedslack.errors import ConfigError, LabelError
 from fedslack.streams import stream
 
 
@@ -119,11 +119,11 @@ def test_pgd_kl_stays_in_ball():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AttackSpec(-0.1, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AttackSpec(0.1, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AttackSpec(0.1, 0.01, steps=0)
 
 

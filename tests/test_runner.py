@@ -4,7 +4,8 @@ import json
 import math
 import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -352,8 +353,8 @@ def test_a_float_key_given_as_an_integer_writes_the_bytes_of_the_float(tmp_path)
 
 
 @pytest.mark.parametrize("raw, message", [
-    ({"policy": {"alpha": 1.5}}, "policy.alpha must lie in [0, 1), got 1.5"),
-    ({"policy": {"k_hat": -1}}, "policy.k_hat must be non-negative, got -1"),
+    ({"policy": {"alpha": 1.5}}, "policy.alpha must be in [0, 1), got 1.5"),
+    ({"policy": {"k_hat": -1}}, "policy.k_hat must be >= 0, got -1"),
     ({"partition": {"skew": 60.0}},
      "partition.skew 60.0 leaves majority share -140.0% <= minority share"),
     # 3 samples per class: 19% of them rounds to 1 for each of 4 minority clients
@@ -453,7 +454,7 @@ def test_cli_run_names_a_negative_seed_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--seed", "-1",
                      "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -527,22 +528,98 @@ def test_cli_run_rejects_the_removed_k_hat_absolute_key(tmp_path, capsys):
     assert "k_hat_absolute" in capsys.readouterr().err
 
 
+# Every bounded config key, its bound as the message states it (an integer n
+# for ">= n"), and the values just past it; a float key also takes NaN and
+# the infinities its bound excludes.
+TINY = math.nextafter(0.0, -1.0)      # the negative float nearest 0
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+BOUNDS = [
+    ("dataset.n_per_class", 1, [0]), ("dataset.num_classes", 2, [1]),
+    ("dataset.dim", 1, [0]), ("dataset.separation", "finite", NON_FINITE),
+    ("dataset.test_fraction", "finite and > 0", [0.0, *NON_FINITE]),
+    ("rounds", 1, [0]), ("participation", "in (0, 1]", [0.0, ABOVE_ONE, *NON_FINITE]),
+    ("eval_every", 0, [-1]), ("seed", 0, [-1]),
+    ("local.epochs", 1, [0]), ("local.batch_size", 1, [0]),
+    ("local.trades_beta", "finite and >= 0", [TINY, *NON_FINITE]),
+    ("local.fedprox_mu", "finite and >= 0", [TINY, *NON_FINITE]),
+    ("local.lr", "finite and > 0", [0.0, *NON_FINITE]),
+    ("local.momentum", "in [0, 1)", [TINY, 1.0, *NON_FINITE]),
+    ("local.weight_decay", "finite and >= 0", [TINY, *NON_FINITE]),
+    ("local.attack.epsilon", "finite and >= 0", [TINY, *NON_FINITE]),
+    ("local.attack.step_size", "finite and > 0", [0.0, *NON_FINITE]),
+    ("local.attack.steps", 1, [0]),
+    ("policy.alpha", "in [0, 1)", [TINY, 1.0, *NON_FINITE]),
+    ("policy.k_hat", 0, [-1]),
+    ("policy.alpha_end", "in [0, 1)", [TINY, 1.0, *NON_FINITE]),
+    ("policy.anneal_rounds", 0, [-1]),
+    ("partition.num_clients", 2, [0, 1]),
+    ("partition.skew", 0, [TINY, math.nan, -math.inf]),    # +inf stays legal
+    ("partition.seed", 0, [-1])]
+
+
 @pytest.mark.parametrize("key, value, bound", [
-    ("dataset.n_per_class", 0, 1), ("dataset.num_classes", 1, 2), ("dataset.dim", 0, 1),
-    ("local.epochs", 0, 1), ("local.batch_size", 0, 1), ("local.attack.steps", 0, 1),
-    ("partition.num_clients", 0, 2)])
+    (key, value, bound) for key, bound, values in BOUNDS for value in values])
 def test_cli_run_names_a_bad_size_key_before_writing(tmp_path, capsys, key, value, bound):
-    # each used to print a message naming no key, or no section
+    # each used to print a message naming no key, or no section, and some
+    # keys let NaN or an infinity through
     raw = config_to_dict(tiny_config())
     *sections, name = key.split(".")
     section = raw
     for s in sections:
         section = section[s]
     section[name] = value
-    message = f"{key} must be >= {bound}, got {value}"
+    message = f"{key} must be {f'>= {bound}' if isinstance(bound, int) else bound}, got {value}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(raw)
     assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_numeric_config_field_declares_a_bound():
+    # a list is checked entry by entry, a section field by field
+    unbounded = {"hidden_dims", "sample_counts", "dataset", "partition", "local", "policy",
+                 "attack"}
+
+    def numeric(hint):
+        return hint in (int, float) or is_dataclass(hint) or any(map(numeric, get_args(hint)))
+
+    sections = [DatasetSpec, ExperimentConfig, LocalConfig, AggregationPolicy, PartitionSpec,
+                AttackSpec]
+    named = set()
+    for section in sections:
+        hints = get_type_hints(section)
+        for f in fields(section):
+            if numeric(hints[f.name]) and f.name not in unbounded:
+                assert "bound" in f.metadata, f"{section.__name__}.{f.name} declares no bound"
+            named |= {f.name} & unbounded
+    assert named == unbounded
+
+
+@pytest.mark.parametrize("raw", [{"partition": {"num_clients": 10 ** 20, "mode": "iid"}},
+                                 {"partition": {"num_clients": 201, "skew": 0.0}}],
+                         ids=["iid", "noniid"])
+def test_cli_run_rejects_more_clients_than_training_samples_before_writing(tmp_path, capsys,
+                                                                          raw):
+    # 10**20 IID clients used to end in an OverflowError traceback from the
+    # split (and NONIID ones to build 10**20 lists); 201 NONIID clients of
+    # 200 samples named only the first empty shard
+    assert run_cli_on(tmp_path, {"rounds": 1, "eval_every": 0, "dataset": {
+        "n_per_class": 40, "num_classes": 5}, **raw}) == (cli.EXIT_CONFIG, False)
+    assert (f"partition.num_clients {raw['partition']['num_clients']} exceeds the "
+            f"200 training samples") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"test_fraction": 1e307}, "dataset.test_fraction 1e+307 times n_per_class 200 overflows"),
+    ({"n_per_class": 10 ** 400}, "Maximum allowed dimension exceeded")],
+    ids=["test_fraction", "n_per_class"])
+def test_cli_run_rejects_a_test_set_size_beyond_float64(tmp_path, capsys, dataset, message):
+    # a test_fraction of 1e307 used to end in an OverflowError traceback when
+    # the test set was drawn; an n_per_class beyond float64 is not a traceback
+    assert run_cli_on(tmp_path, {"dataset": dataset}) == (cli.EXIT_CONFIG, False)
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -621,6 +698,35 @@ def test_cli_sweep_rejects_non_integer_counts_before_any_run(tmp_path, capsys, p
                      "--values", "2", value, "--out", str(out)]) == cli.EXIT_CONFIG
     assert f"--param {param}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param, value, message", [
+    ("alpha", "1.5", "policy.alpha must be in [0, 1), got 1.5"),
+    ("ratio", "nan", "participation must be in (0, 1], got nan"),
+    ("epsilon", "-1", "local.attack.epsilon must be finite and >= 0, got -1.0"),
+    ("clients", "4.5", "partition.num_clients must be of type int, got 4.5")])
+def test_cli_sweep_names_a_bad_value_as_a_config_file_would(tmp_path, capsys, param, value,
+                                                             message):
+    path = write_config(tmp_path, rounds=1, eval_every=0)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--param", param,
+                     "--values", value, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"--param {param}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_value_sets_its_key_as_replace_does():
+    base = tiny_config(policy=AggregationPolicy(AggregationMode.SFAT, 0.2, 1))
+    attack = replace(base.local.attack, epsilon=0.0)
+    assert cli._apply_sweep_value(base, "alpha", 0.1) == replace(
+        base, policy=replace(base.policy, alpha=0.1))
+    assert cli._apply_sweep_value(base, "khat", 2.0) == replace(
+        base, policy=replace(base.policy, k_hat=2))
+    assert cli._apply_sweep_value(base, "epsilon", 0.0) == replace(
+        base, local=replace(base.local, attack=attack))
+    assert cli._apply_sweep_value(base, "clients", 4.0) == replace(
+        base, partition=replace(base.partition, num_clients=4))
+    assert cli._apply_sweep_value(base, "ratio", 1.0) == replace(base, participation=1.0)
 
 
 def test_cli_run_rejects_negative_eval_every_before_writing(tmp_path, capsys):
@@ -856,7 +962,7 @@ def test_cli_sweep_checks_the_sample_counts_of_every_value_before_any_run(tmp_pa
     ("kind", "tsv", "dataset.kind must be synthetic, csv or idx, got 'tsv'"),
     ("placement", "grid", "dataset.placement must be random or orthogonal, got 'grid'"),
     ("placement", "orthogonal",
-     "dataset.placement orthogonal needs dataset.dim >= dataset.num_classes, got 3 < 5")])
+     "dataset.placement orthogonal needs dim >= num_classes, got 3 < 5")])
 def test_cli_run_names_a_bad_dataset_kind_or_placement_before_writing(tmp_path, capsys, key,
                                                                       value, message):
     # these used to exit 2 only when the data was built, naming no key
