@@ -48,10 +48,6 @@ class AggregationPolicy:
 
     def __post_init__(self):
         check_bounds(self)
-        if isinstance(self.mode, str):
-            self.mode = AggregationMode(self.mode.lower())
-        if isinstance(self.schedule, str):
-            self.schedule = AlphaSchedule(self.schedule.lower())
 
     def alpha_at(self, round_idx: int) -> float:
         """Alpha in effect at a (1-based) round under the schedule."""

@@ -78,8 +78,6 @@ class PartitionSpec:
             if min(self.sample_counts) < 1:
                 raise ConfigError(f"sample_counts must be >= 1 each, "
                                   f"got {min(self.sample_counts)}")
-        if isinstance(self.mode, str):
-            self.mode = PartitionMode(self.mode.lower())
         if self.mode is PartitionMode.NONIID:
             majority = 100.0 - (self.num_clients - 1) * self.skew
             if majority <= self.skew:

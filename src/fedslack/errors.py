@@ -1,8 +1,9 @@
 """Exception types shared across the library, and the bounds a config
-section declares on its numeric fields."""
+section declares on its numeric and choice fields."""
 
 import math
 from dataclasses import fields
+from enum import Enum
 
 
 class FedslackError(Exception):
@@ -60,12 +61,24 @@ FROM_0_BELOW_1 = _bound("in [0, 1)", lambda v: 0 <= v < 1)
 ABOVE_0_TO_1 = _bound("in (0, 1]", lambda v: 0 < v <= 1)
 
 
+def one_of(*choices: str) -> dict:
+    """Field metadata: the value must be one of the strings `choices`."""
+    return _bound(f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
 def check_bounds(section) -> None:
     """ConfigError naming, bare, the first field of the config dataclass
-    `section` whose value is outside the bound its metadata declares."""
+    `section` outside the bound its metadata declares, or given a str that no
+    member of its default's enum has as its value, case ignored; a str that
+    one has becomes that member.  "<field> must be <bound>, got <value!r>"."""
     for f in fields(section):
-        if "bound" in f.metadata:
+        value = getattr(section, f.name)
+        if isinstance(f.default, Enum) and isinstance(value, str):
+            members = {m.value: m for m in type(f.default)}
+            if value.lower() not in members:
+                raise ConfigError(f"{f.name} must be one of {', '.join(members)}, got {value!r}")
+            setattr(section, f.name, members[value.lower()])
+        elif "bound" in f.metadata:
             text, test = f.metadata["bound"]
-            value = getattr(section, f.name)
             if not test(value):
-                raise ConfigError(f"{f.name} must be {text}, got {value}")
+                raise ConfigError(f"{f.name} must be {text}, got {value!r}")

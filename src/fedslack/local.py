@@ -79,8 +79,6 @@ class LocalConfig:
 
     def __post_init__(self):
         check_bounds(self)
-        if isinstance(self.trainer, str):
-            self.trainer = Trainer(self.trainer.lower())
 
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray, theta_global: np.ndarray,

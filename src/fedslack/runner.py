@@ -31,6 +31,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -45,15 +46,29 @@ from .data import (ClientShard, Dataset, PartitionSpec, load_csv, load_idx,
                    make_synthetic, open_utf8, partition, partition_unequal)
 from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE, POSITIVE,
                      ConfigError, DivergenceError, FormatError, PartitionError,
-                     check_bounds)
+                     check_bounds, one_of)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
 from .streams import stream
 
-METRICS_COLUMNS = ["round", "client_id", "n_k", "loss_k", "weighted_loss", "drift",
-                   "is_top", "alpha", "xi", "grad_var", "nat_acc", "fgsm_acc",
-                   "pgd20_acc"]
+
+def _zero_or_one(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0, 1 or empty, got {text!r}")
+    return text == "1"
+
+
+# metrics.csv's columns, each with how `load_metrics` reads a non-empty field
+# and the rows on which `report_rows` always writes it, so that it may not be
+# empty there: a client's, a round's aggregate row (client_id -1), or both
+METRICS_COLUMNS = {
+    "round": (int, "client aggregate"), "client_id": (int, "client aggregate"),
+    "n_k": (int, "client aggregate"), "loss_k": (float, "client"),
+    "weighted_loss": (float, "client"), "drift": (float, "client aggregate"),
+    "is_top": (_zero_or_one, "client"), "alpha": (float, "client aggregate"),
+    "xi": (int, "aggregate"), "grad_var": (float, "aggregate"), "nat_acc": (float, ""),
+    "fgsm_acc": (float, ""), "pgd20_acc": (float, "")}
 
 
 class FedOptimizer(Enum):
@@ -66,12 +81,12 @@ class FedOptimizer(Enum):
 class DatasetSpec:
     """Where the training/test data comes from."""
 
-    kind: str = "synthetic"            # synthetic | csv | idx
+    kind: str = field(default="synthetic", metadata=one_of("synthetic", "csv", "idx"))
     n_per_class: int = field(default=200, metadata=AT_LEAST_1)
     num_classes: int = field(default=5, metadata=AT_LEAST_2)
     dim: int = field(default=4, metadata=AT_LEAST_1)
     separation: float = field(default=0.8, metadata=FINITE)
-    placement: str = "random"
+    placement: str = field(default="random", metadata=one_of("random", "orthogonal"))
     test_fraction: float = field(default=0.25, metadata=POSITIVE)
     train_path: str | None = None      # csv path, or idx images path
     train_labels_path: str | None = None
@@ -85,10 +100,6 @@ class DatasetSpec:
                 and math.isinf(self.n_per_class * self.test_fraction):
             raise ConfigError(f"test_fraction {self.test_fraction} times n_per_class "
                               f"{self.n_per_class} overflows a float64")
-        if self.kind not in ("synthetic", "csv", "idx"):
-            raise ConfigError(f"kind must be synthetic, csv or idx, got {self.kind!r}")
-        if self.placement not in ("random", "orthogonal"):
-            raise ConfigError(f"placement must be random or orthogonal, got {self.placement!r}")
         if self.kind == "synthetic" and self.placement == "orthogonal" \
                 and self.dim < self.num_classes:
             raise ConfigError(f"placement orthogonal needs dim >= num_classes, "
@@ -111,8 +122,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_bounds(self)
-        if isinstance(self.optimizer, str):
-            self.optimizer = FedOptimizer(self.optimizer.lower())
         self.hidden_dims = list(self.hidden_dims)
         if not all(isinstance(d, int) and d >= 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
@@ -169,10 +178,6 @@ def _merged(default, raw: dict, prefix: str = ""):
             except OverflowError:
                 raise ConfigError(f"{key} must fit a float64, got an integer beyond "
                                   f"{sys.float_info.max:.4g} in magnitude") from None
-        elif isinstance(hint, EnumMeta):
-            choices = [member.value for member in hint]
-            if value.lower() not in choices:
-                raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         values[name] = value
     try:
         return replace(default, **values)
@@ -194,17 +199,30 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         k: v.value if isinstance(v, Enum) else v for k, v in items})
 
 
+@contextmanager
+def _allocating(sizes: str):
+    """ConfigError naming `sizes`, the config values that size the arrays
+    made inside, if numpy cannot allocate one (MemoryError) or give it so
+    many elements (ValueError)."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{sizes} size arrays numpy cannot allocate: {exc}") from exc
+
+
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Training set plus a held-out test set the partitioner never touches; the
     test set must match the training set's feature count and classes."""
     ds = config.dataset
     if ds.kind == "synthetic":
-        train = make_synthetic(ds.n_per_class, ds.num_classes, ds.dim, ds.separation,
-                               seed=config.seed, placement=ds.placement)
-        n_test = max(ds.num_classes, int(ds.n_per_class * ds.test_fraction))
-        test = make_synthetic(n_test, ds.num_classes, ds.dim, ds.separation,
-                              seed=config.seed, noise_seed=config.seed + 1_000_003,
-                              placement=ds.placement)
+        with _allocating(f"dataset.n_per_class {ds.n_per_class}, num_classes "
+                         f"{ds.num_classes}, dim {ds.dim} and test_fraction {ds.test_fraction}"):
+            train = make_synthetic(ds.n_per_class, ds.num_classes, ds.dim, ds.separation,
+                                   seed=config.seed, placement=ds.placement)
+            n_test = max(ds.num_classes, int(ds.n_per_class * ds.test_fraction))
+            test = make_synthetic(n_test, ds.num_classes, ds.dim, ds.separation,
+                                  seed=config.seed, noise_seed=config.seed + 1_000_003,
+                                  placement=ds.placement)
     elif ds.kind == "csv":
         if not ds.train_path or not ds.test_path:
             raise ConfigError("csv datasets need train_path and test_path")
@@ -256,38 +274,25 @@ class _MetricsWriter:
         self.path = path
         self._file = open(path, "w", newline="")
         self._writer = csv.writer(self._file)
-        self._writer.writerow(METRICS_COLUMNS)
+        self._writer.writerow(list(METRICS_COLUMNS))
         self._file.flush()
 
     def write_round(self, rep: RoundReport) -> None:
-        for row in report_rows(rep):
-            self._writer.writerow(row)
+        self._writer.writerows(report_rows(rep))
         self._file.flush()
 
     def close(self) -> None:
         self._file.close()
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def report_rows(rep: RoundReport) -> list[list[str]]:
-    rows = []
-    for c in rep.clients:
-        rows.append([_fmt(v) for v in
-                     [rep.round_idx, c.client_id, c.n_samples, c.loss, c.weighted_loss,
-                      c.drift, c.is_top, rep.alpha, None, None, None, None, None]])
-    total = sum(c.n_samples for c in rep.clients)
-    rows.append([_fmt(v) for v in
-                 [rep.round_idx, -1, total, None, None, rep.mean_drift, None, rep.alpha,
-                  rep.xi, rep.grad_variance, rep.nat_acc, rep.fgsm_acc, rep.pgd20_acc]])
+def report_rows(rep: RoundReport) -> list[list]:
+    """A row per client, then the round's aggregate row (client_id -1), of Python
+    ints, floats and None, which the csv module writes as str, repr and ""."""
+    rows = [[rep.round_idx, c.client_id, c.n_samples, c.loss, c.weighted_loss, c.drift,
+             int(c.is_top), rep.alpha, None, None, None, None, None] for c in rep.clients]
+    rows.append([rep.round_idx, -1, sum(c.n_samples for c in rep.clients), None, None,
+                 rep.mean_drift, None, rep.alpha, rep.xi, rep.grad_variance, rep.nat_acc,
+                 rep.fgsm_acc, rep.pgd20_acc])
     return rows
 
 
@@ -302,17 +307,20 @@ class RunState:
         self.shards = build_shards(config, self.train_set)
         self.sizes = np.array([s.n_samples for s in self.shards])
         dims = [self.train_set.dim] + list(config.hidden_dims) + [self.train_set.num_classes]
-        self.model = nn.Model.init(dims, stream(config.seed, "init"))
-        P, K = self.model.params.values.size, config.partition.num_clients
+        K = config.partition.num_clients
         m = participants_per_round(K, config.participation)
         self.policy = replace(config.policy, k_hat=config.policy.effective_k_hat(m))
-        self.uploads = np.empty((m, P))
-        self.losses = np.empty(m)
         self.scaffold = config.optimizer is FedOptimizer.SCAFFOLD
-        if self.scaffold:
-            self.deltas = np.empty_like(self.uploads)
-            self.c_global = np.zeros(P)
-            self.c_locals = np.zeros((K, P))
+        with _allocating(f"hidden_dims {config.hidden_dims} (between the data's {dims[0]} "
+                         f"features and {dims[-1]} classes) and partition.num_clients {K}"):
+            self.model = nn.Model.init(dims, stream(config.seed, "init"))
+            P = self.model.params.values.size
+            self.uploads = np.empty((m, P))
+            self.losses = np.empty(m)
+            if self.scaffold:
+                self.deltas = np.empty_like(self.uploads)
+                self.c_global = np.zeros(P)
+                self.c_locals = np.zeros((K, P))
         self.reports: list[RoundReport] = []
         self.out_dir = Path(config.out_dir) if config.out_dir else None
         self.writer = None
@@ -359,7 +367,7 @@ class RunState:
         drifts, mean_drift = client_drift(uploads, theta_new)
         gvar = gradient_variance(uploads, self.model.params.values) if len(uploads) >= 2 else 0.0
         self.model.params.values[:] = theta_new
-        # tolist() gives Python bools, which `_fmt` writes as 1/0
+        # tolist() gives Python bools, which `report_rows` writes as 1/0
         recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
                 for cid, n, loss, w, d, top in
                 zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
@@ -412,7 +420,7 @@ def load_metrics(path) -> list[dict]:
     rows = []
     with open_utf8(path) as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames != METRICS_COLUMNS:
+        if reader.fieldnames != list(METRICS_COLUMNS):
             raise FormatError(f"{path}: unexpected metrics header {reader.fieldnames}")
         for raw in reader:
             line = reader.line_num
@@ -420,19 +428,15 @@ def load_metrics(path) -> list[dict]:
                 raise FormatError(f"{path}: line {line} does not have the header's "
                                   f"{len(METRICS_COLUMNS)} fields")
             row = {}
-            for key, val in raw.items():
+            for key, text in raw.items():
                 try:
-                    if val == "":
-                        row[key] = None
-                    elif key in ("round", "client_id", "n_k", "xi"):
-                        row[key] = int(val)
-                    elif key == "is_top":
-                        if val not in ("0", "1"):
-                            raise ValueError(f"must be 0, 1 or empty, got {val!r}")
-                        row[key] = val == "1"
-                    else:
-                        row[key] = float(val)
+                    row[key] = METRICS_COLUMNS[key][0](text) if text else None
                 except ValueError as exc:
                     raise FormatError(f"{path}: line {line}, column {key}: {exc}") from exc
+            kind = "aggregate" if row["client_id"] == -1 else "client"
+            for key, (_, written_on) in METRICS_COLUMNS.items():
+                if row[key] is None and kind in written_on.split():
+                    raise FormatError(f"{path}: line {line}, column {key}: must not be "
+                                      f"empty on a {kind} row")
             rows.append(row)
     return rows

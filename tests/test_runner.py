@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
+from enum import EnumMeta
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -310,6 +314,40 @@ def test_an_unknown_enum_value_names_its_key_and_choices(tmp_path, capsys, path,
         config_from_dict(raw)
     assert run_cli_on(tmp_path, raw) == (cli.EXIT_CONFIG, False)
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, choices", [pytest.param(*pc, id=pc[0]) for pc in ENUM_CHOICES])
+def test_a_section_given_an_unknown_enum_value_names_its_bare_field(path, choices):
+    # constructing a section so used to raise ValueError: 'xyz' is not a valid <Enum>
+    *sections, name = path.split(".")
+    section = ExperimentConfig()
+    for key in sections:
+        section = getattr(section, key)
+    message = f"{name} must be one of {choices}, got 'xyz'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(section, **{name: "xyz"})
+    last = choices.split(", ")[-1]
+    assert getattr(replace(section, **{name: last.upper()}), name).value == last
+
+
+def test_every_choice_field_declares_its_choices():
+    # `check_bounds` reads an enum field's choices off its default; a str
+    # field that names no path declares its own with `one_of`
+    free = {"train_path", "train_labels_path", "test_path", "test_labels_path", "out_dir"}
+    sections = [DatasetSpec, ExperimentConfig, LocalConfig, AggregationPolicy, PartitionSpec,
+                AttackSpec]
+    named = set()
+    for section in sections:
+        hints = get_type_hints(section)
+        for f in fields(section):
+            hint, where = hints[f.name], f"{section.__name__}.{f.name}"
+            if isinstance(hint, EnumMeta):
+                assert isinstance(f.default, hint), f"{where}'s default is no {hint.__name__}"
+            elif str in (hint, *get_args(hint)) and f.name not in free:
+                text = f.metadata.get("bound", ("",))[0]
+                assert text.startswith("one of "), f"{where} declares no choices"
+            named |= {f.name} & free
+    assert named == free
 
 
 def test_enum_values_are_read_case_insensitively():
@@ -624,6 +662,52 @@ def test_cli_run_rejects_a_test_set_size_beyond_float64(tmp_path, capsys, datase
     assert not (tmp_path / "out").exists()
 
 
+# Run in a child whose address space is capped at 1.5 GB: each config asks
+# for tens of GB or more than numpy can index, and must never run uncapped.
+ALLOCATION_CHILD = """
+import json, os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from fedslack import cli
+for i, (command, raw) in enumerate(json.loads(sys.argv[2])):
+    path, out = os.path.join(sys.argv[1], f"{i}.json"), os.path.join(sys.argv[1], f"out{i}")
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    args = ["run", "--config", path, "--out", out] if command == "run" else \
+        ["partition", "inspect", "--config", path]
+    code = cli.main(args)
+    print(json.dumps([code, os.path.exists(out)]), file=sys.stderr, flush=True)
+"""
+
+
+def test_cli_names_the_keys_sizing_an_array_numpy_cannot_allocate(tmp_path):
+    # the first four used to exit 1 with numpy's _ArrayMemoryError traceback,
+    # the next two 2 with "Maximum allowed dimension exceeded", naming no key
+    pytest.importorskip("resource")
+    data = "dataset.n_per_class {}, num_classes {}, dim {} and test_fraction 0.25 size arrays"
+    model = ("hidden_dims [{}] (between the data's 4 features and 5 classes) and "
+             "partition.num_clients {} size arrays")
+    cases = [("run", {"dataset": {"n_per_class": 10 ** 9}}, data.format(10 ** 9, 5, 4)),
+             ("run", {"dataset": {"num_classes": 10 ** 9}}, data.format(200, 10 ** 9, 4)),
+             ("run", {"dataset": {"dim": 10 ** 9}}, data.format(200, 5, 10 ** 9)),
+             ("run", {"hidden_dims": [10 ** 9]}, model.format(10 ** 9, 5)),
+             ("run", {"dataset": {"n_per_class": 10 ** 23}}, data.format(10 ** 23, 5, 4)),
+             ("run", {"hidden_dims": [10 ** 30]}, model.format(10 ** 30, 5)),
+             ("run", {"hidden_dims": [10 ** 5], "partition": {"num_clients": 1000,
+                                                              "mode": "iid"}},
+              model.format(10 ** 5, 1000)),
+             ("partition", {"dataset": {"n_per_class": 10 ** 9}}, data.format(10 ** 9, 5, 4))]
+    child = subprocess.run(
+        [sys.executable, "-c", ALLOCATION_CHILD, str(tmp_path),
+         json.dumps([[command, {"rounds": 1, **raw}] for command, raw, _ in cases])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    lines = child.stderr.splitlines()
+    assert child.returncode == 0 and len(lines) == 2 * len(cases), child.stderr
+    for (_, _, message), error, result in zip(cases, lines[::2], lines[1::2]):
+        assert error.startswith(f"error: {message} numpy cannot allocate: ")
+        assert json.loads(result) == [cli.EXIT_CONFIG, False]
+
+
 @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
 def test_cli_run_rejects_bad_trades_beta_before_writing(tmp_path, capsys, value):
     # a NaN or negative beta used to train TRADES as standard training silently
@@ -905,6 +989,26 @@ def test_a_malformed_metrics_file_is_a_format_error_naming_it(tmp_path, capsys, 
     assert f"error: {info.value}\n" == capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, column, kind", [
+    ([METRICS_ROW.replace(b"0.1,1,0.1", b"0.1,,0.1")], "is_top", "client"),
+    ([METRICS_ROW.replace(b"1,0,", b"1,,", 1)], "client_id", "client"),
+    ([METRICS_ROW.replace(b"1,", b",", 1)], "round", "client"),
+    ([METRICS_ROW, b"1,-1,5,,,0.1,,0.1,,0.1,,,"], "xi", "aggregate")],
+    ids=["is_top", "client_id", "round", "xi_on_the_aggregate_row"])
+def test_an_empty_field_report_rows_always_writes_is_a_format_error(tmp_path, capsys, rows,
+                                                                    column, kind):
+    # these used to load as None, and trace-topk then exited 1 with a
+    # TypeError traceback (an empty is_top or client_id) or counted the row
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"\n".join([",".join(runner.METRICS_COLUMNS).encode(), *rows]) + b"\n")
+    message = (f"{path}: line {len(rows) + 1}, column {column}: must not be empty on a "
+               f"{kind} row")
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_metrics(path)
+    assert cli.main(["trace-topk", "--run", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_sweep_gives_distinct_values_distinct_run_directories(tmp_path):
     # 0.1 and 0.1000001 both used to run in alpha_0.1, the second over the first
     path = write_config(tmp_path, rounds=1, eval_every=0)
@@ -959,8 +1063,8 @@ def test_cli_sweep_checks_the_sample_counts_of_every_value_before_any_run(tmp_pa
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("kind", "tsv", "dataset.kind must be synthetic, csv or idx, got 'tsv'"),
-    ("placement", "grid", "dataset.placement must be random or orthogonal, got 'grid'"),
+    ("kind", "tsv", "dataset.kind must be one of synthetic, csv, idx, got 'tsv'"),
+    ("placement", "grid", "dataset.placement must be one of random, orthogonal, got 'grid'"),
     ("placement", "orthogonal",
      "dataset.placement orthogonal needs dim >= num_classes, got 3 < 5")])
 def test_cli_run_names_a_bad_dataset_kind_or_placement_before_writing(tmp_path, capsys, key,
