@@ -51,7 +51,8 @@ def _as_batch(x: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim not in (2, 3):
         raise ShapeError(f"inputs must be 2-D or 3-D, got shape {x.shape}")
     if y.shape != x.shape[:-1]:
-        raise ShapeError("label batch does not match input batch")
+        raise ShapeError(f"labels have shape {y.shape}, a batch of shape {x.shape} "
+                         f"needs {x.shape[:-1]}")
     return x, y
 
 

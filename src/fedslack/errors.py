@@ -61,11 +61,6 @@ FROM_0_BELOW_1 = _bound("in [0, 1)", lambda v: 0 <= v < 1)
 ABOVE_0_TO_1 = _bound("in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def one_of(*choices: str) -> dict:
-    """Field metadata: the value must be one of the strings `choices`."""
-    return _bound(f"one of {', '.join(choices)}", lambda v: v in choices)
-
-
 def check_bounds(section) -> None:
     """ConfigError naming, bare, the first field of the config dataclass
     `section` outside the bound its metadata declares, or given a str that no

@@ -280,19 +280,19 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: L
     gradients written into `grads`; the second backprop's go to `scratch`."""
     beta = config.trades_beta
     n = yb.shape[-1]
+    at = nn._at_labels(yb)
     logits_nat, acts_nat = nn._forward_cache(model, xb)
-    p = nn.softmax(logits_nat)
+    p, ce = nn._softmax_ce(logits_nat, at)
     log_p = np.log(np.clip(p, 1e-300, None))
     x_adv = pgd_kl(model, xb, config.attack, rng, log_p) if config.attack.epsilon > 0 else xb
     logits_adv, acts_adv = nn._forward_cache(model, x_adv)
     q = nn.softmax(logits_adv)
     s = np.log(np.clip(q, 1e-300, None)) - log_p
     kl = (q * s).sum(axis=-1)
-    ce = nn.cross_entropy(logits_nat, yb)
     loss = ce.mean(axis=-1) + beta * kl.mean(axis=-1)
 
     dl_nat = p.copy()
-    dl_nat[nn._at_labels(yb)] -= 1.0
+    dl_nat[at] -= 1.0
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
     dl_adv = beta * q * (s - kl[..., None]) / n

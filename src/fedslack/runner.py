@@ -46,7 +46,7 @@ from .data import (ClientShard, Dataset, PartitionSpec, load_csv, load_idx,
                    make_synthetic, open_utf8, partition, partition_unequal)
 from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE, POSITIVE,
                      ConfigError, DivergenceError, FormatError, PartitionError,
-                     check_bounds, one_of)
+                     check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
                       gradient_variance, xi_count)
@@ -77,16 +77,27 @@ class FedOptimizer(Enum):
     SCAFFOLD = "scaffold"
 
 
+class DataKind(Enum):
+    SYNTHETIC = "synthetic"
+    CSV = "csv"
+    IDX = "idx"
+
+
+class Placement(Enum):
+    RANDOM = "random"
+    ORTHOGONAL = "orthogonal"
+
+
 @dataclass
 class DatasetSpec:
     """Where the training/test data comes from."""
 
-    kind: str = field(default="synthetic", metadata=one_of("synthetic", "csv", "idx"))
+    kind: DataKind = DataKind.SYNTHETIC
     n_per_class: int = field(default=200, metadata=AT_LEAST_1)
     num_classes: int = field(default=5, metadata=AT_LEAST_2)
     dim: int = field(default=4, metadata=AT_LEAST_1)
     separation: float = field(default=0.8, metadata=FINITE)
-    placement: str = field(default="random", metadata=one_of("random", "orthogonal"))
+    placement: Placement = Placement.RANDOM
     test_fraction: float = field(default=0.25, metadata=POSITIVE)
     train_path: str | None = None      # csv path, or idx images path
     train_labels_path: str | None = None
@@ -100,7 +111,7 @@ class DatasetSpec:
                 and math.isinf(self.n_per_class * self.test_fraction):
             raise ConfigError(f"test_fraction {self.test_fraction} times n_per_class "
                               f"{self.n_per_class} overflows a float64")
-        if self.kind == "synthetic" and self.placement == "orthogonal" \
+        if self.kind is DataKind.SYNTHETIC and self.placement is Placement.ORTHOGONAL \
                 and self.dim < self.num_classes:
             raise ConfigError(f"placement orthogonal needs dim >= num_classes, "
                               f"got {self.dim} < {self.num_classes}")
@@ -214,16 +225,16 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Training set plus a held-out test set the partitioner never touches; the
     test set must match the training set's feature count and classes."""
     ds = config.dataset
-    if ds.kind == "synthetic":
+    if ds.kind is DataKind.SYNTHETIC:
         with _allocating(f"dataset.n_per_class {ds.n_per_class}, num_classes "
                          f"{ds.num_classes}, dim {ds.dim} and test_fraction {ds.test_fraction}"):
             train = make_synthetic(ds.n_per_class, ds.num_classes, ds.dim, ds.separation,
-                                   seed=config.seed, placement=ds.placement)
+                                   seed=config.seed, placement=ds.placement.value)
             n_test = max(ds.num_classes, int(ds.n_per_class * ds.test_fraction))
             test = make_synthetic(n_test, ds.num_classes, ds.dim, ds.separation,
                                   seed=config.seed, noise_seed=config.seed + 1_000_003,
-                                  placement=ds.placement)
-    elif ds.kind == "csv":
+                                  placement=ds.placement.value)
+    elif ds.kind is DataKind.CSV:
         if not ds.train_path or not ds.test_path:
             raise ConfigError("csv datasets need train_path and test_path")
         train, test = load_csv(ds.train_path), load_csv(ds.test_path)

@@ -1,4 +1,5 @@
-"""Independent list-based reference implementations of the server step.
+"""Independent list-based reference implementations of the server step,
+and the two-pass softmax and cross-entropy.
 
 The program keeps a round's uploads in one (m, P) matrix and its sample
 counts and losses in (m,) arrays, and reads them in place.  `RoundArrays`
@@ -6,6 +7,9 @@ holds such a round for the tests; the oracles keep the per-client list and
 per-row formulas that the matrix path replaced, so tests can check it
 against them bit for bit.  `class_groups` states the NONIID partitions'
 ownership rule as each client's list of classes, for the partition tests.
+`softmax_two_pass` and `cross_entropy_two_pass` each take the class max by
+one reduce and compute exp(logits - max) on their own, as the engine did
+before its loss and gradient shared one softmax pass.
 """
 
 from __future__ import annotations
@@ -104,3 +108,17 @@ def class_groups(num_classes: int, num_clients: int) -> list[list[int]]:
     """Each client's classes, ascending, by the one ownership rule of the
     NONIID partitions: client c mod K owns class c."""
     return [list(range(k, num_classes, num_clients)) for k in range(num_clients)]
+
+
+def softmax_two_pass(logits: np.ndarray) -> np.ndarray:
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def cross_entropy_two_pass(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy log(sum(exp(z))) - z[y], z = logits - the class max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    return lse - np.take_along_axis(z, y[..., None], axis=-1)[..., 0]

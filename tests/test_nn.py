@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslack import nn
+from fedslack import attacks, nn
 from fedslack.errors import FormatError, LabelError, ShapeError
 from fedslack.streams import stream
+from oracles import cross_entropy_two_pass, softmax_two_pass
 
 
 def manual_mlp_forward(model, x):
@@ -177,6 +178,111 @@ def test_backward_variants_equal_the_full_backprop_bitwise(hidden):
     dl /= 9
     assert loss == nn.cross_entropy(nn.forward_batch(m, X), y).mean()
     assert np.array_equal(full, reference_backprop(m, acts, dl)[0])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def gate_shapes(C: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Logits shapes, 2-D and stacked (M = 3), with the fewest rows that take
+    the column max and, where there is one, the most that keep the reduce."""
+    gate = nn.COLUMN_MAX_ROWS * (C - 1)
+    shapes = [("columns", (max(gate, 5),)), ("columns", (3, max(-(-gate // 3), 5)))]
+    if gate > 5:
+        shapes += [("reduce", (gate - 1,)), ("reduce", (3, (gate - 1) // 3))]
+    return [(side, rows + (C,)) for side, rows in shapes]
+
+
+def special_logits(shape: tuple[int, ...], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random logits and labels whose first rows (along the last row axis)
+    tie +0 and -0 at the max, at the label, and are all -inf, all NaN and
+    finite but for one NaN."""
+    rng = stream(seed, "softmax-gate")
+    C = shape[-1]
+    logits = 3.0 * rng.normal(size=shape)
+    y = rng.integers(C, size=shape[:-1])
+    rows = logits.reshape(-1, shape[-2], C).swapaxes(0, 1)    # (n, M, C) view
+    labels = y.reshape(-1, shape[-2]).T
+    rows[0] = -np.abs(rows[0]) - 1.0
+    rows[0, :, 0], rows[0, :, C // 2] = -0.0, 0.0
+    rows[1] = -np.abs(rows[1]) - 1.0
+    rows[1, :, 0], rows[1, :, C - 1] = 0.0, -0.0
+    labels[0], labels[1] = 0, C - 1
+    rows[2] = -np.inf
+    rows[3] = np.nan
+    rows[4, :, C // 2] = np.nan
+    return logits, y
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("C", [1, 2, 5, 10])
+def test_one_softmax_pass_equals_the_two_pass_oracle_bitwise(C, monkeypatch):
+    sides = set()
+    for i, (side, shape) in enumerate(gate_shapes(C)):
+        sides.add(side)
+        logits, y = special_logits(shape, 10 * C + i)
+        ce_ref = cross_entropy_two_pass(logits, y)
+        p_ref = softmax_two_pass(logits)
+        assert same_bits(nn.softmax(logits), p_ref)
+        assert same_bits(nn.cross_entropy(logits, y), ce_ref)
+        # the loss and both gradients from these logits, through a real model
+        lead, n = shape[:-2], shape[-2]
+        model = nn.Model.init([4, 3, C], stream(C, "init"))
+        if lead:
+            model = nn.Model(model.dims, np.tile(model.params.values, (lead[0], 1)))
+        X = stream(i, "softmax-gate-x").uniform(size=lead + (n, 4))
+        acts = nn._forward_cache(model, X)[1]
+        dl = p_ref.copy()
+        np.put_along_axis(dl, y[..., None], np.take_along_axis(dl, y[..., None], -1) - 1.0, -1)
+        dl /= n
+        onehot = nn.one_hot(y, C)
+        with monkeypatch.context() as mp:
+            mp.setattr(nn, "_forward_cache", lambda m, x: (logits.copy(), acts))
+            loss, grads = nn.batch_loss_and_grads(model, X, y)
+            xgrads = nn.input_grads_ce(model, X, onehot)
+        assert same_bits(loss, ce_ref.mean(axis=-1))
+        assert same_bits(grads, nn.backprop(model, acts, dl))
+        assert same_bits(xgrads, nn.input_backprop(model, acts, p_ref - onehot))
+    assert sides == ({"columns"} if C == 1 else {"columns", "reduce"})
+
+
+class CountingReduces(np.ndarray):
+    reduces = 0
+
+    def max(self, *args, **kwargs):
+        CountingReduces.reduces += 1
+        return super().max(*args, **kwargs)
+
+
+@pytest.mark.parametrize("C", [1, 2, 5, 10])
+def test_the_class_max_takes_columns_from_the_gate_rows_on(C):
+    for side, shape in gate_shapes(C):
+        logits = stream(C, "gate").normal(size=shape)
+        CountingReduces.reduces = 0
+        m = nn._class_max(logits.view(CountingReduces))
+        assert CountingReduces.reduces == (side == "reduce"), (side, shape)
+        assert np.array_equal(m, logits.max(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("batch, labels", [((25, 8), (24,)), ((25, 8), (26,)),
+                                           ((3, 25, 8), (25,)), ((25, 8), (25, 1))])
+def test_labels_that_are_not_the_batch_shape_are_a_shape_error(batch, labels):
+    # (24,) used to raise numpy's broadcast ValueError, the others an IndexError
+    model = nn.Model.init([8, 4, 5], stream(0, "init"))
+    if len(batch) == 3:
+        model = nn.Model(model.dims, np.tile(model.params.values, (batch[0], 1)))
+    X, y = np.full(batch, 0.5), np.zeros(labels, dtype=int)
+    message = (f"labels have shape {labels}, a batch of shape {batch} "
+               f"needs {batch[:-1]}")
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        nn.batch_loss_and_grads(model, X, y)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        attacks.fgsm(model, X, y, attacks.AttackSpec(0.1, 0.1))
+    logits = np.zeros(batch[:-1] + (5,))
+    with pytest.raises(ShapeError, match=re.escape(f"labels have shape {labels}")):
+        nn.cross_entropy(logits, y)
 
 
 def test_sgd_plain_step():

@@ -20,8 +20,8 @@ from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
 from fedslack.errors import ConfigError, FormatError
 from fedslack.local import LocalConfig, Trainer
-from fedslack.runner import (DatasetSpec, ExperimentConfig, config_from_dict,
-                             config_to_dict, load_config, load_metrics,
+from fedslack.runner import (DataKind, DatasetSpec, ExperimentConfig, Placement,
+                             config_from_dict, config_to_dict, load_config, load_metrics,
                              run, sample_participants)
 from fedslack.streams import stream
 from test_golden import GOLDEN
@@ -298,7 +298,23 @@ def test_cli_runs_a_partition_section_that_sets_only_num_clients(tmp_path):
 
 ENUM_CHOICES = [("local.trainer", "standard, at, trades"), ("policy.mode", "fat, sfat, re_sfat"),
                 ("policy.schedule", "constant, linear_anneal"),
-                ("partition.mode", "iid, noniid"), ("optimizer", "fedavg, fedprox, scaffold")]
+                ("partition.mode", "iid, noniid"), ("optimizer", "fedavg, fedprox, scaffold"),
+                ("dataset.kind", "synthetic, csv, idx"),
+                ("dataset.placement", "random, orthogonal")]
+
+
+def test_dataset_kind_and_placement_are_read_without_regard_to_case(tmp_path):
+    # both were the only choice keys read with regard to case: "CSV" exited 2
+    raw = {"rounds": 1, "eval_every": 0, "hidden_dims": [4],
+           "dataset": {"kind": "Synthetic", "placement": "ORTHOGONAL", "n_per_class": 10,
+                       "num_classes": 3, "dim": 3}}
+    config = config_from_dict(raw)
+    assert (config.dataset.kind, config.dataset.placement) == (DataKind.SYNTHETIC,
+                                                               Placement.ORTHOGONAL)
+    assert config_from_dict({"dataset": {"kind": "CSV"}}).dataset.kind is DataKind.CSV
+    assert run_cli_on(tmp_path, raw) == (0, True)
+    written = json.loads((tmp_path / "out" / "config.json").read_text())["dataset"]
+    assert (written["kind"], written["placement"]) == ("synthetic", "orthogonal")
 
 
 @pytest.mark.parametrize("path, choices", [pytest.param(*pc, id=pc[0]) for pc in ENUM_CHOICES])
@@ -327,12 +343,13 @@ def test_a_section_given_an_unknown_enum_value_names_its_bare_field(path, choice
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         replace(section, **{name: "xyz"})
     last = choices.split(", ")[-1]
-    assert getattr(replace(section, **{name: last.upper()}), name).value == last
+    fits = {"dim": 5} if last == "orthogonal" else {}   # as many dims as the 5 classes
+    assert getattr(replace(section, **{name: last.upper()}, **fits), name).value == last
 
 
 def test_every_choice_field_declares_its_choices():
     # `check_bounds` reads an enum field's choices off its default; a str
-    # field that names no path declares its own with `one_of`
+    # field that names no path is a choice key declared as no enum
     free = {"train_path", "train_labels_path", "test_path", "test_labels_path", "out_dir"}
     sections = [DatasetSpec, ExperimentConfig, LocalConfig, AggregationPolicy, PartitionSpec,
                 AttackSpec]
@@ -343,9 +360,9 @@ def test_every_choice_field_declares_its_choices():
             hint, where = hints[f.name], f"{section.__name__}.{f.name}"
             if isinstance(hint, EnumMeta):
                 assert isinstance(f.default, hint), f"{where}'s default is no {hint.__name__}"
-            elif str in (hint, *get_args(hint)) and f.name not in free:
-                text = f.metadata.get("bound", ("",))[0]
-                assert text.startswith("one of "), f"{where} declares no choices"
+            else:
+                assert str not in (hint, *get_args(hint)) or f.name in free, \
+                    f"{where} declares no choices"
             named |= {f.name} & free
     assert named == free
 
