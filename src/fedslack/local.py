@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from . import nn
-from .attacks import AttackSpec, Rng, pgd, pgd_kl
+from .attacks import AttackSpec, Rng, kl_terms, pgd, pgd_kl
 from .data import ClientShard, Dataset
 from .errors import (AT_LEAST_1, FINITE_NON_NEGATIVE, FROM_0_BELOW_1, POSITIVE,
                      DivergenceError, ShapeError, check_bounds)
@@ -286,16 +286,14 @@ def _trades_objective(model: nn.Model, xb: np.ndarray, yb: np.ndarray, config: L
     log_p = np.log(np.clip(p, 1e-300, None))
     x_adv = pgd_kl(model, xb, config.attack, rng, log_p) if config.attack.epsilon > 0 else xb
     logits_adv, acts_adv = nn._forward_cache(model, x_adv)
-    q = nn.softmax(logits_adv)
-    s = np.log(np.clip(q, 1e-300, None)) - log_p
-    kl = (q * s).sum(axis=-1)
-    loss = ce.mean(axis=-1) + beta * kl.mean(axis=-1)
+    q, s, kl = kl_terms(logits_adv, log_p)
+    loss = ce.mean(axis=-1) + beta * kl[..., 0].mean(axis=-1)
 
     dl_nat = p.copy()
     dl_nat[at] -= 1.0
     dl_nat += beta * (p - q)          # KL gradient w.r.t. the natural logits
     dl_nat /= n
-    dl_adv = beta * q * (s - kl[..., None]) / n
+    dl_adv = beta * q * (s - kl) / n
     nn.backprop(model, acts_nat, dl_nat, grads)
     grads += nn.backprop(model, acts_adv, dl_adv, scratch)
     return loss, grads

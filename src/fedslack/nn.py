@@ -252,12 +252,6 @@ def _at_labels(y: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.arange(len(y))[:, None], np.arange(y.shape[1]), y
 
 
-def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample softmax cross-entropy; logits (n, C), y (n,), or (M, n, C), (M, n)."""
-    y = _check_labels(y, logits.shape[-1], logits.shape)
-    return _softmax_ce(logits, _at_labels(y))[1]
-
-
 def _check_labels(y: np.ndarray, num_classes: int,
                   batch_shape: tuple[int, ...] | None = None) -> np.ndarray:
     """`y` as intp; LabelError if a label is outside [0, num_classes), and
@@ -272,10 +266,11 @@ def _check_labels(y: np.ndarray, num_classes: int,
     return y.astype(np.intp)
 
 
-def one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    """The float64 one-hot of labels y, shape y.shape + (C,); LabelError if a
-    label is outside [0, C)."""
-    y = _check_labels(y, num_classes)
+def one_hot(y: np.ndarray, num_classes: int,
+            batch_shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The float64 one-hot of labels y, shape y.shape + (C,), checked as
+    `_check_labels(y, num_classes, batch_shape)` checks them."""
+    y = _check_labels(y, num_classes, batch_shape)
     return (y[..., None] == np.arange(num_classes)).astype(np.float64)
 
 
@@ -331,8 +326,12 @@ def sgd_step(model: Model, grads: np.ndarray, velocity: np.ndarray, scratch: np.
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Binary checkpoint: magic, version, layer entries, row-major float64 LE."""
+    """Binary checkpoint: magic, version, layer entries, row-major float64 LE;
+    ShapeError, and no file written, for a stack of more than one row."""
     layout = model.layout
+    if model.params.values.size != _size(layout):
+        raise ShapeError(f"a checkpoint holds one model, got values of shape "
+                         f"{model.params.values.shape}")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))

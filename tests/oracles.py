@@ -9,7 +9,8 @@ against them bit for bit.  `class_groups` states the NONIID partitions'
 ownership rule as each client's list of classes, for the partition tests.
 `softmax_two_pass` and `cross_entropy_two_pass` each take the class max by
 one reduce and compute exp(logits - max) on their own, as the engine did
-before its loss and gradient shared one softmax pass.
+before its loss and gradient shared one softmax pass.  `fgsm_clip` is FGSM's
+own formula, one clipped sign step, which one-step PGD must equal.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from fedslack import nn
 from fedslack.aggregation import slack_weights, sort_by_weighted_loss
 from fedslack.errors import AggregationError
 from fedslack.nn import Layout, ParamVector
@@ -122,3 +124,9 @@ def cross_entropy_two_pass(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
     return lse - np.take_along_axis(z, y[..., None], axis=-1)[..., 0]
+
+
+def fgsm_clip(model, X: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray:
+    """clip(X + epsilon * sign(input gradient of the cross-entropy), 0, 1)."""
+    g = nn.input_grads_ce(model, X, nn.one_hot(y, model.num_classes))
+    return np.clip(X + epsilon * np.sign(g), 0.0, 1.0)

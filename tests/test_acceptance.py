@@ -29,7 +29,7 @@ from fedslack.local import LocalConfig
 from fedslack.metrics import trace_topk
 from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
 from fedslack.streams import stream
-from oracles import RoundArrays, class_groups, fedavg_aggregate, server_weights
+from oracles import RoundArrays, class_groups, fedavg_aggregate, fgsm_clip, server_weights
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
 
@@ -188,10 +188,13 @@ def test_criterion_6_attack_invariants():
         done += batch
     X = rng.uniform(size=(256, 6))
     y = rng.integers(3, size=256)
-    one = AttackSpec(0.05, 0.05, steps=1, random_start=False)
-    ok &= np.array_equal(pgd(model, X, y, one), fgsm(model, X, y, one))
+    for eps in (0.05, 0.0):
+        one = AttackSpec(eps, 0.05, steps=1, random_start=False)
+        ref = fgsm_clip(model, X, y, eps).tobytes()
+        ok &= pgd(model, X, y, one).tobytes() == ref == fgsm(model, X, y, one).tobytes()
+        ok &= np.array_equal(pgd(model, X, y, one), fgsm(model, X, y, one))
     _report(6, ok, "10k attacked samples stay in the ball and [0,1]; "
-                   "FGSM = 1-step PGD bit-exact")
+                   "FGSM = 1-step PGD = clip(x + eps*sign(grad), 0, 1) bit-exact")
 
 
 def test_criterion_7_partition_correctness():

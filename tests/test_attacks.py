@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from fedslack import nn
 from fedslack.attacks import AttackSpec, fgsm, pgd, pgd_core, pgd_kl
-from fedslack.errors import ConfigError, LabelError
+from fedslack.errors import ConfigError, LabelError, ShapeError
 from fedslack.streams import stream
+from oracles import cross_entropy_two_pass, fgsm_clip
 
 
 def make_model(seed=0, dims=(3, 4, 2)):
@@ -45,8 +48,16 @@ def test_pgd_single_step_equals_fgsm():
     rng = stream(1, "x")
     X = rng.uniform(size=(32, 3))
     y = rng.integers(2, size=32)
-    spec = AttackSpec(0.07, 0.07, steps=1, random_start=False)
-    np.testing.assert_array_equal(pgd(m, X, y, spec), fgsm(m, X, y, spec))
+    X0 = X.copy()
+    for eps in (0.07, 0.0):
+        spec = AttackSpec(eps, 0.07, steps=1, random_start=False)
+        ref = fgsm_clip(m, X, y, eps).tobytes()
+        assert pgd(m, X, y, spec).tobytes() == ref
+        assert fgsm(m, X, y, spec).tobytes() == ref
+        np.testing.assert_array_equal(pgd(m, X, y, spec), fgsm(m, X, y, spec))
+    # the first step reads the clean batch itself: it must come back untouched
+    assert not np.shares_memory(pgd(m, X, y, spec), X)
+    assert np.array_equal(X, X0)
 
 
 def test_pgd_ball_containment_default_budget():
@@ -100,11 +111,11 @@ def test_attack_strength_monotone_trend():
     for _ in range(100):
         _, g = nn.batch_loss_and_grads(m, X, y)
         nn.sgd_step(m, g, velocity, scratch, 0.5, 0.0, 0.0)
-    nat = nn.cross_entropy(nn.forward_batch(m, X), y).mean()
+    nat = cross_entropy_two_pass(nn.forward_batch(m, X), y).mean()
     one = AttackSpec(0.08, 0.08, steps=1)
     ten = AttackSpec(0.08, 0.02, steps=10)
-    l1 = nn.cross_entropy(nn.forward_batch(m, pgd(m, X, y, one)), y).mean()
-    l10 = nn.cross_entropy(nn.forward_batch(m, pgd(m, X, y, ten)), y).mean()
+    l1 = cross_entropy_two_pass(nn.forward_batch(m, pgd(m, X, y, one)), y).mean()
+    l10 = cross_entropy_two_pass(nn.forward_batch(m, pgd(m, X, y, ten)), y).mean()
     assert l10 >= l1 >= nat
 
 
@@ -131,8 +142,38 @@ def test_pgd_rejects_inputs_outside_clip_range():
     m = make_model()
     spec = AttackSpec(0.1, 0.02, steps=2)
     for bad in ([0.5, 1.5, 0.5], [-0.1, 0.5, 0.5], [0.5, np.nan, 0.5]):
-        with pytest.raises(ValueError):
-            pgd(m, np.array([bad]), np.array([0]), spec)
+        for attack in (pgd, fgsm):
+            with pytest.raises(ValueError, match=re.escape("attack inputs must lie in [0, 1]")):
+                attack(m, np.array([bad]), np.array([0]), spec)
+
+
+@pytest.mark.parametrize("rows, batch", [(2, (5, 4)), (None, (2, 5, 4)), (None, (5, 3)),
+                                         (2, (2, 5, 3))])
+def test_attacks_reject_a_batch_that_is_not_the_models(rows, batch):
+    # the first two used to return a (2, 5, 4) array, the last two raised
+    # numpy's matmul ValueError
+    model = make_model(dims=(4, 6, 3))
+    if rows:
+        model = nn.Model(model.dims, np.tile(model.params.values, (rows, 1)))
+    X, y = np.full(batch, 0.5), np.zeros(batch[:-1], dtype=int)
+    log_ref = np.zeros(batch[:-1] + (3,))
+    spec = AttackSpec(0.1, 0.02, steps=2)
+    expected = "(2, n, 4)" if rows else "(n, 4)"
+    message = re.escape(f"batch has shape {batch}, expected {expected}")
+    for attack in (lambda: fgsm(model, X, y, spec), lambda: pgd(model, X, y, spec),
+                   lambda: pgd_kl(model, X, spec, None, log_ref)):
+        with pytest.raises(ShapeError, match=message):
+            attack()
+
+
+def test_pgd_kl_rejects_a_reference_that_is_not_the_batch_logits_shape():
+    # a (5, 3) reference used to broadcast over the stacked (2, 5, 4) batch
+    model = make_model(dims=(4, 6, 3))
+    model = nn.Model(model.dims, np.tile(model.params.values, (2, 1)))
+    X = stream(2, "x").uniform(size=(2, 5, 4))
+    message = "log_ref has shape (5, 3), a batch of shape (2, 5, 4) needs (2, 5, 3)"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        pgd_kl(model, X, AttackSpec(0.1, 0.02, steps=2), None, np.zeros((5, 3)))
 
 
 def test_attacks_check_labels_once_per_call(monkeypatch):
