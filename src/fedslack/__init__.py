@@ -5,8 +5,8 @@ from .aggregation import (AggregationMode, AggregationPolicy, AlphaSchedule,
                           alpha_slack_loss, scaffold_server_update, slack_aggregate,
                           slack_weights, sort_by_weighted_loss)
 from .attacks import AttackSpec, fgsm, pgd
-from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, load_csv,
-                   load_idx, make_synthetic, partition, partition_unequal)
+from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, Placement,
+                   load_csv, load_idx, make_synthetic, partition, partition_unequal)
 from .local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold, cohorts,
                     train_client, update_scaffold_client)
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,

@@ -57,10 +57,8 @@ class AggregationPolicy:
         return self.alpha + frac * (self.alpha_end - self.alpha)
 
     def effective_k_hat(self, participants: int) -> int:
-        """Cap the top-set at half the participating clients, never below 1."""
-        if self.k_hat == 0 or participants < 2:
-            return 0
-        return max(1, min(self.k_hat, participants // 2))
+        """Cap the top-set at half the participating clients."""
+        return min(self.k_hat, participants // 2)
 
 
 def sort_by_weighted_loss(weighted_losses: np.ndarray, client_ids: list[int]) -> list[int]:

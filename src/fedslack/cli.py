@@ -35,11 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
+    run_p.set_defaults(handler=_cmd_run)
 
     part_p = sub.add_parser("partition", help="partition utilities")
     part_sub = part_p.add_subparsers(dest="action", required=True)
     inspect_p = part_sub.add_parser("inspect", help="print per-client class counts")
     inspect_p.add_argument("--config", required=True)
+    inspect_p.set_defaults(handler=_cmd_partition_inspect)
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a test set")
     eval_p.add_argument("--checkpoint", required=True)
@@ -47,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--attack", choices=["none", "fgsm", "pgd20"], default="none")
     eval_p.add_argument("--epsilon", type=float, default=8 / 255)
     eval_p.add_argument("--step-size", type=float, default=2 / 255)
+    eval_p.set_defaults(handler=_cmd_eval)
 
     sweep_p = sub.add_parser("sweep", help="run a seeded grid over one parameter")
     sweep_p.add_argument("--config", required=True)
@@ -54,9 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["alpha", "khat", "epsilon", "clients", "ratio"])
     sweep_p.add_argument("--values", required=True, nargs="+", type=float)
     sweep_p.add_argument("--out", default=None)
+    sweep_p.set_defaults(handler=_cmd_sweep)
 
     trace_p = sub.add_parser("trace-topk", help="print top-set selection histogram")
     trace_p.add_argument("--run", required=True, help="output directory of a run")
+    trace_p.set_defaults(handler=_cmd_trace_topk)
     return p
 
 
@@ -164,15 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "partition":
-            return _cmd_partition_inspect(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_trace_topk(args)
+        return args.handler(args)
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

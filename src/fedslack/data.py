@@ -54,6 +54,11 @@ class PartitionMode(Enum):
     NONIID = "noniid"
 
 
+class Placement(Enum):
+    RANDOM = "random"
+    ORTHOGONAL = "orthogonal"
+
+
 @dataclass
 class PartitionSpec:
     """How to split a dataset across K clients.
@@ -105,29 +110,27 @@ class ClientShard:
 def make_synthetic(n_per_class: int, num_classes: int, dim: int,
                    separation: float, seed: int, spread: float = 0.08,
                    noise_seed: int | None = None,
-                   placement: str = "random") -> Dataset:
+                   placement: Placement = Placement.RANDOM) -> Dataset:
     """Gaussian clusters per class, centered around 0.5, clipped to [0,1].
 
     The cluster geometry depends only on `seed`; `noise_seed` (default: seed)
     controls the sample noise, so a held-out set drawn with a different
-    noise_seed shares the same class distribution.  placement "orthogonal"
+    noise_seed shares the same class distribution.  ORTHOGONAL placement
     puts class means on orthonormal directions (equally hard classes,
-    requires dim >= num_classes); "random" draws directions uniformly.
+    requires dim >= num_classes); RANDOM draws directions uniformly.
     """
     if n_per_class < 1 or num_classes < 2 or dim < 1:
         raise ValueError("need n_per_class >= 1, num_classes >= 2, dim >= 1")
     rng_means = stream(seed, "synthetic-means")
     rng = stream(seed if noise_seed is None else noise_seed, "synthetic-points")
-    if placement == "orthogonal":
+    if placement is Placement.ORTHOGONAL:
         if dim < num_classes:
             raise ValueError("orthogonal placement needs dim >= num_classes")
         q, _ = np.linalg.qr(rng_means.normal(size=(dim, num_classes)))
         dirs = q.T[:num_classes]
-    elif placement == "random":
+    else:
         dirs = rng_means.normal(size=(num_classes, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    else:
-        raise ValueError(f"unknown placement {placement!r}")
     means = 0.5 + 0.5 * separation * dirs
     # one (C, n, dim) draw takes the same values from the stream as one
     # (n, dim) draw per class in class order
@@ -158,31 +161,35 @@ def open_utf8(path) -> Iterator[TextIO]:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _idx_header(f, kind: str, magic: int, n_dims: int) -> list[int]:
+    """The `n_dims` sizes after the magic of an IDX `kind` ("image" or
+    "label") file, the sample count first; FormatError naming the file if
+    its header is truncated, its magic is not `magic` or it holds no samples."""
+    header = f.read(4 + 4 * n_dims)
+    if len(header) != 4 + 4 * n_dims:
+        raise FormatError(f"{f.name}: {kind} file header truncated")
+    found, *dims = struct.unpack(f">{1 + n_dims}I", header)
+    if found != magic:
+        raise FormatError(f"{f.name}: bad {kind} magic 0x{found:08x}")
+    if dims[0] == 0:
+        raise FormatError(f"{f.name}: {kind} file contains no samples")
+    return dims
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style IDX image/label pair; pixels scaled to [0,1]."""
     with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) != 16:
-            raise FormatError(f"{images_path}: image file header truncated")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}")
+        count, rows, cols = _idx_header(f, "image", IDX_IMAGE_MAGIC, 3)
         raw = read_declared(f, count * rows * cols, "image file")
         features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) != 8:
-            raise FormatError(f"{labels_path}: label file header truncated")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
+        (label_count,) = _idx_header(f, "label", IDX_LABEL_MAGIC, 1)
         labels = np.frombuffer(read_declared(f, label_count, "label file"), dtype=np.uint8)
     if count != label_count:
         raise FormatError(f"image count {count} in {images_path} != label count "
                           f"{label_count} in {labels_path}")
-    num_classes = int(labels.max()) + 1 if len(labels) else 1
     return Dataset(features.astype(np.float64) / 255.0, labels.astype(np.intp),
-                   max(num_classes, 2))
+                   max(int(labels.max()) + 1, 2))
 
 
 def load_csv(path) -> Dataset:

@@ -91,9 +91,8 @@ def client_drift(uploads: np.ndarray,
 
 
 def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> float:
-    """Variance of the per-client pseudo-gradients: upload rows minus theta_prev."""
-    if len(uploads) < 2:
-        raise ValueError("gradient variance needs at least 2 clients")
+    """Variance of the per-client pseudo-gradients: upload rows minus
+    theta_prev; 0.0 for a lone row, which is its own mean."""
     _check_rows(uploads, theta_prev_global)
     # Bit-equal to centring the (m, P) matrix g = uploads - theta_prev: the
     # mean sums g's rows in order, as numpy's axis-0 mean does, and each
@@ -143,7 +142,7 @@ def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack
     if len(test_set) == 0:
         raise ValueError("empty test set")
     X = nn._check_batch(model, test_set.features)
-    y = nn._check_labels(test_set.labels, model.num_classes)
+    y = nn._check_labels(test_set.labels, model.num_classes, X.shape)
     if attack is not EvalAttack.NONE and spec is None:
         raise ValueError(f"{attack.name} evaluation needs an attack spec")
     if spec is not None and spec.random_start:

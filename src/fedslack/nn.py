@@ -252,13 +252,11 @@ def _at_labels(y: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.arange(len(y))[:, None], np.arange(y.shape[1]), y
 
 
-def _check_labels(y: np.ndarray, num_classes: int,
-                  batch_shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """`y` as intp; LabelError if a label is outside [0, num_classes), and
-    ShapeError unless `y`'s shape is `batch_shape` without its last axis,
-    when given."""
+def _check_labels(y: np.ndarray, num_classes: int, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """`y` as intp; ShapeError unless `y`'s shape is `batch_shape` without its
+    last axis, and LabelError if a label is outside [0, num_classes)."""
     y = np.asarray(y)
-    if batch_shape is not None and y.shape != batch_shape[:-1]:
+    if y.shape != batch_shape[:-1]:
         raise ShapeError(f"labels have shape {y.shape}, a batch of shape {batch_shape} "
                          f"needs {batch_shape[:-1]}")
     if np.any(y < 0) or np.any(y >= num_classes):
@@ -266,8 +264,7 @@ def _check_labels(y: np.ndarray, num_classes: int,
     return y.astype(np.intp)
 
 
-def one_hot(y: np.ndarray, num_classes: int,
-            batch_shape: tuple[int, ...] | None = None) -> np.ndarray:
+def one_hot(y: np.ndarray, num_classes: int, batch_shape: tuple[int, ...]) -> np.ndarray:
     """The float64 one-hot of labels y, shape y.shape + (C,), checked as
     `_check_labels(y, num_classes, batch_shape)` checks them."""
     y = _check_labels(y, num_classes, batch_shape)

@@ -42,7 +42,7 @@ import numpy as np
 from . import nn, threads
 from .aggregation import (AggregationPolicy, scaffold_server_update,
                           slack_aggregate, slack_weights, sort_by_weighted_loss)
-from .data import (ClientShard, Dataset, PartitionSpec, load_csv, load_idx,
+from .data import (ClientShard, Dataset, PartitionSpec, Placement, load_csv, load_idx,
                    make_synthetic, open_utf8, partition, partition_unequal)
 from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE, POSITIVE,
                      ConfigError, DivergenceError, FormatError, PartitionError,
@@ -81,11 +81,6 @@ class DataKind(Enum):
     SYNTHETIC = "synthetic"
     CSV = "csv"
     IDX = "idx"
-
-
-class Placement(Enum):
-    RANDOM = "random"
-    ORTHOGONAL = "orthogonal"
 
 
 @dataclass
@@ -229,11 +224,11 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         with _allocating(f"dataset.n_per_class {ds.n_per_class}, num_classes "
                          f"{ds.num_classes}, dim {ds.dim} and test_fraction {ds.test_fraction}"):
             train = make_synthetic(ds.n_per_class, ds.num_classes, ds.dim, ds.separation,
-                                   seed=config.seed, placement=ds.placement.value)
+                                   seed=config.seed, placement=ds.placement)
             n_test = max(ds.num_classes, int(ds.n_per_class * ds.test_fraction))
             test = make_synthetic(n_test, ds.num_classes, ds.dim, ds.separation,
                                   seed=config.seed, noise_seed=config.seed + 1_000_003,
-                                  placement=ds.placement.value)
+                                  placement=ds.placement)
     elif ds.kind is DataKind.CSV:
         if not ds.train_path or not ds.test_path:
             raise ConfigError("csv datasets need train_path and test_path")
@@ -376,7 +371,7 @@ class RunState:
         if self.scaffold:
             scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas)
         drifts, mean_drift = client_drift(uploads, theta_new)
-        gvar = gradient_variance(uploads, self.model.params.values) if len(uploads) >= 2 else 0.0
+        gvar = gradient_variance(uploads, self.model.params.values)
         self.model.params.values[:] = theta_new
         # tolist() gives Python bools, which `report_rows` writes as 1/0
         recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)

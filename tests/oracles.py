@@ -128,5 +128,5 @@ def cross_entropy_two_pass(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fgsm_clip(model, X: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray:
     """clip(X + epsilon * sign(input gradient of the cross-entropy), 0, 1)."""
-    g = nn.input_grads_ce(model, X, nn.one_hot(y, model.num_classes))
+    g = nn.input_grads_ce(model, X, nn.one_hot(y, model.num_classes, X.shape))
     return np.clip(X + epsilon * np.sign(g), 0.0, 1.0)

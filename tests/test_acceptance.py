@@ -146,7 +146,7 @@ def test_criterion_5_gradient_checks():
         x = rng.uniform(0.1, 0.9, size=(1, dims[0]))
         y = rng.integers(dims[-1], size=1)
         _, pgrads = nn.batch_loss_and_grads(model, x, y)
-        xgrad = nn.input_grads_ce(model, x, nn.one_hot(y, dims[-1]))[0]
+        xgrad = nn.input_grads_ce(model, x, nn.one_hot(y, dims[-1], x.shape))[0]
         theta = model.params.values
         vec = theta.copy()
         for i in range(len(vec)):

@@ -123,6 +123,13 @@ def test_slack_weights_khat_constraint():
         server_weights(ups, policy)
 
 
+def test_effective_k_hat_is_at_most_half_the_participants():
+    for k_hat in range(9):
+        for m in range(1, 21):
+            got = AggregationPolicy(AggregationMode.SFAT, 0.2, k_hat).effective_k_hat(m)
+            assert got == (0 if k_hat == 0 or m < 2 else min(k_hat, m // 2)), (k_hat, m)
+
+
 def test_invalid_alpha():
     with pytest.raises(ConfigError):
         AggregationPolicy(AggregationMode.SFAT, alpha=1.0, k_hat=1)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from fedslack import nn, threads
 from fedslack.attacks import AttackSpec
 from fedslack.data import Dataset
+from fedslack.errors import ShapeError
 from fedslack.metrics import (EvalAttack, client_drift, evaluate, gradient_variance,
                               trace_topk, xi_count)
 from fedslack.streams import stream
@@ -60,9 +63,9 @@ def test_gradient_variance_hand_case():
         pytest.approx(1.0, rel=1e-15)
 
 
-def test_gradient_variance_needs_two_clients():
-    with pytest.raises(ValueError):
-        gradient_variance(rows(pv([1.0, 0.0])), pv([0.0, 0.0]).values)
+def test_gradient_variance_of_one_row_is_zero():
+    # a lone pseudo-gradient is its own mean
+    assert gradient_variance(rows(pv([1.0, -2.5])), pv([0.3, 0.0]).values) == 0.0
 
 
 def test_xi_top1_equal_n():
@@ -134,6 +137,23 @@ def test_evaluate_rejects_a_random_start_before_splitting_the_test_set(monkeypat
 def test_evaluate_empty_set_errors():
     with pytest.raises(ValueError):
         evaluate(const_model(), Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2))
+
+
+@pytest.mark.parametrize("attack", list(EvalAttack))
+def test_evaluate_rejects_labels_not_shaped_like_the_batch(monkeypatch, attack):
+    # (n, 1) labels would broadcast `argmax(axis=1) == y` to (n, n): a 3-4-2
+    # model scored 0.5 with (6,) labels and 3.0 with the same labels as (6, 1);
+    # they are rejected once, before the test set is split
+    chunked = []
+    monkeypatch.setattr(threads, "for_each", lambda fn, items: chunked.append(items))
+    m = nn.Model.init([3, 4, 2], stream(2, "init"))
+    ds = balanced_dataset(n_per_class=3, seed=2)
+    ds.labels = ds.labels[:, None]
+    spec = None if attack is EvalAttack.NONE else AttackSpec(0.05, 0.01, steps=3)
+    with pytest.raises(ShapeError, match=re.escape("labels have shape (6, 1), a batch of "
+                                                   "shape (6, 3) needs (6,)")):
+        evaluate(m, ds, attack, spec)
+    assert chunked == []
 
 
 def test_accuracy_in_unit_interval():

@@ -121,7 +121,7 @@ def test_gradients_match_finite_differences(seed):
     x = rng.uniform(0.1, 0.9, size=(1, 3))
     y = rng.integers(2, size=1)
     _, pgrads = nn.batch_loss_and_grads(m, x, y)
-    xgrad = nn.input_grads_ce(m, x, nn.one_hot(y, 2))
+    xgrad = nn.input_grads_ce(m, x, nn.one_hot(y, 2, x.shape))
     fd_p = finite_diff_param_grads(m, x, y)
     fd_x = finite_diff_input_grads(m, x, y)
     np.testing.assert_allclose(pgrads, fd_p, rtol=1e-4, atol=1e-8)
@@ -134,9 +134,9 @@ def test_batch_loss_is_mean_of_singles():
     X = rng.uniform(size=(6, 4))
     y = rng.integers(3, size=6)
     loss, pgrads = nn.batch_loss_and_grads(m, X, y)
-    xgrads = nn.input_grads_ce(m, X, nn.one_hot(y, 3))
+    xgrads = nn.input_grads_ce(m, X, nn.one_hot(y, 3, X.shape))
     singles = [nn.batch_loss_and_grads(m, X[i:i + 1], y[i:i + 1]) for i in range(6)]
-    single_xgrads = [nn.input_grads_ce(m, X[i:i + 1], nn.one_hot(y[i:i + 1], 3))[0]
+    single_xgrads = [nn.input_grads_ce(m, X[i:i + 1], nn.one_hot(y[i:i + 1], 3, (1, 4)))[0]
                      for i in range(6)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
     np.testing.assert_allclose(pgrads,
@@ -237,7 +237,7 @@ def test_one_softmax_pass_equals_the_two_pass_oracle_bitwise(C, monkeypatch):
         dl = p_ref.copy()
         np.put_along_axis(dl, y[..., None], np.take_along_axis(dl, y[..., None], -1) - 1.0, -1)
         dl /= n
-        onehot = nn.one_hot(y, C)
+        onehot = nn.one_hot(y, C, X.shape)
         with monkeypatch.context() as mp:
             mp.setattr(nn, "_forward_cache", lambda m, x: (logits.copy(), acts))
             loss, grads = nn.batch_loss_and_grads(model, X, y)

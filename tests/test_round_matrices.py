@@ -61,10 +61,6 @@ def test_client_drift_matches_the_list_oracle_bitwise(m):
 def test_gradient_variance_matches_the_list_oracle_bitwise(m):
     for seed in range(5):
         _, theta, uploads, _ = random_round(m, seed)
-        if m < 2:
-            with pytest.raises(ValueError):
-                gradient_variance(uploads, theta.values)
-            continue
         got = gradient_variance(uploads, theta.values)
         assert got == gradient_variance_list(list(uploads), theta.values)
 

@@ -44,14 +44,17 @@ def tiny_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def test_single_client_identity():
+def test_single_client_identity(tmp_path):
     cfg = tiny_config(partition=PartitionSpec(2, skew=5.0, seed=0),
                       dataset=DatasetSpec(n_per_class=20, num_classes=2, dim=3),
-                      rounds=1, participation=0.5)
+                      rounds=1, participation=0.5, out_dir=str(tmp_path))
     art = run(cfg)
     assert len(art.reports) == 1
-    # only one participant: aggregate equals its upload, so drift is zero
+    # only one participant: aggregate equals its upload, so drift is zero,
+    # and its pseudo-gradient is its own mean, so the variance is zero
     assert art.reports[0].mean_drift == 0.0
+    agg = [r for r in load_metrics(tmp_path / "metrics.csv") if r["client_id"] == -1]
+    assert [r["grad_var"] for r in agg] == [0.0]
 
 
 def test_sfat_alpha_zero_equals_fat_bitwise():
@@ -950,8 +953,11 @@ IDX_LABEL = struct.pack(">II", 0x801, 1) + bytes(1)
     (IDX_IMAGE, IDX_LABEL[:4], "{labels}: label file header truncated"),
     (IDX_IMAGE, struct.pack(">I", 0x803) + IDX_LABEL[4:], "{labels}: bad label magic 0x00000803"),
     (struct.pack(">IIII", 0x803, 2, 1, 3) + bytes(6), IDX_LABEL,
-     "image count 2 in {images} != label count 1 in {labels}")],
-    ids=["image_header", "image_magic", "label_header", "label_magic", "count"])
+     "image count 2 in {images} != label count 1 in {labels}"),
+    (struct.pack(">IIII", 0x803, 0, 1, 3), IDX_LABEL, "{images}: image file contains no samples"),
+    (IDX_IMAGE, struct.pack(">II", 0x801, 0), "{labels}: label file contains no samples")],
+    ids=["image_header", "image_magic", "label_header", "label_magic", "count", "no_images",
+         "no_labels"])
 def test_cli_run_names_the_idx_file_a_header_error_is_in(tmp_path, capsys, image, label,
                                                          message):
     # these used to name no file: `bad image magic 0x00000804` alone
