@@ -164,7 +164,8 @@ def open_utf8(path) -> Iterator[TextIO]:
 def _idx_header(f, kind: str, magic: int, n_dims: int) -> list[int]:
     """The `n_dims` sizes after the magic of an IDX `kind` ("image" or
     "label") file, the sample count first; FormatError naming the file if
-    its header is truncated, its magic is not `magic` or it holds no samples."""
+    its header is truncated, its magic is not `magic`, or it holds no samples
+    or samples of no values."""
     header = f.read(4 + 4 * n_dims)
     if len(header) != 4 + 4 * n_dims:
         raise FormatError(f"{f.name}: {kind} file header truncated")
@@ -173,6 +174,9 @@ def _idx_header(f, kind: str, magic: int, n_dims: int) -> list[int]:
         raise FormatError(f"{f.name}: bad {kind} magic 0x{found:08x}")
     if dims[0] == 0:
         raise FormatError(f"{f.name}: {kind} file contains no samples")
+    if 0 in dims[1:]:
+        raise FormatError(f"{f.name}: {kind} file holds samples of "
+                          f"{'x'.join(map(str, dims[1:]))} values: no features")
     return dims
 
 
@@ -199,6 +203,8 @@ def load_csv(path) -> Dataset:
         header = next(reader, None)
         if not header or header[0] != "label":
             raise FormatError(f"{path}: csv must start with a `label` column")
+        if len(header) == 1:
+            raise FormatError(f"{path}: csv has no feature columns after `label`")
         labels, feats = [], []
         for row in reader:
             if not row:

@@ -22,6 +22,15 @@ client.  Its (P,) aggregate is written into the global model's buffer, the
 one copy of the global parameters, which the next round's clients download.
 `evaluate_round` then scores that model through the same work queue, in row
 chunks whose height comes from the model's size (see `metrics.evaluate`).
+
+Eval reads only the global model and the test set, and so does the next
+round's training, but both hold the interpreter lock between numpy calls.
+So, given a second core, `run` forks an eval child (a `threads.Child`)
+before round 1, with BLAS already pinned, and sends it each eval round's
+global parameters but the last's; it scores them with the same `evaluate`
+calls while the parent trains the next round, and the parent collects the
+three accuracies before it closes that round.  The last round, and every
+eval round of a run without the child, is scored in-process.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -379,39 +389,84 @@ class RunState:
                 zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
         return RoundReport(t, recs, mean_drift, gvar, xi, alpha)
 
-    def evaluate_round(self, rep: RoundReport) -> None:
-        """On an eval round (every `eval_every`-th and the last), fill the
-        report's natural, FGSM and PGD-20 accuracies of the global model."""
-        t, config, spec = rep.round_idx, self.config, self.config.local.attack
-        if not config.eval_every or (t % config.eval_every and t != config.rounds):
-            return
-        model, test_set = self.model, self.test_set
-        rep.nat_acc = evaluate(model, test_set, EvalAttack.NONE)
+    def is_eval_round(self, t: int) -> bool:
+        """Whether round t is scored: every `eval_every`-th round and the last."""
+        every = self.config.eval_every
+        return bool(every) and (t % every == 0 or t == self.config.rounds)
+
+    def scores(self) -> tuple[float, float, float]:
+        """The global model's natural, FGSM and PGD-20 accuracies."""
+        model, test_set, spec = self.model, self.test_set, self.config.local.attack
+        nat = evaluate(model, test_set, EvalAttack.NONE)
         if spec.epsilon > 0:
-            rep.fgsm_acc = evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1))
-            rep.pgd20_acc = evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20))
-        else:
-            rep.fgsm_acc = rep.pgd20_acc = rep.nat_acc
+            return (nat, evaluate(model, test_set, EvalAttack.FGSM, spec.evaluation(1)),
+                    evaluate(model, test_set, EvalAttack.PGD, spec.evaluation(20)))
+        return nat, nat, nat
+
+    def evaluate_round(self, rep: RoundReport) -> None:
+        """On an eval round, fill the report's accuracies of the global model."""
+        if self.is_eval_round(rep.round_idx):
+            rep.nat_acc, rep.fgsm_acc, rep.pgd20_acc = self.scores()
+
+    def record(self, rep: RoundReport) -> None:
+        """Keep a closed round's report, and write its rows."""
+        self.reports.append(rep)
+        if self.writer:
+            self.writer.write_round(rep)
 
 
 def run(config: ExperimentConfig) -> RunState:
-    """Run every round of `config`; returns the run's state: its `reports`, final `model`."""
+    """Run every round of `config`; returns the run's state: its `reports`, final `model`.
+
+    An eval round scored in the child is collected once the next round has
+    trained, aggregated and, if it is the last, been scored in-process, so
+    that round's `wall_clock` covers any wait for it, and
+    its rows are written after that round's stamp, just before that round's
+    rows.  If the next round diverges, the scored round is collected and
+    written first, so `metrics.csv` and `checkpoint.bin` are what an
+    in-process run leaves."""
     state = RunState(config)
+    child = scoring = None      # `scoring`: the eval round the child is scoring
+
+    def collect(rep: RoundReport) -> None:
+        rep.nat_acc, rep.fgsm_acc, rep.pgd20_acc = child.result()
+
     try:
         with threads.one_blas_thread():
+            if config.eval_every and config.eval_every < config.rounds \
+                    and threads.cores() > 1 and hasattr(os, "fork"):
+                try:
+                    child = threads.Child(state.scores, state.model.params.values)
+                except OSError:         # no process to spare: eval stays in-process
+                    pass
             for t in range(1, config.rounds + 1):
                 t0 = time.perf_counter()
                 rep = state.server_step(t, state.train_round(t))
-                state.evaluate_round(rep)
+                in_child = child is not None and t < config.rounds and state.is_eval_round(t)
+                if not in_child:
+                    state.evaluate_round(rep)
+                done, scoring = scoring, None
+                if done:
+                    collect(done)
+                if in_child:
+                    child.submit()
+                    scoring = rep
                 rep.wall_clock = time.perf_counter() - t0
-                state.reports.append(rep)
-                if state.writer:
-                    state.writer.write_round(rep)
+                for closed in (done, rep):
+                    if closed is not None and closed is not scoring:
+                        state.record(closed)
     except DivergenceError:
-        if state.out_dir:
-            nn.save_checkpoint(state.model, state.out_dir / "checkpoint.bin")
+        try:
+            if scoring:     # the child was scoring the round before the one that diverged
+                collect(scoring)
+                state.record(scoring)
+        finally:
+            if state.out_dir:
+                nn.save_checkpoint(state.model, state.out_dir / "checkpoint.bin")
         raise
     finally:
+        if child:
+            child.close()
         if state.writer:
             state.writer.close()
 

@@ -15,15 +15,25 @@ cohorts, or eval's chunks (see `metrics.evaluate`), from one queue on up to
 `cores()` threads, started for the call and joined before it returns;
 numpy releases the interpreter lock in its matmuls and ufuncs, so the
 threads overlap there.
+
+Work that threads cannot overlap, because it holds the interpreter lock
+between numpy calls, runs in a `Child`: a process forked from the caller,
+which keeps the caller's pinned BLAS count and its copy of every array, and
+computes one function of one buffer whenever the caller sends that buffer's
+bytes.  A run scores its eval rounds before the last in one (see
+`runner.run`).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import gc
 import itertools
 import os
+import pickle
 import queue
+import signal
 import threading
 import warnings
 from contextlib import contextmanager
@@ -128,3 +138,77 @@ def for_each(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     if failed:
         raise failed[min(failed)]
     return results
+
+
+class Child:
+    """A process forked from this one that calls `fn()` once per `submit()`.
+
+    `submit()` sends `buffer`'s bytes down a pipe, straight from the buffer;
+    the child reads them into its own copy of `buffer`, calls `fn` and sends
+    back what it returned or the exception it raised, which `result()`
+    returns or raises with its type and message.  The child ignores SIGINT.
+    It exits once the pipe reaches end of file, as it does when the parent
+    dies, through `os._exit`, so it flushes no file object it inherited.
+    `close()` kills and reaps it, computing or not.  Fork it while no other
+    thread of this process runs (as `runner.run` does, before round 1): the
+    child gets only the forking thread, and a lock another thread held stays
+    held in the child."""
+
+    def __init__(self, fn: Callable[[], object], buffer) -> None:
+        self._view = memoryview(buffer).cast("B")
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                _serve(fn, self._view, down_r, up_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(down_r)
+        os.close(up_w)
+        self._down, self._up = down_w, open(up_r, "rb")
+
+    def submit(self) -> None:
+        view, sent = self._view, 0
+        while sent < len(view):
+            sent += os.write(self._down, view[sent:])
+
+    def result(self) -> object:
+        try:
+            ok, value = pickle.load(self._up)
+        except EOFError:
+            raise ChildProcessError(f"process {self.pid} exited without a result") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        os.close(self._down)
+        self._up.close()
+        os.waitpid(self.pid, 0)
+
+
+def _serve(fn: Callable[[], object], view: memoryview, down: int, up: int) -> None:
+    """The child's side of a `Child`: `fn()` for each buffer's bytes read
+    from `down`, its result or exception pickled to `up`, until `down` ends."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # no inherited object is ever collected here, so none is finalized
+    gc.freeze()
+    with open(down, "rb") as src, open(up, "wb") as dst:
+        while src.readinto(view) == len(view):
+            try:
+                out = (True, fn())
+            except BaseException as exc:   # raised in the parent by `result`
+                out = (False, exc)
+            dst.write(pickle.dumps(out))    # whole, or not at all if it cannot pickle
+            dst.flush()

@@ -101,11 +101,12 @@ def test_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("body, message", [
     (b"label,f0\n0,0.5\xff\n", "is not UTF-8 text"),
-    (b"label,f0\n0,1.5\n", "features must be finite and lie in [0, 1]")],
-    ids=["not_utf8", "out_of_range"])
+    (b"label,f0\n0,1.5\n", "features must be finite and lie in [0, 1]"),
+    (b"label\n0\n1\n", "csv has no feature columns after `label`")],
+    ids=["not_utf8", "out_of_range", "no_features"])
 def test_a_malformed_csv_is_a_format_error_naming_it(tmp_path, body, message):
-    # a byte that is not UTF-8 used to raise UnicodeDecodeError, and a
-    # feature out of range named no file
+    # a byte that is not UTF-8 used to raise UnicodeDecodeError, a feature out
+    # of range named no file, and a csv of labels alone loaded as (n, 0)
     path = tmp_path / "data.csv"
     path.write_bytes(body)
     with pytest.raises(FormatError) as info:

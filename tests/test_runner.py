@@ -955,12 +955,17 @@ IDX_LABEL = struct.pack(">II", 0x801, 1) + bytes(1)
     (struct.pack(">IIII", 0x803, 2, 1, 3) + bytes(6), IDX_LABEL,
      "image count 2 in {images} != label count 1 in {labels}"),
     (struct.pack(">IIII", 0x803, 0, 1, 3), IDX_LABEL, "{images}: image file contains no samples"),
-    (IDX_IMAGE, struct.pack(">II", 0x801, 0), "{labels}: label file contains no samples")],
+    (IDX_IMAGE, struct.pack(">II", 0x801, 0), "{labels}: label file contains no samples"),
+    (struct.pack(">IIII", 0x803, 1, 0, 4), IDX_LABEL,
+     "{images}: image file holds samples of 0x4 values: no features"),
+    (struct.pack(">IIII", 0x803, 1, 4, 0), IDX_LABEL,
+     "{images}: image file holds samples of 4x0 values: no features")],
     ids=["image_header", "image_magic", "label_header", "label_magic", "count", "no_images",
-         "no_labels"])
+         "no_labels", "no_rows", "no_columns"])
 def test_cli_run_names_the_idx_file_a_header_error_is_in(tmp_path, capsys, image, label,
                                                          message):
-    # these used to name no file: `bad image magic 0x00000804` alone
+    # these used to name no file: `bad image magic 0x00000804` alone, and
+    # images of no pixels "an MLP needs at least two widths, ... got [0, 16, 5]"
     images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
     images.write_bytes(image)
     labels.write_bytes(label)

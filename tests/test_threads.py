@@ -222,22 +222,24 @@ def test_a_run_says_when_it_finds_no_blas_thread_limiter(monkeypatch, tmp_path):
 def test_replay_does_not_depend_on_the_openblas_thread_count(tmp_path):
     # OpenBLAS reads the variable when numpy loads, so each count needs its
     # own process; with two threads, the (25, 784) @ (784, 256) forward matmul
-    # rounds differently unless the run pins BLAS to one thread
-    config = tmp_path / "wide.json"
-    config.write_text(json.dumps(WIDE))
+    # rounds differently unless the run pins BLAS to one thread.  Scored every
+    # round, WIDE's round 1 is scored in the eval child, forked while pinned.
     src = str(Path(fedslack.__file__).resolve().parents[1])
-    digests = []
-    for n in (1, 2):
-        out = tmp_path / f"threads{n}"
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = os.environ | {"OPENBLAS_NUM_THREADS": str(n), "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-m", "fedslack.cli", "run", "--config",
-                               str(config), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        files = [(out / name).read_bytes() for name in ("metrics.csv", "checkpoint.bin")]
-        digests.append(hashlib.sha256(b"".join(files)).hexdigest())
-    assert digests[0] == digests[1]
+    for name, raw in (("wide", WIDE), ("wide_eval_every_round", WIDE | {"eval_every": 1})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(raw))
+        digests = []
+        for n in (1, 2):
+            out = tmp_path / f"{name}_threads{n}"
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = os.environ | {"OPENBLAS_NUM_THREADS": str(n), "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-m", "fedslack.cli", "run", "--config",
+                                   str(config), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            files = [(out / f).read_bytes() for f in ("metrics.csv", "checkpoint.bin")]
+            digests.append(hashlib.sha256(b"".join(files)).hexdigest())
+        assert digests[0] == digests[1], name
 
 
 @pytest.fixture(scope="module")
