@@ -10,7 +10,9 @@ ratio is exactly r.
 The server step takes and returns plain arrays, row i being participant i:
 it reads the (m, P) uploads and the (m,) sample counts and weighted losses,
 whose one sort per round `slack_weights` takes as given, and returns the
-(m,) weights, the (m,) boolean top-set mask and the (P,) aggregate.
+(m,) weights, the (m,) boolean top-set mask and the (P,) aggregate.  The
+aggregate and the SCAFFOLD update run in column blocks on every core once
+the matrix is large (see `metrics.server_blocks`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import threads
 from .errors import (FROM_0_BELOW_1, NON_NEGATIVE, AggregationError, ShapeError,
                      check_bounds)
+from .metrics import server_blocks, server_ways
 
 
 class AggregationMode(Enum):
@@ -103,12 +107,21 @@ def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Convex combination `weights @ uploads` of the (m, P) upload matrix, (P,).
 
     Row i of `uploads` is the parameters of the update that `weights[i]`
-    weighs; under FAT (or alpha 0) this is the sample-weighted mean.
+    weighs; under FAT (or alpha 0) this is the sample-weighted mean.  Each
+    of `metrics.server_blocks`' column blocks is one product into its
+    columns of the result.
     """
     if np.ndim(uploads) != 2 or len(uploads) != len(weights):
         raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
                          f"{len(weights)} weights")
-    return weights @ uploads
+    m, P = uploads.shape
+    out = np.empty(P)
+
+    def product(cols: slice) -> None:
+        np.matmul(weights, uploads[:, cols], out=out[cols])
+
+    threads.for_each(product, server_blocks(P, server_ways(m, P), columns=True))
+    return out
 
 
 def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
@@ -131,10 +144,29 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
 
 
 def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
-                           client_ids: list[int], deltas: np.ndarray) -> None:
+                           client_ids: list[int], deltas: np.ndarray,
+                           scratch: np.ndarray | None = None) -> None:
     """SCAFFOLD's server step, in place: c_locals[client_ids[i]] += deltas[i]
     row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
-    delta matrix, for m participants of the K clients of the (K, P) c_locals."""
-    for cid, delta in zip(client_ids, deltas):
-        c_locals[cid] += delta
-    c_global += len(deltas) / len(c_locals) * np.mean(deltas, axis=0)
+    delta matrix, for m participants of the K clients of the (K, P) c_locals.
+
+    Every step is per column, so it runs in `metrics.server_blocks`' column
+    blocks; the mean sums the rows in order, as numpy's axis-0 mean does,
+    into the first row of the (ways, P) `scratch`."""
+    m, P = deltas.shape
+    if scratch is None:
+        scratch = np.empty((server_ways(m, P), P))
+    scale = m / len(c_locals)
+
+    def update(cols: slice) -> None:
+        total = scratch[0, cols]
+        np.copyto(total, deltas[0, cols])
+        for i, (cid, delta) in enumerate(zip(client_ids, deltas)):
+            c_locals[cid, cols] += delta[cols]
+            if i:
+                total += delta[cols]
+        total /= m
+        total *= scale
+        c_global[cols] += total
+
+    threads.for_each(update, server_blocks(P, len(scratch), columns=True))

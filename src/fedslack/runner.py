@@ -15,11 +15,12 @@ indexed by client id.  The participants train in cohorts (see `local`):
 evenly spaced rows with equal shard sizes, each cohort trained by one
 `train_client` call in a strided view of its rows, on up to one thread per
 core, started by the round's `threads.for_each` call; `run` keeps BLAS on
-one thread throughout (see `threads`).  `server_step`, on the calling
-thread once every cohort has finished, sorts the rows once by weighted loss
-n_k/N*loss and reads these arrays in place: nothing is stacked or kept per
-client.  Its (P,) aggregate is written into the global model's buffer, the
-one copy of the global parameters, which the next round's clients download.
+one thread throughout (see `threads`).  `server_step`, once every cohort
+has finished, sorts the rows once by weighted loss n_k/N*loss and reads
+these arrays in place, in blocks on every core once they are large (see
+`metrics.server_blocks`): nothing is stacked or kept per client.  Its (P,)
+aggregate is written into the global model's buffer, the one copy of the
+global parameters, which the next round's clients download.
 `evaluate_round` then scores that model through the same work queue, in row
 chunks whose height comes from the model's size (see `metrics.evaluate`).
 
@@ -59,7 +60,7 @@ from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE,
                      check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
-                      gradient_variance, xi_count)
+                      gradient_variance, server_ways, xi_count)
 from .streams import stream
 
 
@@ -333,6 +334,10 @@ class RunState:
             P = self.model.params.values.size
             self.uploads = np.empty((m, P))
             self.losses = np.empty(m)
+            # the server step's blocks' scratch (see `metrics.server_blocks`);
+            # an unsplit step allocates its one row call by call, as it runs
+            ways = server_ways(m, P)
+            self.scratch = np.empty((ways, P)) if ways > 1 else None
             if self.scaffold:
                 self.deltas = np.empty_like(self.uploads)
                 self.c_global = np.zeros(P)
@@ -379,9 +384,10 @@ class RunState:
         if not np.all(np.isfinite(theta_new)):
             raise DivergenceError(f"round {t}: non-finite aggregate")
         if self.scaffold:
-            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas)
-        drifts, mean_drift = client_drift(uploads, theta_new)
-        gvar = gradient_variance(uploads, self.model.params.values)
+            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas,
+                                   self.scratch)
+        drifts, mean_drift = client_drift(uploads, theta_new, self.scratch)
+        gvar = gradient_variance(uploads, self.model.params.values, self.scratch)
         self.model.params.values[:] = theta_new
         # tolist() gives Python bools, which `report_rows` writes as 1/0
         recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)

@@ -1,6 +1,6 @@
-"""Where a run computes: a round's cohorts, and the row chunks of a large
-model's eval, on every core the process may use, and every BLAS call on
-one thread.
+"""Where a run computes: a round's cohorts, the row chunks of a large
+model's eval and the blocks of a large server step, on every core the
+process may use, and every BLAS call on one thread.
 
 Two levels could spread a round over the cores: BLAS, splitting one matmul
 over threads, or the runner, training the round's cohorts at once.  Only
@@ -11,8 +11,9 @@ would depend on the BLAS thread count.  A cohort trained on another thread
 runs exactly the calls it runs on the main one, and writes only its own
 rows of the round's matrices.  So `one_blas_thread` pins the loaded
 OpenBLAS to one thread for a run or an eval, and `for_each` runs the
-cohorts, or eval's chunks (see `metrics.evaluate`), from one queue on up to
-`cores()` threads, started for the call and joined before it returns;
+cohorts, eval's chunks (see `metrics.evaluate`) or the server step's
+blocks (see `metrics.server_blocks`), from one queue on up to `cores()`
+threads, started for the call and joined before it returns;
 numpy releases the interpreter lock in its matmuls and ufuncs, so the
 threads overlap there.
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedslack import aggregation, metrics, nn
+from fedslack import aggregation, metrics, nn, threads
 from fedslack.aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
                                   slack_aggregate)
 from fedslack.attacks import AttackSpec
@@ -24,23 +24,49 @@ from oracles import (RoundArrays, client_drift_list, gradient_variance_list, sca
 
 DIMS = [20, 64, 10]
 MS = [1, 2, 7]
+# an odd row count and a column count that is no multiple of 8, whose
+# product reaches the size from which the server step splits its work
+SPLIT = "split"
+SPLIT_SHAPE = (7, 150_001)
 
 
-def random_round(m: int, seed: int):
-    """m uploads of a DIMS model around a random theta, as a matrix and as a round."""
+def random_round(m: int, seed: int, P: int | None = None):
+    """m uploads of a DIMS model (or of P random parameters) around a random
+    theta, as a matrix and as a round."""
     rng = np.random.default_rng(seed)
-    theta = nn.Model.init(DIMS, rng).params
-    uploads = theta.values + rng.normal(scale=0.1, size=(m, theta.values.size))
+    if P is None:
+        params = nn.Model.init(DIMS, rng).params
+        theta, layout = params.values, params.layout
+    else:
+        theta, layout = rng.normal(size=P), None
+    uploads = theta + rng.normal(scale=0.1, size=(m, theta.size))
     ns = rng.integers(1, 60, size=m)
     losses = rng.uniform(0.01, 2.0, size=m)
-    updates = RoundArrays(uploads, losses, ns, theta.layout)
+    updates = RoundArrays(uploads, losses, ns, layout)
     return rng, theta, uploads, updates
 
 
-@pytest.mark.parametrize("m", MS)
-def test_slack_aggregate_matches_the_list_oracle_bitwise(m):
-    for seed in range(5):
-        rng, theta, uploads, updates = random_round(m, seed)
+def shapes(monkeypatch, m):
+    """(seed, m, P) cases of an oracle test: seeds 0-4 of m rows and the
+    test's own P (None), or for m = SPLIT, seeds 0 and 1 of `SPLIT_SHAPE`,
+    each under `threads.cores()` 1, 2 and 3 and, as in a run, one BLAS
+    thread: a product this large sums in another order on two."""
+    if m != SPLIT:
+        yield from ((seed, m, None) for seed in range(5))
+        return
+    m, P = SPLIT_SHAPE
+    assert m * P >= metrics.SERVER_SPLIT_WORK
+    with threads.one_blas_thread():
+        for seed in range(2):
+            for n in (1, 2, 3):
+                monkeypatch.setattr(threads, "cores", lambda n=n: n)
+                yield seed, m, P
+
+
+@pytest.mark.parametrize("m", MS + [SPLIT])
+def test_slack_aggregate_matches_the_list_oracle_bitwise(monkeypatch, m):
+    for seed, m, P in shapes(monkeypatch, m):
+        rng, theta, uploads, updates = random_round(m, seed, P)
         alpha = float(rng.uniform(0.0, 0.9))
         for mode in AggregationMode:
             policy = AggregationPolicy(mode, alpha, m // 2)
@@ -49,42 +75,85 @@ def test_slack_aggregate_matches_the_list_oracle_bitwise(m):
             assert np.array_equal(agg, ref)
 
 
-@pytest.mark.parametrize("m", MS)
-def test_client_drift_matches_the_list_oracle_bitwise(m):
-    for seed in range(5):
-        rng, theta, uploads, _ = random_round(m, seed)
-        center = theta.values + rng.normal(scale=0.05, size=theta.values.size)
+@pytest.mark.parametrize("m", MS + [SPLIT])
+def test_client_drift_matches_the_list_oracle_bitwise(monkeypatch, m):
+    for seed, m, P in shapes(monkeypatch, m):
+        rng, theta, uploads, _ = random_round(m, seed, P)
+        center = theta + rng.normal(scale=0.05, size=theta.size)
         assert client_drift(uploads, center) == client_drift_list(list(uploads), center)
 
 
-@pytest.mark.parametrize("m", MS + [9, 50])
-def test_gradient_variance_matches_the_list_oracle_bitwise(m):
-    for seed in range(5):
-        _, theta, uploads, _ = random_round(m, seed)
-        got = gradient_variance(uploads, theta.values)
-        assert got == gradient_variance_list(list(uploads), theta.values)
+@pytest.mark.parametrize("m", MS + [9, 50, SPLIT])
+def test_gradient_variance_matches_the_list_oracle_bitwise(monkeypatch, m):
+    for seed, m, P in shapes(monkeypatch, m):
+        _, theta, uploads, _ = random_round(m, seed, P)
+        got = gradient_variance(uploads, theta)
+        assert got == gradient_variance_list(list(uploads), theta)
 
 
-def test_gradient_variance_copies_no_upload_matrix():
-    m, P = 8, 20_000
-    rng = np.random.default_rng(0)
-    theta = rng.normal(size=P)
-    uploads = theta + rng.normal(size=(m, P))
+@pytest.mark.parametrize("m, P", [(7, 150_001), (50, 50_826), (5, 203_530), (1, 2**20),
+                                  (3, 5), (2**20, 1)])
+def test_server_blocks_cover_each_index_once_and_cut_columns_at_multiples_of_8(
+        monkeypatch, m, P):
+    # the fleet benchmark's step (50 x 50,826) splits, the wide one's
+    # (5 x 203,530) stays whole
+    for n in (1, 2, 3):
+        monkeypatch.setattr(threads, "cores", lambda n=n: n)
+        ways = metrics.server_ways(m, P)
+        assert ways == (n if m * P >= metrics.SERVER_SPLIT_WORK else 1)
+        rows, cols = metrics.server_blocks(m, ways), metrics.server_blocks(P, ways, columns=True)
+        for blocks, size in ((rows, m), (cols, P)):
+            assert 1 <= len(blocks) <= ways
+            assert [b.step for b in blocks] == [None] * len(blocks)
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == size and all(b.start < b.stop for b in blocks)
+            if ways == 1:
+                assert blocks == [slice(0, size)]
+        assert all(b.start % 8 == 0 for b in cols)
+
+
+def peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:
-        gradient_variance(uploads, theta)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * P * 8
 
 
-@pytest.mark.parametrize("m", MS)
-def test_scaffold_updates_match_the_list_oracles_bitwise(m):
-    K = 2 * m + 1
-    for seed in range(5):
+def large_rounds(monkeypatch):
+    """(theta, uploads) of 8 x 20,000 and, split over 3 cores, of `SPLIT_SHAPE`."""
+    for m, P, n in ((8, 20_000, 1), (*SPLIT_SHAPE, 3)):
+        monkeypatch.setattr(threads, "cores", lambda n=n: n)
+        rng = np.random.default_rng(0)
+        theta = rng.normal(size=P)
+        yield theta, theta + rng.normal(size=(m, P))
+
+
+def test_gradient_variance_copies_no_upload_matrix(monkeypatch):
+    for theta, uploads in large_rounds(monkeypatch):
+        assert peak_bytes(gradient_variance, uploads, theta) < uploads.nbytes
+
+
+def test_client_drift_copies_no_upload_matrix(monkeypatch):
+    for theta, uploads in large_rounds(monkeypatch):
+        assert peak_bytes(client_drift, uploads, theta) < uploads.nbytes
+
+
+def test_scaffold_server_update_copies_no_delta_matrix(monkeypatch):
+    for theta, deltas in large_rounds(monkeypatch):
+        m, P = deltas.shape
+        c_locals = np.zeros((2 * m, P))
+        ids = list(range(0, 2 * m, 2))
+        assert peak_bytes(scaffold_server_update, theta, c_locals, ids, deltas) < deltas.nbytes
+
+
+@pytest.mark.parametrize("m", MS + [SPLIT])
+def test_scaffold_updates_match_the_list_oracles_bitwise(monkeypatch, m):
+    for seed, m, P in shapes(monkeypatch, m):
+        K = 2 * m + 1
         rng = np.random.default_rng(seed)
-        P = 300
+        P = P or 300
         deltas = rng.normal(scale=0.01, size=(m, P))
         c_global = rng.normal(scale=0.01, size=P)
         ids = sorted(rng.choice(K, size=m, replace=False).tolist())
@@ -111,17 +180,17 @@ def test_matrix_calls_reject_mismatched_shapes():
     with pytest.raises(ShapeError):
         slack_aggregate(uploads[:2], weights)
     with pytest.raises(ShapeError):
-        client_drift(uploads, theta.values[:-1])
+        client_drift(uploads, theta[:-1])
     with pytest.raises(ShapeError):
-        gradient_variance(uploads[:, :-1], theta.values)
+        gradient_variance(uploads[:, :-1], theta)
     with pytest.raises(ShapeError):
-        nn.Model(DIMS, np.empty((1, theta.values.size), dtype=np.float32))
+        nn.Model(DIMS, np.empty((1, theta.size), dtype=np.float32))
     with pytest.raises(ShapeError):
-        nn.Model(DIMS, np.empty((1, theta.values.size + 1)))
+        nn.Model(DIMS, np.empty((1, theta.size + 1)))
     with pytest.raises(ShapeError):     # (P,) or (M, P), nothing else
-        nn.Model(DIMS, np.empty((1, 1, theta.values.size)))
+        nn.Model(DIMS, np.empty((1, 1, theta.size)))
     with pytest.raises(ShapeError):     # rows may be strided, not their entries
-        nn.Model(DIMS, np.empty((2, 2 * theta.values.size))[:, ::2])
+        nn.Model(DIMS, np.empty((2, 2 * theta.size))[:, ::2])
 
 
 def toy_client():

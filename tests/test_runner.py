@@ -14,11 +14,11 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from fedslack import aggregation, cli, nn, runner, threads
+from fedslack import aggregation, cli, metrics, nn, runner, threads
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
-from fedslack.errors import ConfigError, FormatError
+from fedslack.errors import ConfigError, DivergenceError, FormatError
 from fedslack.local import LocalConfig, Trainer
 from fedslack.runner import (DataKind, DatasetSpec, ExperimentConfig, Placement,
                              config_from_dict, config_to_dict, load_config, load_metrics,
@@ -186,6 +186,53 @@ def test_cli_run_and_trace(tmp_path, capsys):
     assert cli.main(["trace-topk", "--run", str(out)]) == 0
     text = capsys.readouterr().out
     assert "top-set selections" in text
+
+
+# the fleet benchmark's shapes: 50 of 100 one-batch clients a round, a
+# 64-256-128-10 MLP (50,826 parameters) and SCAFFOLD, so that the server
+# step splits its work over the cores; two rounds and no eval
+FLEET_STEP = {
+    "dataset": {"kind": "synthetic", "n_per_class": 320, "num_classes": 10, "dim": 64,
+                "separation": 4.0, "placement": "orthogonal", "test_fraction": 0.1},
+    "partition": {"num_clients": 100, "mode": "noniid", "skew": 0.5,
+                  "sample_counts": [8 + 24 * k // 99 for k in range(100)], "seed": 0},
+    "hidden_dims": [256, 128],
+    "local": {"epochs": 1, "batch_size": 32, "trainer": "standard", "lr": 0.1,
+              "momentum": 0.9},
+    "policy": {"mode": "sfat", "alpha": 1 / 6, "k_hat": 5},
+    "optimizer": "scaffold", "rounds": 2, "participation": 0.5, "eval_every": 0, "seed": 0,
+}
+
+
+def test_a_non_finite_aggregate_stops_its_round_before_the_scaffold_update(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(threads, "cores", lambda: 2)
+    aggregate, calls = runner.slack_aggregate, []
+
+    def poisoned(uploads, weights):     # every second call's aggregate has a NaN
+        out = aggregate(uploads, weights)
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(runner, "slack_aggregate", poisoned)
+    state = runner.RunState(config_from_dict(FLEET_STEP))
+    assert metrics.server_ways(*state.uploads.shape) == 2
+    state.server_step(1, state.train_round(1))
+    kept = [a.copy() for a in (state.model.params.values, state.c_global, state.c_locals)]
+    participants = state.train_round(2)
+    with pytest.raises(DivergenceError, match=r"^round 2: non-finite aggregate$"):
+        state.server_step(2, participants)
+    now = (state.model.params.values, state.c_global, state.c_locals)
+    assert all(np.array_equal(a, b) for a, b in zip(now, kept))
+
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(FLEET_STEP))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_DIVERGED
+    assert "round 2: non-finite aggregate" in capsys.readouterr().err
+    assert np.array_equal(nn.load_checkpoint(out / "checkpoint.bin").params.values, kept[0])
+    assert {row["round"] for row in load_metrics(out / "metrics.csv")} == {1}
 
 
 def test_cli_partition_inspect(tmp_path, capsys):

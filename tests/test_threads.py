@@ -77,6 +77,28 @@ def test_a_run_gives_the_same_bits_on_one_and_two_threads(monkeypatch, tmp_path,
         assert one == GOLDEN[name][1]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_golden_run_gives_its_bits_on_three_threads(monkeypatch, tmp_path, name):
+    assert digest_at(monkeypatch, GOLDEN[name][0], tmp_path, 3) == GOLDEN[name][1]
+
+
+def test_the_fleet_benchmarks_split_server_step_gives_the_same_bits_on_1_2_3_cores(
+        monkeypatch, tmp_path):
+    # at the fleet benchmark's shapes the server step splits its work into
+    # one block per core (see `metrics.server_blocks`); a block that wrote
+    # another's elements, or lost a drift or a row sum, would change the bits
+    raw = bench_config("fleet_scaffold") | {"rounds": 2, "eval_every": 2}
+    digests = [digest_at(monkeypatch, raw, tmp_path / str(n), n) for n in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        digests.append(digest_at(monkeypatch, raw, tmp_path / "3", 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == digests[:1] * 3
+    assert metrics.server_ways(50, 50_826) == 3
+
+
 def test_more_threads_than_cores_and_frequent_switches_keep_the_bits(monkeypatch, tmp_path):
     # a thread that wrote another cohort's rows, or lost a loss, would change the bits
     serial = digest_at(monkeypatch, FLEET, tmp_path / "serial", 1)
