@@ -144,22 +144,20 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
 
 
 def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
-                           client_ids: list[int], deltas: np.ndarray,
-                           scratch: np.ndarray | None = None) -> None:
+                           client_ids: list[int], deltas: np.ndarray) -> None:
     """SCAFFOLD's server step, in place: c_locals[client_ids[i]] += deltas[i]
     row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
     delta matrix, for m participants of the K clients of the (K, P) c_locals.
 
     Every step is per column, so it runs in `metrics.server_blocks`' column
     blocks; the mean sums the rows in order, as numpy's axis-0 mean does,
-    into the first row of the (ways, P) `scratch`."""
+    into a (P,) total allocated on the calling thread."""
     m, P = deltas.shape
-    if scratch is None:
-        scratch = np.empty((server_ways(m, P), P))
     scale = m / len(c_locals)
+    totals = np.empty(P)
 
     def update(cols: slice) -> None:
-        total = scratch[0, cols]
+        total = totals[cols]
         np.copyto(total, deltas[0, cols])
         for i, (cid, delta) in enumerate(zip(client_ids, deltas)):
             c_locals[cid, cols] += delta[cols]
@@ -169,4 +167,4 @@ def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
         total *= scale
         c_global[cols] += total
 
-    threads.for_each(update, server_blocks(P, len(scratch), columns=True))
+    threads.for_each(update, server_blocks(P, server_ways(m, P), columns=True))

@@ -4,10 +4,10 @@ top-set selection counts read back from `metrics.csv` rows.
 
 Drift and variance read the round's (m, P) upload matrix, one row per
 participant, in place, row by row through (P,) scratch: neither copies the
-matrix.  Once the matrix reaches `SERVER_SPLIT_WORK` elements they, and the
-aggregation module's server calls, split their work over the cores through
-`threads.for_each`, in blocks that give the same bits however the work is
-cut (see `server_blocks`).
+matrix.  Once the matrix holds twice `SERVER_SPLIT_WORK` elements they, and
+the aggregation module's server calls, split their work over the cores
+through `threads.for_each`, in blocks that give the same bits however the
+work is cut (see `server_ways` and `server_blocks`).
 
 Eval attacks and scores the test set whole or in two halves, on every core
 through `threads.for_each`, the queue that trains a round's cohorts, in a
@@ -42,12 +42,14 @@ from .errors import ShapeError
 # 1.4x in two.
 EVAL_CHUNK_WORK = 2**23
 
-# Upload rows times parameters from which the server step (the aggregate,
-# the SCAFFOLD update, drift and variance) splits each call's work into one
-# block per core.  On a 2-core x86 host the four calls at the fleet
-# benchmark's 50 x 50,826 took 0.67x their one-thread time in two blocks.
-# 2**20 keeps the wide benchmark's 5 x 203,530 step, just under it, whole:
-# split, it made that run's peak memory 1.13x.
+# Upload rows times parameters that each block of a split server step (the
+# aggregate, the SCAFFOLD update, drift and variance) gets at least: the
+# step takes one block per core, but no more blocks than m * P holds of
+# this.  Measured on a 2-core x86 host only, the four calls in two blocks
+# against one: with 50 rows, blocks of 2**19 took 1.02x the time and of
+# 2**20 0.73x; with 5 rows, blocks of 2**18 took 0.83x and of 2**19 0.65x.
+# So the fleet benchmark's 50 x 50,826 splits in two, and the wide one's
+# 5 x 203,530 and the desk one's 5 x 229 stay whole.
 SERVER_SPLIT_WORK = 2**20
 
 
@@ -91,8 +93,9 @@ def _check_rows(uploads: np.ndarray, theta: np.ndarray) -> None:
 
 def server_ways(m: int, P: int) -> int:
     """How many blocks the server step cuts its work on an (m, P) matrix
-    into: `threads.cores()` once m * P reaches `SERVER_SPLIT_WORK`, else 1."""
-    return threads.cores() if m * P >= SERVER_SPLIT_WORK else 1
+    into: one per core, but no more than leave each block at least
+    `SERVER_SPLIT_WORK` of the m * P elements, so 1 below twice that."""
+    return max(1, min(threads.cores(), m * P // SERVER_SPLIT_WORK))
 
 
 def server_blocks(n: int, ways: int, columns: bool = False) -> list[slice]:
@@ -102,43 +105,41 @@ def server_blocks(n: int, ways: int, columns: bool = False) -> list[slice]:
     whole rows and column work keeps the row order, so each element is the
     same bits in any cut; so is a `weights @ uploads` cut at multiples of 8
     columns, though not one cut elsewhere, on OpenBLAS's SkylakeX, Haswell,
-    Sandybridge and Zen kernels.  A block's (P,) scratch is a row of a
-    (ways, P) array from the calling thread, so that no worker thread takes
-    a parameter-sized array from a malloc arena of its own."""
+    Sandybridge and Zen kernels.  Each call allocates its blocks' (P,)
+    scratch on the calling thread, one row per row block, so that no worker
+    thread takes a parameter-sized array from a malloc arena of its own."""
     multiple = 8 if columns else 1
     cuts = sorted({min(n, -(-i * n // (ways * multiple)) * multiple) for i in range(ways + 1)})
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def client_drift(uploads: np.ndarray, theta_global: np.ndarray,
-                 scratch: np.ndarray | None = None) -> tuple[list[float], float]:
+def client_drift(uploads: np.ndarray, theta_global: np.ndarray) -> tuple[list[float], float]:
     """L2 distance of each upload row from the aggregate, plus the mean; the
-    rows in `server_blocks`, each through its row of the (ways, P) `scratch`."""
+    rows in `server_blocks`, each block through its own (P,) scratch row."""
     _check_rows(uploads, theta_global)
-    if scratch is None:
-        scratch = np.empty((server_ways(*uploads.shape), uploads.shape[1]))
+    rows = server_blocks(len(uploads), server_ways(*uploads.shape))
     drifts = np.empty(len(uploads))
 
     def norms(job) -> None:
-        diff, rows = job
-        for i in range(rows.start, rows.stop):
+        diff, block = job
+        for i in range(block.start, block.stop):
             np.subtract(uploads[i], theta_global, out=diff)
             drifts[i] = np.linalg.norm(diff)
 
-    threads.for_each(norms, list(zip(scratch, server_blocks(len(uploads), len(scratch)))))
+    threads.for_each(norms, list(zip(np.empty((len(rows), uploads.shape[1])), rows)))
     return drifts.tolist(), float(np.mean(drifts))
 
 
-def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray,
-                      scratch: np.ndarray | None = None) -> float:
+def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> float:
     """Variance of the per-client pseudo-gradients: upload rows minus
     theta_prev; 0.0 for a lone row, which is its own mean.  The mean is
     taken in column blocks and the centred rows in row blocks (see
-    `server_blocks`), through the (ways, P) `scratch`."""
+    `server_blocks`), each block through its own columns or row of scratch."""
     _check_rows(uploads, theta_prev_global)
     m, P = uploads.shape
-    if scratch is None:
-        scratch = np.empty((server_ways(m, P), P))
+    ways = server_ways(m, P)
+    rows = server_blocks(m, ways)
+    scratch = np.empty((len(rows), P))
     # Bit-equal to centring the (m, P) matrix g = uploads - theta_prev: the
     # mean sums g's rows in order, as numpy's axis-0 mean does, and each
     # row's squares are summed pairwise, as numpy's axis-1 sum does.
@@ -152,14 +153,14 @@ def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray,
         total /= m
 
     def centred_sums(job) -> None:
-        diff, rows = job
-        for i in range(rows.start, rows.stop):
+        diff, block = job
+        for i in range(block.start, block.stop):
             np.subtract(uploads[i], theta_prev_global, out=diff)
             diff -= mean
             sums[i] = np.square(diff, out=diff).sum()
 
-    threads.for_each(column_mean, server_blocks(P, len(scratch), columns=True))
-    threads.for_each(centred_sums, list(zip(scratch, server_blocks(m, len(scratch)))))
+    threads.for_each(column_mean, server_blocks(P, ways, columns=True))
+    threads.for_each(centred_sums, list(zip(scratch, rows)))
     return float(np.mean(sums))
 
 

@@ -60,7 +60,7 @@ from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE,
                      check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
-                      gradient_variance, server_ways, xi_count)
+                      gradient_variance, xi_count)
 from .streams import stream
 
 
@@ -334,10 +334,6 @@ class RunState:
             P = self.model.params.values.size
             self.uploads = np.empty((m, P))
             self.losses = np.empty(m)
-            # the server step's blocks' scratch (see `metrics.server_blocks`);
-            # an unsplit step allocates its one row call by call, as it runs
-            ways = server_ways(m, P)
-            self.scratch = np.empty((ways, P)) if ways > 1 else None
             if self.scaffold:
                 self.deltas = np.empty_like(self.uploads)
                 self.c_global = np.zeros(P)
@@ -384,10 +380,9 @@ class RunState:
         if not np.all(np.isfinite(theta_new)):
             raise DivergenceError(f"round {t}: non-finite aggregate")
         if self.scaffold:
-            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas,
-                                   self.scratch)
-        drifts, mean_drift = client_drift(uploads, theta_new, self.scratch)
-        gvar = gradient_variance(uploads, self.model.params.values, self.scratch)
+            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas)
+        drifts, mean_drift = client_drift(uploads, theta_new)
+        gvar = gradient_variance(uploads, self.model.params.values)
         self.model.params.values[:] = theta_new
         # tolist() gives Python bools, which `report_rows` writes as 1/0
         recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
