@@ -10,7 +10,7 @@ from .data import (ClientShard, Dataset, PartitionMode, PartitionSpec, Placement
 from .local import (LocalConfig, Trainer, apply_fedprox, apply_scaffold, cohorts,
                     train_client, update_scaffold_client)
 from .metrics import (EvalAttack, RoundReport, client_drift, evaluate,
-                      gradient_variance, trace_topk, xi_count)
+                      gradient_variance, trace_topk)
 from .nn import Model, ParamVector, load_checkpoint, save_checkpoint, sgd_step
 from .runner import (DatasetSpec, ExperimentConfig, FedOptimizer, RunState,
                      build_shards, load_config, load_metrics, participants_per_round,

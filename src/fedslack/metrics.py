@@ -1,6 +1,6 @@
-"""Diagnostics and evaluation: client drift, pseudo-gradient variance, the
-signed top-vs-rest sample-count difference, accuracy under attack, and
-top-set selection counts read back from `metrics.csv` rows.
+"""Diagnostics and evaluation: client drift, pseudo-gradient variance, a
+round's report and its xi (the samples of the top set it marks minus the
+rest's), accuracy under attack, and top-set counts read from `metrics.csv`.
 
 Drift and variance read the round's (m, P) upload matrix, one row per
 participant, in place, row by row through (P,) scratch: neither copies the
@@ -77,12 +77,18 @@ class RoundReport:
     clients: list[ClientRecord]
     mean_drift: float
     grad_variance: float
-    xi: int
     alpha: float
     nat_acc: float | None = None
     fgsm_acc: float | None = None
     pgd20_acc: float | None = None
     wall_clock: float = 0.0
+
+    @property
+    def xi(self) -> int:
+        """Samples of the clients marked `is_top` minus the rest's; 0 if none is."""
+        if not any(c.is_top for c in self.clients):
+            return 0
+        return sum(c.n_samples if c.is_top else -c.n_samples for c in self.clients)
 
 
 def _check_rows(uploads: np.ndarray, theta: np.ndarray) -> None:
@@ -162,11 +168,6 @@ def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> flo
     threads.for_each(column_mean, server_blocks(P, ways, columns=True))
     threads.for_each(centred_sums, list(zip(scratch, rows)))
     return float(np.mean(sums))
-
-
-def xi_count(sorted_n_k: np.ndarray, k_hat: int) -> int:
-    """Signed sample-count difference: top group minus the rest (sorted counts)."""
-    return int(sorted_n_k[:k_hat].sum() - sorted_n_k[k_hat:].sum())
 
 
 def eval_chunk_rows(n_rows: int, n_params: int) -> int:

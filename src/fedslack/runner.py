@@ -60,7 +60,7 @@ from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE,
                      check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
 from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
-                      gradient_variance, xi_count)
+                      gradient_variance)
 from .streams import stream
 
 
@@ -374,7 +374,6 @@ class RunState:
         n_k = self.sizes[participants]
         wl = n_k / len(self.train_set) * losses
         order = sort_by_weighted_loss(wl, participants)
-        xi = xi_count(n_k[order], policy.k_hat) if policy.k_hat else 0
         weights, is_top = slack_weights(n_k, order, policy, alpha)
         theta_new = slack_aggregate(uploads, weights)
         if not np.all(np.isfinite(theta_new)):
@@ -388,7 +387,7 @@ class RunState:
         recs = [ClientRecord(cid, int(n), float(loss), float(w), d, top)
                 for cid, n, loss, w, d, top in
                 zip(participants, n_k, losses, wl, drifts, is_top.tolist())]
-        return RoundReport(t, recs, mean_drift, gvar, xi, alpha)
+        return RoundReport(t, recs, mean_drift, gvar, alpha)
 
     def is_eval_round(self, t: int) -> bool:
         """Whether round t is scored: every `eval_every`-th round and the last."""
@@ -421,11 +420,10 @@ def run(config: ExperimentConfig) -> RunState:
 
     An eval round scored in the child is collected once the next round has
     trained, aggregated and, if it is the last, been scored in-process, so
-    that round's `wall_clock` covers any wait for it, and
-    its rows are written after that round's stamp, just before that round's
-    rows.  If the next round diverges, the scored round is collected and
-    written first, so `metrics.csv` and `checkpoint.bin` are what an
-    in-process run leaves."""
+    that round's `wall_clock` covers any wait for it, and its rows are
+    written after that round's stamp, just before that round's rows.  If the
+    next round diverges, the scored round is collected and written first, so
+    `metrics.csv` and `checkpoint.bin` are what an in-process run leaves."""
     state = RunState(config)
     child = scoring = None      # `scoring`: the eval round the child is scoring
 

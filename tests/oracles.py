@@ -11,6 +11,7 @@ ownership rule as each client's list of classes, for the partition tests.
 one reduce and compute exp(logits - max) on their own, as the engine did
 before its loss and gradient shared one softmax pass.  `fgsm_clip` is FGSM's
 own formula, one clipped sign step, which one-step PGD must equal.
+`marked_xi` reads each round's xi off the client rows of `metrics.csv`.
 """
 
 from __future__ import annotations
@@ -130,3 +131,16 @@ def fgsm_clip(model, X: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray
     """clip(X + epsilon * sign(input gradient of the cross-entropy), 0, 1)."""
     g = nn.input_grads_ce(model, X, nn.one_hot(y, model.num_classes, X.shape))
     return np.clip(X + epsilon * np.sign(g), 0.0, 1.0)
+
+
+def marked_xi(rows: list[dict]) -> dict[int, int]:
+    """Each round's xi from `load_metrics` rows: the `n_k` of its client rows
+    marked `is_top` minus the rest's, and 0 when no row is marked."""
+    signed, marked = {}, set()
+    for r in rows:
+        if r["client_id"] >= 0:
+            t = r["round"]
+            signed[t] = signed.get(t, 0) + (r["n_k"] if r["is_top"] else -r["n_k"])
+            if r["is_top"]:
+                marked.add(t)
+    return {t: xi if t in marked else 0 for t, xi in signed.items()}

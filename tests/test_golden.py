@@ -9,11 +9,13 @@ partial participation, the `linear_anneal` alpha schedule and exact
 which train in one cohort, a strided view of the upload matrix (see
 `local.cohorts`): rows 0, 2 and 1, 4 and 5, 7.
 
-The digests were recorded with float64 numpy 2.4.6 on OpenBLAS 0.3.31
-(x86-64; a run pins OpenBLAS to one thread, see `fedslack.threads`); another
-BLAS build or CPU may round differently.  Regenerate them only for a deliberate change of the
-trajectory, and name the reason in CHANGES.md.  A refactor or speed-up must
-leave every digest as it is.
+The digests were recorded with float64 numpy 2.4.6 on OpenBLAS 0.3.31's
+`SkylakeX` kernel (x86-64, `DYNAMIC_ARCH`; a run pins OpenBLAS to one thread,
+see `fedslack.threads`); another BLAS build, kernel or CPU may round
+differently.  Regenerate them only for a deliberate change of the
+trajectory, and name the reason and the kernel in CHANGES.md.  A refactor or
+speed-up must leave every digest as it is.  Each test also checks that every
+round's `xi` in `metrics.csv` reads the client rows the server marked.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import hashlib
 
 import pytest
 
-from fedslack.runner import config_from_dict, run
+from fedslack.runner import config_from_dict, load_metrics, run
+from oracles import marked_xi
 
 
 def base(**top):
@@ -64,7 +67,7 @@ GOLDEN = {
         base(partition={"num_clients": 5}, participation=0.6, rounds=4, eval_every=4,
              local={"trainer": "trades", "trades_beta": 3.0},
              policy={"mode": "re_sfat", "alpha": 1 / 6, "k_hat": 1}, seed=3),
-        "91e3eb0f7e108b0d2f48b3151dfe0d351357b5a5eec9b68ce8849727dab631e1"),
+        "51fa98a0b04ccf5e02680d2a46f3f333066fd3a0cfe2e7fa017f0fe3502998f6"),
     "standard_scaffold_sfat_counts": (
         base(optimizer="scaffold",
              partition={"sample_counts": [8, 16, 24, 32]},
@@ -107,3 +110,5 @@ def test_golden_trajectory(name, tmp_path):
     raw, expected = GOLDEN[name]
     got = run_digest(raw, tmp_path)
     assert got == expected, f"{name}: digest {got}, golden {expected}"
+    rows = load_metrics(tmp_path / "metrics.csv")
+    assert {r["round"]: r["xi"] for r in rows if r["client_id"] == -1} == marked_xi(rows)

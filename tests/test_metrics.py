@@ -9,8 +9,8 @@ from fedslack import nn, threads
 from fedslack.attacks import AttackSpec
 from fedslack.data import Dataset
 from fedslack.errors import ShapeError
-from fedslack.metrics import (EvalAttack, client_drift, evaluate, gradient_variance,
-                              trace_topk, xi_count)
+from fedslack.metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
+                              gradient_variance, trace_topk)
 from fedslack.streams import stream
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))
@@ -68,32 +68,38 @@ def test_gradient_variance_of_one_row_is_zero():
     assert gradient_variance(rows(pv([1.0, -2.5])), pv([0.3, 0.0]).values) == 0.0
 
 
-def test_xi_top1_equal_n():
-    ups = np.full(5, 10)
-    assert xi_count(ups, 1) == 10 - 40
+def round_report(counts, marked):
+    """A round's report over clients with these sample counts, the rows at
+    the indices in `marked` being the top set the server marked."""
+    recs = [ClientRecord(i, n, 0.0, 0.0, 0.0, i in marked) for i, n in enumerate(counts)]
+    return RoundReport(1, recs, 0.0, 0.0, 0.0)
 
 
-def test_xi_half_split_equal_n():
-    ups = np.full(4, 7)
-    assert xi_count(ups, 2) == 0
-
-
-def test_xi_unequal_hand_count():
-    ups = np.array([5, 1, 1])
-    assert xi_count(ups, 1) == 5 - 2
-    assert type(xi_count(ups, 1)) is int
+@pytest.mark.parametrize("counts, marked, xi", [
+    ([10] * 5, {0}, 10 - 40),
+    ([7] * 4, {0, 1}, 0),
+    ([5, 1, 1], {0}, 5 - 2),
+    ([1, 1, 5], {2}, 5 - 2),         # re_sfat marks the largest losses, last in order
+    ([6, 10, 20, 36], {1, 3}, 46 - 26),
+    ([8, 16, 24, 32], set(), 0),     # fat, alpha 0 or k_hat 0 marks no client
+    ([], set(), 0)],
+    ids=["top1_equal_n", "half_split_equal_n", "unequal_hand_count", "top_set_last",
+         "two_of_four_unequal", "none_marked", "no_clients"])
+def test_xi_is_the_marked_samples_minus_the_rest(counts, marked, xi):
+    got = round_report(counts, marked).xi
+    assert got == xi and type(got) is int
 
 
 def test_xi_bounds():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        ns = rng.integers(1, 30, size=int(rng.integers(2, 9)))
-        ups = ns
-        total = int(ns.sum())
+        ns = rng.integers(1, 30, size=int(rng.integers(2, 9))).tolist()
+        total = sum(ns)
         for k_hat in range(len(ns) // 2 + 1):
-            xi = xi_count(ups, k_hat)
+            marked = set(rng.choice(len(ns), size=k_hat, replace=False).tolist())
+            xi = round_report(ns, marked).xi
             assert -total <= xi <= total
-            if k_hat < len(ns) / 2 and len(set(ns.tolist())) == 1:
+            if 0 < k_hat < len(ns) / 2 and len(set(ns)) == 1:
                 assert xi < 0
 
 

@@ -24,6 +24,7 @@ from fedslack.runner import (DataKind, DatasetSpec, ExperimentConfig, Placement,
                              config_from_dict, config_to_dict, load_config, load_metrics,
                              run, sample_participants)
 from fedslack.streams import stream
+from oracles import marked_xi
 from test_golden import GOLDEN
 
 
@@ -120,6 +121,25 @@ def test_metrics_roundtrip(tmp_path):
         assert row["loss_k"] == rec.loss
         assert row["weighted_loss"] == rec.weighted_loss
         assert row["is_top"] == rec.is_top
+
+
+@pytest.mark.parametrize("mode, alpha, k_hat", [
+    (AggregationMode.FAT, 0.0, 2), (AggregationMode.SFAT, 0.25, 2),
+    (AggregationMode.RE_SFAT, 0.25, 2), (AggregationMode.SFAT, 0.0, 2),
+    (AggregationMode.SFAT, 0.25, 0)],
+    ids=["fat_k_hat_2", "sfat", "re_sfat", "sfat_alpha_0", "k_hat_0"])
+def test_xi_reads_the_clients_the_server_marks(mode, alpha, k_hat, tmp_path):
+    # xi used to count the k_hat smallest-loss clients whenever k_hat > 0, though
+    # re_sfat marks the largest and fat and alpha 0 mark none; shards of unequal
+    # size, no two of which together hold half the samples, tell the sets apart
+    run(tiny_config(partition=PartitionSpec(4, mode="iid", sample_counts=[6, 10, 20, 36]),
+                    policy=AggregationPolicy(mode, alpha=alpha, k_hat=k_hat),
+                    out_dir=str(tmp_path)))
+    rows = load_metrics(tmp_path / "metrics.csv")
+    assert {r["round"]: r["xi"] for r in rows if r["client_id"] == -1} == marked_xi(rows)
+    marks = mode is not AggregationMode.FAT and alpha > 0 and k_hat > 0
+    assert {r["is_top"] for r in rows if r["client_id"] >= 0} == ({False, True} if marks
+                                                                   else {False})
 
 
 def test_alpha_schedule_in_reports():
