@@ -11,8 +11,8 @@ The server step takes and returns plain arrays, row i being participant i:
 it reads the (m, P) uploads and the (m,) sample counts and weighted losses,
 whose one sort per round `slack_weights` takes as given, and returns the
 (m,) weights, the (m,) boolean top-set mask and the (P,) aggregate.  The
-aggregate and the SCAFFOLD update run in column blocks on every core once
-the matrix is large (see `metrics.server_blocks`).
+aggregate and the SCAFFOLD update run in column halves on every core once
+the matrix is large (see `threads.halves`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from . import threads
 from .errors import (FROM_0_BELOW_1, NON_NEGATIVE, AggregationError, ShapeError,
                      check_bounds)
-from .metrics import server_blocks, server_ways
 
 
 class AggregationMode(Enum):
@@ -108,8 +107,8 @@ def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Row i of `uploads` is the parameters of the update that `weights[i]`
     weighs; under FAT (or alpha 0) this is the sample-weighted mean.  Each
-    of `metrics.server_blocks`' column blocks is one product into its
-    columns of the result.
+    column half (see `threads.halves`) is one product into its columns of
+    the result.
     """
     if np.ndim(uploads) != 2 or len(uploads) != len(weights):
         raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
@@ -120,7 +119,7 @@ def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     def product(cols: slice) -> None:
         np.matmul(weights, uploads[:, cols], out=out[cols])
 
-    threads.for_each(product, server_blocks(P, server_ways(m, P), columns=True))
+    threads.for_each(product, threads.halves(P, m * P, 8))
     return out
 
 
@@ -149,9 +148,9 @@ def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
     row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
     delta matrix, for m participants of the K clients of the (K, P) c_locals.
 
-    Every step is per column, so it runs in `metrics.server_blocks`' column
-    blocks; the mean sums the rows in order, as numpy's axis-0 mean does,
-    into a (P,) total allocated on the calling thread."""
+    Every step is per column, so it runs in column halves (see
+    `threads.halves`); the mean sums the rows in order, as numpy's axis-0
+    mean does, into a (P,) total allocated on the calling thread."""
     m, P = deltas.shape
     scale = m / len(c_locals)
     totals = np.empty(P)
@@ -167,4 +166,4 @@ def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
         total *= scale
         c_global[cols] += total
 
-    threads.for_each(update, server_blocks(P, server_ways(m, P), columns=True))
+    threads.for_each(update, threads.halves(P, m * P, 8))

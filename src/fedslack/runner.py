@@ -17,12 +17,12 @@ evenly spaced rows with equal shard sizes, each cohort trained by one
 core, started by the round's `threads.for_each` call; `run` keeps BLAS on
 one thread throughout (see `threads`).  `server_step`, once every cohort
 has finished, sorts the rows once by weighted loss n_k/N*loss and reads
-these arrays in place, in blocks on every core once they are large (see
-`metrics.server_blocks`): nothing is stacked or kept per client.  Its (P,)
+these arrays in place, in halves on every core once they are large (see
+`threads.halves`): nothing is stacked or kept per client.  Its (P,)
 aggregate is written into the global model's buffer, the one copy of the
 global parameters, which the next round's clients download.
-`evaluate_round` then scores that model through the same work queue, in row
-chunks whose height comes from the model's size (see `metrics.evaluate`).
+`evaluate_round` then scores that model through the same work queue, whole
+or in row halves cut by the same `threads.halves`.
 
 Eval reads only the global model and the test set, and so does the next
 round's training, but both hold the interpreter lock between numpy calls.

@@ -1,6 +1,6 @@
-"""Where a run computes: a round's cohorts, the row chunks of a large
-model's eval and the blocks of a large server step, on every core the
-process may use, and every BLAS call on one thread.
+"""Where a run computes: a round's cohorts, and the halves of a large eval
+or server step, on every core the process may use, and every BLAS call on
+one thread.
 
 Two levels could spread a round over the cores: BLAS, splitting one matmul
 over threads, or the runner, training the round's cohorts at once.  Only
@@ -11,11 +11,20 @@ would depend on the BLAS thread count.  A cohort trained on another thread
 runs exactly the calls it runs on the main one, and writes only its own
 rows of the round's matrices.  So `one_blas_thread` pins the loaded
 OpenBLAS to one thread for a run or an eval, and `for_each` runs the
-cohorts, eval's chunks (see `metrics.evaluate`) or the server step's
-blocks (see `metrics.server_blocks`), from one queue on up to `cores()`
-threads, started for the call and joined before it returns;
+cohorts, or the halves of eval or of the server step, from one queue on up
+to `cores()` threads, started for the call and joined before it returns;
 numpy releases the interpreter lock in its matmuls and ufuncs, so the
 threads overlap there.
+
+Eval and the server step cut their work by one rule, `halves`: whole, or
+in two halves once the call's work (its elements or multiply-adds) reaches
+twice `SPLIT_WORK`, cut by the shapes alone and never by the core count,
+since a matmul cut into other blocks can round differently.  Eval halves
+its test rows; the aggregate, the SCAFFOLD update and the variance's mean
+the P columns of the (m, P) matrix; drift and the variance's centred sums
+its m rows.  Each call allocates its halves' (P,) scratch on the calling
+thread, so that no worker thread takes a parameter-sized array from a
+malloc arena of its own.
 
 Work that threads cannot overlap, because it holds the interpreter lock
 between numpy calls, runs in a `Child`: a process forked from the caller,
@@ -42,6 +51,33 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+# The work from which `halves` cuts a call in two, measured on a 2-core x86
+# host only.  Eval's rows: a 784-256-10 MLP's 300 test rows (work 61M) took
+# 0.55x their whole-batch time in halves on two threads and a 64-256-128-10
+# MLP's 320 rows (16M) 0.61x, while an 8-16-5 MLP's 1000 rows (0.23M) took
+# 1.4x.  The server step's four calls, in two blocks against one: with 50
+# rows, blocks of 2**19 elements took 1.02x the time and of 2**20 0.73x; with
+# 5 rows, blocks of 2**18 took 0.83x and of 2**19 0.65x.  So the fleet
+# benchmark's 50 x 50,826 step and 320 eval rows split, as do the wide one's
+# 300 eval rows, while its 5 x 203,530 step and the desk one's 5 x 229 step
+# and 1000 eval rows stay whole.
+SPLIT_WORK = 2**20
+
+
+def halves(n: int, work: int, multiple: int = 1) -> list[slice]:
+    """`[0:n]`, or `[0:h], [h:n]` with h = ceil(n / 2) rounded up to a
+    multiple of `multiple` once `work` reaches 2 * `SPLIT_WORK` and the
+    second half keeps at least `multiple`.  Row work (a norm, a pairwise
+    sum) takes whole rows and column work keeps the row order, so each
+    element is the same bits in either cut; so is a matmul cut at
+    multiples of 8 rows or columns, though not one cut elsewhere, on
+    OpenBLAS's SkylakeX, Haswell, Sandybridge and Zen kernels."""
+    h = -(-n // (2 * multiple)) * multiple
+    if work < 2 * SPLIT_WORK or n - h < multiple:
+        return [slice(0, n)]
+    return [slice(0, h), slice(h, n)]
 
 
 def cores() -> int:
@@ -104,9 +140,10 @@ def one_blas_thread() -> Iterator[None]:
 def for_each(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """`[fn(item) for item in items]`, on the calling thread and
     min(len(items), cores()) - 1 threads started for the call, each taking
-    the next item in order; all have finished when this returns.  If items
-    fail, the earliest one's exception is raised, as calling `fn` on them in
-    order raises it.
+    the next item in order; all have finished when this returns.  A thread
+    that cannot start (at a process or memory limit) leaves its share to
+    those that did.  If items fail, the earliest one's exception is raised,
+    as calling `fn` on them in order raises it.
 
     The calling thread works too, rather than only waiting: each thread that
     allocates gets its own glibc malloc arena, and a third one took the wide
@@ -134,10 +171,15 @@ def for_each(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
             except BaseException as exc:   # raised below, once every thread has finished
                 failed[i] = exc
 
-    others = [threading.Thread(target=drain) for _ in range(min(len(items), cores()) - 1)]
-    for thread in others:
-        thread.start()
+    others = []
     try:
+        for _ in range(min(len(items), cores()) - 1):
+            thread = threading.Thread(target=drain)
+            try:
+                thread.start()
+            except RuntimeError:    # "can't start new thread"
+                break
+            others.append(thread)
         drain()
     finally:
         for thread in others:

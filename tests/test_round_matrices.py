@@ -25,7 +25,7 @@ from oracles import (RoundArrays, client_drift_list, gradient_variance_list, sca
 DIMS = [20, 64, 10]
 MS = [1, 2, 7]
 # an odd row count and a column count that is no multiple of 8, whose
-# product is large enough for the server step to split its work three ways
+# product is large enough for the server step to split its work in halves
 SPLIT = "split"
 SPLIT_SHAPE = (7, 450_001)
 
@@ -55,7 +55,7 @@ def shapes(monkeypatch, m):
         yield from ((seed, m, None) for seed in range(5))
         return
     m, P = SPLIT_SHAPE
-    assert m * P >= 3 * metrics.SERVER_SPLIT_WORK
+    assert len(threads.halves(m, m * P)) == len(threads.halves(P, m * P, 8)) == 2
     with threads.one_blas_thread():
         for seed in range(2):
             for n in (1, 2, 3):
@@ -91,32 +91,6 @@ def test_gradient_variance_matches_the_list_oracle_bitwise(monkeypatch, m):
         assert got == gradient_variance_list(list(uploads), theta)
 
 
-@pytest.mark.parametrize("m, P", [SPLIT_SHAPE, (50, 50_826), (5, 203_530), (1, 2**20),
-                                  (2, 2**20), (64, 2**20), (3, 5), (2**20, 1)])
-def test_server_blocks_cover_each_index_once_and_cut_columns_at_multiples_of_8(
-        monkeypatch, m, P):
-    # the fleet benchmark's step (50 x 50,826) splits in two however many
-    # cores there are, the wide one's (5 x 203,530) stays whole
-    for n in (1, 2, 3, 64):
-        monkeypatch.setattr(threads, "cores", lambda n=n: n)
-        ways = metrics.server_ways(m, P)
-        assert 1 <= ways <= n
-        if ways > 1:
-            assert m * P // ways >= metrics.SERVER_SPLIT_WORK
-        assert ways == n or m * P < (ways + 1) * metrics.SERVER_SPLIT_WORK
-        rows, cols = metrics.server_blocks(m, ways), metrics.server_blocks(P, ways, columns=True)
-        for blocks, size in ((rows, m), (cols, P)):
-            assert 1 <= len(blocks) <= ways
-            assert [b.step for b in blocks] == [None] * len(blocks)
-            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-            assert blocks[-1].stop == size and all(b.start < b.stop for b in blocks)
-            if ways == 1:
-                assert blocks == [slice(0, size)]
-        assert all(b.start % 8 == 0 for b in cols)
-    assert metrics.server_ways(50, 50_826) == 2 and metrics.server_ways(5, 203_530) == 1
-    assert metrics.server_ways(*SPLIT_SHAPE) == 3
-
-
 def peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:
@@ -127,7 +101,7 @@ def peak_bytes(fn, *args) -> int:
 
 
 def large_rounds(monkeypatch):
-    """(theta, uploads) of 8 x 20,000 and, split over 3 cores, of `SPLIT_SHAPE`."""
+    """(theta, uploads) of 8 x 20,000 and, in halves on 3 cores, of `SPLIT_SHAPE`."""
     for m, P, n in ((8, 20_000, 1), (*SPLIT_SHAPE, 3)):
         monkeypatch.setattr(threads, "cores", lambda n=n: n)
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from fedslack import aggregation, cli, metrics, nn, runner, threads
+from fedslack import aggregation, cli, nn, runner, threads
 from fedslack.aggregation import AggregationMode, AggregationPolicy
 from fedslack.attacks import AttackSpec
 from fedslack.data import PartitionSpec
@@ -238,7 +238,7 @@ def test_a_non_finite_aggregate_stops_its_round_before_the_scaffold_update(
 
     monkeypatch.setattr(runner, "slack_aggregate", poisoned)
     state = runner.RunState(config_from_dict(FLEET_STEP))
-    assert metrics.server_ways(*state.uploads.shape) == 2
+    assert len(threads.halves(len(state.uploads), state.uploads.size)) == 2
     state.server_step(1, state.train_round(1))
     kept = [a.copy() for a in (state.model.params.values, state.c_global, state.c_locals)]
     participants = state.train_round(2)

@@ -1,12 +1,12 @@
-"""A round's cohorts and eval's row chunks on several threads, and a run's
-BLAS calls on one: the bits of a run depend on neither count."""
+"""A round's cohorts and the halves of eval and of the server step on
+several threads, and a run's BLAS calls on one: the bits of a run depend
+on neither count."""
 
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
-import math
 import os
 import runpy
 import subprocess
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import fedslack
-from fedslack import cli, metrics, nn, runner, threads
+from fedslack import aggregation, cli, metrics, nn, runner, threads
 from fedslack.attacks import fgsm, pgd
 from fedslack.errors import DivergenceError
 from fedslack.metrics import EvalAttack, evaluate
@@ -86,9 +86,9 @@ def test_a_golden_run_gives_its_bits_on_three_threads(monkeypatch, tmp_path, nam
 def test_the_fleet_benchmarks_split_server_step_gives_the_same_bits_on_1_2_3_cores(
         monkeypatch, tmp_path):
     # at the fleet benchmark's shapes the server step splits its work into
-    # two blocks from two cores on (see `metrics.server_blocks`), while three
-    # threads train; a block that wrote another's elements, or lost a drift
-    # or a row sum, would change the bits
+    # two halves (see `threads.halves`), while up to three threads train; a
+    # half that wrote another's elements, or lost a drift or a row sum,
+    # would change the bits
     raw = bench_config("fleet_scaffold") | {"rounds": 2, "eval_every": 2}
     digests = [digest_at(monkeypatch, raw, tmp_path / str(n), n) for n in (1, 2)]
     interval = sys.getswitchinterval()
@@ -98,7 +98,7 @@ def test_the_fleet_benchmarks_split_server_step_gives_the_same_bits_on_1_2_3_cor
     finally:
         sys.setswitchinterval(interval)
     assert digests == digests[:1] * 3
-    assert metrics.server_ways(50, 50_826) == 2
+    assert len(threads.halves(50, 50 * 50_826)) == 2
 
 
 def test_more_threads_than_cores_and_frequent_switches_keep_the_bits(monkeypatch, tmp_path):
@@ -215,6 +215,25 @@ def test_for_each_leaves_no_thread_behind_a_call_that_fails_or_not(monkeypatch):
         assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("n_cores, failing", [(2, 1), (3, 2)])
+def test_a_thread_that_cannot_start_leaves_its_items_to_the_others(monkeypatch, n_cores,
+                                                                   failing):
+    # at a process or memory limit `Thread.start` raises RuntimeError
+    monkeypatch.setattr(threads, "cores", lambda: n_cores)
+    start, starts = threading.Thread.start, []
+
+    def start_or_fail(thread):
+        starts.append(thread)
+        if len(starts) == failing:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+    before = threading.active_count()
+    assert threads.for_each(abs, range(-20, 20)) == [abs(i) for i in range(-20, 20)]
+    assert len(starts) == failing and threading.active_count() == before
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_for_each_returns_once_the_kernel_has_removed_its_threads(monkeypatch):
     # a thread still exiting holds its malloc arena, so one started by the
@@ -301,11 +320,12 @@ def evaluate_at(monkeypatch, n_threads, *args):
 
 
 def split_eval(monkeypatch, n_rows, n_chunks):
-    """Set the chunk height so that eval splits `n_rows` rows into `n_chunks`
-    chunks; returns the height."""
+    """Make `threads.halves` cut eval's `n_rows` rows into `n_chunks` chunks
+    of one height; returns the height."""
     height = -(-n_rows // n_chunks)
-    monkeypatch.setattr(metrics, "eval_chunk_rows", lambda n, P: height)
-    assert math.ceil(n_rows / height) == n_chunks
+    chunks = [slice(i, min(i + height, n_rows)) for i in range(0, n_rows, height)]
+    monkeypatch.setattr(threads, "halves", lambda n, work, multiple=1: chunks)
+    assert len(chunks) == n_chunks
     return height
 
 
@@ -366,8 +386,8 @@ def model_and_test_set(raw):
 def eval_chunks(raw) -> int:
     """How many chunks a run of `raw` scores its test set in."""
     model, test_set, _ = model_and_test_set(raw)
-    P = model.params.values.size
-    return math.ceil(len(test_set) / metrics.eval_chunk_rows(len(test_set), P))
+    n = len(test_set)
+    return len(threads.halves(n, n * model.params.values.size, 8))
 
 
 def bench_config(name):
@@ -387,7 +407,7 @@ def test_a_benchmarks_eval_halves_give_the_whole_batchs_bits(monkeypatch, name, 
     # the halves' counts sum to the whole batch's on any number of threads
     model, test_set, spec = model_and_test_set(bench_config(name))
     X, y = test_set.features, test_set.labels
-    assert metrics.eval_chunk_rows(len(y), model.params.values.size) == height
+    assert threads.halves(len(y), len(y) * model.params.values.size, 8)[0].stop == height
     cases = [(EvalAttack.FGSM, spec.evaluation(1), fgsm),
              (EvalAttack.PGD, spec.evaluation(20), pgd)]
     for attack, attack_spec, attack_fn in cases:
@@ -414,19 +434,75 @@ def test_evaluate_outside_a_run_gives_the_same_float_on_one_and_two_cores(monkey
         assert one == two
 
 
-@pytest.mark.parametrize("P", [229, 50_826, 203_530, 10**9])
-def test_eval_scores_a_test_set_whole_or_in_two_balanced_halves(P):
+# (n, work, multiple, the sizes `threads.halves` cuts n into): the
+# benchmarks' server steps on their m rows and P columns (work m * P) and
+# their eval on its test rows (work rows * P), then the edges of the rule
+HALVES = [
+    (50, 50 * 50_826, 1, [25, 25]), (50_826, 50 * 50_826, 8, [25_416, 25_410]),   # fleet
+    (5, 5 * 203_530, 1, [5]), (203_530, 5 * 203_530, 8, [203_530]),               # wide
+    (5, 5 * 229, 1, [5]), (229, 5 * 229, 8, [229]),                               # desk
+    (300, 300 * 203_530, 8, [152, 148]), (320, 320 * 50_826, 8, [160, 160]),
+    (1000, 1000 * 229, 8, [1000]),
+    (7, 2 * threads.SPLIT_WORK, 1, [4, 3]), (7, 2 * threads.SPLIT_WORK - 1, 1, [7]),
+    (2, 2**40, 1, [1, 1]), (1, 2**40, 1, [1]), (16, 2**40, 8, [8, 8]),
+    (9, 2**40, 8, [9]), (17, 2**40, 8, [17]),       # not 8 + 1, nor 16 + 1
+]
+
+
+@pytest.mark.parametrize("n, work, multiple, sizes", HALVES)
+def test_halves_cut_by_the_shapes_alone(monkeypatch, n, work, multiple, sizes):
+    cuts = []
+    for n_cores in (1, 2, 3, 64):
+        monkeypatch.setattr(threads, "cores", lambda n_cores=n_cores: n_cores)
+        cuts.append(threads.halves(n, work, multiple))
+    assert cuts == cuts[:1] * 4
+    assert [b.stop - b.start for b in cuts[0]] == sizes
+
+
+@pytest.mark.parametrize("multiple", [1, 8])
+def test_halves_cover_each_index_once(multiple):
     for n in range(1, 1025):
-        height = metrics.eval_chunk_rows(n, P)
-        rest = n - height
-        if n * P < metrics.EVAL_CHUNK_WORK:
-            assert height == n
-        # at most two chunks, none empty; a split set's first chunk is a
-        # multiple of 8 rows and its second holds 8 rows or more
-        assert 1 <= height <= n and rest <= height
-        if rest:
-            assert height % 8 == 0 and 8 <= rest and height - rest < 16
-    assert metrics.eval_chunk_rows(9, 10**9) == 9     # not 8 + 1
+        for work in (0, 2 * threads.SPLIT_WORK - 1, 2 * threads.SPLIT_WORK, 10**12):
+            cut = threads.halves(n, work, multiple)
+            assert [b.step for b in cut] == [None] * len(cut)
+            assert cut[0].start == 0 and cut[-1].stop == n
+            assert [b.start for b in cut[1:]] == [b.stop for b in cut[:-1]]
+            if len(cut) == 1:   # small work, or too few rows to give each half a multiple
+                assert work < 2 * threads.SPLIT_WORK or n < 4 * multiple
+                continue
+            first, second = (b.stop - b.start for b in cut)
+            assert work >= 2 * threads.SPLIT_WORK and len(cut) == 2
+            assert first % multiple == 0 and second >= multiple
+            assert 0 <= first - second < 2 * multiple
+
+
+def test_the_server_step_and_eval_cut_the_same_halves_on_1_and_8_cores(monkeypatch):
+    for_each, seen = threads.for_each, []
+
+    def recording(fn, items):
+        seen.append([item[-1] if isinstance(item, tuple) else item for item in items])
+        return for_each(fn, items)
+
+    monkeypatch.setattr(threads, "for_each", recording)
+    m, P = 50, 50_826       # the fleet benchmark's server step
+    rng = np.random.default_rng(0)
+    theta = rng.normal(size=P)
+    uploads = theta + rng.normal(scale=0.1, size=(m, P))
+    model, test_set, _ = model_and_test_set(bench_config("wide_trades"))
+    calls = []
+    for n_cores in (1, 8):
+        monkeypatch.setattr(threads, "cores", lambda n=n_cores: n)
+        seen.clear()
+        aggregation.slack_aggregate(uploads, np.full(m, 1 / m))
+        aggregation.scaffold_server_update(theta.copy(), np.zeros((m, P)), list(range(m)),
+                                           uploads)
+        metrics.client_drift(uploads, theta)
+        metrics.gradient_variance(uploads, theta)
+        evaluate(model, test_set)
+        calls.append(list(seen))
+    rows, cols = [slice(0, 25), slice(25, m)], [slice(0, 25_416), slice(25_416, P)]
+    assert calls[0] == calls[1] == [cols, cols, rows, cols, rows, [slice(0, 152),
+                                                                   slice(152, 300)]]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
