@@ -1,6 +1,6 @@
-"""Server-side aggregation: ascending sort by weighted client loss, slack
-re-weighting of the smallest-loss clients, the weighted mean of the round's
-upload matrix, the relaxed loss value, and the control-variate updates.
+"""Server-side aggregation: ascending sort by weighted client loss, its top
+set, which the slack weights and the relaxed loss both read, the weighted
+mean of the round's upload matrix, and the control-variate updates.
 
 The slack mechanism multiplies the unnormalized per-sample weight of the
 top clients by r = (1+alpha)/(1-alpha) and renormalizes over samples, so
@@ -73,32 +73,30 @@ def sort_by_weighted_loss(weighted_losses: np.ndarray, client_ids: list[int]) ->
     return np.lexsort((client_ids, weighted_losses)).tolist()
 
 
-def slack_weights(n_k: np.ndarray, order: list[int], policy: AggregationPolicy,
-                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row aggregation weights for the given policy, and the top-set mask.
-
-    `order` is `sort_by_weighted_loss`'s row order.  Top rows (its first
-    k_hat for SFAT, its last k_hat for RE_SFAT) get unnormalized per-sample
-    weight r = (1+alpha)/(1-alpha), every other row 1; the final weights are
-    p*N_k normalized over rows.  Both returned arrays are (m,), aligned row
-    for row with `n_k`; the mask is all False when no row is upweighted.
-    """
+def _top_set(order, mode: AggregationMode, k_hat: int, alpha: float) -> np.ndarray:
+    """(m,) mask of the top rows of the m-row ascending `order`: its first
+    k_hat under SFAT, its last k_hat under RE_SFAT, none under FAT or at
+    alpha 0.  alpha must lie in [0, 1), and k_hat in [0, m//2] unless the
+    mode is FAT."""
     if not 0.0 <= alpha < 1.0:
         raise AggregationError(f"alpha must lie in [0, 1), got {alpha}")
-    m = len(n_k)
-    if policy.mode is not AggregationMode.FAT and policy.k_hat > m // 2:
-        raise AggregationError(
-            f"k_hat {policy.k_hat} exceeds half of {m} participating clients")
-
-    n = np.asarray(n_k, dtype=np.float64)
-    k_hat = policy.k_hat
+    m = len(order)
+    if mode is not AggregationMode.FAT and not 0 <= k_hat <= m // 2:
+        raise AggregationError(f"k_hat {k_hat} must lie in [0, {m // 2}] for {m} clients")
     is_top = np.zeros(m, dtype=bool)
-    if policy.mode is AggregationMode.FAT or alpha == 0.0 or k_hat == 0:
-        return n / n.sum(), is_top
-    is_top[order[-k_hat:] if policy.mode is AggregationMode.RE_SFAT else order[:k_hat]] = True
-    p = np.ones(m)
-    p[is_top] = (1.0 + alpha) / (1.0 - alpha)
-    w = p * n
+    if mode is not AggregationMode.FAT and alpha > 0.0:
+        is_top[order[m - k_hat:] if mode is AggregationMode.RE_SFAT else order[:k_hat]] = True
+    return is_top
+
+
+def slack_weights(n_k: np.ndarray, order: list[int], policy: AggregationPolicy,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row aggregation weights for the given policy, and the top-set mask,
+    `_top_set` of `sort_by_weighted_loss`'s row `order`: both (m,), row for
+    row with `n_k`.  Top rows get unnormalized per-sample weight
+    p = (1+alpha)/(1-alpha), the rest 1; the weights are p*N_k, normalized."""
+    is_top = _top_set(order, policy.mode, policy.k_hat, alpha)
+    w = np.where(is_top, (1.0 + alpha) / (1.0 - alpha), 1.0) * n_k
     return w / w.sum(), is_top
 
 
@@ -123,23 +121,19 @@ def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int) -> float:
-    """Relaxed total loss: (1+a)*sum of the k_hat smallest + (1-a)*sum of the rest.
-
-    Always a lower bound on the plain sum; equals it at alpha 0.  For
-    non-negative losses it is non-increasing in alpha (strictly once
-    k_hat > 0 and the losses are distinct), and non-decreasing in k_hat:
-    raising k_hat by one moves the next-smallest loss s_(k_hat+1) from the
-    (1-a) group to the (1+a) group and adds exactly 2a*s_(k_hat+1).
+def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int,
+                     mode: AggregationMode = AggregationMode.SFAT) -> float:
+    """Relaxed total loss: (1+a) * the sum of the top set's losses, `_top_set`
+    of their ascending order, + (1-a) * the sum of the rest; the plain sum at
+    alpha 0.  SFAT's form, the default, is a lower bound on the plain sum, and
+    RE_SFAT's can lie above it.  For non-negative losses SFAT's is
+    non-increasing in alpha (strictly once k_hat > 0 and the losses are
+    distinct), and non-decreasing in k_hat: raising k_hat by one moves the
+    next-smallest loss s_(k_hat+1) into the (1+a) group, adding 2a*s_(k_hat+1).
     """
     losses = np.asarray(weighted_losses, dtype=np.float64)
-    if not 0.0 <= alpha < 1.0:
-        raise AggregationError(f"alpha must lie in [0, 1), got {alpha}")
-    if k_hat < 0 or k_hat > len(losses) // 2:
-        raise AggregationError(
-            f"k_hat {k_hat} must lie in [0, {len(losses) // 2}] for {len(losses)} clients")
-    s = np.sort(losses)
-    return float((1.0 + alpha) * s[:k_hat].sum() + (1.0 - alpha) * s[k_hat:].sum())
+    is_top = _top_set(np.argsort(losses, kind="stable"), mode, k_hat, alpha)
+    return float((1.0 + alpha) * losses[is_top].sum() + (1.0 - alpha) * losses[~is_top].sum())
 
 
 def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,

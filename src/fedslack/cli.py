@@ -94,12 +94,18 @@ def _cmd_partition_inspect(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = nn.load_checkpoint(args.checkpoint)
-    test_set = load_csv(args.test)
-    spec = AttackSpec(args.epsilon, args.step_size,
-                      steps=20 if args.attack == "pgd20" else 1)
+    ds = load_csv(args.test)
+    try:                            # `evaluate`'s checks, first, naming both files
+        nn._check_labels(ds.labels, model.num_classes, nn._check_batch(model, ds.features).shape)
+    except FedslackError as exc:
+        raise ConfigError(f"{args.test} does not fit checkpoint {args.checkpoint}: {exc}") from exc
+    try:
+        spec = AttackSpec(args.epsilon, args.step_size, steps=20 if args.attack == "pgd20" else 1)
+    except ConfigError as exc:      # "<field> must be ...": the flag is --<field>
+        raise ConfigError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}") from exc
     attack = {"none": EvalAttack.NONE, "fgsm": EvalAttack.FGSM, "pgd20": EvalAttack.PGD}
     with threads.one_blas_thread():     # as `runner.run` evaluates
-        acc = evaluate(model, test_set, attack[args.attack], spec)
+        acc = evaluate(model, ds, attack[args.attack], spec)
     print(f"accuracy: {acc:.4f}")
     return EXIT_OK
 

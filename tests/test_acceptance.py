@@ -3,6 +3,12 @@ desk-scale directional reproductions.  Each criterion prints one PASS/FAIL
 line; directional criteria train small federated runs and take a few
 minutes total.
 
+Criteria 1 and 2 check SFAT's form of the relaxed loss, `alpha_slack_loss`'s
+default: its lower bound on the plain sum holds for that form only, and
+Re-SFAT's relaxed loss, which weighs the *largest* losses by (1+a), can lie
+above the plain sum.  Criterion 14 checks every mode's form against the
+server step.
+
 Criterion 2 note: k_hat counts the clients with the *smallest* weighted
 losses, which get weight (1+a); the rest get (1-a).  Raising k_hat by one
 moves the next-smallest loss s_(k_hat+1) from the (1-a) group to the (1+a)
@@ -27,7 +33,7 @@ from fedslack.attacks import AttackSpec, fgsm, pgd
 from fedslack.data import Dataset, PartitionSpec, class_counts, partition
 from fedslack.local import LocalConfig
 from fedslack.metrics import trace_topk
-from fedslack.runner import DatasetSpec, ExperimentConfig, load_metrics, run
+from fedslack.runner import DatasetSpec, ExperimentConfig, RunState, load_metrics, run
 from fedslack.streams import stream
 from oracles import RoundArrays, class_groups, fedavg_aggregate, fgsm_clip, server_weights
 
@@ -349,3 +355,49 @@ def test_criterion_13_standard_training_control():
     _report(13, hits >= 3,
             f"slack on natural training gains <= 0.5 points of natural accuracy "
             f"in {hits}/5 seeds")
+
+
+def one_step_identity_error(seed, mode, alpha, k_hat, lr=0.1, h=1e-5):
+    """Relative gap between one full-shard SGD round's server step, scaled to
+    the relaxed objective's gradient, and a central difference of
+    `alpha_slack_loss` along a random unit direction d.
+
+    The aggregate is theta_t - lr * sum_k w_k grad F_k, with w_k = c_k n_k /
+    sum_j c_j n_j and c_k = 1+a for a top client, else 1-a (`coef`).  So
+    (theta_t - theta_t+1)/lr * sum_k c_k n_k / N is the gradient of
+    sum_k c_k n_k/N F_k, `alpha_slack_loss` of the weighted losses n_k/N F_k."""
+    config = ExperimentConfig(
+        dataset=DatasetSpec(n_per_class=100, num_classes=3, dim=4),
+        partition=PartitionSpec(5, mode="iid", sample_counts=[20, 35, 50, 60, 27], seed=seed),
+        hidden_dims=[6],
+        local=LocalConfig(epochs=1, batch_size=60, trainer="standard", lr=lr, momentum=0.0,
+                          weight_decay=0.0),
+        policy=AggregationPolicy(mode, alpha, k_hat), rounds=1, eval_every=0, seed=seed)
+    state = RunState(config)
+    theta = state.model.params.values.copy()
+    rep = state.server_step(1, state.train_round(1))
+    ds, N = state.train_set, len(state.train_set)
+    n_k = np.array([r.n_samples for r in rep.clients], dtype=float)
+    coef = np.where([r.is_top for r in rep.clients], 1 + alpha, 1 - alpha)
+    shards = [state.shards[r.client_id].indices for r in rep.clients]
+
+    def relaxed(values):
+        model = nn.Model(state.model.dims, values)
+        F = [nn.batch_loss_and_grads(model, ds.features[i], ds.labels[i])[0] for i in shards]
+        return alpha_slack_loss(n_k / N * np.array(F), alpha, k_hat, mode)
+
+    d = np.random.default_rng(seed).normal(size=theta.size)
+    d /= np.linalg.norm(d)
+    grad = (theta - state.model.params.values) / lr * (coef @ n_k) / N
+    fd = (relaxed(theta + h * d) - relaxed(theta - h * d)) / (2 * h)
+    return abs(grad @ d - fd) / abs(fd)
+
+
+def test_criterion_14_server_step_descends_the_relaxed_objective():
+    cases = [(AggregationMode.FAT, 0.0, 0), (AggregationMode.SFAT, 0.25, 1),
+             (AggregationMode.SFAT, 0.25, 2), (AggregationMode.RE_SFAT, 0.25, 1),
+             (AggregationMode.RE_SFAT, 0.25, 2)]
+    worst = max(one_step_identity_error(seed, *case) for seed in range(5) for case in cases)
+    _report(14, worst <= 1e-6,
+            f"one full-shard SGD round's server step is a gradient step on the relaxed "
+            f"objective under FAT, SFAT and Re-SFAT (worst relative error {worst:.1e})")

@@ -178,6 +178,30 @@ def test_alpha_slack_loss_hand_values():
     assert alpha_slack_loss([0.5, 1.5], 0.25, 1) == pytest.approx(1.75, abs=1e-12)
     # order independence: same result for both input orderings
     assert alpha_slack_loss([1.5, 0.5], 0.5, 1) == pytest.approx(1.5, abs=1e-12)
+    # Re-SFAT weighs the largest loss: 0.5*0.5 + 1.5*1.5 = 2.5, above the plain sum
+    for wl in ([0.5, 1.5], [1.5, 0.5]):
+        assert alpha_slack_loss(wl, 0.5, 1, AggregationMode.RE_SFAT) == pytest.approx(2.5,
+                                                                                     abs=1e-12)
+    # FAT marks no row: (1-a) * the sum, SFAT's k_hat 0 value
+    assert alpha_slack_loss([0.5, 1.5], 0.5, 1, AggregationMode.FAT) == \
+        alpha_slack_loss([0.5, 1.5], 0.5, 0) == 1.0
+
+
+def test_alpha_slack_loss_reads_the_server_top_set():
+    # in every mode the relaxed loss weighs by (1+a) the rows the server step
+    # marks as its top set, and by (1-a) the rest, bit for bit
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        k = int(rng.integers(2, 13))
+        ups = scalar_updates([0.0] * k, rng.uniform(0.01, 2, size=k).tolist(),
+                             rng.integers(1, 60, size=k).tolist())
+        wl = ups.weighted_losses
+        alpha = float(rng.uniform(0, 0.95))
+        k_hat = int(rng.integers(0, k // 2 + 1))
+        for mode in AggregationMode:
+            _, is_top = server_weights(ups, AggregationPolicy(mode, alpha, k_hat))
+            assert alpha_slack_loss(wl, alpha, k_hat, mode) == \
+                (1 + alpha) * wl[is_top].sum() + (1 - alpha) * wl[~is_top].sum()
 
 
 def test_alpha_slack_loss_lower_bound_property():

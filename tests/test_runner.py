@@ -518,13 +518,13 @@ def write_csv(path, rows):
     return str(path)
 
 
-def eval_on_csv(tmp_path, rows, attack):
+def eval_on_csv(tmp_path, rows, attack, *flags):
     """Exit code of `fedslack eval` of a 3-feature, 2-class checkpoint on a CSV of `rows`."""
     ckpt = tmp_path / "model.bin"
     nn.save_checkpoint(nn.Model.init([3, 4, 2], stream(0, "init")), ckpt)
     csv_path = write_csv(tmp_path / "test.csv", rows)
     return cli.main(["eval", "--checkpoint", str(ckpt), "--test", csv_path,
-                     "--attack", attack])
+                     "--attack", attack, *flags])
 
 
 def test_cli_eval_rejects_feature_outside_unit_interval(tmp_path):
@@ -540,6 +540,26 @@ def test_cli_eval_rejects_negative_label(tmp_path):
 def test_cli_eval_rejects_label_beyond_checkpoint_classes(tmp_path):
     rows = [(4, (0.2, 0.5, 0.3)), (1, (0.1, 0.4, 0.9))]
     assert eval_on_csv(tmp_path, rows, "none") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(0, (0.2, 0.5)), (1, (0.1, 0.4))], "batch has shape (2, 2), expected (n, 4)"),
+    ([(7, (0.2, 0.5, 0.3, 0.1)), (1, (0.1, 0.4, 0.9, 0.6))], "labels must lie in [0, 3)")])
+def test_cli_eval_names_both_files_when_the_test_set_does_not_fit(tmp_path, capsys, rows,
+                                                                  error):
+    # the error used to name neither file
+    ckpt = tmp_path / "model.bin"
+    nn.save_checkpoint(nn.Model.init([4, 5, 3], stream(0, "init")), ckpt)
+    csv_path = write_csv(tmp_path / "test.csv", rows)
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--test", csv_path]) == cli.EXIT_CONFIG
+    assert f"{csv_path} does not fit checkpoint {ckpt}: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--step-size", "0"), ("--epsilon", "-0.1")])
+def test_cli_eval_names_the_attack_flag(tmp_path, capsys, flag, value):
+    # used to name the field ("step_size must be ..."), not the flag
+    assert eval_on_csv(tmp_path, [(0, (0.2, 0.5, 0.3))], "fgsm", flag, value) == cli.EXIT_CONFIG
+    assert f"{flag}: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("hidden_dims", [0]), ("lr", -1), ("momentum", 1.0),
