@@ -1,6 +1,7 @@
-"""Server-side aggregation: ascending sort by weighted client loss, its top
-set, which the slack weights and the relaxed loss both read, the weighted
-mean of the round's upload matrix, and the control-variate updates.
+"""The server step: ascending sort by weighted client loss, its top set,
+which the slack weights and the relaxed loss both read, the weighted mean of
+the round's upload matrix, the control-variate updates, and the drift and
+pseudo-gradient variance diagnostics.
 
 The slack mechanism multiplies the unnormalized per-sample weight of the
 top clients by r = (1+alpha)/(1-alpha) and renormalizes over samples, so
@@ -10,9 +11,17 @@ ratio is exactly r.
 The server step takes and returns plain arrays, row i being participant i:
 it reads the (m, P) uploads and the (m,) sample counts and weighted losses,
 whose one sort per round `slack_weights` takes as given, and returns the
-(m,) weights, the (m,) boolean top-set mask and the (P,) aggregate.  The
-aggregate and the SCAFFOLD update run in column halves on every core once
-the matrix is large (see `threads.halves`).
+(m,) weights, the (m,) boolean top-set mask, the (P,) aggregate, the (m,)
+drifts and the variance.
+
+The server reads the round's (m, P) matrices here alone, in place, cut by
+`threads.halves` from the shapes alone and on every core through
+`threads.for_each`: column work (the aggregate, the SCAFFOLD update, the
+variance's mean) in column halves cut at multiples of 8, row work (drift's
+norms, the variance's centred sums) in row halves through `_per_row`.  Each
+element keeps its ufunc and its order within a half, so a half gives the
+bits of the whole, and each half's (P,) scratch is allocated on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -105,8 +114,7 @@ def slack_aggregate(uploads: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Row i of `uploads` is the parameters of the update that `weights[i]`
     weighs; under FAT (or alpha 0) this is the sample-weighted mean.  Each
-    column half (see `threads.halves`) is one product into its columns of
-    the result.
+    column half is one product into its columns of the result.
     """
     if np.ndim(uploads) != 2 or len(uploads) != len(weights):
         raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
@@ -136,16 +144,25 @@ def alpha_slack_loss(weighted_losses, alpha: float, k_hat: int,
     return float((1.0 + alpha) * losses[is_top].sum() + (1.0 - alpha) * losses[~is_top].sum())
 
 
+def _check_rows(matrix: np.ndarray, theta: np.ndarray) -> None:
+    if np.ndim(matrix) != 2 or np.shape(matrix)[1:] != np.shape(theta):
+        raise ShapeError(f"matrix of shape {np.shape(matrix)} does not match "
+                         f"parameters of shape {np.shape(theta)}")
+
+
 def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
                            client_ids: list[int], deltas: np.ndarray) -> None:
     """SCAFFOLD's server step, in place: c_locals[client_ids[i]] += deltas[i]
     row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
     delta matrix, for m participants of the K clients of the (K, P) c_locals.
 
-    Every step is per column, so it runs in column halves (see
-    `threads.halves`); the mean sums the rows in order, as numpy's axis-0
-    mean does, into a (P,) total allocated on the calling thread."""
+    Every step is per column, so it runs in column halves; the mean sums the
+    rows in order, as numpy's axis-0 mean does, into a (P,) total."""
+    _check_rows(deltas, c_global)
+    _check_rows(c_locals, c_global)
     m, P = deltas.shape
+    if len(client_ids) != m:
+        raise ShapeError(f"{len(client_ids)} client ids for {m} delta rows")
     scale = m / len(c_locals)
     totals = np.empty(P)
 
@@ -161,3 +178,50 @@ def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
         c_global[cols] += total
 
     threads.for_each(update, threads.halves(P, m * P, 8))
+
+
+def _per_row(uploads: np.ndarray, theta: np.ndarray, reduce) -> np.ndarray:
+    """(m,) `reduce(diff)` of each upload row's diff = row - theta, the rows
+    in row halves, each half through its own (P,) scratch row."""
+    m, P = uploads.shape
+    rows = threads.halves(m, m * P)
+    out = np.empty(m)
+
+    def per_half(job) -> None:
+        diff, block = job
+        for i in range(block.start, block.stop):
+            out[i] = reduce(np.subtract(uploads[i], theta, out=diff))
+
+    threads.for_each(per_half, list(zip(np.empty((len(rows), P)), rows)))
+    return out
+
+
+def client_drift(uploads: np.ndarray, theta_global: np.ndarray) -> tuple[list[float], float]:
+    """L2 distance of each upload row from the aggregate, plus the mean."""
+    _check_rows(uploads, theta_global)
+    drifts = _per_row(uploads, theta_global, np.linalg.norm)
+    return drifts.tolist(), float(np.mean(drifts))
+
+
+def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> float:
+    """Variance of the per-client pseudo-gradients: upload rows minus
+    theta_prev; 0.0 for a lone row, which is its own mean.  The mean is
+    taken in column halves, then the centred rows' sums in row halves."""
+    _check_rows(uploads, theta_prev_global)
+    m, P = uploads.shape
+    # Bit-equal to centring the (m, P) matrix g = uploads - theta_prev: the
+    # mean sums g's rows in order, as numpy's axis-0 mean does, and each
+    # row's squares are summed pairwise, as numpy's axis-1 sum does.
+    mean, scratch = np.empty(P), np.empty(P)
+
+    def column_mean(cols: slice) -> None:
+        diff, theta, total = scratch[cols], theta_prev_global[cols], mean[cols]
+        np.subtract(uploads[0, cols], theta, out=total)
+        for row in uploads[1:]:
+            total += np.subtract(row[cols], theta, out=diff)
+        total /= m
+
+    threads.for_each(column_mean, threads.halves(P, m * P, 8))
+    del scratch             # freed before the row pass takes its own
+    return float(np.mean(_per_row(uploads, theta_prev_global, lambda diff: np.square(
+        np.subtract(diff, mean, out=diff), out=diff).sum())))

@@ -1,13 +1,6 @@
-"""Diagnostics and evaluation: client drift, pseudo-gradient variance, a
-round's report and its xi (the samples of the top set it marks minus the
-rest's), accuracy under attack, and top-set counts read from `metrics.csv`.
-
-Drift and variance read the round's (m, P) upload matrix, one row per
-participant, in place, row by row through (P,) scratch: neither copies the
-matrix.  They, the aggregation module's server calls and eval on its test
-rows split their work on every core through `threads.for_each`, in the
-halves `threads.halves` cuts from the shapes alone, each of which gives the
-same bits as the whole.
+"""Evaluation and the round records: accuracy under attack, a round's
+report and its xi (the samples of the top set it marks minus the rest's),
+and top-set counts read from `metrics.csv`.
 """
 
 from __future__ import annotations
@@ -20,7 +13,7 @@ import numpy as np
 from . import nn, threads
 from .attacks import AttackSpec, fgsm, pgd
 from .data import Dataset
-from .errors import ShapeError
+
 
 class EvalAttack(Enum):
     NONE = "none"
@@ -58,63 +51,6 @@ class RoundReport:
         if not any(c.is_top for c in self.clients):
             return 0
         return sum(c.n_samples if c.is_top else -c.n_samples for c in self.clients)
-
-
-def _check_rows(uploads: np.ndarray, theta: np.ndarray) -> None:
-    if np.ndim(uploads) != 2 or np.shape(uploads)[1:] != np.shape(theta):
-        raise ShapeError(f"upload matrix of shape {np.shape(uploads)} does not match "
-                         f"parameters of shape {np.shape(theta)}")
-
-
-def client_drift(uploads: np.ndarray, theta_global: np.ndarray) -> tuple[list[float], float]:
-    """L2 distance of each upload row from the aggregate, plus the mean; the
-    rows in `threads.halves`, each half through its own (P,) scratch row,
-    allocated on the calling thread."""
-    _check_rows(uploads, theta_global)
-    rows = threads.halves(len(uploads), uploads.size)
-    drifts = np.empty(len(uploads))
-
-    def norms(job) -> None:
-        diff, block = job
-        for i in range(block.start, block.stop):
-            np.subtract(uploads[i], theta_global, out=diff)
-            drifts[i] = np.linalg.norm(diff)
-
-    threads.for_each(norms, list(zip(np.empty((len(rows), uploads.shape[1])), rows)))
-    return drifts.tolist(), float(np.mean(drifts))
-
-
-def gradient_variance(uploads: np.ndarray, theta_prev_global: np.ndarray) -> float:
-    """Variance of the per-client pseudo-gradients: upload rows minus
-    theta_prev; 0.0 for a lone row, which is its own mean.  The mean is
-    taken in column halves and the centred rows in row halves (see
-    `threads.halves`), each half through its own columns or row of scratch."""
-    _check_rows(uploads, theta_prev_global)
-    m, P = uploads.shape
-    rows = threads.halves(m, m * P)
-    scratch = np.empty((len(rows), P))
-    # Bit-equal to centring the (m, P) matrix g = uploads - theta_prev: the
-    # mean sums g's rows in order, as numpy's axis-0 mean does, and each
-    # row's squares are summed pairwise, as numpy's axis-1 sum does.
-    mean, sums = np.empty(P), np.empty(m)
-
-    def column_mean(cols: slice) -> None:
-        diff, theta, total = scratch[0, cols], theta_prev_global[cols], mean[cols]
-        np.subtract(uploads[0, cols], theta, out=total)
-        for row in uploads[1:]:
-            total += np.subtract(row[cols], theta, out=diff)
-        total /= m
-
-    def centred_sums(job) -> None:
-        diff, block = job
-        for i in range(block.start, block.stop):
-            np.subtract(uploads[i], theta_prev_global, out=diff)
-            diff -= mean
-            sums[i] = np.square(diff, out=diff).sum()
-
-    threads.for_each(column_mean, threads.halves(P, m * P, 8))
-    threads.for_each(centred_sums, list(zip(scratch, rows)))
-    return float(np.mean(sums))
 
 
 def evaluate(model: nn.Model, test_set: Dataset, attack: EvalAttack = EvalAttack.NONE,

@@ -16,13 +16,12 @@ evenly spaced rows with equal shard sizes, each cohort trained by one
 `train_client` call in a strided view of its rows, on up to one thread per
 core, started by the round's `threads.for_each` call; `run` keeps BLAS on
 one thread throughout (see `threads`).  `server_step`, once every cohort
-has finished, sorts the rows once by weighted loss n_k/N*loss and reads
-these arrays in place, in halves on every core once they are large (see
-`threads.halves`): nothing is stacked or kept per client.  Its (P,)
-aggregate is written into the global model's buffer, the one copy of the
-global parameters, which the next round's clients download.
-`evaluate_round` then scores that model through the same work queue, whole
-or in row halves cut by the same `threads.halves`.
+has finished, sorts the rows once by weighted loss n_k/N*loss and passes
+these arrays to `aggregation`'s calls, which read them in place: nothing is
+stacked or kept per client.  Its (P,) aggregate is written into the global
+model's buffer, the one copy of the global parameters, which the next
+round's clients download.  `evaluate_round` then scores that model through
+the same work queue, whole or in row halves cut by `threads.halves`.
 
 Eval reads only the global model and the test set, and so does the next
 round's training, but both hold the interpreter lock between numpy calls.
@@ -51,16 +50,16 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import nn, threads
-from .aggregation import (AggregationPolicy, scaffold_server_update,
-                          slack_aggregate, slack_weights, sort_by_weighted_loss)
+from .aggregation import (AggregationPolicy, client_drift, gradient_variance,
+                          scaffold_server_update, slack_aggregate, slack_weights,
+                          sort_by_weighted_loss)
 from .data import (ClientShard, Dataset, PartitionSpec, Placement, load_csv, load_idx,
                    make_synthetic, open_utf8, partition, partition_unequal)
 from .errors import (ABOVE_0_TO_1, AT_LEAST_1, AT_LEAST_2, FINITE, NON_NEGATIVE, POSITIVE,
                      ConfigError, DivergenceError, FormatError, PartitionError,
                      check_bounds)
 from .local import Cohort, LocalConfig, _rows, cohorts, train_client
-from .metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
-                      gradient_variance)
+from .metrics import ClientRecord, EvalAttack, RoundReport, evaluate
 from .streams import stream
 
 

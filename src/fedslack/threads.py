@@ -20,9 +20,8 @@ Eval and the server step cut their work by one rule, `halves`: whole, or
 in two halves once the call's work (its elements or multiply-adds) reaches
 twice `SPLIT_WORK`, cut by the shapes alone and never by the core count,
 since a matmul cut into other blocks can round differently.  Eval halves
-its test rows; the aggregate, the SCAFFOLD update and the variance's mean
-the P columns of the (m, P) matrix; drift and the variance's centred sums
-its m rows.  Each call allocates its halves' (P,) scratch on the calling
+its test rows, and the server step its matrices' rows or columns (see
+`aggregation`).  Each call allocates its halves' scratch on the calling
 thread, so that no worker thread takes a parameter-sized array from a
 malloc arena of its own.
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from fedslack import nn, threads
+from fedslack.aggregation import client_drift, gradient_variance
 from fedslack.attacks import AttackSpec
 from fedslack.data import Dataset
 from fedslack.errors import ShapeError
-from fedslack.metrics import (ClientRecord, EvalAttack, RoundReport, client_drift, evaluate,
-                              gradient_variance, trace_topk)
+from fedslack.metrics import ClientRecord, EvalAttack, RoundReport, evaluate, trace_topk
 from fedslack.streams import stream
 
 LAYOUT = (("dense0.W", (1, 1)), ("dense0.b", (1,)))

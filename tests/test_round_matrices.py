@@ -3,19 +3,20 @@ server step reads it in place, bit-equal to the per-client list formulas."""
 
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedslack import aggregation, metrics, nn, threads
-from fedslack.aggregation import (AggregationMode, AggregationPolicy, scaffold_server_update,
-                                  slack_aggregate)
+from fedslack.aggregation import (AggregationMode, AggregationPolicy, client_drift,
+                                  gradient_variance, scaffold_server_update, slack_aggregate)
 from fedslack.attacks import AttackSpec
 from fedslack.data import ClientShard, Dataset, PartitionSpec
 from fedslack.errors import ShapeError
 from fedslack.local import LocalConfig, Trainer, cohorts, train_client, update_scaffold_client
-from fedslack.metrics import client_drift, gradient_variance
 from fedslack.runner import DatasetSpec, ExperimentConfig, run
 from fedslack.streams import stream
 from oracles import (RoundArrays, client_drift_list, gradient_variance_list, scaffold_delta,
@@ -162,6 +163,15 @@ def test_matrix_calls_reject_mismatched_shapes():
         client_drift(uploads, theta[:-1])
     with pytest.raises(ShapeError):
         gradient_variance(uploads[:, :-1], theta)
+    deltas = np.ones((3, 4))        # K = 5 clients, P = 4
+    for ids, c_global, c_locals in [([0, 1], np.zeros(4), np.zeros((5, 4))),
+                                    ([0, 1, 2, 3], np.zeros(4), np.zeros((5, 4))),
+                                    ([0, 1, 2], np.zeros(5), np.zeros((5, 4))),
+                                    ([0, 1, 2], np.zeros(4), np.zeros((5, 5)))]:
+        # each used to pass: ids [0, 1] set c_global to 0.4, not 0.6; id 3 was
+        # ignored; a 5th entry or column was left untouched
+        with pytest.raises(ShapeError):
+            scaffold_server_update(c_global, c_locals, ids, deltas)
     with pytest.raises(ShapeError):
         nn.Model(DIMS, np.empty((1, theta.size), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -170,6 +180,18 @@ def test_matrix_calls_reject_mismatched_shapes():
         nn.Model(DIMS, np.empty((1, 1, theta.size)))
     with pytest.raises(ShapeError):     # rows may be strided, not their entries
         nn.Model(DIMS, np.empty((2, 2 * theta.size))[:, ::2])
+
+
+def test_the_server_step_and_evaluation_do_not_import_each_other():
+    # every read of the round's matrices is in `aggregation`, eval in `metrics`
+    for module, other in ((aggregation, "metrics"), (metrics, "aggregation")):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+                names.add(getattr(node, "module", None) or "")
+        assert other not in {name.rsplit(".", 1)[-1] for name in names}
 
 
 def toy_client():

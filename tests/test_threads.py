@@ -496,8 +496,8 @@ def test_the_server_step_and_eval_cut_the_same_halves_on_1_and_8_cores(monkeypat
         aggregation.slack_aggregate(uploads, np.full(m, 1 / m))
         aggregation.scaffold_server_update(theta.copy(), np.zeros((m, P)), list(range(m)),
                                            uploads)
-        metrics.client_drift(uploads, theta)
-        metrics.gradient_variance(uploads, theta)
+        aggregation.client_drift(uploads, theta)
+        aggregation.gradient_variance(uploads, theta)
         evaluate(model, test_set)
         calls.append(list(seen))
     rows, cols = [slice(0, 25), slice(25, m)], [slice(0, 25_416), slice(25_416, P)]
