@@ -70,8 +70,8 @@ def _uniform(rng: Rng, epsilon: float, shape: tuple[int, ...]) -> np.ndarray:
 def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
              spec: AttackSpec, rng: Rng = None) -> np.ndarray:
     """PGD ascent on an arbitrary per-sample loss given its input-gradient fn,
-    which must return a new array at each call (the step overwrites it) and
-    leave its argument unchanged (the first step reads `x0` itself).
+    which must return a new array at each call (the next step computes in it)
+    and leave its argument unchanged (the first step reads `x0` itself).
 
     `x0` must lie in [0, 1]; every iterate is then projected onto the box
     lo..hi, the epsilon-ball intersected with [0, 1].
@@ -84,21 +84,29 @@ def pgd_core(x0: np.ndarray, grad_fn: Callable[[np.ndarray], np.ndarray],
     np.maximum(lo, 0.0, out=lo)
     hi = np.add(x0, spec.epsilon)
     np.minimum(hi, 1.0, out=hi)
+    # Every projection is max-then-min in place: on finite values that is
+    # np.clip bit for bit, without its per-call overhead
     x = x0
     if spec.random_start:
-        x = np.clip(x0 + _uniform(rng, spec.epsilon, x0.shape), lo, hi)
+        x = x0 + _uniform(rng, spec.epsilon, x0.shape)
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
+    # x <- clip(x + step_size*sign(g)) in `step`: a buffer of its own for the
+    # first step, then the previous step's gradient, which no caller keeps.
+    # The sign is out of place: numpy's in-place sign takes a branchy scalar
+    # loop that mixed signs mispredict, 5-9x the time of the SIMD loop at
+    # every shape the runs attack (2-vCPU x86, numpy 2.4.6), for one more
+    # (n, d) buffer per call
+    step = np.empty_like(x0)
     for _ in range(spec.steps):
         g = grad_fn(x)
         _check_gradient(g)
-        # x <- clip(x + step_size*sign(g)) in g's buffer, which no caller
-        # keeps; it is finite, so max-then-min is np.clip bit for bit, without
-        # its per-call overhead.  An in-place sign is several times slower on
-        # large arrays, but a third buffer raised wide's peak memory by 4 MB
-        np.sign(g, g)
-        g *= spec.step_size
-        g += x
-        np.maximum(g, lo, out=g)
-        x = np.minimum(g, hi, out=g)
+        np.sign(g, step)
+        step *= spec.step_size
+        step += x
+        np.maximum(step, lo, out=step)
+        x = np.minimum(step, hi, out=step)
+        step = g
     return x
 
 

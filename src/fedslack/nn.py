@@ -204,28 +204,18 @@ def input_backprop(model: Model, acts: list[np.ndarray], dlogits: np.ndarray) ->
     return delta
 
 
-# Rows per class column from which the class max of C classes is taken as
-# C - 1 column `np.maximum` calls rather than one reduce over the class axis.
-# On a 2-core x86 host the reduce costs about 1.5 us plus 35-55 ns per row
-# (C = 2, 5 and 10), a column call 1.2-2.5 us up to 1000 rows; the columns
-# cost 1.00x the reduce at 25 rows per column for C = 3, 5 and 10 and 0.86-
-# 0.94x at 30.  So an 8-16-5 MLP's 1000-row eval logits take the columns,
-# and 10-class logits of at most 160 rows keep the reduce.
-COLUMN_MAX_ROWS = 30
-
-
 def _class_max(logits: np.ndarray) -> np.ndarray:
-    """The max over the class (last) axis, keepdims.  A column maximum can
-    differ from the reduce only in the sign of a zero or the payload of a
-    NaN, and `_softmax_ce` reads it only through exp(logits - max), where
+    """The max over the class (last) axis, keepdims: one `np.maximum.reduce`
+    over the leading axis of a (C, rows) transposed copy.  The cheaper of a
+    reduce over the short class axis itself and C - 1 column `np.maximum`
+    calls costs 1.4-2.4x as much at 5 and 10 classes and 64-1000 rows (2-vCPU
+    x86, numpy 2.4.6).  A max is exact, so any two ways of taking it can
+    differ only in the sign of a zero or the payload of a NaN, and
+    `_softmax_ce` reads it only through exp(logits - max), where
     exp(+-0) = 1, and log(s) - (logits - max) with log(s) >= +0."""
     C = logits.shape[-1]
-    if logits.size < COLUMN_MAX_ROWS * (C - 1) * C:
-        return logits.max(axis=-1, keepdims=True)
-    m = logits[..., :1]
-    for j in range(1, C):
-        m = np.maximum(m, logits[..., j:j + 1])
-    return m
+    m = np.maximum.reduce(logits.reshape(-1, C).T.copy(), axis=0)
+    return m.reshape(logits.shape[:-1] + (1,))
 
 
 def _softmax_ce(logits: np.ndarray, at: tuple[np.ndarray, ...] | None = None

@@ -10,7 +10,8 @@ ownership rule as each client's list of classes, for the partition tests.
 `softmax_two_pass` and `cross_entropy_two_pass` each take the class max by
 one reduce and compute exp(logits - max) on their own, as the engine did
 before its loss and gradient shared one softmax pass.  `fgsm_clip` is FGSM's
-own formula, one clipped sign step, which one-step PGD must equal.
+own formula, one clipped sign step, which one-step PGD must equal, and
+`pgd_in_place` is PGD as it stepped before its sign went out of place.
 `marked_xi` reads each round's xi off the client rows of `metrics.csv`.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from fedslack import nn
 from fedslack.aggregation import slack_weights, sort_by_weighted_loss
+from fedslack.attacks import _uniform
 from fedslack.errors import AggregationError
 from fedslack.nn import Layout, ParamVector
 
@@ -131,6 +133,26 @@ def fgsm_clip(model, X: np.ndarray, y: np.ndarray, epsilon: float) -> np.ndarray
     """clip(X + epsilon * sign(input gradient of the cross-entropy), 0, 1)."""
     g = nn.input_grads_ce(model, X, nn.one_hot(y, model.num_classes, X.shape))
     return np.clip(X + epsilon * np.sign(g), 0.0, 1.0)
+
+
+def pgd_in_place(x0: np.ndarray, grad_fn, spec, rng=None) -> np.ndarray:
+    """`attacks.pgd_core`'s loop as it was: an np.clip random start, and each
+    step's sign, scale, sum and bounds in the gradient's own buffer."""
+    lo = np.subtract(x0, spec.epsilon)
+    np.maximum(lo, 0.0, out=lo)
+    hi = np.add(x0, spec.epsilon)
+    np.minimum(hi, 1.0, out=hi)
+    x = x0
+    if spec.random_start:
+        x = np.clip(x0 + _uniform(rng, spec.epsilon, x0.shape), lo, hi)
+    for _ in range(spec.steps):
+        g = grad_fn(x)
+        np.sign(g, g)
+        g *= spec.step_size
+        g += x
+        np.maximum(g, lo, out=g)
+        x = np.minimum(g, hi, out=g)
+    return x
 
 
 def marked_xi(rows: list[dict]) -> dict[int, int]:

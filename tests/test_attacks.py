@@ -9,7 +9,7 @@ from fedslack import nn
 from fedslack.attacks import AttackSpec, fgsm, pgd, pgd_core, pgd_kl
 from fedslack.errors import ConfigError, LabelError, ShapeError
 from fedslack.streams import stream
-from oracles import cross_entropy_two_pass, fgsm_clip
+from oracles import cross_entropy_two_pass, fgsm_clip, pgd_in_place
 
 
 def make_model(seed=0, dims=(3, 4, 2)):
@@ -58,6 +58,57 @@ def test_pgd_single_step_equals_fgsm():
     # the first step reads the clean batch itself: it must come back untouched
     assert not np.shares_memory(pgd(m, X, y, spec), X)
     assert np.array_equal(X, X0)
+
+
+def signed_zero_gradient(z: np.ndarray) -> np.ndarray:
+    """A new gradient at each call, of mixed signs, a third of its entries
+    exact +0 and a third +0 or -0 by the sign they had."""
+    g = np.sin(37.0 * z) - 0.1
+    g[..., ::3] = 0.0
+    g[..., 1::3] *= 0.0
+    return g
+
+
+@pytest.mark.parametrize("random_start", [False, True])
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("batch", [(7, 6), (3, 7, 6)])
+def test_pgd_core_equals_the_in_place_sign_loop_bitwise(batch, steps, random_start):
+    x0 = stream(4, "x").uniform(size=batch)
+    x0[..., :2] = [0.0, 1.0]
+    before = x0.copy()
+    spec = AttackSpec(0.05, 0.02, steps=steps, random_start=random_start)
+
+    def rng():
+        return ([stream(9, "attack", 0, c) for c in range(batch[0])] if len(batch) == 3
+                else stream(9, "attack"))
+
+    adv = pgd_core(x0, signed_zero_gradient, spec, rng())
+    ref = pgd_in_place(x0, signed_zero_gradient, spec, rng())
+    assert adv.dtype == ref.dtype and adv.tobytes() == ref.tobytes()
+    assert np.array_equal(x0, before) and not np.shares_memory(adv, x0)
+
+
+def test_no_attack_signs_in_place(monkeypatch):
+    # numpy's in-place sign takes a scalar loop several times slower than the
+    # out-of-place one, at every shape
+    m = make_model(seed=4)
+    stacked = nn.Model(m.dims, np.tile(m.params.values, (2, 1)))
+    X = stream(1, "x").uniform(size=(2, 8, 3))
+    y = stream(2, "y").integers(2, size=(2, 8))
+    spec = AttackSpec(0.05, 0.02, steps=3, random_start=True)
+    log_ref = np.log(nn.softmax(nn.forward_batch(m, X[0])))
+    original, shared = np.sign, []
+
+    def spy(g, out=None, **kwargs):
+        shared.append(out is not None and np.shares_memory(g, out))
+        return original(g, out, **kwargs)
+
+    monkeypatch.setattr(np, "sign", spy)
+    pgd(m, X[0], y[0], spec, stream(0, "attack"))
+    pgd(stacked, X, y, spec, [stream(0, "attack", 0, c) for c in range(2)])
+    pgd_kl(m, X[0], spec, stream(0, "attack"), log_ref)
+    fgsm(m, X[0], y[0], spec)
+    assert len(shared) == 3 + 3 + 3 + 1 and not any(shared)
 
 
 def test_pgd_ball_containment_default_budget():

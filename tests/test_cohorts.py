@@ -275,17 +275,6 @@ def test_divergence_names_the_round_client_epoch_and_batch(trainer, what, sizes,
                      c_local=c_local, delta_out=np.empty((m, P)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("trainer, what", [("at", "attack gradient"), ("standard", "loss")])
-@pytest.mark.parametrize("column_max_rows", [0, 10**9], ids=["columns", "reduce"])
-def test_divergence_names_the_same_batch_whichever_way_the_class_max_is_taken(
-        trainer, what, column_max_rows, monkeypatch):
-    # the cohort above, its softmax forced to take the class max by columns
-    # (at least 0 rows per column) or by the reduce (at most 10**9)
-    monkeypatch.setattr(nn, "COLUMN_MAX_ROWS", column_max_rows)
-    test_divergence_names_the_round_client_epoch_and_batch(trainer, what, [10, 10], 8)
-
-
 def test_non_finite_parameters_name_the_last_epoch_and_batch(monkeypatch):
     # the last SGD step (epoch 1, batch 0) leaves the second client an inf
     original, steps = nn.sgd_step, []
