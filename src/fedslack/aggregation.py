@@ -12,15 +12,17 @@ The server step takes and returns plain arrays, row i being participant i:
 it reads the (m, P) uploads and the (m,) sample counts and weighted losses,
 whose one sort per round `slack_weights` takes as given, and returns the
 (m,) weights, the (m,) boolean top-set mask, the (P,) aggregate, the (m,)
-drifts and the variance.
+drifts and the variance.  Under SCAFFOLD it also updates the (K, P) control
+variates in place, computing each participant's variate change from its
+upload row, so no (m, P) matrix of changes exists.
 
-The server reads the round's (m, P) matrices here alone, in place, cut by
-`threads.halves` from the shapes alone and on every core through
+The server reads the round's (m, P) upload matrix here alone, in place, cut
+by `threads.halves` from the shapes alone and on every core through
 `threads.for_each`: column work (the aggregate, the SCAFFOLD update, the
 variance's mean) in column halves cut at multiples of 8, row work (drift's
 norms, the variance's centred sums) in row halves through `_per_row`.  Each
 element keeps its ufunc and its order within a half, so a half gives the
-bits of the whole, and each half's (P,) scratch is allocated on the calling
+bits of the whole, and each half's scratch is allocated on the calling
 thread.
 """
 
@@ -34,6 +36,7 @@ import numpy as np
 from . import threads
 from .errors import (FROM_0_BELOW_1, NON_NEGATIVE, AggregationError, ShapeError,
                      check_bounds)
+from .local import update_scaffold_client
 
 
 class AggregationMode(Enum):
@@ -151,31 +154,45 @@ def _check_rows(matrix: np.ndarray, theta: np.ndarray) -> None:
 
 
 def scaffold_server_update(c_global: np.ndarray, c_locals: np.ndarray,
-                           client_ids: list[int], deltas: np.ndarray) -> None:
-    """SCAFFOLD's server step, in place: c_locals[client_ids[i]] += deltas[i]
-    row by row, then c_global += (m/K) * the mean of the rows of the (m, P)
-    delta matrix, for m participants of the K clients of the (K, P) c_locals.
+                           client_ids: list[int], uploads: np.ndarray, theta_prev: np.ndarray,
+                           steps: list[int], lr: float) -> None:
+    """SCAFFOLD's server step, in place, for m participants of the K clients
+    of the (K, P) c_locals.  Row by row, participant i's variate change
+        delta_i = ((c_l - c_global) + (theta_prev - uploads[i]) / (steps[i]*lr)) - c_l,
+    c_l being c_locals[client_ids[i]], is added to c_l; then c_global +=
+    (m/K) * the mean of the deltas.  The deltas are those of the variates as
+    they stood when the round trained: each row is read before it is updated,
+    and c_global only after the last row.
 
     Every step is per column, so it runs in column halves; the mean sums the
-    rows in order, as numpy's axis-0 mean does, into a (P,) total."""
-    _check_rows(deltas, c_global)
+    deltas in row order, as numpy's axis-0 mean does, into a (P,) total.  A
+    half computes each delta in its columns of one (P,) scratch row, through
+    `update_scaffold_client`, the step term in a second."""
+    _check_rows(uploads, c_global)
+    _check_rows(uploads, theta_prev)
     _check_rows(c_locals, c_global)
-    m, P = deltas.shape
-    if len(client_ids) != m:
-        raise ShapeError(f"{len(client_ids)} client ids for {m} delta rows")
+    m, P = uploads.shape
+    if len(client_ids) != m or len(steps) != m:
+        raise ShapeError(f"{len(client_ids)} client ids and {len(steps)} step counts "
+                         f"for {m} upload rows")
     scale = m / len(c_locals)
-    totals = np.empty(P)
+    deltas, terms, totals = np.empty((3, P))
 
     def update(cols: slice) -> None:
-        total = totals[cols]
-        np.copyto(total, deltas[0, cols])
-        for i, (cid, delta) in enumerate(zip(client_ids, deltas)):
-            c_locals[cid, cols] += delta[cols]
+        delta, term, total = deltas[cols], terms[cols], totals[cols]
+        c_g, theta = c_global[cols], theta_prev[cols]
+        for i, (cid, n_steps, upload) in enumerate(zip(client_ids, steps, uploads)):
+            c_local = c_locals[cid, cols]
+            update_scaffold_client(theta, upload[cols], n_steps, lr, c_local, c_g, delta, term)
+            delta -= c_local
+            c_local += delta
             if i:
-                total += delta[cols]
+                total += delta
+            else:
+                np.copyto(total, delta)
         total /= m
         total *= scale
-        c_global[cols] += total
+        c_g += total
 
     threads.for_each(update, threads.halves(P, m * P, 8))
 

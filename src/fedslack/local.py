@@ -29,12 +29,15 @@ global model and the cohort's stacked model, `Model(dims, out)` over the
 upload rows, carry a layout.
 
 The caller hands each cohort the global model and its rows of the round's
-upload matrix (and, under SCAFFOLD, of its delta matrix) as a strided view
-to train and write in; `train_client` returns only the clients' mean
-losses.  It writes nothing else that another cohort reads, so a round's
-cohorts may train on several threads at once.  Each call owns three
-parameter-sized (M, P) buffers, the gradients, the SGD velocity and one
-scratch array, allocates each once and reuses it batch after batch.
+upload matrix as a strided view to train and write in; `train_client`
+returns only the clients' mean losses.  It writes nothing else, so a
+round's cohorts may train on several threads at once.  Under SCAFFOLD a
+cohort reads its control variates at every step but leaves their update to
+the server step, which recomputes each participant's variate change from
+its upload (`update_scaffold_client`, called by `aggregation`) with the
+divisor `LocalConfig.steps`.  Each call owns three parameter-sized (M, P)
+buffers, the gradients, the SGD velocity and one scratch array, allocates
+each once and reuses it batch after batch.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ class LocalConfig:
 
     def __post_init__(self):
         check_bounds(self)
+
+    def steps(self, n):
+        """SGD steps a client of n samples takes: epochs * ceil(n / batch_size)."""
+        return self.epochs * -(-n // self.batch_size)
 
 
 def apply_fedprox(grads: np.ndarray, theta_local: np.ndarray, theta_global: np.ndarray,
@@ -182,8 +189,8 @@ def cohorts(shards: list[ClientShard], n_params: int, seed: int,
 
 def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
                  config: LocalConfig, *, out: np.ndarray,
-                 c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
-                 delta_out: np.ndarray | None = None) -> list[float]:
+                 c_global: np.ndarray | None = None,
+                 c_local: np.ndarray | None = None) -> list[float]:
     """The cohort's E local epochs of SGD from `global_model`'s parameters in
     `out`, (M, P), one row per client; returns each client's mean loss over
     its last epoch.
@@ -192,9 +199,10 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
     client) stream, and its attack noise from its (seed, "attack", round,
     client) stream, which is derived only when the attack reads it; both are
     keyed by client, so a client trains alike in any cohort.
-    SCAFFOLD runs iff the variates are given (c_global (P,), c_local (M, P)),
-    and writes each variate change c_new - c_local into its row of
-    `delta_out` (M, P).  Neither the inputs nor the variates are modified.
+    SCAFFOLD corrects every step's gradients iff the variates are given
+    (c_global (P,), c_local (M, P)); the call makes `config.steps(n)` steps
+    per client.  It writes `out` alone: neither the inputs nor the variates
+    are modified.
     A non-finite loss, attack gradient or result raises DivergenceError
     naming the round, the client, the epoch and the batch (both from 0).
     """
@@ -205,23 +213,22 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
     if np.ndim(out) != 2 or len(out) != len(ids):
         raise ShapeError(f"out has shape {np.shape(out)}, the cohort needs {len(ids)} rows")
     scaffold = c_global is not None
-    if scaffold != (c_local is not None) or scaffold != (delta_out is not None):
-        raise ValueError("SCAFFOLD needs c_global, c_local and delta_out")
+    if scaffold != (c_local is not None):
+        raise ValueError("SCAFFOLD needs both c_global and c_local")
     orders = [stream(cohort.seed, "batch-order", cohort.round_idx, cid) for cid in ids]
     attacks = ([stream(cohort.seed, "attack", cohort.round_idx, cid) for cid in ids]
                if _attack_draws(config) else None)
     model = nn.Model(global_model.dims, out)
     out[...] = global_model.params.values
-    # the gradients, and the scratch the SGD step, the FedProx pull, TRADES'
-    # second backprop and the SCAFFOLD update take turns in; the velocity is
-    # allocated at the first step, so it is not live through the first batch
+    # the gradients, and the scratch the SGD step, the FedProx pull and TRADES'
+    # second backprop take turns in; the velocity is allocated at the first
+    # step, so it is not live through the first batch
     grads, scratch = np.empty(out.shape), np.empty(out.shape)
 
     def diverged(what: str, row: int, epoch: int, b: int) -> DivergenceError:
         return DivergenceError(f"round {cohort.round_idx}, client {ids[row]}, "
                                f"epoch {epoch}, batch {b}: non-finite {what}")
 
-    n_steps = 0
     for epoch in range(config.epochs):
         # each client's shard in its own batch order for this epoch
         order = np.array([shard[rng.permutation(n)]
@@ -243,20 +250,15 @@ def train_client(cohort: Cohort, dataset: Dataset, global_model: nn.Model,
                               scratch)
             if scaffold:
                 apply_scaffold(grads, c_global, c_local)
-            if n_steps == 0:
+            if epoch == b == 0:
                 velocity = np.zeros(out.shape)
             nn.sgd_step(model, grads, velocity, scratch, config.lr, config.momentum,
                         config.weight_decay)
-            n_steps += 1
             loss_sum = loss_sum + loss * idx.shape[-1]
 
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise diverged("parameters", int(np.argmin(finite)), epoch, b)
-    if scaffold:
-        update_scaffold_client(global_model.params.values, out, n_steps, config.lr, c_local,
-                               c_global, delta_out, scratch)
-        delta_out -= c_local
     return (loss_sum / n).tolist()
 
 

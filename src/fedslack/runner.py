@@ -9,10 +9,10 @@ Every round has the same number m of participants, so a run's `RunState`
 fixes the effective k_hat and allocates the round's matrices once.  A round
 is three phases on it.  `train_round`: participant i (in client-id order)
 trains in row i of the (m, P) float64 upload matrix and writes its mean loss
-into row i of the (m,) `losses`, and under SCAFFOLD its variate change into
-row i of an (m, P) delta matrix; the control variates are a (K, P) matrix
-indexed by client id.  The participants train in cohorts (see `local`):
-evenly spaced rows with equal shard sizes, each cohort trained by one
+into row i of the (m,) `losses`; under SCAFFOLD the control variates are a
+(K, P) matrix indexed by client id, which training reads and the server
+step updates from the uploads.  The participants train in cohorts (see
+`local`): evenly spaced rows with equal shard sizes, each cohort trained by one
 `train_client` call in a strided view of its rows, on up to one thread per
 core, started by the round's `threads.for_each` call; `run` keeps BLAS on
 one thread throughout (see `threads`).  `server_step`, once every cohort
@@ -334,7 +334,6 @@ class RunState:
             self.uploads = np.empty((m, P))
             self.losses = np.empty(m)
             if self.scaffold:
-                self.deltas = np.empty_like(self.uploads)
                 self.c_global = np.zeros(P)
                 self.c_locals = np.zeros((K, P))
         self.reports: list[RoundReport] = []
@@ -360,8 +359,7 @@ class RunState:
         rows = cohort.rows
         kwargs = {"out": self.uploads[rows]}
         if self.scaffold:
-            kwargs.update(c_global=self.c_global, delta_out=self.deltas[rows],
-                          c_local=self.c_locals[_rows(cohort.client_ids)])
+            kwargs.update(c_global=self.c_global, c_local=self.c_locals[_rows(cohort.client_ids)])
         self.losses[rows] = train_client(cohort, self.train_set, self.model,
                                          self.config.local, **kwargs)
 
@@ -378,7 +376,10 @@ class RunState:
         if not np.all(np.isfinite(theta_new)):
             raise DivergenceError(f"round {t}: non-finite aggregate")
         if self.scaffold:
-            scaffold_server_update(self.c_global, self.c_locals, participants, self.deltas)
+            local = self.config.local
+            scaffold_server_update(self.c_global, self.c_locals, participants, uploads,
+                                   self.model.params.values,
+                                   [local.steps(n) for n in n_k.tolist()], local.lr)
         drifts, mean_drift = client_drift(uploads, theta_new)
         gvar = gradient_variance(uploads, self.model.params.values)
         self.model.params.values[:] = theta_new

@@ -12,6 +12,8 @@ one reduce and compute exp(logits - max) on their own, as the engine did
 before its loss and gradient shared one softmax pass.  `fgsm_clip` is FGSM's
 own formula, one clipped sign step, which one-step PGD must equal, and
 `pgd_in_place` is PGD as it stepped before its sign went out of place.
+`scaffold_two_stage` is SCAFFOLD's variate update as it ran when each
+cohort wrote its clients' variate changes into an (m, P) delta matrix.
 `marked_xi` reads each round's xi off the client rows of `metrics.csv`.
 """
 
@@ -21,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedslack import nn
+from fedslack import nn, threads
 from fedslack.aggregation import slack_weights, sort_by_weighted_loss
 from fedslack.attacks import _uniform
 from fedslack.errors import AggregationError
+from fedslack.local import update_scaffold_client
 from fedslack.nn import Layout, ParamVector
 
 
@@ -107,6 +110,35 @@ def scaffold_delta(theta_global, theta_local, n_steps, lr, c_local, c_global):
     """The variate change a client uploads: c_new - c_local."""
     c_new = c_local - c_global + (theta_global - theta_local) / (n_steps * lr)
     return c_new - c_local
+
+
+def scaffold_two_stage(c_global, c_locals, client_ids, uploads, theta_prev, steps, lr):
+    """SCAFFOLD's update in place in two stages: each client's variate change
+    into its row of an (m, P) delta matrix, as `train_client` wrote it at
+    the end of training, then the server's per-row loop over that matrix in
+    column halves."""
+    m, P = uploads.shape
+    deltas = np.empty((m, P))
+    for delta_out, cid, n_steps, out in zip(deltas, client_ids, steps, uploads):
+        c_local = c_locals[cid]
+        update_scaffold_client(theta_prev, out, n_steps, lr, c_local, c_global, delta_out,
+                               np.empty(P))
+        delta_out -= c_local
+    scale = m / len(c_locals)
+    totals = np.empty(P)
+
+    def update(cols: slice) -> None:
+        total = totals[cols]
+        np.copyto(total, deltas[0, cols])
+        for i, (cid, delta) in enumerate(zip(client_ids, deltas)):
+            c_locals[cid, cols] += delta[cols]
+            if i:
+                total += delta[cols]
+        total /= m
+        total *= scale
+        c_global[cols] += total
+
+    threads.for_each(update, threads.halves(P, m * P, 8))
 
 
 def class_groups(num_classes: int, num_clients: int) -> list[list[int]]:

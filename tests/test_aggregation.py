@@ -281,9 +281,14 @@ def test_permutation_equivariance():
 
 def test_scaffold_server_update():
     def server_step(c, deltas, K):
-        """c_global after the in-place step, with K zero client variates."""
-        out = c.copy()
-        scaffold_server_update(out, np.zeros((K, len(c))), list(range(len(deltas))), deltas)
+        """(c_global, c_locals) after the in-place step, with K zero client
+        variates and uploads whose variate changes are the rows of `deltas`:
+        at steps*lr = 1, delta_i = -c + (0 - upload_i), so upload_i = -(delta_i + c)."""
+        out, c_locals = c.copy(), np.zeros((K, len(c)))
+        m = len(deltas)
+        scaffold_server_update(out, c_locals, list(range(m)), -(deltas + c), np.zeros(len(c)),
+                               [2] * m, 0.5)
+        assert np.array_equal(c_locals[:m], deltas) and not c_locals[m:].any()
         return out
 
     c = np.array([1.0, 2.0])

@@ -37,7 +37,7 @@ def train(shard, ds, theta, cfg, master_seed=0, round_idx=0, **kwargs):
     """`train_client` on a cohort of one in a fresh upload row: (uploaded
     parameters, mean loss); per-client variates become that cohort's row."""
     out = np.empty((1, theta.params.values.size))
-    rows = {k: v[None] for k, v in kwargs.items() if k in ("c_local", "delta_out")}
+    rows = {k: v[None] for k, v in kwargs.items() if k == "c_local"}
     (cohort,) = cohorts([shard], theta.params.values.size, master_seed, round_idx)
     (loss,) = train_client(cohort, ds, theta, cfg, out=out, **{**kwargs, **rows})
     return out[0], loss
@@ -92,24 +92,28 @@ def test_scaffold_client_variate_update():
 
 
 def test_scaffold_mean_identity_two_client_toy():
-    # with full participation, mean of new local variates minus old equals the
-    # mean delta the server consumes
+    # with full participation, the server step moves each variate to the
+    # client's c_new, and c_global by the mean of c_new - c_local
     ds = toy_dataset()
     shards = [ClientShard(0, np.arange(20)), ClientShard(1, np.arange(20, 40))]
     theta = global_theta()
     cfg = toy_config()
-    c_g = np.zeros_like(theta.params.values)
-    c_ls = [np.zeros_like(theta.params.values), np.zeros_like(theta.params.values)]
+    rng = stream(4, "variates")
     P = theta.params.values.size
-    uploads, deltas = np.empty((2, P)), np.empty((2, P))
-    (cohort,) = cohorts(shards, theta.params.values.size, seed=1, round_idx=1)
-    train_client(cohort, ds, theta, cfg, out=uploads,
-                 c_global=c_g, c_local=np.stack(c_ls), delta_out=deltas)
-    mean_delta = np.mean(list(deltas), axis=0)
+    c_g, c_ls = rng.normal(scale=0.01, size=P), rng.normal(scale=0.01, size=(2, P))
+    uploads = np.empty((2, P))
+    (cohort,) = cohorts(shards, P, seed=1, round_idx=1)
+    train_client(cohort, ds, theta, cfg, out=uploads, c_global=c_g, c_local=c_ls)
+    steps = [cfg.steps(20)] * 2
+    c_new = [update_scaffold_client(theta.params.values, up, n, cfg.lr, c_l, c_g,
+                                    np.empty(P), np.empty(P))
+             for up, n, c_l in zip(uploads, steps, c_ls)]
     from fedslack.aggregation import scaffold_server_update
-    c_g2 = c_g.copy()
-    scaffold_server_update(c_g2, np.stack(c_ls), [0, 1], deltas)
-    np.testing.assert_allclose(c_g2, c_g + mean_delta, atol=1e-15)
+    c_g2, c_ls2 = c_g.copy(), c_ls.copy()
+    scaffold_server_update(c_g2, c_ls2, [0, 1], uploads, theta.params.values, steps, cfg.lr)
+    np.testing.assert_allclose(c_ls2, c_new, atol=1e-15)
+    np.testing.assert_allclose(c_g2, c_g + np.mean(np.subtract(c_new, c_ls), axis=0),
+                               atol=1e-15)
 
 
 def test_scaffold_needs_both_variates():
@@ -117,10 +121,28 @@ def test_scaffold_needs_both_variates():
     shard = ClientShard(0, np.arange(10))
     theta = global_theta()
     c = np.zeros_like(theta.params.values)
-    for kwargs in ({"c_global": c}, {"c_local": c}, {"c_global": c, "c_local": c},
-                   {"delta_out": c.copy()}):
+    for kwargs in ({"c_global": c}, {"c_local": c}):
         with pytest.raises(ValueError):
             train(shard, ds, theta, toy_config(), master_seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_client_takes_steps_n_sgd_steps(monkeypatch, epochs):
+    # the server divides each variate change by `steps(n)`, so it must be the
+    # count of SGD steps a client of n samples takes: epochs * ceil(n / B)
+    batch = 5
+    ds = toy_dataset(n=2 * (2 * batch + 3))
+    cfg = toy_config(epochs=epochs, batch_size=batch)
+    original, calls = nn.sgd_step, []
+    monkeypatch.setattr(nn, "sgd_step", lambda *a: calls.append(1) or original(*a))
+    theta = global_theta()
+    for n in (1, batch - 1, batch, batch + 1, 2 * batch + 3):
+        shards = [ClientShard(0, np.arange(n)), ClientShard(1, np.arange(n, 2 * n))]
+        (cohort,) = cohorts(shards, theta.params.values.size, 1, 1)
+        calls.clear()
+        train_client(cohort, ds, theta, cfg, out=np.empty((2, theta.params.values.size)))
+        assert len(calls) == cfg.steps(n) == epochs * -(-n // batch)
+    assert [cfg.steps(n) for n in (1, 4, 5, 6, 13)] == [epochs * k for k in (1, 1, 1, 2, 3)]
 
 
 def test_train_client_builds_one_param_vector(monkeypatch):
@@ -352,10 +374,11 @@ def test_train_client_leaves_its_inputs_unchanged(trainer):
     rng = stream(2, "variates")
     c_global = rng.normal(scale=0.01, size=theta.params.values.shape)
     c_local = rng.normal(scale=0.01, size=theta.params.values.shape)
-    before = [a.copy() for a in (theta.params.values, c_global, c_local, ds.features, ds.labels)]
+    before = [a.tobytes() for a in (theta.params.values, c_global, c_local, ds.features,
+                                    ds.labels)]
     cfg = toy_config(trainer=trainer, epochs=2, fedprox_mu=0.1)
     up, _ = train(shard, ds, theta, cfg, master_seed=1, round_idx=1, c_global=c_global,
-                  c_local=c_local, delta_out=np.empty_like(c_local))
+                  c_local=c_local)
     after = (theta.params.values, c_global, c_local, ds.features, ds.labels)
-    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert [a.tobytes() for a in after] == before
     assert not np.array_equal(up, theta.params.values)

@@ -495,7 +495,7 @@ def test_the_server_step_and_eval_cut_the_same_halves_on_1_and_8_cores(monkeypat
         seen.clear()
         aggregation.slack_aggregate(uploads, np.full(m, 1 / m))
         aggregation.scaffold_server_update(theta.copy(), np.zeros((m, P)), list(range(m)),
-                                           uploads)
+                                           uploads, theta, [1] * m, 0.1)
         aggregation.client_drift(uploads, theta)
         aggregation.gradient_variance(uploads, theta)
         evaluate(model, test_set)
